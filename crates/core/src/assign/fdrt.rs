@@ -17,7 +17,8 @@
 //!    clusters. Instructions that cannot be placed are assigned afterwards
 //!    by Friendly's method over the remaining slots.
 
-use crate::assign::friendly_placement_partial;
+use super::{friendly, Lists, PlaceScratch};
+use crate::geometry::GeometryTables;
 use crate::ClusterGeometry;
 use ctcp_tracecache::{ChainRole, ProfileFields, RawTrace, TcLocation};
 use std::collections::HashMap;
@@ -171,8 +172,9 @@ impl FdrtStats {
 pub struct FdrtAssigner {
     config: FdrtConfig,
     stats: FdrtStats,
-    /// Previous assigned cluster per static PC (for migration stats).
-    last_cluster: HashMap<u64, u8>,
+    /// Previous assigned cluster per static instruction index (for
+    /// migration stats), grown on demand.
+    last_cluster: Vec<Option<u8>>,
 }
 
 impl FdrtAssigner {
@@ -181,7 +183,7 @@ impl FdrtAssigner {
         FdrtAssigner {
             config,
             stats: FdrtStats::default(),
-            last_cluster: HashMap::new(),
+            last_cluster: Vec::new(),
         }
     }
 
@@ -198,10 +200,31 @@ impl FdrtAssigner {
         geom: &ClusterGeometry,
         store: &mut dyn ChainStore,
     ) -> Vec<u8> {
+        let mut placement = Vec::new();
+        self.assign_into(
+            trace,
+            geom,
+            store,
+            &mut PlaceScratch::default(),
+            &mut placement,
+        );
+        placement
+    }
+
+    /// [`assign`](Self::assign) into `placement`, reusing `scratch`.
+    pub(super) fn assign_into(
+        &mut self,
+        trace: &mut RawTrace,
+        geom: &ClusterGeometry,
+        store: &mut dyn ChainStore,
+        scratch: &mut PlaceScratch,
+        placement: &mut Vec<u8>,
+    ) {
         if self.config.chaining {
             self.update_chains(trace, store);
         }
-        self.place(trace, geom)
+        let (tables, lists) = scratch.split(geom);
+        self.place(trace, tables, lists, placement);
     }
 
     /// Chain maintenance per Table 4, against the live trace cache state.
@@ -282,14 +305,21 @@ impl FdrtAssigner {
     }
 
     /// Slot assignment per Table 5.
-    fn place(&mut self, trace: &RawTrace, geom: &ClusterGeometry) -> Vec<u8> {
+    fn place(
+        &mut self,
+        trace: &RawTrace,
+        tables: &GeometryTables,
+        lists: &mut Lists,
+        placement: &mut Vec<u8>,
+    ) {
+        let geom = tables.geometry();
         let n = trace.len();
-        let clusters = geom.clusters as usize;
         let spc = geom.slots_per_cluster;
-        let mut counts = vec![0u8; clusters];
-        let mut cluster_of: Vec<Option<u8>> = vec![None; n];
-        let mut skipped: Vec<usize> = Vec::new();
-        let middle = geom.middle_order();
+        lists.counts.clear();
+        lists.counts.resize(geom.clusters as usize, 0);
+        lists.cluster_of.clear();
+        lists.cluster_of.resize(n, None);
+        lists.skipped.clear();
 
         for i in 0..n {
             let inst = &trace.insts[i];
@@ -308,32 +338,40 @@ impl FdrtAssigner {
             };
             let has_consumer = trace.has_intra_consumer[i];
 
-            let producer_cluster = crit_intra.and_then(|p| cluster_of[p as usize]);
+            let producer_cluster = crit_intra.and_then(|p| lists.cluster_of[p as usize]);
 
-            // Neighbour lists and the middle tier are tried least-loaded
-            // first so systematic choices (e.g. producerless loads all
-            // taking option D) spread over the eligible clusters instead
-            // of serialising on one cluster's functional units.
-            let by_load = |mut cs: Vec<u8>, counts: &[u8]| -> Vec<u8> {
-                cs.sort_by_key(|&c| (counts[c as usize], geom.centrality(c), c));
-                cs
-            };
+            let Lists {
+                counts,
+                prio,
+                by_load,
+                ..
+            } = &mut *lists;
 
             // Build the priority list of candidate clusters.
-            let mut prio: Vec<u8> = Vec::new();
+            prio.clear();
             let option_idx: usize;
             match (producer_cluster, chain) {
                 (Some(pc), None) => {
                     // Option A: intra-trace producer, then its neighbours.
                     option_idx = 0;
                     prio.push(pc);
-                    prio.extend(by_load(geom.neighbors(pc), &counts));
+                    prio.extend_from_slice(least_loaded_first(
+                        by_load,
+                        tables.neighbors(pc),
+                        counts,
+                        tables,
+                    ));
                 }
                 (None, Some(cc)) => {
                     // Option B: chain cluster, then its neighbours.
                     option_idx = 1;
                     prio.push(cc);
-                    prio.extend(by_load(geom.neighbors(cc), &counts));
+                    prio.extend_from_slice(least_loaded_first(
+                        by_load,
+                        tables.neighbors(cc),
+                        counts,
+                        tables,
+                    ));
                 }
                 (Some(pc), Some(cc)) => {
                     // Option C: chain first, then the producer, then the
@@ -343,7 +381,7 @@ impl FdrtAssigner {
                     if !prio.contains(&pc) {
                         prio.push(pc);
                     }
-                    for nb in by_load(geom.neighbors(cc), &counts) {
+                    for &nb in least_loaded_first(by_load, tables.neighbors(cc), counts, tables) {
                         if !prio.contains(&nb) {
                             prio.push(nb);
                         }
@@ -352,13 +390,12 @@ impl FdrtAssigner {
                 (None, None) if has_consumer => {
                     // Option D: middle cluster(s), least-loaded first.
                     option_idx = 3;
-                    let central = middle.first().map(|&c| geom.centrality(c));
-                    let tier: Vec<u8> = middle
-                        .iter()
-                        .copied()
-                        .filter(|&c| Some(geom.centrality(c)) == central)
-                        .collect();
-                    prio.extend(by_load(tier, &counts));
+                    prio.extend_from_slice(least_loaded_first(
+                        by_load,
+                        tables.central_tier(),
+                        counts,
+                        tables,
+                    ));
                 }
                 (None, None) => {
                     // Option E: nothing to go on; defer to the fallback.
@@ -370,7 +407,7 @@ impl FdrtAssigner {
             match placed {
                 Some(c) => {
                     counts[c as usize] += 1;
-                    cluster_of[i] = Some(c);
+                    lists.cluster_of[i] = Some(c);
                     self.stats.options[option_idx] += 1;
                 }
                 None => {
@@ -379,21 +416,24 @@ impl FdrtAssigner {
                     } else {
                         self.stats.skipped += 1;
                     }
-                    skipped.push(i);
+                    lists.skipped.push(i);
                 }
             }
         }
 
         // Fallback: Friendly's method over the remaining instructions and
         // slots.
-        let placement = friendly_placement_partial(trace, geom, &mut cluster_of, &skipped);
+        friendly::place_partial(trace, geom, lists, placement);
 
         // Migration statistics against the final placement.
         for (i, &slot) in placement.iter().enumerate() {
             let cluster = geom.cluster_of_slot(slot);
-            let pc = trace.insts[i].pc;
+            let index = trace.insts[i].index as usize;
             let is_chain = trace.insts[i].profile.is_chain_member();
-            if let Some(&prev) = self.last_cluster.get(&pc) {
+            if index >= self.last_cluster.len() {
+                self.last_cluster.resize(index + 1, None);
+            }
+            if let Some(prev) = self.last_cluster[index] {
                 self.stats.migration_samples += 1;
                 if is_chain {
                     self.stats.chain_samples += 1;
@@ -405,10 +445,26 @@ impl FdrtAssigner {
                     }
                 }
             }
-            self.last_cluster.insert(pc, cluster);
+            self.last_cluster[index] = Some(cluster);
         }
-        placement
     }
+}
+
+/// `clusters` copied into `out`, least-loaded first (then most central,
+/// then by index). Neighbour lists and the middle tier are tried in this
+/// order so systematic choices (e.g. producerless loads all taking
+/// option D) spread over the eligible clusters instead of serialising on
+/// one cluster's functional units.
+fn least_loaded_first<'a>(
+    out: &'a mut Vec<u8>,
+    clusters: &[u8],
+    counts: &[u8],
+    tables: &GeometryTables,
+) -> &'a [u8] {
+    out.clear();
+    out.extend_from_slice(clusters);
+    out.sort_unstable_by_key(|&c| (counts[c as usize], tables.centrality(c), c));
+    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! producer already placed on that slot's cluster, falling back to the
 //! oldest unplaced instruction.
 
+use super::Lists;
+use crate::geometry::GeometryTables;
 use crate::ClusterGeometry;
 use ctcp_tracecache::RawTrace;
 
@@ -30,83 +32,100 @@ pub fn friendly_placement(
     geom: &ClusterGeometry,
     order: SlotFillOrder,
 ) -> Vec<u8> {
-    let capacity = geom.total_slots();
-    let n = trace.len();
-    debug_assert!(n <= capacity);
-    let slots: Vec<u8> = match order {
-        SlotFillOrder::Sequential => (0..capacity as u8).collect(),
-        SlotFillOrder::MiddleFirst => {
-            // Cluster-major, but walking the clusters starting from the
-            // most central one and moving to adjacent clusters, so small
-            // traces occupy the middle of the machine while dependent
-            // instructions can still gather within one cluster before the
-            // walk moves on (slot-interleaving the clusters instead would
-            // ping-pong each dependency chain between two clusters).
-            let mut walk: Vec<u8> = Vec::with_capacity(geom.clusters as usize);
-            let mut cur = geom.middle_order()[0];
-            walk.push(cur);
-            while walk.len() < geom.clusters as usize {
-                let next = geom
-                    .neighbors(cur)
-                    .into_iter()
-                    .find(|c| !walk.contains(c))
-                    .or_else(|| (0..geom.clusters).find(|c| !walk.contains(c)))
-                    .expect("unvisited cluster exists");
-                walk.push(next);
-                cur = next;
-            }
-            walk.iter()
-                .flat_map(|&c| {
-                    (0..geom.slots_per_cluster).map(move |k| c * geom.slots_per_cluster + k)
-                })
-                .collect()
-        }
-    };
+    let mut placement = Vec::new();
+    let mut lists = Lists::default();
+    place(
+        trace,
+        &GeometryTables::new(*geom),
+        order,
+        &mut lists,
+        &mut placement,
+    );
+    placement
+}
 
-    let mut placement = vec![0u8; n];
-    let mut cluster_of: Vec<Option<u8>> = vec![None; n];
-    let mut unplaced: Vec<usize> = (0..n).collect();
-    for &slot in &slots {
+/// Friendly's placement of `trace` into `placement`, reusing `lists`.
+pub(super) fn place(
+    trace: &RawTrace,
+    tables: &GeometryTables,
+    order: SlotFillOrder,
+    lists: &mut Lists,
+    placement: &mut Vec<u8>,
+) {
+    let geom = tables.geometry();
+    let n = trace.len();
+    debug_assert!(n <= geom.total_slots());
+    placement.clear();
+    placement.resize(n, 0);
+    let cluster_of = &mut lists.cluster_of;
+    cluster_of.clear();
+    cluster_of.resize(n, None);
+    let unplaced = &mut lists.unplaced;
+    unplaced.clear();
+    unplaced.extend(0..n);
+    let mut sequential = 0..geom.total_slots() as u8;
+    let mut middle_first = tables.middle_walk().iter().copied();
+    let slots: &mut dyn Iterator<Item = u8> = match order {
+        SlotFillOrder::Sequential => &mut sequential,
+        SlotFillOrder::MiddleFirst => &mut middle_first,
+    };
+    for slot in slots {
         if unplaced.is_empty() {
             break;
         }
         let cluster = geom.cluster_of_slot(slot);
-        let pick = unplaced
-            .iter()
-            .position(|&i| {
-                trace.intra_producers[i]
-                    .iter()
-                    .flatten()
-                    .any(|&p| cluster_of[p as usize] == Some(cluster))
-            })
-            .unwrap_or(0);
-        let i = unplaced.remove(pick);
+        let i = unplaced.remove(pick(trace, unplaced, cluster_of, cluster));
         placement[i] = slot;
         cluster_of[i] = Some(cluster);
     }
-    placement
+}
+
+/// Friendly's choice for a slot on `cluster`: the position in
+/// `unplaced` of the oldest instruction with an intra-trace producer
+/// already placed on that cluster, else the oldest unplaced one.
+fn pick(trace: &RawTrace, unplaced: &[usize], cluster_of: &[Option<u8>], cluster: u8) -> usize {
+    unplaced
+        .iter()
+        .position(|&i| {
+            trace.intra_producers[i]
+                .iter()
+                .flatten()
+                .any(|&p| cluster_of[p as usize] == Some(cluster))
+        })
+        .unwrap_or(0)
 }
 
 /// Completes a partial cluster assignment: instructions with a cluster in
-/// `cluster_of` receive concrete slots within that cluster (in logical
-/// order); the `skipped` instructions are then placed over the remaining
-/// slots by Friendly's rule. Returns the full placement and records the
-/// final cluster of every instruction back into `cluster_of`.
+/// `lists.cluster_of` receive concrete slots within that cluster (in
+/// logical order); the `lists.skipped` instructions are then placed over
+/// the remaining slots by Friendly's rule. Writes the full placement and
+/// records the final cluster of every instruction back into
+/// `lists.cluster_of`.
 ///
 /// Used as the FDRT fallback ("These instructions are later assigned to
 /// the remaining slots using Friendly's method", §4.3).
-pub(crate) fn friendly_placement_partial(
+pub(super) fn place_partial(
     trace: &RawTrace,
     geom: &ClusterGeometry,
-    cluster_of: &mut [Option<u8>],
-    skipped: &[usize],
-) -> Vec<u8> {
-    let capacity = geom.total_slots();
+    lists: &mut Lists,
+    placement: &mut Vec<u8>,
+) {
     let n = trace.len();
     let spc = geom.slots_per_cluster as usize;
-    let mut placement = vec![0u8; n];
-    let mut slot_used = vec![false; capacity];
-    let mut next_in_cluster = vec![0usize; geom.clusters as usize];
+    let Lists {
+        cluster_of,
+        unplaced,
+        skipped,
+        slot_used,
+        next_in_cluster,
+        ..
+    } = lists;
+    placement.clear();
+    placement.resize(n, 0);
+    slot_used.clear();
+    slot_used.resize(geom.total_slots(), false);
+    next_in_cluster.clear();
+    next_in_cluster.resize(geom.clusters as usize, 0);
     for i in 0..n {
         if let Some(c) = cluster_of[i] {
             let base = c as usize * spc;
@@ -117,7 +136,8 @@ pub(crate) fn friendly_placement_partial(
             next_in_cluster[c as usize] = k + 1;
         }
     }
-    let mut unplaced: Vec<usize> = skipped.to_vec();
+    unplaced.clear();
+    unplaced.extend_from_slice(skipped);
     for (slot, used) in slot_used.iter_mut().enumerate() {
         if unplaced.is_empty() {
             break;
@@ -126,22 +146,12 @@ pub(crate) fn friendly_placement_partial(
             continue;
         }
         let cluster = geom.cluster_of_slot(slot as u8);
-        let pick = unplaced
-            .iter()
-            .position(|&i| {
-                trace.intra_producers[i]
-                    .iter()
-                    .flatten()
-                    .any(|&p| cluster_of[p as usize] == Some(cluster))
-            })
-            .unwrap_or(0);
-        let i = unplaced.remove(pick);
+        let i = unplaced.remove(pick(trace, unplaced, cluster_of, cluster));
         placement[i] = slot as u8;
         cluster_of[i] = Some(cluster);
         *used = true;
     }
     debug_assert!(unplaced.is_empty(), "more instructions than slots");
-    placement
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
 use crate::fu::FuPool;
+use crate::geometry::GeometryTables;
 use crate::rob::Rob;
 use crate::sched::{CompletionWheel, ReadyQueue};
 use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
@@ -20,7 +21,7 @@ use ctcp_telemetry::{
     Counter, Hist, InstAttrib, InstTimeline, NullProbe, Probe, RetireSlotKind, SrcAttrib, SrcKind,
 };
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// One instruction delivered by the front-end, already renamed into a
@@ -228,8 +229,12 @@ pub struct Engine {
     rob: Rob,
     rat: [Option<u64>; ctcp_isa::Reg::NUM],
     clusters: Vec<ClusterState>,
+    /// Neighbour lists and middle order for issue-time steering.
+    tables: GeometryTables,
     mem: DataMemory,
-    unresolved_stores: BTreeSet<u64>,
+    /// Stores whose address is not yet known, ascending: renamed in
+    /// program order (pushed at the back), removed as they execute.
+    unresolved_stores: VecDeque<u64>,
     stats: EngineStats,
     fwd: ForwardingStats,
     history: ProducerHistory,
@@ -237,9 +242,6 @@ pub struct Engine {
     /// Cached `probe.enabled()`: the telemetry-off fast path is one
     /// branch per hook site, never a virtual call.
     probe_on: bool,
-    /// Cached `CTCP_TRACE` env check (an env lookup per executed
-    /// instruction is measurable; the flag cannot change mid-run).
-    debug_trace: bool,
     /// Event-driven scheduling (the default). `false` selects the
     /// legacy scan-per-cycle path, kept as a determinism oracle.
     event_driven: bool,
@@ -295,13 +297,13 @@ impl Engine {
             rob: Rob::from_storage(entries, cfg.rob_entries),
             rat: [None; ctcp_isa::Reg::NUM],
             clusters,
-            unresolved_stores: BTreeSet::new(),
+            tables: GeometryTables::new(cfg.geometry),
+            unresolved_stores: VecDeque::new(),
             stats: EngineStats::default(),
             fwd: ForwardingStats::default(),
             history: ProducerHistory::default(),
             probe: Rc::new(NullProbe),
             probe_on: false,
-            debug_trace: std::env::var("CTCP_TRACE").is_ok(),
             event_driven: std::env::var("CTCP_SCHED").map_or(true, |v| v != "legacy"),
             wheel: CompletionWheel::from_slots(wheel_slots),
             scratch_events: events,
@@ -481,7 +483,7 @@ impl Engine {
                     0
                 };
             if f.inst.op.is_store() {
-                self.unresolved_stores.insert(f.seq);
+                self.unresolved_stores.push_back(f.seq);
             }
             let entry = Entry {
                 seq: f.seq,
@@ -497,6 +499,7 @@ impl Engine {
                 cluster,
                 rs,
                 srcs,
+                ready: None,
                 stage: Stage::AwaitDispatch { at: dispatch_at },
                 mispredicted: f.mispredicted,
                 renamed_at: now,
@@ -591,7 +594,7 @@ impl Engine {
             }
         }
         if nc > 0 {
-            for nb in self.cfg.geometry.neighbors(candidates[0]) {
+            for &nb in self.tables.neighbors(candidates[0]) {
                 if nc < candidates.len() && !candidates[..nc].contains(&nb) {
                     candidates[nc] = nb;
                     nc += 1;
@@ -605,8 +608,9 @@ impl Engine {
             }
         }
         // Balance: least-loaded this cycle, most central first on ties.
-        let order = self.cfg.geometry.middle_order();
-        let c = order
+        let c = self
+            .tables
+            .middle_order()
             .iter()
             .copied()
             .min_by_key(|&c| counts[c as usize])
@@ -713,15 +717,7 @@ impl Engine {
                     // If every operand is already resolved, the ready
                     // cycle is final: file it now. Otherwise the last
                     // producer's wakeup will file it.
-                    let ready_at = {
-                        let e = self.entry(seq).expect("in ROB");
-                        if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
-                            None
-                        } else {
-                            Some(self.readiness(e).expect("no waiting sources").0)
-                        }
-                    };
-                    if let Some(at) = ready_at {
+                    if let Some(at) = self.settle_readiness(seq) {
                         self.clusters[ci].queues[rs.index()].push_at(at, seq, now);
                     }
                 } else {
@@ -784,13 +780,35 @@ impl Engine {
         Some((ready, critical))
     }
 
+    /// Fixes `seq`'s readiness once its last source has resolved: the
+    /// ready cycle and critical source cannot change after that, so the
+    /// event scheduler computes them here once and issue reads the cached
+    /// pair. Returns the ready cycle, or `None` while a source still
+    /// waits on its producer.
+    fn settle_readiness(&mut self, seq: u64) -> Option<u64> {
+        let e = self.entry(seq).expect("in ROB");
+        if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
+            return None;
+        }
+        let ready = self.readiness(e).expect("no waiting sources");
+        self.entry_mut(seq).expect("in ROB").ready = Some(ready);
+        Some(ready.0)
+    }
+
     /// Issue checks shared by both schedulers. `seq` must sit in a
     /// reservation station of cluster `ci`. Returns `true` when
     /// execution began (the caller removes it from its station).
     fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> bool {
         let e = self.entry(seq).expect("RS entries are in ROB");
         debug_assert!(matches!(e.stage, Stage::InRs));
-        let Some((ready, critical)) = self.readiness(e) else {
+        // The event scheduler only visits entries whose readiness it
+        // already fixed; the scan oracle re-derives it every cycle.
+        let readiness = if self.event_driven {
+            e.ready
+        } else {
+            self.readiness(e)
+        };
+        let Some((ready, critical)) = readiness else {
             return false;
         };
         if ready > now {
@@ -822,7 +840,7 @@ impl Engine {
 
     /// Legacy select: poll `readiness()` on every station resident.
     fn select_scan(&mut self, now: u64) {
-        let min_unresolved = self.unresolved_stores.iter().next().copied();
+        let min_unresolved = self.unresolved_stores.front().copied();
         let mut issued = [0u32; 8];
         for ci in 0..self.clusters.len() {
             for rsi in 0..5 {
@@ -843,7 +861,7 @@ impl Engine {
     /// visited; non-issuers (FU or memory structural hazards) stay via
     /// in-place compaction instead of O(n) `retain` removals.
     fn select_event(&mut self, now: u64) {
-        let min_unresolved = self.unresolved_stores.iter().next().copied();
+        let min_unresolved = self.unresolved_stores.front().copied();
         let mut issued = [0u32; 8];
         for ci in 0..self.clusters.len() {
             for rsi in 0..5 {
@@ -900,20 +918,15 @@ impl Engine {
         } else if op.is_store() {
             self.stats.stores += 1;
             let addr = addr.expect("stores carry an address");
-            self.unresolved_stores.remove(&seq);
+            if let Ok(i) = self.unresolved_stores.binary_search(&seq) {
+                self.unresolved_stores.remove(i);
+            }
             self.mem.store_buffer().insert(seq, addr);
             self.mem.access(AccessKind::Store, addr, now + 1);
             now + 1 // address + data captured in the buffer
         } else {
             now + exec_lat
         };
-        if self.debug_trace && now < 600 {
-            let e = self.entry(seq).expect("in ROB");
-            eprintln!(
-                "t={now} exec seq={seq} pc={:#x} {} cl={} complete={complete}",
-                e.pc, e.inst.op, e.cluster
-            );
-        }
         if self.event_driven {
             // Every completion cycle the memory system can produce is
             // strictly in the future, so the wheel never misses one.
@@ -934,7 +947,7 @@ impl Engine {
     /// begins execution.
     fn record_forwarding(&mut self, seq: u64, critical: Option<usize>) {
         let e = self.entry(seq).expect("in ROB");
-        let consumer_pc = e.pc;
+        let consumer_index = e.index;
         let consumer_cluster = e.cluster;
         let has_input = e.srcs.iter().any(|s| !matches!(s, SrcState::None));
         let critical_forwarded =
@@ -984,7 +997,7 @@ impl Engine {
             } else {
                 self.fwd.forwarded_inputs += 1;
                 self.history
-                    .record(consumer_pc, i, p.pc, critical == Some(i), !p.same_trace);
+                    .record(consumer_index, i, p.pc, critical == Some(i), !p.same_trace);
             }
             if critical == Some(i) {
                 self.fwd.forwarded_critical += 1;
@@ -1122,8 +1135,7 @@ impl Engine {
             return;
         }
         let (ccl, crs) = (c.cluster as usize, c.rs.index());
-        let c = self.rob.get(cseq).expect("in ROB");
-        let (ready_at, _) = self.readiness(c).expect("all sources resolved");
+        let ready_at = self.settle_readiness(cseq).expect("all sources resolved");
         self.clusters[ccl].queues[crs].push_at(ready_at, cseq, now);
     }
 

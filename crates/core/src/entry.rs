@@ -57,6 +57,10 @@ pub(crate) struct Entry {
     /// Reservation station within the cluster.
     pub rs: RsClass,
     pub srcs: [SrcState; 2],
+    /// `(ready cycle, critical source)` once every source has resolved:
+    /// fixed from then on, so the event scheduler computes it once (at
+    /// dispatch or at the last wakeup) instead of at every issue attempt.
+    pub ready: Option<(u64, Option<usize>)>,
     pub stage: Stage,
     /// The branch was mispredicted at fetch; its completion redirects the
     /// front-end.

@@ -1,12 +1,12 @@
 //! Forwarding statistics: everything Tables 2, 3, 8 and Figure 4 need.
 
-use std::collections::HashMap;
-
 /// Tracks, per static instruction, the last observed forwarding producer
 /// of each source register, to measure producer repetition (Table 3).
 #[derive(Debug, Default)]
 pub struct ProducerHistory {
-    last: HashMap<u64, [Option<u64>; 2]>,
+    /// Last producer PC per source, indexed densely by the consumer's
+    /// static instruction index (grown on demand).
+    last: Vec<[Option<u64>; 2]>,
     /// (same, total) per source, over all forwarded inputs.
     all: [(u64, u64); 2],
     /// (same, total) per source, over critical inter-trace inputs only.
@@ -14,17 +14,22 @@ pub struct ProducerHistory {
 }
 
 impl ProducerHistory {
-    /// Records a forwarded input: consumer at `consumer_pc` source `src`
-    /// (0 = RS1, 1 = RS2) received data from `producer_pc`.
+    /// Records a forwarded input: the consumer with static instruction
+    /// index `consumer` received source `src` (0 = RS1, 1 = RS2) from
+    /// `producer_pc`.
     pub fn record(
         &mut self,
-        consumer_pc: u64,
+        consumer: u32,
         src: usize,
         producer_pc: u64,
         critical: bool,
         inter_trace: bool,
     ) {
-        let entry = self.last.entry(consumer_pc).or_default();
+        let i = consumer as usize;
+        if i >= self.last.len() {
+            self.last.resize(i + 1, [None; 2]);
+        }
+        let entry = &mut self.last[i];
         if let Some(prev) = entry[src] {
             let same = prev == producer_pc;
             self.all[src].1 += 1;

@@ -89,6 +89,99 @@ impl ClusterGeometry {
     }
 }
 
+/// Everything steering and placement look up about a geometry per
+/// instruction — neighbour lists, centrality, the middle order — derived
+/// once instead of being recomputed (and reallocated) per query.
+#[derive(Debug, Clone)]
+pub(crate) struct GeometryTables {
+    geometry: ClusterGeometry,
+    neighbors: Vec<Vec<u8>>,
+    centrality: Vec<u8>,
+    middle: Vec<u8>,
+    /// Length of `middle`'s prefix of most-central clusters.
+    central_tier: usize,
+    /// Issue slots cluster-major, starting at the most central cluster
+    /// and walking to adjacent clusters (Friendly's middle-first order).
+    middle_walk: Vec<u8>,
+}
+
+impl GeometryTables {
+    pub(crate) fn new(geometry: ClusterGeometry) -> Self {
+        let n = geometry.clusters;
+        let middle = geometry.middle_order();
+        let centrality: Vec<u8> = (0..n).map(|c| geometry.centrality(c)).collect();
+        let central_tier = middle
+            .iter()
+            .take_while(|&&c| centrality[c as usize] == centrality[middle[0] as usize])
+            .count();
+        let neighbors: Vec<Vec<u8>> = (0..n).map(|c| geometry.neighbors(c)).collect();
+        // Walk the clusters from the most central one to adjacent
+        // clusters, so small traces occupy the middle of the machine
+        // while dependent instructions can still gather within one
+        // cluster before the walk moves on.
+        let mut walk: Vec<u8> = Vec::with_capacity(n as usize);
+        if let Some(&first) = middle.first() {
+            let mut cur = first;
+            walk.push(cur);
+            while walk.len() < n as usize {
+                let next = neighbors[cur as usize]
+                    .iter()
+                    .copied()
+                    .find(|c| !walk.contains(c))
+                    .or_else(|| (0..n).find(|c| !walk.contains(c)))
+                    .expect("unvisited cluster exists");
+                walk.push(next);
+                cur = next;
+            }
+        }
+        let spc = geometry.slots_per_cluster;
+        let middle_walk = walk
+            .iter()
+            .flat_map(|&c| (0..spc).map(move |k| c * spc + k))
+            .collect();
+        GeometryTables {
+            geometry,
+            neighbors,
+            centrality,
+            middle,
+            central_tier,
+            middle_walk,
+        }
+    }
+
+    /// The geometry these tables describe.
+    pub(crate) fn geometry(&self) -> &ClusterGeometry {
+        &self.geometry
+    }
+
+    /// [`ClusterGeometry::neighbors`] of `c`.
+    pub(crate) fn neighbors(&self, c: u8) -> &[u8] {
+        &self.neighbors[c as usize]
+    }
+
+    /// [`ClusterGeometry::centrality`] of `c`.
+    pub(crate) fn centrality(&self, c: u8) -> u8 {
+        self.centrality[c as usize]
+    }
+
+    /// [`ClusterGeometry::middle_order`].
+    pub(crate) fn middle_order(&self) -> &[u8] {
+        &self.middle
+    }
+
+    /// The most central clusters: the prefix of the middle order that
+    /// shares its first cluster's centrality.
+    pub(crate) fn central_tier(&self) -> &[u8] {
+        &self.middle[..self.central_tier]
+    }
+
+    /// Every issue slot, cluster-major, most central cluster first and
+    /// then outward through adjacent clusters.
+    pub(crate) fn middle_walk(&self) -> &[u8] {
+        &self.middle_walk
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +282,33 @@ mod tests {
         assert_eq!(g.distance(0, 1), 1);
         assert_eq!(g.neighbors(0), vec![1]);
         assert_eq!(g.middle_order(), vec![0, 1]);
+    }
+
+    #[test]
+    fn tables_match_the_geometry_queries() {
+        for topology in [Topology::Linear, Topology::Ring, Topology::FullyConnected] {
+            for clusters in 1..=8 {
+                let g = ClusterGeometry {
+                    clusters,
+                    slots_per_cluster: 2,
+                    topology,
+                };
+                let t = GeometryTables::new(g);
+                assert_eq!(t.middle_order(), g.middle_order().as_slice());
+                for c in 0..clusters {
+                    assert_eq!(t.neighbors(c), g.neighbors(c).as_slice());
+                    assert_eq!(t.centrality(c), g.centrality(c));
+                }
+                let tier = t.central_tier();
+                assert!(!tier.is_empty());
+                assert!(tier
+                    .iter()
+                    .all(|&c| g.centrality(c) == g.centrality(tier[0])));
+                let mut walk = t.middle_walk().to_vec();
+                assert_eq!(walk.len(), g.total_slots());
+                walk.sort_unstable();
+                assert_eq!(walk, (0..g.total_slots() as u8).collect::<Vec<_>>());
+            }
+        }
     }
 }

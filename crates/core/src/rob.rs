@@ -117,6 +117,7 @@ mod tests {
             cluster: 0,
             rs: RsClass::Simple0,
             srcs: [SrcState::None, SrcState::None],
+            ready: None,
             stage: Stage::InRs,
             mispredicted: false,
             renamed_at: 0,

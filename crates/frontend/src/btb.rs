@@ -30,7 +30,11 @@ struct BtbEntry {
 /// targets.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    /// Every entry of every set in one contiguous array, set-major: set
+    /// `i` is `entries[i * assoc..(i + 1) * assoc]`.
+    entries: Vec<BtbEntry>,
+    assoc: usize,
+    set_bits: u32,
     set_mask: u64,
     tick: u64,
     hits: u64,
@@ -47,19 +51,16 @@ impl Btb {
         assert!(config.assoc > 0 && config.entries.is_multiple_of(config.assoc));
         let num_sets = config.entries / config.assoc;
         assert!(num_sets.is_power_of_two());
+        let invalid = BtbEntry {
+            tag: 0,
+            target: 0,
+            valid: false,
+            lru: 0,
+        };
         Btb {
-            sets: vec![
-                vec![
-                    BtbEntry {
-                        tag: 0,
-                        target: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.assoc
-                ];
-                num_sets
-            ],
+            entries: vec![invalid; config.entries],
+            assoc: config.assoc,
+            set_bits: num_sets.trailing_zeros(),
             set_mask: num_sets as u64 - 1,
             tick: 0,
             hits: 0,
@@ -70,21 +71,34 @@ impl Btb {
     #[inline]
     fn decompose(&self, pc: u64) -> (usize, u64) {
         let word = pc >> 2;
-        (
-            (word & self.set_mask) as usize,
-            word >> self.sets.len().trailing_zeros(),
-        )
+        ((word & self.set_mask) as usize, word >> self.set_bits)
+    }
+
+    #[inline]
+    fn set(&self, index: usize) -> &[BtbEntry] {
+        &self.entries[index * self.assoc..(index + 1) * self.assoc]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, index: usize) -> &mut [BtbEntry] {
+        &mut self.entries[index * self.assoc..(index + 1) * self.assoc]
     }
 
     /// Looks up the predicted target for the branch at `pc`, updating LRU
     /// and hit/miss counters.
     pub fn lookup(&mut self, pc: u64) -> Option<u64> {
         self.tick += 1;
+        let tick = self.tick;
         let (set, tag) = self.decompose(pc);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.valid && e.tag == tag) {
-            e.lru = self.tick;
+        if let Some(e) = self
+            .set_mut(set)
+            .iter_mut()
+            .find(|e| e.valid && e.tag == tag)
+        {
+            e.lru = tick;
+            let target = e.target;
             self.hits += 1;
-            Some(e.target)
+            Some(target)
         } else {
             self.misses += 1;
             None
@@ -94,7 +108,7 @@ impl Btb {
     /// Side-effect-free target probe (no LRU/stat update).
     pub fn probe(&self, pc: u64) -> Option<u64> {
         let (set, tag) = self.decompose(pc);
-        self.sets[set]
+        self.set(set)
             .iter()
             .find(|e| e.valid && e.tag == tag)
             .map(|e| e.target)
@@ -103,11 +117,12 @@ impl Btb {
     /// Installs or updates the target for the branch at `pc`.
     pub fn update(&mut self, pc: u64, target: u64) {
         self.tick += 1;
+        let tick = self.tick;
         let (set, tag) = self.decompose(pc);
-        let set = &mut self.sets[set];
+        let set = self.set_mut(set);
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.target = target;
-            e.lru = self.tick;
+            e.lru = tick;
             return;
         }
         let victim = set
@@ -118,7 +133,7 @@ impl Btb {
             tag,
             target,
             valid: true,
-            lru: self.tick,
+            lru: tick,
         };
     }
 

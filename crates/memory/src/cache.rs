@@ -86,10 +86,13 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set in one contiguous array, set-major: set
+    /// `i` is `ways[i * assoc..(i + 1) * assoc]`.
+    ways: Vec<Way>,
     stats: CacheStats,
     tick: u64,
     offset_bits: u32,
+    index_bits: u32,
     index_mask: u64,
 }
 
@@ -103,22 +106,18 @@ impl SetAssocCache {
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be 2^n");
+        let invalid = Way {
+            tag: 0,
+            valid: false,
+            lru: 0,
+        };
         SetAssocCache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.assoc
-                ];
-                num_sets
-            ],
+            ways: vec![invalid; num_sets * config.assoc],
             stats: CacheStats::default(),
             tick: 0,
             offset_bits: config.line_bytes.trailing_zeros(),
+            index_bits: num_sets.trailing_zeros(),
             index_mask: num_sets as u64 - 1,
         }
     }
@@ -136,10 +135,19 @@ impl SetAssocCache {
     #[inline]
     fn decompose(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.offset_bits;
-        (
-            (line & self.index_mask) as usize,
-            line >> self.sets.len().trailing_zeros(),
-        )
+        ((line & self.index_mask) as usize, line >> self.index_bits)
+    }
+
+    #[inline]
+    fn set(&self, index: usize) -> &[Way] {
+        let assoc = self.config.assoc;
+        &self.ways[index * assoc..(index + 1) * assoc]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, index: usize) -> &mut [Way] {
+        let assoc = self.config.assoc;
+        &mut self.ways[index * assoc..(index + 1) * assoc]
     }
 
     /// The line-aligned base address of the line containing `addr`.
@@ -152,35 +160,38 @@ impl SetAssocCache {
     /// Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
+        let tick = self.tick;
         let (index, tag) = self.decompose(addr);
-        let set = &mut self.sets[index];
+        let set = self.set_mut(index);
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
+            way.lru = tick;
             self.stats.hits += 1;
             return true;
         }
-        self.stats.misses += 1;
+        // The first least-recent way (invalid ways count as oldest).
         let victim = set
             .iter_mut()
             .min_by_key(|w| if w.valid { w.lru } else { 0 })
             .expect("assoc > 0");
         victim.valid = true;
         victim.tag = tag;
-        victim.lru = self.tick;
+        victim.lru = tick;
+        self.stats.misses += 1;
         false
     }
 
     /// Checks residency without updating LRU, stats, or contents.
     pub fn probe(&self, addr: u64) -> bool {
         let (index, tag) = self.decompose(addr);
-        self.sets[index].iter().any(|w| w.valid && w.tag == tag)
+        self.set(index).iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Invalidates the line containing `addr`, if resident. Returns whether
     /// a line was invalidated.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (index, tag) = self.decompose(addr);
-        if let Some(way) = self.sets[index]
+        if let Some(way) = self
+            .set_mut(index)
             .iter_mut()
             .find(|w| w.valid && w.tag == tag)
         {

@@ -96,6 +96,8 @@ pub struct DataMemory {
     load_queue: LoadQueue,
     port_cycle: u64,
     ports_used: usize,
+    /// Scratch for [`DataMemory::drain_stores`], reused every cycle.
+    drained: Vec<u64>,
 }
 
 impl DataMemory {
@@ -111,6 +113,7 @@ impl DataMemory {
             config,
             port_cycle: 0,
             ports_used: 0,
+            drained: Vec::new(),
         }
     }
 
@@ -229,8 +232,8 @@ impl DataMemory {
     /// Applies retired-store drains to the cache hierarchy (write
     /// allocate, no timing effect on the pipeline).
     pub fn drain_stores(&mut self, max: usize) {
-        let addrs = self.store_buffer.drain_retired(max);
-        for a in addrs {
+        self.store_buffer.drain_retired_into(max, &mut self.drained);
+        for &a in &self.drained {
             if !self.l1.access(a) {
                 self.l2.access(a);
             }

@@ -59,15 +59,7 @@ impl MshrFile {
                 .expect("file is full, so non-empty");
             self.full_stalls += earliest.saturating_sub(now);
             // That register is now free for reuse.
-            let stale: Vec<u64> = self
-                .outstanding
-                .iter()
-                .filter(|(_, &d)| d <= earliest)
-                .map(|(&a, _)| a)
-                .collect();
-            for a in stale {
-                self.outstanding.remove(&a);
-            }
+            self.outstanding.retain(|_, &mut done| done > earliest);
             earliest
         } else {
             now

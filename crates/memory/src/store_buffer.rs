@@ -109,6 +109,15 @@ impl StoreBuffer {
     /// returning their addresses (the caller writes them to the cache).
     pub fn drain_retired(&mut self, max: usize) -> Vec<u64> {
         let mut out = Vec::new();
+        self.drain_retired_into(max, &mut out);
+        out
+    }
+
+    /// [`drain_retired`](Self::drain_retired) into the caller's `out`
+    /// (cleared first), so a caller that keeps one buffer never
+    /// allocates.
+    pub fn drain_retired_into(&mut self, max: usize, out: &mut Vec<u64>) {
+        out.clear();
         while out.len() < max {
             match self.entries.front() {
                 Some(e) if e.retired => {
@@ -118,7 +127,6 @@ impl StoreBuffer {
                 _ => break,
             }
         }
-        out
     }
 
     /// Removes all stores younger than or equal to `seq` (pipeline flush).

@@ -60,17 +60,17 @@ impl Strategy {
     /// steering keeps the identity placement in the trace cache).
     pub fn retire_time(&self) -> RetireTimeStrategy {
         match self {
-            Strategy::Baseline | Strategy::IssueTime { .. } => RetireTimeStrategy::Baseline,
-            Strategy::Friendly { middle_bias } => RetireTimeStrategy::Friendly(if *middle_bias {
+            Strategy::Baseline | Strategy::IssueTime { .. } => RetireTimeStrategy::baseline(),
+            Strategy::Friendly { middle_bias } => RetireTimeStrategy::friendly(if *middle_bias {
                 SlotFillOrder::MiddleFirst
             } else {
                 SlotFillOrder::Sequential
             }),
-            Strategy::Fdrt { pinning } => RetireTimeStrategy::Fdrt(FdrtAssigner::new(FdrtConfig {
+            Strategy::Fdrt { pinning } => RetireTimeStrategy::fdrt(FdrtAssigner::new(FdrtConfig {
                 pinning: *pinning,
                 chaining: true,
             })),
-            Strategy::FdrtIntraOnly => RetireTimeStrategy::Fdrt(FdrtAssigner::new(FdrtConfig {
+            Strategy::FdrtIntraOnly => RetireTimeStrategy::fdrt(FdrtAssigner::new(FdrtConfig {
                 pinning: true,
                 chaining: false,
             })),

@@ -10,7 +10,7 @@ use ctcp_frontend::{BranchPredictor, Btb, HybridPredictor, ICache, ReturnAddress
 use ctcp_isa::{DynInst, Executor, Opcode, Program};
 use ctcp_telemetry::{Counter, Hist, Probe, RetireSlotKind};
 use ctcp_tracecache::{
-    FillUnit, PendingInst, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
+    FillUnit, PendingInst, RawTrace, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
 };
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -47,6 +47,14 @@ pub struct Simulation<'p> {
     /// Reused across cycles so `Engine::tick_into` never allocates.
     tick_buf: TickResult,
     delivery: VecDeque<(u64, Vec<FetchedInst>)>,
+    /// Emptied fetch groups, refilled by the next fetch: rename hands
+    /// every delivered group's vector back here.
+    group_pool: Vec<Vec<FetchedInst>>,
+    /// The hit line's slots in logical order, copied out of the trace
+    /// cache each fetch into this reused buffer.
+    tc_slots: Vec<(u8, TraceSlot)>,
+    /// The current trace's placement, reused for every trace.
+    placement: Vec<u8>,
     installs: VecDeque<(u64, TraceLine)>,
     now: u64,
     fetch_resume: u64,
@@ -126,7 +134,10 @@ impl<'p> Simulation<'p> {
             engine,
             retire_strategy: cfg.strategy.retire_time(),
             tick_buf: TickResult::default(),
-            delivery: VecDeque::new(),
+            delivery: VecDeque::with_capacity(DELIVERY_DEPTH),
+            group_pool: Vec::with_capacity(DELIVERY_DEPTH + 1),
+            tc_slots: Vec::new(),
+            placement: Vec::new(),
             installs: VecDeque::new(),
             now: 0,
             fetch_resume: 0,
@@ -268,8 +279,10 @@ impl<'p> Simulation<'p> {
         // 3. Deliver the oldest group to rename if the engine has room.
         if let Some((at, group)) = self.delivery.front() {
             if *at <= now && self.engine.can_accept(group.len()) {
-                let (_, group) = self.delivery.pop_front().expect("checked front");
+                let (_, mut group) = self.delivery.pop_front().expect("checked front");
                 self.engine.accept(&group, now);
+                group.clear();
+                self.group_pool.push(group);
             }
         }
 
@@ -359,12 +372,18 @@ impl<'p> Simulation<'p> {
     }
 
     /// Runs retire-time assignment on a finalised trace and schedules its
-    /// installation.
-    fn build_and_install(&mut self, mut raw: ctcp_tracecache::RawTrace, now: u64) {
-        let placement =
-            self.retire_strategy
-                .assign(&mut raw, &self.cfg.engine.geometry, &mut self.tc);
-        let line = TraceLine::from_raw(&raw, &placement, self.cfg.trace_cache.line_capacity);
+    /// installation. The line is built into storage the trace cache
+    /// displaced earlier, and the raw trace goes back to the fill unit,
+    /// so a steady-state trace costs no allocation.
+    fn build_and_install(&mut self, mut raw: RawTrace, now: u64) {
+        self.retire_strategy.assign_into(
+            &mut raw,
+            &self.cfg.engine.geometry,
+            &mut self.tc,
+            &mut self.placement,
+        );
+        let mut line = self.tc.recycled_line();
+        line.refill(&raw, &self.placement, self.cfg.trace_cache.line_capacity);
         if self.probe_on {
             self.probe.observe(Hist::TraceSize, raw.len() as u64);
             for d in line.reorder_distances() {
@@ -372,6 +391,7 @@ impl<'p> Simulation<'p> {
             }
         }
         self.installs.push_back((now + self.fill.latency(), line));
+        self.fill.recycle(raw);
     }
 
     /// Predicts one fetched control transfer. Returns `true` when the
@@ -430,22 +450,29 @@ impl<'p> Simulation<'p> {
         };
         let pc = d0.pc;
 
-        // Trace cache lookup with multiple-branch prediction.
+        // Trace cache lookup with multiple-branch prediction; a hit's
+        // slots are copied out so fetch can consume them while updating
+        // the predictor.
         let predictor = &self.predictor;
-        let line_info: Option<(u64, Vec<(u8, TraceSlot)>)> = self
+        let mut tc_slots = std::mem::take(&mut self.tc_slots);
+        tc_slots.clear();
+        let hit_line = self
             .tc
             .lookup(pc, |bpc| predictor.predict(bpc))
-            .map(|line| (line.id, line.logical_iter().map(|(p, s)| (p, *s)).collect()));
+            .map(|line| {
+                tc_slots.extend(line.logical_iter().map(|(p, s)| (p, *s)));
+                line.id
+            });
 
         let fetch_width = self.cfg.engine.geometry.total_slots();
         let group_id = self.group_ctr;
         self.group_ctr += 1;
-        let mut group: Vec<FetchedInst> = Vec::new();
+        let mut group = self.group_pool.pop().unwrap_or_default();
         let mut mispredicted_seq: Option<u64> = None;
 
-        let (latency, from_tc) = match line_info {
-            Some((line_id, slots)) => {
-                for (phys, slot) in slots {
+        let (latency, from_tc) = match hit_line {
+            Some(line_id) => {
+                for &(phys, slot) in &tc_slots {
                     let matches = self.stream.peek(0).is_some_and(|d| d.pc == slot.pc);
                     if !matches {
                         break;
@@ -522,8 +549,10 @@ impl<'p> Simulation<'p> {
                 (lat, false)
             }
         };
+        self.tc_slots = tc_slots;
 
         if group.is_empty() {
+            self.group_pool.push(group);
             return;
         }
         if self.probe_on {

@@ -56,8 +56,16 @@ impl<'p> InstStream<'p> {
     /// which is less than `n` only if the program ends first.
     pub(crate) fn fast_forward(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
-        while skipped < n && self.pop().is_some() {
+        // Whatever fetch already peeked goes first; after that the
+        // executor is stepped directly instead of through the buffer.
+        while skipped < n && self.buf.pop_front().is_some() {
             skipped += 1;
+        }
+        while skipped < n && !self.exhausted {
+            match self.exec.next() {
+                Some(_) => skipped += 1,
+                None => self.exhausted = true,
+            }
         }
         skipped
     }
@@ -86,5 +94,24 @@ mod tests {
         assert_eq!(s.pop().unwrap().seq, 3); // halt
         assert!(s.pop().is_none());
         assert!(s.is_exhausted());
+    }
+
+    #[test]
+    fn fast_forward_consumes_the_buffer_then_the_executor() {
+        let mut b = ProgramBuilder::new();
+        for i in 0..6 {
+            b.movi(Reg::R1, i);
+        }
+        b.halt();
+        let p = b.build();
+        let mut s = InstStream::new(Executor::new(&p));
+        assert_eq!(s.peek(1).unwrap().seq, 1);
+        // Two buffered instructions, then two straight from the executor.
+        assert_eq!(s.fast_forward(4), 4);
+        assert_eq!(s.pop().unwrap().seq, 4);
+        // Past the end: only what is left is skipped.
+        assert_eq!(s.fast_forward(10), 2);
+        assert!(s.is_exhausted());
+        assert_eq!(s.fast_forward(1), 0);
     }
 }

@@ -44,6 +44,11 @@ pub struct TraceCacheStats {
     pub evictions: u64,
 }
 
+/// Displaced lines kept for [`TraceCache::recycled_line`]; enough to
+/// cover the lines a simulation has in flight between construction and
+/// installation.
+const SPARE_LINES: usize = 64;
+
 #[derive(Debug)]
 struct WaySlot {
     line: TraceLine,
@@ -69,6 +74,9 @@ pub struct TraceCache {
     stats: TraceCacheStats,
     /// line id -> (set, position-independent id lookup)
     resident: HashMap<u64, usize>,
+    /// Lines displaced by installs (evicted, or replaced in place), whose
+    /// storage the next line built reuses.
+    spare: Vec<TraceLine>,
 }
 
 impl TraceCache {
@@ -89,6 +97,7 @@ impl TraceCache {
             next_id: 1,
             stats: TraceCacheStats::default(),
             resident: HashMap::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -137,22 +146,30 @@ impl TraceCache {
     /// valid across the rebuild (slot contents are still verified by PC
     /// at update time). Otherwise a fresh id is assigned and the set's
     /// LRU way is evicted if full. Returns the line's id.
+    ///
+    /// The displaced line's storage is kept for
+    /// [`recycled_line`](Self::recycled_line).
     pub fn install(&mut self, mut line: TraceLine) -> u64 {
         self.tick += 1;
         let set_idx = self.set_of(line.start_pc);
-        let new_path: Vec<(u64, bool)> = line.branch_path().collect();
         let set = &mut self.sets[set_idx];
 
         // Replace a same-pc same-path line in place, keeping its id.
         if let Some(i) = set.iter().position(|w| {
-            w.line.start_pc == line.start_pc && w.line.branch_path().collect::<Vec<_>>() == new_path
+            w.line.start_pc == line.start_pc && w.line.branch_path().eq(line.branch_path())
         }) {
             let id = set[i].line.id;
             line.id = id;
-            set[i] = WaySlot {
-                line,
-                lru: self.tick,
-            };
+            let old = std::mem::replace(
+                &mut set[i],
+                WaySlot {
+                    line,
+                    lru: self.tick,
+                },
+            );
+            if self.spare.len() < SPARE_LINES {
+                self.spare.push(old.line);
+            }
             self.stats.installs += 1;
             return id;
         }
@@ -171,6 +188,9 @@ impl TraceCache {
             let evicted = set.remove(victim);
             self.resident.remove(&evicted.line.id);
             self.stats.evictions += 1;
+            if self.spare.len() < SPARE_LINES {
+                self.spare.push(evicted.line);
+            }
         }
         set.push(WaySlot {
             line,
@@ -179,6 +199,13 @@ impl TraceCache {
         self.resident.insert(id, set_idx);
         self.stats.installs += 1;
         id
+    }
+
+    /// A line to build the next trace into ([`TraceLine::refill`]): the
+    /// storage of a line an earlier install displaced, or an empty line
+    /// when none is left.
+    pub fn recycled_line(&mut self) -> TraceLine {
+        self.spare.pop().unwrap_or_else(TraceLine::empty)
     }
 
     /// Mutable access to the profile fields of a resident line's slot, for
@@ -313,6 +340,52 @@ mod tests {
         assert!(tc.line(b).is_none(), "b was LRU and should be evicted");
         assert!(tc.line(c).is_some());
         assert_eq!(tc.stats().evictions, 1);
+    }
+
+    #[test]
+    fn evicted_storage_is_refilled_by_the_next_line() {
+        let mut tc = TraceCache::new(TraceCacheConfig {
+            entries: 2,
+            assoc: 1,
+            ..TraceCacheConfig::default()
+        });
+        let add = |i: u64| PendingInst {
+            seq: i,
+            index: i as u32,
+            pc: 0x1000 + 8 * i,
+            inst: Instruction::new(Opcode::Add, Some(Reg::R1), Some(Reg::R1), None, 0),
+            profile: ProfileFields::default(),
+            tc_loc: None,
+            feedback: ExecFeedback::default(),
+            taken: None,
+        };
+        // A full 16-slot line, then a line in the same set evicting it.
+        let full = RawTrace::analyze((0..16).map(add).collect());
+        let old = tc.install(TraceLine::from_raw(
+            &full,
+            &TraceLine::identity_placement(16),
+            16,
+        ));
+        tc.install(mk_line(0x2000, &[]));
+        assert_eq!(tc.stats().evictions, 1);
+        assert!(tc.line(old).is_none());
+
+        // Three instructions into the evicted line's storage, scattered.
+        let mut line = tc.recycled_line();
+        let storage = line.slots.as_ptr();
+        assert_eq!(line.slots.len(), 16, "recycled storage arrives as it left");
+        let small = RawTrace::analyze((20..23).map(add).collect());
+        line.refill(&small, &[9, 2, 14], 16);
+        assert_eq!(line.slots.as_ptr(), storage, "no new storage");
+        let id = tc.install(line);
+        assert_ne!(id, old);
+        assert!(tc.line(old).is_none(), "the evicted id stays unreachable");
+        let line = tc.line(id).expect("resident");
+        assert_eq!(line.slots.iter().flatten().count(), 3);
+        assert_eq!(line.len(), 3);
+        let order: Vec<(u8, u32)> = line.logical_iter().map(|(p, s)| (p, s.index)).collect();
+        assert_eq!(order, vec![(9, 20), (2, 21), (14, 22)]);
+        assert_eq!(line.start_pc, 0x1000 + 8 * 20);
     }
 
     #[test]

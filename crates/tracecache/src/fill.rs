@@ -67,16 +67,70 @@ pub struct FillUnitStats {
     pub insts_buffered: u64,
 }
 
+/// Finalised traces a caller hands back with [`FillUnit::recycle`] that
+/// the unit keeps for reuse; more than one push ever emits is waste.
+const SPARE_TRACES: usize = 2;
+
+/// The traces one [`FillUnit::push`] finalised — none, one, or two (a
+/// line-boundary flush plus a completion), oldest first — held inline so
+/// a push allocates no list for them.
+#[derive(Debug, Default)]
+pub struct Finalized {
+    traces: [Option<RawTrace>; 2],
+}
+
+impl Finalized {
+    fn push(&mut self, trace: RawTrace) {
+        let slot = self
+            .traces
+            .iter_mut()
+            .find(|t| t.is_none())
+            .expect("a push finalises at most two traces");
+        *slot = Some(trace);
+    }
+
+    /// Number of traces still to be yielded.
+    pub fn len(&self) -> usize {
+        self.traces.iter().flatten().count()
+    }
+
+    /// True when no trace is left.
+    pub fn is_empty(&self) -> bool {
+        self.traces[0].is_none()
+    }
+}
+
+impl Iterator for Finalized {
+    type Item = RawTrace;
+
+    fn next(&mut self) -> Option<RawTrace> {
+        let first = self.traces[0].take();
+        self.traces.swap(0, 1);
+        first
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len(), Some(self.len()))
+    }
+}
+
 /// The fill unit buffers retiring instructions and emits finalised
 /// [`RawTrace`]s. A trace ends when it holds `max_insts` instructions,
 /// `max_blocks` control transfers, an indirect control transfer (whose
 /// target varies), or when the retire stream crosses into a rebuilt
 /// trace-cache line. Between traces the unit idles until the next trace
 /// head retires.
+///
+/// The partial trace's buffer keeps its capacity from one trace to the
+/// next, and a caller that hands finished traces back with
+/// [`recycle`](Self::recycle) gets their storage refilled by the next
+/// trace, so steady-state trace construction allocates nothing.
 #[derive(Debug)]
 pub struct FillUnit {
     config: FillUnitConfig,
     pending: Vec<PendingInst>,
+    /// Recycled traces whose storage the next finalised trace reuses.
+    spare: Vec<RawTrace>,
     branches: usize,
     filling: bool,
     traces_built: u64,
@@ -93,7 +147,8 @@ impl FillUnit {
         assert!(config.max_insts > 0 && config.max_blocks > 0);
         FillUnit {
             config,
-            pending: Vec::new(),
+            pending: Vec::with_capacity(config.max_insts),
+            spare: Vec::with_capacity(SPARE_TRACES),
             branches: 0,
             filling: false,
             traces_built: 0,
@@ -137,8 +192,8 @@ impl FillUnit {
     /// Accepts one retired instruction with its trace-head marker;
     /// returns zero, one, or two finalised traces (a line-boundary flush
     /// plus a completion).
-    pub fn push(&mut self, inst: PendingInst, head: TraceHead) -> Vec<RawTrace> {
-        let mut out = Vec::new();
+    pub fn push(&mut self, inst: PendingInst, head: TraceHead) -> Finalized {
+        let mut out = Finalized::default();
         match head {
             TraceHead::TraceCacheLine => {
                 // Re-align: finish whatever was collecting, rebuild the
@@ -186,6 +241,14 @@ impl FillUnit {
         out
     }
 
+    /// Hands a finished trace back so the next finalised trace reuses its
+    /// storage instead of allocating.
+    pub fn recycle(&mut self, trace: RawTrace) {
+        if self.spare.len() < SPARE_TRACES {
+            self.spare.push(trace);
+        }
+    }
+
     /// Forces the partial trace out (end of simulation).
     pub fn flush(&mut self) -> Option<RawTrace> {
         let t = self.finalize();
@@ -199,7 +262,10 @@ impl FillUnit {
             return None;
         }
         self.traces_built += 1;
-        Some(RawTrace::analyze(std::mem::take(&mut self.pending)))
+        let mut trace = self.spare.pop().unwrap_or_else(RawTrace::empty);
+        trace.refill(&self.pending);
+        self.pending.clear();
+        Some(trace)
     }
 }
 
@@ -257,7 +323,9 @@ mod tests {
                 .push(pi(i, Opcode::Add, None), TraceHead::None)
                 .is_empty());
         }
-        let out = fu.push(pi(15, Opcode::Add, None), TraceHead::None);
+        let out: Vec<RawTrace> = fu
+            .push(pi(15, Opcode::Add, None), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 16);
         assert!(!fu.is_filling());
@@ -283,7 +351,9 @@ mod tests {
         fu.push(pi(1, Opcode::Add, None), TraceHead::None);
         // Crossing into a trace-cache group finalises the partial trace
         // and starts collecting the rebuilt line.
-        let out = fu.push(pi(2, Opcode::Add, None), TraceHead::TraceCacheLine);
+        let out: Vec<RawTrace> = fu
+            .push(pi(2, Opcode::Add, None), TraceHead::TraceCacheLine)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
         assert!(fu.is_filling());
@@ -296,7 +366,9 @@ mod tests {
         fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
         fu.push(pi(1, Opcode::Bne, Some(true)), TraceHead::None);
         fu.push(pi(2, Opcode::Bne, Some(false)), TraceHead::None);
-        let out = fu.push(pi(3, Opcode::Bne, Some(true)), TraceHead::None);
+        let out: Vec<RawTrace> = fu
+            .push(pi(3, Opcode::Bne, Some(true)), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].branch_count, 3);
         assert!(!fu.is_filling());
@@ -306,7 +378,9 @@ mod tests {
     fn indirect_ends_a_trace() {
         let mut fu = FillUnit::default();
         fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
-        let out = fu.push(pi(1, Opcode::Jr, Some(true)), TraceHead::None);
+        let out: Vec<RawTrace> = fu
+            .push(pi(1, Opcode::Jr, Some(true)), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
     }
@@ -328,7 +402,7 @@ mod tests {
         // its own pc: a loop-back edge.
         let mut back = pi(6, Opcode::Bne, Some(true));
         back.inst.imm = 0;
-        let out = fu.push(back, TraceHead::None);
+        let out: Vec<RawTrace> = fu.push(back, TraceHead::None).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
         assert!(!fu.is_filling());
@@ -338,6 +412,38 @@ mod tests {
         let mut nt = pi(6, Opcode::Bne, Some(false));
         nt.inst.imm = 0;
         assert!(fu.push(nt, TraceHead::None).is_empty());
+    }
+
+    #[test]
+    fn recycled_traces_are_refilled_in_place() {
+        let mut fu = FillUnit::default();
+        fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
+        let first = fu
+            .push(pi(1, Opcode::Jr, Some(true)), TraceHead::None)
+            .next();
+        let first = first.expect("the indirect jump ends the trace");
+        let storage = first.insts.as_ptr();
+        fu.recycle(first);
+        fu.push(pi(2, Opcode::Add, None), TraceHead::TraceCacheMiss);
+        let second = fu.flush().expect("partial trace");
+        assert_eq!(second.insts.as_ptr(), storage, "storage was reused");
+        assert_eq!(second.len(), 1);
+        assert_eq!(second.insts[0].seq, 2);
+        assert_eq!(second.intra_producers, vec![[None, None]]);
+        assert_eq!(second.has_intra_consumer, vec![false]);
+        assert_eq!(second.branch_count, 0);
+    }
+
+    #[test]
+    fn a_line_boundary_can_finalise_two_traces_in_one_push() {
+        let mut fu = FillUnit::default();
+        fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
+        // A rebuilt line whose first instruction is an indirect jump: the
+        // partial trace is flushed and the one-instruction trace ends.
+        let out = fu.push(pi(1, Opcode::Jr, Some(true)), TraceHead::TraceCacheLine);
+        assert_eq!(out.len(), 2);
+        let seqs: Vec<u64> = out.map(|t| t.insts[0].seq).collect();
+        assert_eq!(seqs, vec![0, 1]);
     }
 
     #[test]

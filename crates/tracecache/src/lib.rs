@@ -26,6 +26,6 @@ mod profile;
 mod trace;
 
 pub use cache::{TraceCache, TraceCacheConfig, TraceCacheStats};
-pub use fill::{FillUnit, FillUnitConfig, FillUnitStats, TraceHead};
+pub use fill::{FillUnit, FillUnitConfig, FillUnitStats, Finalized, TraceHead};
 pub use profile::{ChainRole, ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 pub use trace::{PendingInst, RawTrace, TraceLine, TraceSlot};

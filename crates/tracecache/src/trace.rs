@@ -53,37 +53,66 @@ impl RawTrace {
     ///
     /// Panics if `insts` is empty or longer than 255 instructions.
     pub fn analyze(insts: Vec<PendingInst>) -> Self {
-        assert!(!insts.is_empty() && insts.len() <= 255);
-        let n = insts.len();
+        let mut trace = RawTrace {
+            insts,
+            ..RawTrace::empty()
+        };
+        trace.reanalyze();
+        trace
+    }
+
+    /// An empty trace, for [`refill`](Self::refill) to fill.
+    pub(crate) fn empty() -> Self {
+        RawTrace {
+            insts: Vec::new(),
+            intra_producers: Vec::new(),
+            has_intra_consumer: Vec::new(),
+            branch_count: 0,
+        }
+    }
+
+    /// Replaces this trace's contents with `insts` and analyses them,
+    /// reusing every vector's storage: a recycled trace refills without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `insts` is empty or longer than 255 instructions.
+    pub(crate) fn refill(&mut self, insts: &[PendingInst]) {
+        self.insts.clear();
+        self.insts.extend_from_slice(insts);
+        self.reanalyze();
+    }
+
+    /// Runs the intra-trace dependency analysis over `self.insts`.
+    fn reanalyze(&mut self) {
+        let n = self.insts.len();
+        assert!(n > 0 && n <= 255);
         let mut last_writer: [Option<u8>; ctcp_isa::Reg::NUM] = [None; ctcp_isa::Reg::NUM];
-        let mut intra_producers = vec![[None; 2]; n];
-        let mut has_intra_consumer = vec![false; n];
-        let mut branch_count = 0u8;
-        for (i, p) in insts.iter().enumerate() {
+        self.intra_producers.clear();
+        self.intra_producers.resize(n, [None; 2]);
+        self.has_intra_consumer.clear();
+        self.has_intra_consumer.resize(n, false);
+        self.branch_count = 0;
+        for (i, p) in self.insts.iter().enumerate() {
             if let Some(r) = p.inst.dep_src1() {
                 if let Some(w) = last_writer[r.index()] {
-                    intra_producers[i][0] = Some(w);
-                    has_intra_consumer[w as usize] = true;
+                    self.intra_producers[i][0] = Some(w);
+                    self.has_intra_consumer[w as usize] = true;
                 }
             }
             if let Some(r) = p.inst.dep_src2() {
                 if let Some(w) = last_writer[r.index()] {
-                    intra_producers[i][1] = Some(w);
-                    has_intra_consumer[w as usize] = true;
+                    self.intra_producers[i][1] = Some(w);
+                    self.has_intra_consumer[w as usize] = true;
                 }
             }
             if let Some(d) = p.inst.dest {
                 last_writer[d.index()] = Some(i as u8);
             }
             if p.inst.op.is_cti() {
-                branch_count += 1;
+                self.branch_count += 1;
             }
-        }
-        RawTrace {
-            insts,
-            intra_producers,
-            has_intra_consumer,
-            branch_count,
         }
     }
 
@@ -160,14 +189,38 @@ impl TraceLine {
     /// Panics if the placement is not a valid injection into
     /// `0..capacity`.
     pub fn from_raw(raw: &RawTrace, placement: &[u8], capacity: usize) -> Self {
+        let mut line = TraceLine::empty();
+        line.refill(raw, placement, capacity);
+        line
+    }
+
+    /// A line with no slots, for [`refill`](Self::refill) to fill.
+    pub(crate) fn empty() -> Self {
+        TraceLine {
+            id: 0,
+            start_pc: 0,
+            slots: Vec::new(),
+            logical_to_phys: Vec::new(),
+        }
+    }
+
+    /// [`from_raw`](Self::from_raw) into this line's storage: every
+    /// previous slot is emptied and the id reset, but the vectors keep
+    /// their capacity, so refilling a recycled line allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_raw`](Self::from_raw).
+    pub fn refill(&mut self, raw: &RawTrace, placement: &[u8], capacity: usize) {
         assert_eq!(placement.len(), raw.len());
-        let mut slots: Vec<Option<TraceSlot>> = vec![None; capacity];
+        self.slots.clear();
+        self.slots.resize(capacity, None);
         for (l, &p) in placement.iter().enumerate() {
             let p = p as usize;
             assert!(p < capacity, "placement out of range");
-            assert!(slots[p].is_none(), "placement not injective");
+            assert!(self.slots[p].is_none(), "placement not injective");
             let src = &raw.insts[l];
-            slots[p] = Some(TraceSlot {
+            self.slots[p] = Some(TraceSlot {
                 index: src.index,
                 pc: src.pc,
                 inst: src.inst,
@@ -175,12 +228,10 @@ impl TraceLine {
                 taken: src.taken,
             });
         }
-        TraceLine {
-            id: 0, // assigned by the cache at install
-            start_pc: raw.start_pc(),
-            slots,
-            logical_to_phys: placement.to_vec(),
-        }
+        self.id = 0; // assigned by the cache at install
+        self.start_pc = raw.start_pc();
+        self.logical_to_phys.clear();
+        self.logical_to_phys.extend_from_slice(placement);
     }
 
     /// Number of instructions in the line.

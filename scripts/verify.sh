@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Full verification gate: everything CI would require before merge.
 #
-#   scripts/verify.sh
+#   scripts/verify.sh            # gate against the committed BENCH_*.json
+#   scripts/verify.sh --record   # ... and rewrite them with this run's timings
+#
+# A plain run only reads the four BENCH_*.json references and leaves
+# the tree clean; only --record writes them.
 #
 # Runs, in order:
 #   1. tier-1: release build + full test suite
@@ -11,13 +15,13 @@
 #      and reconciles its counters against the report
 #   5. attribution smoke: `ctcp analyze --json` must emit non-empty CPI
 #      stacks and `ctcp sweep --attrib` must append the attribution table
-#   6. perf smoke: wall-time of a fixed sweep, recorded into
-#      BENCH_baseline.json to track the perf trajectory over time
+#   6. perf smoke: wall-time of a fixed sweep (recorded into
+#      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
 #      batch must finish, render the survivors, exit non-zero, and
 #      leave a store that `ctcp store verify` passes clean
 #   8. batch throughput gate: a warmup-heavy 96-cell sweep batched vs
-#      CTCP_BATCH=off, recorded into BENCH_batch.json; batched must be
+#      CTCP_BATCH=off (BENCH_batch.json); batched must be
 #      >= 2x the unbatched cells/sec and within 125% of the committed
 #      reference
 #   9. serve smoke: a real daemon on an ephemeral port serves a client
@@ -25,8 +29,8 @@
 #      drains on shutdown, and leaves a populated sharded store with
 #      no leftover socket or lock tokens
 #  10. serve concurrency gate: four overlapping clients (one big sweep
-#      + three memoized grids) against one daemon, recorded into
-#      BENCH_serve.json; the aggregate must be <= half the serialized
+#      + three memoized grids) against one daemon (BENCH_serve.json);
+#      the aggregate must be <= half the serialized
 #      one-shot reference, no cached client may wait more than 100 ms
 #      behind the running sweep, and the concurrent time must stay
 #      within 125% of the committed reference
@@ -43,6 +47,27 @@
 #      JSON, and `ctcp top --once` must render a dashboard frame
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+record=0
+case "${1:-}" in
+    "") ;;
+    --record) record=1 ;;
+    *)
+        echo "usage: scripts/verify.sh [--record]" >&2
+        exit 2
+        ;;
+esac
+
+# Writes stdin to the timing reference $1 under --record; a plain run
+# discards it, so gating never dirties the tree.
+record_bench() {
+    if [ "$record" -eq 1 ]; then
+        cat > "$1"
+        echo "recorded $1"
+    else
+        cat > /dev/null
+    fi
+}
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -79,7 +104,7 @@ fi
     --insts 20000 --jobs 1 --attrib > "$smoke_dir/sweep-attrib.out"
 grep -q "attribution (fraction of retire slots" "$smoke_dir/sweep-attrib.out"
 
-echo "==> perf smoke (fixed sweep wall-time -> BENCH_baseline.json)"
+echo "==> perf smoke (fixed sweep wall-time)"
 # Fixed workload: no-probe sweep, single-threaded so the number tracks
 # simulator speed rather than host core count; no cache so it always
 # simulates.
@@ -88,14 +113,14 @@ start_ns=$(date +%s%N)
     --insts 50000 --jobs 1 >/dev/null
 end_ns=$(date +%s%N)
 wall_ms=$(( (end_ns - start_ns) / 1000000 ))
-cat > BENCH_baseline.json <<EOF
+record_bench BENCH_baseline.json <<EOF
 {
   "bench": "sweep gzip,twolf x baseline,fdrt --insts 50000 --jobs 1",
   "wall_ms": $wall_ms,
   "recorded_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 }
 EOF
-echo "perf smoke: ${wall_ms} ms (recorded in BENCH_baseline.json)"
+echo "perf smoke: ${wall_ms} ms"
 
 echo "==> crash-injection smoke (fail point panics one sweep cell)"
 # The injected panic kills the twolf/fdrt cell (after one retry); the
@@ -116,7 +141,7 @@ grep -q "twolf/fdrt: panic:" "$smoke_dir/sweep-crash.out"
 echo "==> result store verify (post-crash store must be clean)"
 ./target/release/ctcp store verify --dir "$smoke_dir/target/ctcp-results"
 
-echo "==> engine perf gate (scheduler-bound sweep -> BENCH_engine.json)"
+echo "==> engine perf gate (scheduler-bound sweep vs BENCH_engine.json)"
 # Scheduler-bound workload: enough instructions that the engine's
 # dispatch/wakeup/complete/select loop dominates wall time. Runs the
 # event-driven scheduler (the default) and the legacy scan oracle
@@ -146,7 +171,7 @@ engine_ms=$(best_of_3 engine_sweep)
 legacy_ms=$(best_of_3 legacy_sweep)
 # The committed gate_ref_ms is the regression reference; keep it stable
 # across runs so noise cannot ratchet the gate. Refresh it by deleting
-# the field (or the file) and re-running verify.
+# the field (or the file) and re-running verify --record.
 gate_ref_ms=$(sed -n 's/.*"gate_ref_ms": \([0-9]*\).*/\1/p' BENCH_engine.json 2>/dev/null || true)
 if [ -z "${gate_ref_ms}" ]; then
     gate_ref_ms=$engine_ms
@@ -157,7 +182,7 @@ if [ "$engine_ms" -gt "$limit_ms" ]; then
          "(125% of committed reference ${gate_ref_ms} ms)" >&2
     exit 1
 fi
-cat > BENCH_engine.json <<EOF
+record_bench BENCH_engine.json <<EOF
 {
   "bench": "$engine_bench",
   "wall_ms": $engine_ms,
@@ -169,7 +194,7 @@ EOF
 echo "engine perf gate: event ${engine_ms} ms, legacy ${legacy_ms} ms" \
      "(gate: ${limit_ms} ms)"
 
-echo "==> batch throughput gate (batched vs unbatched sweep -> BENCH_batch.json)"
+echo "==> batch throughput gate (batched vs unbatched sweep vs BENCH_batch.json)"
 # Warmup-heavy grid: 96 cells (2 benches x 2 cluster counts x 3
 # topologies x [baseline + 7 strategies]), each fast-forwarding 1M
 # instructions before a short timed phase. Batched workers capture one
@@ -208,7 +233,7 @@ if [ "$batched_ms" -gt "$batch_limit_ms" ]; then
          "(125% of committed reference ${batch_ref_ms} ms)" >&2
     exit 1
 fi
-cat > BENCH_batch.json <<EOF
+record_bench BENCH_batch.json <<EOF
 {
   "bench": "$batch_bench",
   "cells": $batch_cells,
@@ -266,7 +291,7 @@ if ./target/release/ctcp client status --addr "$serve_addr" >/dev/null 2>&1; the
     exit 1
 fi
 
-echo "==> serve concurrency gate (4-client mixed load -> BENCH_serve.json)"
+echo "==> serve concurrency gate (4-client mixed load vs BENCH_serve.json)"
 # Mixed load: one big sweep (the 30-cell focus grid) plus three small
 # grids the daemon has already memoized. The serialized reference runs
 # the same four requests as one-shot CLI commands back-to-back (no
@@ -378,7 +403,7 @@ if [ "$concurrent_ms" -gt "$serve_limit_ms" ]; then
          "${serve_limit_ms} ms (125% of committed reference ${serve_ref_ms} ms)" >&2
     exit 1
 fi
-cat > BENCH_serve.json <<EOF
+record_bench BENCH_serve.json <<EOF
 {
   "bench": "serve: focus x 20000 + 3 memoized 2-bench grids x 50000, 4 concurrent clients vs one-shot serialized (best of 3)",
   "concurrent_ms": $concurrent_ms,
