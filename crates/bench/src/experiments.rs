@@ -126,7 +126,7 @@ pub struct RunOptions {
     /// Instructions per simulation for the suite-wide Figure 9 runs.
     pub suite_insts: u64,
     /// Worker threads for the harness; `0` means available parallelism,
-    /// `1` runs each cell in submission order on the calling thread.
+    /// `1` runs each cell in submission order on one worker thread.
     pub jobs: usize,
     /// Memoize finished cells through the on-disk result store
     /// (`target/ctcp-results/`).

@@ -107,19 +107,6 @@ impl CliOutcome {
     }
 }
 
-/// Executes a parsed command line and returns what to print.
-///
-/// Thin wrapper over [`execute_outcome`] that drops the exit code —
-/// convenient for tests and callers that only care about the text.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for unknown benchmarks, unreadable or invalid
-/// assembly files.
-pub fn execute(cli: &Cli) -> Result<String, CliError> {
-    execute_outcome(cli).map(|o| o.output)
-}
-
 /// Executes a parsed command line and returns what to print together
 /// with the exit code to end the process with.
 ///
@@ -552,8 +539,8 @@ fn sweep(args: &SweepArgs) -> Result<CliOutcome, CliError> {
     let mut sink = StderrProgress::new(None);
     run_sweep(args, &mut harness, &mut sink).map_err(|e| match e {
         SweepError::Cli(e) => e,
-        // One-shot sweeps have no shared scheduler, so admission can
-        // never refuse them; keep the arm total anyway.
+        // One-shot sweeps run on the harness's own unbounded pool, so
+        // admission can never refuse them; keep the arm total anyway.
         SweepError::Saturated(s) => CliError(format!("rejected: {s}")),
     })
 }
@@ -837,9 +824,9 @@ impl ProgressSink for EventSink<'_> {
     }
 
     fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
-        // The shared-scheduler path names the pool worker that ran the
-        // cell; stamping it into the wire event is what lets the daemon
-        // draw per-worker span lanes in `GET /trace/<token>`.
+        // The harness names the pool worker that ran the cell; stamping
+        // it into the wire event is what lets the daemon draw per-worker
+        // span lanes in `GET /trace/<token>`.
         self.send(&Value::Obj(vec![
             ("event".into(), Value::str("progress")),
             ("done".into(), Value::u64(done as u64)),
@@ -1660,7 +1647,7 @@ mod tests {
     use super::*;
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
-        execute(&Cli::parse(argv.iter().copied()).unwrap())
+        execute_outcome(&Cli::parse(argv.iter().copied()).unwrap()).map(|o| o.output)
     }
 
     fn run_outcome(argv: &[&str]) -> CliOutcome {

@@ -13,7 +13,7 @@
 //!
 //! Everything the binary does is exposed as a library so it can be unit
 //! tested: argument parsing ([`Cli::parse`]), command execution
-//! ([`execute`]).
+//! ([`execute_outcome`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +26,4 @@ pub use args::{
     Cli, CliError, ClientAction, ClientArgs, Command, RunArgs, ServeArgs, StoreAction, StoreArgs,
     SweepArgs, TraceArgs,
 };
-pub use commands::{execute, execute_outcome, CliOutcome};
+pub use commands::{execute_outcome, CliOutcome};

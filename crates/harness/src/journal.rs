@@ -428,10 +428,11 @@ impl Record {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{temp_dir, FAILPOINT_LOCK};
+    use crate::testutil::{fail_points_held, temp_dir};
 
     #[test]
     fn admit_cell_finish_round_trips_to_empty_pending() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-roundtrip");
         {
             let j = Journal::open(&dir).unwrap();
@@ -450,6 +451,7 @@ mod tests {
 
     #[test]
     fn unfinished_request_survives_restart_with_its_cell_marks() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-pending");
         {
             let j = Journal::open(&dir).unwrap();
@@ -473,6 +475,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_skipped_not_fatal() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-torn");
         let path = {
             let j = Journal::open(&dir).unwrap();
@@ -504,6 +507,7 @@ mod tests {
 
     #[test]
     fn open_compacts_terminal_records_away() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-compact-open");
         {
             let j = Journal::open(&dir).unwrap();
@@ -525,6 +529,7 @@ mod tests {
 
     #[test]
     fn size_threshold_compacts_at_runtime() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-compact-size");
         // A threshold small enough that a couple of finished requests
         // trip it; the file must never grow without bound.
@@ -553,7 +558,7 @@ mod tests {
 
     #[test]
     fn journal_truncate_fail_point_tears_one_append() {
-        let _g = FAILPOINT_LOCK.lock().unwrap();
+        let _g = fail_points_held();
         let dir = temp_dir("journal-failpoint");
         {
             let j = Journal::open(&dir).unwrap();
@@ -577,6 +582,7 @@ mod tests {
 
     #[test]
     fn admit_is_idempotent_for_a_live_token() {
+        let _g = fail_points_held();
         let dir = temp_dir("journal-idem");
         let j = Journal::open(&dir).unwrap();
         j.admit("tok1", "sweep", "{}").unwrap();

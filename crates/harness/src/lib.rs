@@ -13,8 +13,7 @@
 //! returns one [`SimReport`] per job **in job order**, regardless of
 //! how many worker threads ran them — reports are collected into slots
 //! indexed by job position, so downstream table rendering is
-//! byte-identical at any parallelism, and `--jobs 1` degenerates to a
-//! plain in-order loop on the calling thread.
+//! byte-identical at any parallelism.
 //!
 //! ## Memoization
 //!
@@ -27,25 +26,26 @@
 //! cell is simulated once and the report is copied to every position
 //! that asked for it.
 //!
-//! ## Batched execution
+//! ## Execution
 //!
-//! Workers are resident [`BatchRunner`]s: consecutive cells executed by
-//! one worker recycle a single engine arena and share fast-forward
-//! warmup checkpoints keyed by `(program, warmup_instructions)`, so a
-//! sweep pays for allocation and warmup once per worker rather than
-//! once per cell. Reports are byte-identical to the historical
-//! one-simulation-per-job path, which `CTCP_BATCH=off` restores for A/B
-//! timing; a configured [`Harness::job_timeout`] also falls back to it,
-//! because timed attempts run on detached threads.
+//! Every batch runs on a [`CellScheduler`]: the shared one attached
+//! with [`Harness::with_scheduler`], or else the harness's own pool of
+//! [`Harness::effective_jobs`] workers, started on the first batch with
+//! cells to simulate, reused across batches and shut down on drop. At
+//! `--jobs 1` the single worker runs a batch's cells in job order.
+//! Workers are resident [`BatchRunner`]s: consecutive cells on one
+//! worker recycle a single engine arena and, while they share a
+//! program, reuse its fast-forward warmup checkpoint, so a sweep pays
+//! for allocation and warmup once per worker rather than once per cell.
+//! Reports are byte-identical to building each simulation directly.
 //!
 //! ## Fault tolerance
 //!
 //! Every job runs behind an isolation boundary: a panic (simulator
-//! bug), a typed simulation abort (watchdog trip, cycle budget), an
-//! invalid configuration, or an optional wall-clock timeout fails
-//! *that job* — never the worker, never the batch. [`Harness::try_run`]
-//! returns one [`JobOutcome`] per job; transient failures (panics,
-//! timeouts) are retried with linear backoff ([`Harness::retries`]).
+//! bug), a typed simulation abort (watchdog trip, cycle budget) or an
+//! invalid configuration fails *that job* — never the worker, never
+//! the batch. [`Harness::try_run`] returns one [`JobOutcome`] per job;
+//! panics are retried with linear backoff ([`Harness::retries`]).
 //! The infallible [`Harness::run`] keeps its historical signature by
 //! panicking with the rendered [`failure_table`] — but only after the
 //! whole batch has run and every successful cell is in the store.
@@ -102,19 +102,19 @@ pub use store::{
 };
 
 use ctcp_isa::Program;
-use ctcp_sim::{BatchError, BatchRunner, SimBuilder, SimConfig, SimError, SimReport, Simulation};
+use ctcp_sim::{BatchError, BatchRunner, SimConfig, SimError, SimReport, Simulation};
 use ctcp_telemetry::{failpoint, metrics_line, Counter, Metrics, Recorder, RecorderConfig};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Transient failures (panics, timeouts) are re-attempted this many
-/// times by default; see [`Harness::retries`].
+/// Transient failures (panics) are re-attempted this many times by
+/// default; see [`Harness::retries`].
 pub const DEFAULT_RETRIES: u32 = 1;
 
 /// Linear backoff unit between re-attempts of a transient failure:
@@ -153,31 +153,23 @@ impl Job {
         job_key(&self.workload, &self.config)
     }
 
-    /// Runs the cell, surfacing every way it can fail as a typed
-    /// [`JobError`] — an invalid configuration is a *job* defect, never
-    /// grounds to panic a shared worker thread. With `with_metrics`
-    /// set, a metrics-only [`Recorder`] rides along and the second
-    /// element is the rendered JSONL metrics line for this run. With
-    /// `with_attrib` set, the same recorder also accumulates the CPI
-    /// stack and per-instruction lifecycle records, and the report
-    /// comes back with `attrib` attached.
-    fn try_simulate(
-        &self,
-        with_metrics: bool,
-        with_attrib: bool,
-    ) -> Result<(SimReport, Option<String>), JobError> {
-        self.try_simulate_with(None, with_metrics, with_attrib)
-    }
-
-    /// [`Job::try_simulate`] with an optional worker-local
-    /// [`BatchRunner`]: when one is passed, the simulation is built
-    /// through it so the engine arena is recycled across cells and the
-    /// fast-forward checkpoint for `(program, warmup)` is captured once
-    /// and reused. Reports are byte-identical either way — the runner
-    /// only changes *where* the engine's memory comes from.
+    /// Runs the cell through a worker's resident [`BatchRunner`], so the
+    /// engine arena is recycled across cells and the fast-forward
+    /// checkpoint for `(program, warmup)` is captured once and reused.
+    /// `program` is this job's program, borrowed apart from the job so
+    /// that the runner and its checkpoint can outlive the cell. Every
+    /// way the cell can fail surfaces as a typed [`JobError`] — an
+    /// invalid configuration is a *job* defect, never grounds to panic a
+    /// shared worker thread. With `with_metrics` set, a metrics-only
+    /// [`Recorder`] rides along and the second element is the rendered
+    /// JSONL metrics line for this run. With `with_attrib` set, the same
+    /// recorder also accumulates the CPI stack and per-instruction
+    /// lifecycle records, and the report comes back with `attrib`
+    /// attached.
     fn try_simulate_with<'p>(
-        &'p self,
-        runner: Option<&mut BatchRunner<'p>>,
+        &self,
+        program: &'p Program,
+        runner: &mut BatchRunner<'p>,
         with_metrics: bool,
         with_attrib: bool,
     ) -> Result<(SimReport, Option<String>), JobError> {
@@ -193,25 +185,31 @@ impl Job {
                 self.config.strategy.name()
             );
         }
-        let builder = Simulation::builder(&self.program).config(self.config);
-        if with_metrics || with_attrib {
-            // One recorder serves both requests: metrics accumulate
-            // unconditionally, lifecycle records only when asked for.
-            let recorder = Rc::new(Recorder::new(RecorderConfig {
+        let mut builder = Simulation::builder(program).config(self.config);
+        // One recorder serves both requests: metrics accumulate
+        // unconditionally, lifecycle records only when asked for.
+        let recorder = (with_metrics || with_attrib).then(|| {
+            Rc::new(Recorder::new(RecorderConfig {
                 collect_attrib: with_attrib,
                 ..RecorderConfig::metrics_only()
-            }));
-            let probe: Rc<dyn ctcp_telemetry::Probe> = Rc::clone(&recorder) as _;
-            let mut report = run_builder(runner, builder.probe(probe))?;
-            if with_attrib {
-                report.attrib = Some(recorder.attrib_report());
-            }
-            let line = with_metrics
-                .then(|| metrics_line(&self.workload, &report.strategy, &recorder.metrics()));
-            Ok((report, line))
-        } else {
-            Ok((run_builder(runner, builder)?, None))
+            }))
+        });
+        if let Some(recorder) = &recorder {
+            builder = builder.probe(Rc::clone(recorder) as _);
         }
+        let mut report = runner.try_run(builder).map_err(|e| match e {
+            BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
+            BatchError::Sim(s) => JobError::Sim(s),
+        })?;
+        let Some(recorder) = recorder else {
+            return Ok((report, None));
+        };
+        if with_attrib {
+            report.attrib = Some(recorder.attrib_report());
+        }
+        let line = with_metrics
+            .then(|| metrics_line(&self.workload, &report.strategy, &recorder.metrics()));
+        Ok((report, line))
     }
 
     /// Whether the `job-panic` fail point's argument selects this job.
@@ -246,12 +244,6 @@ pub enum JobError {
     /// boundary so it cannot take the worker (or the batch) down.
     /// Treated as transient and retried.
     Panic(String),
-    /// The job exceeded the harness's per-job wall-clock timeout.
-    /// Treated as transient and retried.
-    Timeout {
-        /// The configured limit that was exceeded.
-        limit: Duration,
-    },
     /// The job's queued cell was dropped because the requesting client
     /// disconnected before a shared-pool worker picked it up. The
     /// result had no recipient; nothing was simulated. Never retried.
@@ -261,11 +253,13 @@ pub enum JobError {
     /// is expected to surface the rejection (the sweep service answers
     /// 503) rather than spin.
     Saturated(Saturated),
-    /// The cell was quarantined by the shared scheduler's supervisor:
-    /// its key panicked repeatedly (across retries and respawned
-    /// workers), so further attempts are refused instead of burning
-    /// the pool. The rest of the request proceeds normally — poison is
-    /// per cell, never per request. Never retried.
+    /// The cell was quarantined by the scheduler's supervisor: earlier
+    /// attempts at its key panicked repeatedly (across retries and
+    /// respawned workers), so this pickup is refused instead of burning
+    /// the pool. The request whose attempts tripped the quarantine got
+    /// their [`JobError::Panic`]; later ones get this. The rest of the
+    /// request proceeds normally — poison is per cell, never per
+    /// request. Never retried.
     CellPoisoned {
         /// Worker panics observed on this cell's key before quarantine.
         panics: u32,
@@ -275,7 +269,7 @@ pub enum JobError {
 impl JobError {
     /// Whether a retry could plausibly change the outcome.
     fn is_transient(&self) -> bool {
-        matches!(self, JobError::Panic(_) | JobError::Timeout { .. })
+        matches!(self, JobError::Panic(_))
     }
 }
 
@@ -285,9 +279,6 @@ impl std::fmt::Display for JobError {
             JobError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             JobError::Sim(e) => write!(f, "simulation aborted: {e}"),
             JobError::Panic(msg) => write!(f, "panic: {msg}"),
-            JobError::Timeout { limit } => {
-                write!(f, "timed out after {:.1}s", limit.as_secs_f64())
-            }
             JobError::Cancelled => write!(f, "cancelled: client disconnected before the cell ran"),
             JobError::Saturated(s) => write!(f, "rejected: {s}"),
             JobError::CellPoisoned { panics } => {
@@ -385,98 +376,17 @@ pub fn failure_table(outcomes: &[JobOutcome]) -> Option<String> {
     Some(out)
 }
 
-/// One protected attempt at a job: panics are caught at this boundary
-/// and, when `timeout` is set, the attempt is abandoned after the
-/// limit. Abandonment is advisory — the simulation keeps running on a
-/// detached thread until its own watchdog or cycle budget stops it —
-/// but the *batch* moves on immediately.
-fn attempt(
-    job: &Job,
-    with_metrics: bool,
-    with_attrib: bool,
-    timeout: Option<Duration>,
-) -> Result<(SimReport, Option<String>), JobError> {
-    let protected = move |job: &Job| match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        job.try_simulate(with_metrics, with_attrib)
-    })) {
-        Ok(r) => r,
-        // `&*`: downcast the payload, not the box holding it.
-        Err(payload) => Err(JobError::Panic(panic_message(&*payload))),
-    };
-    let Some(limit) = timeout else {
-        return protected(job);
-    };
-    let (tx, rx) = mpsc::channel();
-    let detached = job.clone();
-    std::thread::spawn(move || {
-        let _ = tx.send(protected(&detached));
-    });
-    match rx.recv_timeout(limit) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(JobError::Timeout { limit }),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(JobError::Panic("job thread died without reporting".into()))
-        }
-    }
-}
-
-/// Runs a job with the retry policy: transient failures re-attempt up
-/// to `max_retries` times with linear backoff; deterministic failures
-/// return immediately. The second element is the number of retries
-/// actually performed.
-fn execute(
-    job: &Job,
-    with_metrics: bool,
-    with_attrib: bool,
-    timeout: Option<Duration>,
-    max_retries: u32,
-) -> (Result<(SimReport, Option<String>), JobError>, u32) {
-    let mut retries = 0;
-    loop {
-        match attempt(job, with_metrics, with_attrib, timeout) {
-            Ok(ok) => return (Ok(ok), retries),
-            Err(e) => {
-                if !e.is_transient() || retries >= max_retries {
-                    return (Err(e), retries);
-                }
-                retries += 1;
-                std::thread::sleep(RETRY_BACKOFF * retries);
-            }
-        }
-    }
-}
-
-/// Builds and runs one configured simulation, either through a
-/// [`BatchRunner`] (arena recycling + shared warmup checkpoints) or
-/// standalone, normalizing both failure shapes onto [`JobError`].
-fn run_builder<'p>(
-    runner: Option<&mut BatchRunner<'p>>,
-    builder: SimBuilder<'p>,
-) -> Result<SimReport, JobError> {
-    match runner {
-        Some(runner) => runner.try_run(builder).map_err(|e| match e {
-            BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
-            BatchError::Sim(s) => JobError::Sim(s),
-        }),
-        None => builder
-            .build()
-            .map_err(|e| JobError::InvalidConfig(e.to_string()))?
-            .try_run()
-            .map_err(JobError::Sim),
-    }
-}
-
-/// The batched counterpart of [`execute`]: runs `job` through a
-/// worker-local [`BatchRunner`] with the same retry policy and the same
-/// `catch_unwind` isolation boundary. A panic resets the runner — its
-/// arena and checkpoint may have been torn mid-flight — so the retry
-/// (and every later cell on this worker) starts from clean state.
-/// Timeouts are not supported here: the detached-thread timeout path
-/// would move the runner off-thread, so the harness falls back to
-/// [`execute`] whenever a job timeout is configured.
-fn execute_batched<'p>(
+/// Runs `job` on a worker's resident [`BatchRunner`] with the retry
+/// policy: a panic is caught at this `catch_unwind` boundary and
+/// re-attempted up to `max_retries` times with linear backoff;
+/// deterministic failures return immediately. A panic also resets the
+/// runner — its arena and checkpoint may have been torn mid-flight — so
+/// the retry (and every later cell on this worker) starts from clean
+/// state. The second element is the number of retries performed.
+fn run_cell<'p>(
     runner: &mut BatchRunner<'p>,
-    job: &'p Job,
+    program: &'p Program,
+    job: &Job,
     with_metrics: bool,
     with_attrib: bool,
     max_retries: u32,
@@ -485,23 +395,21 @@ fn execute_batched<'p>(
     loop {
         let reborrow = &mut *runner;
         let result = match std::panic::catch_unwind(AssertUnwindSafe(move || {
-            job.try_simulate_with(Some(reborrow), with_metrics, with_attrib)
+            job.try_simulate_with(program, reborrow, with_metrics, with_attrib)
         })) {
             Ok(r) => r,
             Err(payload) => {
                 *runner = BatchRunner::new();
+                // `&*`: downcast the payload, not the box holding it.
                 Err(JobError::Panic(panic_message(&*payload)))
             }
         };
         match result {
-            Ok(ok) => return (Ok(ok), retries),
-            Err(e) => {
-                if !e.is_transient() || retries >= max_retries {
-                    return (Err(e), retries);
-                }
+            Err(e) if e.is_transient() && retries < max_retries => {
                 retries += 1;
                 std::thread::sleep(RETRY_BACKOFF * retries);
             }
+            result => return (result, retries),
         }
     }
 }
@@ -546,7 +454,7 @@ pub struct BatchStats {
 pub struct Harness {
     jobs: usize,
     store: Option<ResultStore>,
-    sched: Option<CellScheduler>,
+    pool: Option<Pool>,
     journal: Option<(Journal, String)>,
     cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
     progress: Option<bool>,
@@ -554,9 +462,24 @@ pub struct Harness {
     metrics_file: Option<std::fs::File>,
     attrib: bool,
     retries: u32,
-    job_timeout: Option<Duration>,
     telemetry: Metrics,
     last: BatchStats,
+}
+
+/// The scheduler a harness runs its batches on.
+enum Pool {
+    /// Attached by [`Harness::with_scheduler`]; its owner shuts it down.
+    Shared(CellScheduler),
+    /// Started by the harness itself, and shut down with it.
+    Own(CellScheduler),
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        if let Pool::Own(sched) = self {
+            sched.shutdown();
+        }
+    }
 }
 
 impl Default for Harness {
@@ -571,7 +494,7 @@ impl Harness {
         Harness {
             jobs: 0,
             store: None,
-            sched: None,
+            pool: None,
             journal: None,
             cancel: None,
             progress: None,
@@ -579,14 +502,14 @@ impl Harness {
             metrics_file: None,
             attrib: false,
             retries: DEFAULT_RETRIES,
-            job_timeout: None,
             telemetry: Metrics::new(),
             last: BatchStats::default(),
         }
     }
 
-    /// Sets the worker count. `0` means auto (available parallelism);
-    /// `1` runs every job in submission order on the calling thread.
+    /// Sets the worker count of the harness's own pool. `0` means auto
+    /// (available parallelism); `1` runs every job in submission order
+    /// on one worker thread. A shared scheduler keeps its own width.
     pub fn jobs(mut self, n: usize) -> Harness {
         self.jobs = n;
         self
@@ -600,18 +523,16 @@ impl Harness {
         self
     }
 
-    /// Routes this harness's batches through a shared [`CellScheduler`]
-    /// instead of a private scoped worker pool. Cells are interleaved
-    /// fairly with every other request feeding the same pool; results,
-    /// store writes and progress still land on the calling thread in
-    /// the usual order, so outputs are byte-identical. A configured
-    /// [`Harness::job_timeout`] or `CTCP_BATCH=off` falls back to the
-    /// private pool (the scheduler's workers never run timed attempts).
-    /// Callers that configured an admission bound on the scheduler
-    /// should run batches via [`Harness::try_run_admitted`] to observe
-    /// rejections as a typed [`Saturated`] instead of failed outcomes.
+    /// Runs this harness's batches on a shared [`CellScheduler`] instead
+    /// of a pool of its own. Cells are interleaved fairly with every
+    /// other request feeding the same pool; results, store writes and
+    /// progress still land on the calling thread in the usual order, so
+    /// outputs are byte-identical. Callers that configured an admission
+    /// bound on the scheduler should run batches via
+    /// [`Harness::try_run_admitted`] to observe rejections as a typed
+    /// [`Saturated`] instead of failed outcomes.
     pub fn with_scheduler(mut self, sched: CellScheduler) -> Harness {
-        self.sched = Some(sched);
+        self.pool = Some(Pool::Shared(sched));
         self
     }
 
@@ -626,35 +547,22 @@ impl Harness {
     }
 
     /// Attaches a cancellation token checked between cell completions
-    /// of a scheduled batch: once it reads `true`, the batch's
-    /// still-queued cells are dropped (running cells finish and are
-    /// memoized) and their outcomes come back as
-    /// [`JobError::Cancelled`]. The sweep service sets the token when
-    /// a client's connection breaks mid-stream. Ignored by the
-    /// private-pool path, which always runs a batch to completion.
+    /// of a batch: once it reads `true`, the batch's still-queued cells
+    /// are dropped (running cells finish and are memoized) and their
+    /// outcomes come back as [`JobError::Cancelled`]. The sweep service
+    /// sets the token when a client's connection breaks mid-stream.
     pub fn cancel_token(mut self, token: Arc<std::sync::atomic::AtomicBool>) -> Harness {
         self.cancel = Some(token);
         self
     }
 
-    /// Sets how many times a *transient* job failure (panic, timeout)
-    /// is re-attempted before the job is reported as
+    /// Sets how many times a *transient* job failure (a panic) is
+    /// re-attempted before the job is reported as
     /// [`JobOutcome::Failed`]. Deterministic failures — invalid
     /// configuration, watchdog trips — are never retried. Defaults to
     /// [`DEFAULT_RETRIES`]; `0` disables retrying.
     pub fn retries(mut self, n: u32) -> Harness {
         self.retries = n;
-        self
-    }
-
-    /// Sets an advisory per-job wall-clock timeout. An attempt that
-    /// exceeds it is abandoned (the simulation winds down on a
-    /// detached thread under its own watchdog) and counts as a
-    /// transient [`JobError::Timeout`]. Off by default: the
-    /// simulator-level watchdog and cycle budget already bound every
-    /// healthy job.
-    pub fn job_timeout(mut self, limit: Duration) -> Harness {
-        self.job_timeout = Some(limit);
         self
     }
 
@@ -697,6 +605,18 @@ impl Harness {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
+        }
+    }
+
+    /// The scheduler batches run on: the shared one, else this
+    /// harness's own pool, started on first use.
+    fn scheduler(&mut self) -> &CellScheduler {
+        let workers = self.effective_jobs();
+        match self
+            .pool
+            .get_or_insert_with(|| Pool::Own(CellScheduler::start(workers, 0)))
+        {
+            Pool::Shared(sched) | Pool::Own(sched) => sched,
         }
     }
 
@@ -748,12 +668,11 @@ impl Harness {
     /// Runs a batch with per-job fault isolation and returns one
     /// [`JobOutcome`] per job, in job order.
     ///
-    /// Each job runs behind a `catch_unwind` boundary (plus an optional
-    /// wall-clock timeout), so one wedged or crashing cell cannot take
-    /// down the batch: the remaining jobs still run, successful results
-    /// still reach the result store, and the failure comes back as
-    /// [`JobOutcome::Failed`] carrying the [`JobError`] and retry
-    /// count. Transient failures are retried per
+    /// Each job runs behind a `catch_unwind` boundary, so one wedged or
+    /// crashing cell cannot take down the batch: the remaining jobs
+    /// still run, successful results still reach the result store, and
+    /// the failure comes back as [`JobOutcome::Failed`] carrying the
+    /// [`JobError`] and retry count. Transient failures are retried per
     /// [`Harness::retries`]. On the all-success path the outcomes are
     /// exactly the reports [`Harness::run`] returns, in the same order.
     pub fn try_run(&mut self, jobs: &[Job]) -> Vec<JobOutcome> {
@@ -807,8 +726,8 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// [`Saturated`] only; without a scheduler (or without a queue
-    /// bound) the call always succeeds.
+    /// [`Saturated`] only; without a shared scheduler's queue bound the
+    /// call always succeeds.
     pub fn try_run_admitted(
         &mut self,
         jobs: &[Job],
@@ -851,149 +770,76 @@ impl Harness {
             }
         }
 
-        // Phase 3: execute the pending set. Each worker (or the calling
-        // thread at `--jobs 1`) owns one BatchRunner, so consecutive
-        // cells on that worker reuse one engine arena and share
-        // fast-forward checkpoints. Batching is on by default; a
-        // configured job timeout disables it (the timeout path detaches
-        // the attempt onto a fresh thread), and `CTCP_BATCH=off` forces
-        // the historical one-simulation-per-job path for A/B timing.
-        let batching =
-            self.job_timeout.is_none() && std::env::var("CTCP_BATCH").map_or(true, |v| v != "off");
-        let workers = self.effective_jobs().min(pending.len().max(1));
-        let (retries, timeout) = (self.retries, self.job_timeout);
-        if batching && self.sched.is_some() {
-            // Shared-pool path: the pending cells are handed to the
-            // scheduler, which interleaves them fairly with every other
-            // in-flight request. Admission happens *before* the first
-            // progress event, so a refused batch streams nothing.
-            let sched = self.sched.clone().expect("just checked");
-            let handle = if pending.is_empty() {
-                None // fully memoized: never touch the worker queue
-            } else {
-                let cells = pending
-                    .iter()
-                    .map(|&i| sched::Cell {
-                        index: i,
-                        job: jobs[i].clone(),
-                        with_metrics,
-                        with_attrib,
-                        retries,
-                    })
-                    .collect();
-                Some(sched.submit(cells)?)
-            };
-            sink.batch_start(pending.len());
-            if let Some(handle) = handle {
-                let mut outstanding = pending.len();
-                let mut done = 0usize;
-                let mut cancel_sent = false;
-                while outstanding > 0 {
-                    // The cancel token is set by the progress sink when
-                    // the client's stream breaks, so check it between
-                    // completions: queued cells are dropped, running
-                    // cells finish (and memoize) normally.
-                    if !cancel_sent
-                        && self
-                            .cancel
-                            .as_ref()
-                            .is_some_and(|c| c.load(Ordering::Relaxed))
-                    {
-                        handle.cancel();
-                        cancel_sent = true;
-                    }
-                    match handle.recv() {
-                        Some(sched::CellDone::Finished {
-                            index,
-                            result,
-                            retries: used,
-                            took,
-                            worker,
-                        }) => {
-                            done += 1;
-                            sink.cell_done_on(done, &jobs[index].workload, took, worker);
-                            results[index] =
-                                Some(self.collect(&jobs[index], keys[index], *result, used));
-                            outstanding -= 1;
-                        }
-                        Some(sched::CellDone::Cancelled { count }) => outstanding -= count,
-                        None => break, // pool died; fail the remainder below
-                    }
-                }
-                for &i in &pending {
-                    if results[i].is_none() {
-                        results[i] = Some(JobOutcome::Failed(JobFailure {
-                            workload: jobs[i].workload.clone(),
-                            strategy: jobs[i].config.strategy.name(),
-                            error: JobError::Cancelled,
-                            retries: 0,
-                        }));
-                    }
-                }
-            }
-        } else if workers <= 1 {
-            sink.batch_start(pending.len());
-            let mut runner = BatchRunner::new();
-            for (done, &i) in pending.iter().enumerate() {
-                let t = Instant::now();
-                let (result, used) = if batching {
-                    execute_batched(&mut runner, &jobs[i], with_metrics, with_attrib, retries)
-                } else {
-                    execute(&jobs[i], with_metrics, with_attrib, timeout, retries)
-                };
-                sink.cell_done(done + 1, &jobs[i].workload, t.elapsed());
-                results[i] = Some(self.collect(&jobs[i], keys[i], result, used));
-            }
+        // Phase 3: hand the pending cells to the scheduler (the shared
+        // pool, else this harness's own), which interleaves them fairly
+        // with every other request feeding it. Admission happens
+        // *before* the first progress event, so a refused batch streams
+        // nothing; a fully memoized batch never touches (or starts) a
+        // pool. Results are collected here on the submitting thread, so
+        // store writes, metrics lines and progress stay single-threaded.
+        let handle = if pending.is_empty() {
+            None
         } else {
-            sink.batch_start(pending.len());
-            let cursor = AtomicUsize::new(0);
-            type Done = (
-                usize,
-                Result<(SimReport, Option<String>), JobError>,
-                u32,
-                Duration,
-            );
-            let (tx, rx) = mpsc::channel::<Done>();
-            let pending_ref = &pending;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut runner = BatchRunner::new();
-                        loop {
-                            let next = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = pending_ref.get(next) else {
-                                break;
-                            };
-                            let t = Instant::now();
-                            let (result, used) = if batching {
-                                execute_batched(
-                                    &mut runner,
-                                    &jobs[i],
-                                    with_metrics,
-                                    with_attrib,
-                                    retries,
-                                )
-                            } else {
-                                execute(&jobs[i], with_metrics, with_attrib, timeout, retries)
-                            };
-                            if tx.send((i, result, used, t.elapsed())).is_err() {
-                                break;
-                            }
-                        }
-                    });
+            let retries = self.retries;
+            let cells = pending
+                .iter()
+                .map(|&i| sched::Cell {
+                    index: i,
+                    job: jobs[i].clone(),
+                    with_metrics,
+                    with_attrib,
+                    retries,
+                })
+                .collect();
+            Some(self.scheduler().submit(cells)?)
+        };
+        sink.batch_start(pending.len());
+        if let Some(handle) = handle {
+            let mut outstanding = pending.len();
+            let mut done = 0usize;
+            let mut cancel_sent = false;
+            while outstanding > 0 {
+                // The cancel token is set by the progress sink when the
+                // client's stream breaks, so check it between
+                // completions: queued cells are dropped, running cells
+                // finish (and memoize) normally.
+                if !cancel_sent
+                    && self
+                        .cancel
+                        .as_ref()
+                        .is_some_and(|c| c.load(Ordering::Relaxed))
+                {
+                    handle.cancel();
+                    cancel_sent = true;
                 }
-                drop(tx);
-                // Collect on the submitting thread: store writes,
-                // metrics lines, and progress stay single-threaded.
-                let mut done = 0;
-                for (i, result, used, took) in rx {
-                    done += 1;
-                    sink.cell_done(done, &jobs[i].workload, took);
-                    results[i] = Some(self.collect(&jobs[i], keys[i], result, used));
+                match handle.recv() {
+                    Some(sched::CellDone::Finished {
+                        index,
+                        result,
+                        retries: used,
+                        took,
+                        worker,
+                    }) => {
+                        done += 1;
+                        sink.cell_done_on(done, &jobs[index].workload, took, worker);
+                        results[index] =
+                            Some(self.collect(&jobs[index], keys[index], *result, used));
+                        outstanding -= 1;
+                    }
+                    Some(sched::CellDone::Cancelled { count }) => outstanding -= count,
+                    None => break, // pool died; fail the remainder below
                 }
-            });
+            }
+            for &i in &pending {
+                if results[i].is_none() {
+                    results[i] = Some(JobOutcome::Failed(JobFailure {
+                        workload: jobs[i].workload.clone(),
+                        strategy: jobs[i].config.strategy.name(),
+                        error: JobError::Cancelled,
+                        retries: 0,
+                    }));
+                }
+            }
         }
         sink.batch_end();
 
@@ -1119,7 +965,7 @@ pub(crate) mod testutil {
     use ctcp_isa::{Program, ProgramBuilder, Reg};
     use ctcp_sim::{SimConfig, SimReport, Simulation};
     use std::path::PathBuf;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
     /// An endless loop with a little ILP and a memory access, enough to
     /// exercise every report field; the sim's instruction budget stops it.
@@ -1147,9 +993,18 @@ pub(crate) mod testutil {
             .run()
     }
 
-    /// Fail-point state is process-global; unit tests that arm points
-    /// (in any module of this crate) serialise behind this lock.
-    pub(crate) static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Fail-point state is process-global and `journal-truncate` and
+    /// `disk-full` sit on every journal and store append, so unit tests
+    /// that arm points *or* write a journal or store serialise behind
+    /// one lock. A failed test must not fail every later one, hence the
+    /// poison recovery.
+    pub(crate) fn fail_points_held() -> MutexGuard<'static, ()> {
+        FAILPOINT_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// A fresh per-test scratch directory under the system temp dir.
     pub(crate) fn temp_dir(name: &str) -> PathBuf {
@@ -1163,7 +1018,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{temp_dir, tiny_program};
+    use crate::testutil::{fail_points_held, temp_dir, tiny_program};
     use ctcp_sim::Strategy;
 
     fn grid(budgets: &[u64]) -> Vec<Job> {
@@ -1200,17 +1055,31 @@ mod tests {
         // fast-forward checkpoints. The reports must be byte-identical
         // to building each simulation directly, warmup cells included.
         let program = tiny_program();
+        let other = {
+            let mut b = ctcp_isa::ProgramBuilder::new();
+            let top = b.here();
+            b.addi(ctcp_isa::Reg::R1, ctcp_isa::Reg::R1, 1);
+            b.jmp(top);
+            Arc::new(b.build())
+        };
         let mut jobs = grid(&[800, 1_600]);
-        for (warmup, max_insts) in [(500u64, 1_000u64), (500, 1_200), (900, 1_000)] {
-            // The first two cells share (program, warmup) but are
-            // distinct jobs, so the checkpoint-reuse path runs — not
-            // just the capture path.
+        let warmed = [
+            ("tiny", &program, 500u64, 1_000u64),
+            ("tiny", &program, 500, 1_200),
+            ("other", &other, 500, 1_000),
+            ("tiny", &program, 500, 1_400),
+            ("tiny", &program, 900, 1_000),
+        ];
+        for (name, prog, warmup, max_insts) in warmed {
+            // Three cells share (program, warmup) around a cell of
+            // another program, so the worker captures a checkpoint,
+            // reuses it, switches runners and captures again.
             let config = SimConfig {
                 max_insts,
                 warmup_insts: warmup,
                 ..SimConfig::default()
             };
-            jobs.push(Job::new("tiny", Arc::clone(&program), config));
+            jobs.push(Job::new(name, Arc::clone(prog), config));
         }
         let batched = Harness::new().jobs(1).progress(false).run(&jobs);
         let direct: Vec<SimReport> = jobs
@@ -1260,6 +1129,7 @@ mod tests {
 
     #[test]
     fn warm_store_skips_all_simulation() {
+        let _g = fail_points_held();
         let dir = temp_dir("warm-store");
         let jobs = grid(&[900, 1_800]);
 
@@ -1284,6 +1154,7 @@ mod tests {
 
     #[test]
     fn metrics_out_writes_one_line_per_simulated_job() {
+        let _g = fail_points_held();
         let dir = temp_dir("metrics-out");
         let path = dir.join("metrics.jsonl");
         let jobs = grid(&[500]); // three unique cells
@@ -1318,6 +1189,7 @@ mod tests {
 
     #[test]
     fn cached_and_coalesced_jobs_emit_no_metrics_lines() {
+        let _g = fail_points_held();
         let dir = temp_dir("metrics-cached");
         let path = dir.join("metrics.jsonl");
         let store_dir = dir.join("store");
@@ -1349,6 +1221,7 @@ mod tests {
 
     #[test]
     fn attrib_batches_attach_stacks_and_reject_plain_store_lines() {
+        let _g = fail_points_held();
         let dir = temp_dir("attrib-store");
         let jobs = grid(&[850]);
         let width = jobs[0].config.engine.retire_width as u64;
@@ -1431,6 +1304,7 @@ mod tests {
 
     #[test]
     fn run_panics_with_the_failure_table_after_the_batch() {
+        let _g = fail_points_held();
         let dir = temp_dir("run-panics-late");
         let mut jobs = grid(&[750]);
         let mut bad = SimConfig {
@@ -1460,35 +1334,6 @@ mod tests {
         warm.try_run(&grid(&[750]));
         assert_eq!(warm.last_batch().store_hits, 3);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn slow_jobs_time_out_as_transient_failures() {
-        // A job this large takes well over a millisecond per attempt,
-        // so a 1 ms advisory timeout must abandon it — twice, because
-        // timeouts are transient and the default policy retries once.
-        let config = SimConfig {
-            max_insts: 2_000_000,
-            ..SimConfig::default()
-        };
-        let jobs = [Job::new("tiny", tiny_program(), config)];
-        let mut h = Harness::new()
-            .jobs(1)
-            .progress(false)
-            .job_timeout(Duration::from_millis(1));
-        let outcomes = h.try_run(&jobs);
-        let failure = outcomes[0].failure().expect("job times out");
-        assert_eq!(
-            failure.error,
-            JobError::Timeout {
-                limit: Duration::from_millis(1)
-            }
-        );
-        assert_eq!(failure.retries, DEFAULT_RETRIES);
-        assert_eq!(
-            h.telemetry().get(ctcp_telemetry::Counter::HarnessRetries),
-            u64::from(DEFAULT_RETRIES)
-        );
     }
 
     #[test]
@@ -1523,18 +1368,56 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_path_matches_private_pool_byte_for_byte() {
-        let jobs = grid(&[1_500, 2_500, 3_500, 4_500]);
-        let mut direct = Harness::new().jobs(2).progress(false);
-        let expected = direct.run(&jobs);
+    fn one_worker_reports_progress_in_job_order() {
+        // `--jobs 1` is a one-worker pool draining the request FIFO, so
+        // progress arrives in job order even though later cells are
+        // shorter; every event goes through `cell_done_on`.
+        struct Order(Vec<String>);
+        impl ProgressSink for Order {
+            fn batch_start(&mut self, _total: usize) {}
+            fn cell_done(&mut self, _done: usize, _workload: &str, _took: Duration) {
+                unreachable!("the harness reports through cell_done_on");
+            }
+            fn cell_done_on(&mut self, done: usize, workload: &str, _: Duration, worker: usize) {
+                assert_eq!((done, worker), (self.0.len() + 1, 0));
+                self.0.push(workload.to_string());
+            }
+            fn batch_end(&mut self) {}
+        }
+        let program = tiny_program();
+        let names: Vec<String> = (0..8).map(|i| format!("cell{i}")).collect();
+        let jobs: Vec<Job> = (0..8u64)
+            .map(|i| {
+                let config = SimConfig {
+                    max_insts: 3_000 - 300 * i,
+                    ..SimConfig::default()
+                };
+                Job::new(names[i as usize].as_str(), Arc::clone(&program), config)
+            })
+            .collect();
+        let mut sink = Order(Vec::new());
+        let mut h = Harness::new().jobs(1).progress(false);
+        h.try_run_with_progress(&jobs, &mut sink);
+        assert_eq!(sink.0, names);
+    }
+
+    #[test]
+    fn own_pool_matches_shared_scheduler_byte_for_byte() {
+        // A harness that owns its pool and one feeding a shared
+        // scheduler, over a grid whose cells all share one warmup
+        // checkpoint: identical reports.
+        let mut jobs = grid(&[1_500, 2_500, 3_500]);
+        for job in &mut jobs {
+            job.config.warmup_insts = 600;
+        }
+        let mut own = Harness::new().jobs(2).progress(false);
+        let expected = own.run(&jobs);
         let sched = CellScheduler::start(2, 0);
         let mut shared = Harness::new().progress(false).with_scheduler(sched.clone());
         let got = shared.run(&jobs);
         sched.shutdown();
         assert_eq!(shared.last_batch().simulated, jobs.len());
-        for (e, g) in expected.iter().zip(&got) {
-            assert_eq!(format!("{e:?}"), format!("{g:?}"));
-        }
+        assert_eq!(render(&expected), render(&got));
     }
 
     #[test]
@@ -1558,6 +1441,7 @@ mod tests {
 
     #[test]
     fn scheduled_warm_store_skips_the_queue_entirely() {
+        let _g = fail_points_held();
         let dir = temp_dir("sched-warm");
         let jobs = grid(&[1_500, 2_500]);
         {

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// [`batch_start`](ProgressSink::batch_start) and
 /// [`batch_end`](ProgressSink::batch_end); every *simulated* cell (not
 /// store hits, not coalesced duplicates) produces one
-/// [`cell_done`](ProgressSink::cell_done) in completion order.
+/// [`cell_done_on`](ProgressSink::cell_done_on) in completion order.
 pub trait ProgressSink {
     /// A batch of `total` to-be-simulated cells is starting.
     fn batch_start(&mut self, total: usize);
@@ -24,10 +24,10 @@ pub trait ProgressSink {
     /// `workload` finished after `took` of wall time.
     fn cell_done(&mut self, done: usize, workload: &str, took: Duration);
     /// Like [`cell_done`](ProgressSink::cell_done), but additionally
-    /// names the shared-scheduler pool worker that ran the cell. Only
-    /// the shared-scheduler path calls this; the default forwards to
-    /// `cell_done`, so sinks that do not care about lane attribution
-    /// (the stderr reporter, tests) need not override it. The serve
+    /// names the scheduler pool worker that ran the cell. The harness
+    /// calls only this; the default forwards to `cell_done`, so sinks
+    /// that do not care about lane attribution (the stderr reporter,
+    /// tests) need not override it. The serve
     /// event sink overrides it to stamp a `worker` field into the
     /// streamed progress event, which the daemon turns into per-worker
     /// span lanes for `GET /trace/<token>`.

@@ -1,5 +1,7 @@
-//! Shared cell-level scheduler: one resident worker pool serving the
-//! simulation cells of many concurrent requests fairly.
+//! Cell-level scheduler: one resident worker pool serving the
+//! simulation cells of many concurrent requests fairly. Every
+//! [`Harness`](crate::Harness) batch runs here — a one-shot sweep on a
+//! pool of its own, the sweep service on one shared by every request.
 //!
 //! The sweep service used to serialise whole batches behind a handler
 //! mutex: one long sweep blocked every other client. This module
@@ -13,18 +15,14 @@
 //! Results are routed back to the submitting request over a private
 //! channel (one per [`RequestHandle`]), so every request collects its
 //! own cells — store writes, metrics lines and progress events stay on
-//! the submitting thread, exactly as in the private-pool path, and
-//! final outputs remain byte-identical to one-shot runs.
+//! the submitting thread, and final outputs remain byte-identical to
+//! building each simulation directly.
 //!
-//! Workers recycle engine storage across cells the same way the
-//! private-pool path does: each worker keeps one owned
-//! [`EngineArena`](ctcp_sim::EngineArena) and threads it through a
-//! fresh per-cell [`BatchRunner`](ctcp_sim::BatchRunner). (A resident
-//! runner cannot outlive a cell here: its memoized warmup checkpoint
-//! borrows the cell's program, which the scheduler does not keep
-//! alive. Warmup fast-forwards are still captured per cell; only the
-//! cross-cell checkpoint sharing of the single-request pool is
-//! forgone.)
+//! Workers recycle engine storage across cells: each keeps one
+//! [`BatchRunner`] for as long as the cells it picks share a program,
+//! so warmed cells of one workload fast-forward once per worker, and
+//! hands the runner's [`EngineArena`] on to a fresh runner when the
+//! program changes.
 //!
 //! Admission control is a bound on the *queued* (not running) cell
 //! count: [`CellScheduler::submit`] atomically rejects a request whose
@@ -34,7 +32,8 @@
 //! finish and memoize); [`CellScheduler::shutdown`] stops admissions,
 //! lets workers drain every queued cell, and joins them.
 
-use crate::{execute_batched, Job, JobError};
+use crate::{run_cell, Job, JobError};
+use ctcp_isa::Program;
 use ctcp_sim::{BatchRunner, EngineArena};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -43,10 +42,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Worker panics tolerated on one cell key before the supervisor
-/// quarantines it: further attempts short-circuit to
+/// quarantines it: later pickups short-circuit to
 /// [`JobError::CellPoisoned`] instead of burning another worker. Two
 /// means one organic attempt plus one retry — a deterministic
-/// crasher trips it within a single default-retry request.
+/// crasher trips it within a single default-retry request, which
+/// still reports the panic itself.
 pub(crate) const POISON_PANICS: u32 = 2;
 
 /// One unit of scheduled work: a cell of some request's batch,
@@ -72,8 +72,8 @@ pub(crate) enum CellDone {
     Finished {
         /// `Cell::index` of the finished cell.
         index: usize,
-        /// The run's outcome, same shape as the private-pool path.
-        /// Boxed: a `SimReport` is large and `Cancelled` is tiny.
+        /// The run's outcome. Boxed: a `SimReport` is large and
+        /// `Cancelled` is tiny.
         result: Box<Result<(ctcp_sim::SimReport, Option<String>), JobError>>,
         /// Retries actually performed.
         retries: u32,
@@ -131,7 +131,7 @@ pub struct SchedStats {
     /// Fresh-arena worker respawns after panics, cumulative (each
     /// caught panic discards the torn runner state and rebuilds).
     pub respawns: u64,
-    /// Cells answered with [`JobError::CellPoisoned`], cumulative.
+    /// Pickups refused with [`JobError::CellPoisoned`], cumulative.
     pub poisoned: u64,
 }
 
@@ -189,6 +189,31 @@ impl SchedInner {
         *count += n;
         *count
     }
+
+    /// Blocks for the next cell in fair order: the front request of the
+    /// ring gives up one cell and rotates to the back. `None` once the
+    /// scheduler is shutting down *and* the queue is dry.
+    fn next_cell(&self) -> Option<(Cell, mpsc::Sender<CellDone>)> {
+        let mut st = self.lock();
+        loop {
+            if let Some(id) = st.ring.pop_front() {
+                let rq = st.requests.get_mut(&id).expect("ring entry has a queue");
+                let cell = rq.cells.pop_front().expect("queued request has cells");
+                let tx = rq.tx.clone();
+                if rq.cells.is_empty() {
+                    st.requests.remove(&id);
+                } else {
+                    st.ring.push_back(id);
+                }
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                return Some((cell, tx));
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// A shared, fair, resident cell scheduler. Cloning the handle is
@@ -238,7 +263,7 @@ impl CellScheduler {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let inner = Arc::clone(&inner);
-            // Supervised worker: `execute_batched` already catches
+            // Supervised worker: `run_cell` already catches
             // per-cell panics, so this outer boundary only fires on a
             // scheduler bug — but even then the pool must not shrink,
             // so the supervisor respawns the loop instead of dying.
@@ -379,107 +404,95 @@ impl RequestHandle {
     }
 }
 
-/// The resident worker body: pull one cell from the fair queue, run it
-/// with recycled engine storage, route the result home, repeat until
-/// shutdown *and* the queue is dry.
+/// The resident worker body: run cells from the fair queue, routing
+/// each result home, until shutdown *and* the queue is dry. The worker
+/// keeps one [`BatchRunner`] for as long as consecutive pickups share a
+/// program — the runner's memoized warmup checkpoint borrows the
+/// worker's own clone of that program — and starts a fresh runner, with
+/// the old one's arena, when a cell of another program comes up.
 fn worker_loop(inner: &SchedInner, worker: usize) {
     let mut arena: Option<EngineArena> = None;
-    loop {
-        let picked = {
-            let mut st = inner.lock();
-            loop {
-                if let Some(id) = st.ring.pop_front() {
-                    let rq = st.requests.get_mut(&id).expect("ring entry has a queue");
-                    let cell = rq.cells.pop_front().expect("queued request has cells");
-                    let tx = rq.tx.clone();
-                    if rq.cells.is_empty() {
-                        st.requests.remove(&id);
-                    } else {
-                        st.ring.push_back(id);
-                    }
-                    break Some((cell, tx));
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = inner.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+    let mut picked = inner.next_cell();
+    while let Some(mut cell) = picked {
+        let program = Arc::clone(&cell.0.job.program);
+        let mut runner = arena
+            .take()
+            .map_or_else(BatchRunner::new, BatchRunner::with_arena);
+        picked = loop {
+            run_picked(inner, worker, &mut runner, &program, cell);
+            match inner.next_cell() {
+                Some(next) if Arc::ptr_eq(&next.0.job.program, &program) => cell = next,
+                other => break other,
             }
         };
-        let Some((cell, tx)) = picked else {
-            return;
-        };
-        inner.queued.fetch_sub(1, Ordering::Relaxed);
-        // Quarantine check: a key that already burned its panic budget
-        // is refused without touching a runner — poison is the typed
-        // outcome, the rest of the request proceeds.
-        let key = cell.job.key();
-        if let Some(panics) = inner.poison_of(key) {
-            inner.poisoned.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(CellDone::Finished {
-                index: cell.index,
-                result: Box::new(Err(JobError::CellPoisoned { panics })),
-                retries: 0,
-                took: Duration::ZERO,
-                worker,
-            });
-            continue;
-        }
+        arena = runner.take_arena();
+    }
+}
+
+/// Runs one picked cell on `runner` and sends its outcome home. A key
+/// the panic ledger has quarantined is refused without running; the
+/// request whose attempts trip the quarantine still gets its panic.
+fn run_picked<'p>(
+    inner: &SchedInner,
+    worker: usize,
+    runner: &mut BatchRunner<'p>,
+    program: &'p Program,
+    (cell, tx): (Cell, mpsc::Sender<CellDone>),
+) {
+    let key = cell.job.key();
+    let t = Instant::now();
+    let (result, retries) = if let Some(panics) = inner.poison_of(key) {
+        inner.poisoned.fetch_add(1, Ordering::Relaxed);
+        (Err(JobError::CellPoisoned { panics }), 0)
+    } else {
         inner.running.fetch_add(1, Ordering::Relaxed);
-        let t = Instant::now();
-        // Per-cell runner, worker-resident arena: allocation recycling
-        // survives across cells even though the runner itself cannot.
-        let mut runner = match arena.take() {
-            Some(a) => BatchRunner::with_arena(a),
-            None => BatchRunner::new(),
-        };
-        let (mut result, retries) = execute_batched(
-            &mut runner,
+        let ran = run_cell(
+            runner,
+            program,
             &cell.job,
             cell.with_metrics,
             cell.with_attrib,
             cell.retries,
         );
-        arena = runner.take_arena();
         inner.running.fetch_sub(1, Ordering::Relaxed);
-        // Supervision bookkeeping. In the batched path panics are the
-        // only transient failure, so `retries` counts retried panics;
-        // each one tore the runner down and rebuilt it with a fresh
-        // arena — that rebuild is the "respawn" the counter reports.
-        let panics = retries + u32::from(matches!(result, Err(JobError::Panic(_))));
-        if panics > 0 {
-            inner
-                .respawns
-                .fetch_add(u64::from(panics), Ordering::Relaxed);
-            let total = inner.note_panics(key, panics);
-            if total >= POISON_PANICS && matches!(result, Err(JobError::Panic(_))) {
-                inner.poisoned.fetch_add(1, Ordering::Relaxed);
-                result = Err(JobError::CellPoisoned { panics: total });
-                ctcp_telemetry::log::warn(
-                    "sched",
-                    "cell quarantined after repeated panics",
-                    &[
-                        (
-                            "key",
-                            ctcp_telemetry::json::Value::str(&format!("{key:016x}")),
-                        ),
-                        (
-                            "workload",
-                            ctcp_telemetry::json::Value::str(&cell.job.workload),
-                        ),
-                        ("panics", ctcp_telemetry::json::Value::u64(u64::from(total))),
-                        ("worker", ctcp_telemetry::json::Value::u64(worker as u64)),
-                    ],
-                );
-            }
+        ran
+    };
+    // Supervision bookkeeping. Panics are the only transient failure,
+    // so `retries` counts retried panics; each one tore the runner down
+    // and rebuilt it with a fresh arena — that rebuild is the "respawn"
+    // the counter reports.
+    let panics = retries + u32::from(matches!(result, Err(JobError::Panic(_))));
+    if panics > 0 {
+        inner
+            .respawns
+            .fetch_add(u64::from(panics), Ordering::Relaxed);
+        let total = inner.note_panics(key, panics);
+        if total >= POISON_PANICS {
+            ctcp_telemetry::log::warn(
+                "sched",
+                "cell quarantined after repeated panics",
+                &[
+                    (
+                        "key",
+                        ctcp_telemetry::json::Value::str(&format!("{key:016x}")),
+                    ),
+                    (
+                        "workload",
+                        ctcp_telemetry::json::Value::str(&cell.job.workload),
+                    ),
+                    ("panics", ctcp_telemetry::json::Value::u64(u64::from(total))),
+                    ("worker", ctcp_telemetry::json::Value::u64(worker as u64)),
+                ],
+            );
         }
-        let _ = tx.send(CellDone::Finished {
-            index: cell.index,
-            result: Box::new(result),
-            retries,
-            took: t.elapsed(),
-            worker,
-        });
     }
+    let _ = tx.send(CellDone::Finished {
+        index: cell.index,
+        result: Box::new(result),
+        retries,
+        took: t.elapsed(),
+        worker,
+    });
 }
 
 #[cfg(test)]
@@ -598,7 +611,7 @@ mod tests {
 
     #[test]
     fn repeated_panics_poison_only_the_offending_cell() {
-        let _g = crate::testutil::FAILPOINT_LOCK.lock().unwrap();
+        let _g = crate::testutil::fail_points_held();
         ctcp_telemetry::failpoint::set(Some("job-panic=crasher"));
         let sched = CellScheduler::start(1, 0);
         let crasher = || Cell {
@@ -618,34 +631,43 @@ mod tests {
         let h = sched
             .submit(vec![cell(0, 500), cell(1, 500), crasher()])
             .unwrap();
-        let (mut ok, mut poisoned) = (0, 0);
+        let (mut ok, mut panicked) = (0, 0);
         for _ in 0..3 {
             match h.recv().expect("pool alive") {
-                CellDone::Finished { index, result, .. } => match *result {
+                CellDone::Finished {
+                    index,
+                    result,
+                    retries,
+                    ..
+                } => match *result {
                     Ok(_) => ok += 1,
-                    Err(JobError::CellPoisoned { panics }) => {
-                        assert_eq!(index, 2, "poison must hit the crasher only");
-                        assert!(panics >= POISON_PANICS);
-                        poisoned += 1;
+                    // The request that ran the attempts sees the panic
+                    // itself, not the quarantine it tripped.
+                    Err(JobError::Panic(msg)) => {
+                        assert_eq!(index, 2, "only the crasher panics");
+                        assert!(msg.contains("fail point job-panic"), "{msg}");
+                        assert_eq!(retries, 1);
+                        panicked += 1;
                     }
                     Err(e) => panic!("unexpected outcome: {e}"),
                 },
                 CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
             }
         }
-        assert_eq!((ok, poisoned), (2, 1));
+        assert_eq!((ok, panicked), (2, 1));
         let stats = sched.stats();
         assert!(stats.respawns >= 2, "each caught panic respawns the arena");
-        assert_eq!(stats.poisoned, 1);
+        assert_eq!(stats.poisoned, 0, "nothing was refused yet");
         // The quarantined key now short-circuits without running.
         let h2 = sched.submit(vec![crasher()]).unwrap();
         match h2.recv().expect("pool alive") {
-            CellDone::Finished { result, .. } => {
-                assert!(matches!(*result, Err(JobError::CellPoisoned { .. })));
-            }
+            CellDone::Finished { result, .. } => match *result {
+                Err(JobError::CellPoisoned { panics }) => assert!(panics >= POISON_PANICS),
+                other => panic!("expected a refused pickup, got {other:?}"),
+            },
             CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
         }
-        assert_eq!(sched.stats().poisoned, 2);
+        assert_eq!(sched.stats().poisoned, 1);
         ctcp_telemetry::failpoint::set(None);
         sched.shutdown();
     }

@@ -974,7 +974,7 @@ pub fn gc(dir: impl AsRef<Path>) -> std::io::Result<GcReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{sample_report, temp_dir};
+    use crate::testutil::{fail_points_held, sample_report, temp_dir};
 
     fn legacy_path(dir: &Path) -> PathBuf {
         dir.join(LEGACY_STORE_FILE)
@@ -1069,6 +1069,7 @@ mod tests {
 
     #[test]
     fn put_then_get_round_trips_across_reopen() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-roundtrip");
         let report = sample_report();
         let key = job_key("unit", &SimConfig::default());
@@ -1090,6 +1091,7 @@ mod tests {
 
     #[test]
     fn dropping_every_handle_removes_lock_tokens() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-lock-cleanup");
         {
             let s = ResultStore::open(&dir).unwrap();
@@ -1106,6 +1108,7 @@ mod tests {
 
     #[test]
     fn stale_lock_tokens_from_a_dead_owner_are_reclaimed() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-stale-locks");
         // A SIGKILLed daemon leaves its stamped lock tokens behind; the
         // OS released the advisory locks with the process, so the next
@@ -1136,7 +1139,7 @@ mod tests {
 
     #[test]
     fn disk_full_trips_read_only_and_a_probe_recovers() {
-        let _g = crate::testutil::FAILPOINT_LOCK.lock().unwrap();
+        let _g = fail_points_held();
         let dir = temp_dir("store-read-only");
         let s = ResultStore::open(&dir).unwrap();
         assert!(!s.read_only());
@@ -1161,6 +1164,7 @@ mod tests {
 
     #[test]
     fn truncated_final_line_is_quarantined_and_healed() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-truncated");
         let key = job_key("unit", &SimConfig::default());
         {
@@ -1210,6 +1214,7 @@ mod tests {
 
     #[test]
     fn legacy_single_file_store_migrates_into_shards() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-migrate");
         std::fs::create_dir_all(&dir).unwrap();
         // A legacy directory: valid current-version lines in one
@@ -1251,6 +1256,7 @@ mod tests {
 
     #[test]
     fn mixed_version_lines_miss_without_quarantine() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-mixed");
         let key = job_key("unit", &SimConfig::default());
         // A v1-era line (no CRC) in a legacy store: well-formed, just
@@ -1288,6 +1294,7 @@ mod tests {
 
     #[test]
     fn newest_line_wins_for_a_key() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-newest");
         let key = 42u64;
         {
@@ -1304,6 +1311,7 @@ mod tests {
 
     #[test]
     fn compact_keeps_newest_per_key_and_round_trips() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-compact");
         {
             let s = ResultStore::open(&dir).unwrap();
@@ -1351,6 +1359,7 @@ mod tests {
 
     #[test]
     fn compact_migrates_a_legacy_store_first() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-compact-legacy");
         std::fs::create_dir_all(&dir).unwrap();
         let mut text = encode_line(5, "unit", &sample_report());
@@ -1367,6 +1376,7 @@ mod tests {
 
     #[test]
     fn gc_removes_the_quarantine_files() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-gc");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(legacy_path(&dir), "{\"v\":2,\"key\":\"00\n").unwrap();
@@ -1383,6 +1393,7 @@ mod tests {
 
     #[test]
     fn verify_is_read_only() {
+        let _g = fail_points_held();
         let dir = temp_dir("store-verify-ro");
         std::fs::create_dir_all(&dir).unwrap();
         let text = "{\"v\":2,\"key\":\"00\n";

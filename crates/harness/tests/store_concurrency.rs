@@ -50,6 +50,13 @@ const WRITERS: u64 = 4;
 const READERS: usize = 4;
 const PER_WRITER: u64 = 40;
 
+/// Joins every thread, failing the test if any of them panicked.
+fn join_all(threads: Vec<std::thread::JoinHandle<()>>) {
+    for t in threads {
+        t.join().expect("store thread panicked");
+    }
+}
+
 /// Writer `t`'s `i`-th key. Small keys route as `key % STORE_SHARDS`,
 /// so consecutive `i` sweep every shard — writers collide on shards
 /// constantly, which is the point.
@@ -67,29 +74,29 @@ fn concurrent_probes_and_appends_share_one_handle() {
     for k in 0..STORE_SHARDS as u64 {
         store.put(k, "seed", &report(k)).unwrap();
     }
-    std::thread::scope(|scope| {
-        for t in 0..WRITERS {
-            let store = store.clone();
-            scope.spawn(move || {
-                for i in 0..PER_WRITER {
-                    let k = key_of(t, i);
-                    store.put(k, "unit", &report(k)).unwrap();
-                    // Read-your-writes through the shared index.
-                    assert_eq!(store.get(k).unwrap().cycles, k);
+    let mut threads = Vec::new();
+    for t in 0..WRITERS {
+        let store = store.clone();
+        threads.push(std::thread::spawn(move || {
+            for i in 0..PER_WRITER {
+                let k = key_of(t, i);
+                store.put(k, "unit", &report(k)).unwrap();
+                // Read-your-writes through the shared index.
+                assert_eq!(store.get(k).unwrap().cycles, k);
+            }
+        }));
+    }
+    for _ in 0..READERS {
+        let store = store.clone();
+        threads.push(std::thread::spawn(move || {
+            for _ in 0..100 {
+                for k in 0..STORE_SHARDS as u64 {
+                    assert_eq!(store.get(k).unwrap().cycles, k, "warm key must hit");
                 }
-            });
-        }
-        for _ in 0..READERS {
-            let store = store.clone();
-            scope.spawn(move || {
-                for _ in 0..100 {
-                    for k in 0..STORE_SHARDS as u64 {
-                        assert_eq!(store.get(k).unwrap().cycles, k, "warm key must hit");
-                    }
-                }
-            });
-        }
-    });
+            }
+        }));
+    }
+    join_all(threads);
     let total = STORE_SHARDS as u64 + WRITERS * PER_WRITER;
     let stats = store.stats();
     assert_eq!(stats.puts, total);
@@ -128,17 +135,19 @@ fn torn_shard_under_concurrent_writers_wounds_only_itself() {
     let dir = temp_dir("torn");
     {
         let store = ResultStore::open(&dir).unwrap();
-        std::thread::scope(|scope| {
-            for t in 0..WRITERS {
-                let store = store.clone();
-                scope.spawn(move || {
-                    for i in 0..PER_WRITER {
-                        let k = key_of(t, i);
-                        store.put(k, "unit", &report(k)).unwrap();
-                    }
-                });
-            }
-        });
+        join_all(
+            (0..WRITERS)
+                .map(|t| {
+                    let store = store.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_WRITER {
+                            let k = key_of(t, i);
+                            store.put(k, "unit", &report(k)).unwrap();
+                        }
+                    })
+                })
+                .collect(),
+        );
     }
     failpoint::set(None);
 

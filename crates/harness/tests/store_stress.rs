@@ -44,16 +44,18 @@ fn concurrent_writers_produce_a_clean_consistent_store() {
     let handles: Vec<ResultStore> = (0..WRITERS)
         .map(|_| ResultStore::open(&dir).unwrap())
         .collect();
-    std::thread::scope(|scope| {
-        for (t, store) in handles.into_iter().enumerate() {
-            scope.spawn(move || {
-                for j in 0..PUTS {
-                    let key = (t as u64) << 32 | j;
-                    store.put(key, "stress", &marked_report(key)).unwrap();
-                }
-            });
-        }
-    });
+    let mut writers = Vec::new();
+    for (t, store) in handles.into_iter().enumerate() {
+        writers.push(std::thread::spawn(move || {
+            for j in 0..PUTS {
+                let key = (t as u64) << 32 | j;
+                store.put(key, "stress", &marked_report(key)).unwrap();
+            }
+        }));
+    }
+    for w in writers {
+        w.join().expect("writer thread panicked");
+    }
 
     // Zero quarantined lines: appends never interleaved mid-line.
     let rep = verify(&dir).unwrap();

@@ -421,6 +421,7 @@ mod tests {
 
     #[test]
     fn chunked_writer_frames_and_terminates() {
+        let _g = crate::testutil::fail_points_held();
         let mut out = Vec::new();
         let mut w = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();
         w.chunk(b"hello\n").unwrap();
@@ -451,7 +452,7 @@ mod tests {
 
     #[test]
     fn partial_write_fail_point_tears_one_chunk_then_disarms() {
-        let _g = crate::testutil::FAILPOINT_LOCK.lock().unwrap();
+        let _g = crate::testutil::fail_points_held();
         failpoint::set(Some("serve-partial-write"));
         let mut out = Vec::new();
         let mut w = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();
@@ -468,7 +469,7 @@ mod tests {
 
     #[test]
     fn disconnect_fail_point_severs_after_n_chunks() {
-        let _g = crate::testutil::FAILPOINT_LOCK.lock().unwrap();
+        let _g = crate::testutil::fail_points_held();
         failpoint::set(Some("serve-disconnect=2"));
         let mut out = Vec::new();
         let mut w = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();

@@ -41,7 +41,17 @@ pub use service::{
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    /// Fail-point state is process-global; unit tests that arm points
-    /// serialise behind this lock.
-    pub(crate) static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Fail-point state is process-global and the `serve-*` points sit
+    /// on every socket and chunk writer, so unit tests that arm points
+    /// *or* bind a `Service` serialise behind one lock. A failed test
+    /// must not fail every later one, hence the poison recovery.
+    pub(crate) fn fail_points_held() -> MutexGuard<'static, ()> {
+        FAILPOINT_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }

@@ -1624,6 +1624,7 @@ mod tests {
 
     #[test]
     fn sweep_streams_handshake_progress_then_result() {
+        let _g = crate::testutil::fail_points_held();
         let (addr, worker, quiesced) = start_service();
         let mut chunks = 0usize;
         let resp = http::request(&addr, "POST", "/sweep", b"{\"grid\":1}", &mut |_| {
@@ -1668,6 +1669,7 @@ mod tests {
 
     #[test]
     fn status_reports_pool_latency_and_unknown_routes_404() {
+        let _g = crate::testutil::fail_points_held();
         let (addr, worker, _q) = start_service();
         let resp = http::request(&addr, "POST", "/analyze", b"{}", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 200);
@@ -1715,6 +1717,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_and_stops_accepting() {
+        let _g = crate::testutil::fail_points_held();
         let (addr, worker, quiesced) = start_service();
         let resp = http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 200);
@@ -1771,6 +1774,7 @@ mod tests {
 
     #[test]
     fn overlapping_batches_run_concurrently() {
+        let _g = crate::testutil::fail_points_held();
         let svc = Service::bind(
             "127.0.0.1:0",
             Box::new(RendezvousHandler {
@@ -1826,6 +1830,7 @@ mod tests {
 
     #[test]
     fn saturated_batches_get_a_typed_503_with_retry_after() {
+        let _g = crate::testutil::fail_points_held();
         let svc = Service::bind(
             "127.0.0.1:0",
             Box::new(RefusingHandler(HandlerError::Saturated {
@@ -1863,6 +1868,7 @@ mod tests {
 
     #[test]
     fn degraded_store_gets_a_503_with_its_retry_hint() {
+        let _g = crate::testutil::fail_points_held();
         let svc = Service::bind(
             "127.0.0.1:0",
             Box::new(RefusingHandler(HandlerError::Unavailable {
@@ -1922,6 +1928,7 @@ mod tests {
 
     #[test]
     fn disconnect_detaches_and_resume_replays_the_full_stream() {
+        let _g = crate::testutil::fail_points_held();
         use std::io::Write;
         let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 10 })).unwrap();
         let addr = svc.local_addr().to_string();
@@ -1985,6 +1992,7 @@ mod tests {
 
     #[test]
     fn identical_live_posts_attach_to_one_run() {
+        let _g = crate::testutil::fail_points_held();
         let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 30 })).unwrap();
         let addr = svc.local_addr().to_string();
         let worker = std::thread::spawn(move || svc.run().expect("service run"));
@@ -2013,6 +2021,7 @@ mod tests {
 
     #[test]
     fn replay_runs_headless_and_resolves_the_token() {
+        let _g = crate::testutil::fail_points_held();
         let (handler, _q) = MockHandler::new();
         let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
         assert!(svc.replay(RequestKind::Sweep, "{\"grid\":7}"));
@@ -2087,6 +2096,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_parses_matches_status_and_stays_monotone() {
+        let _g = crate::testutil::fail_points_held();
         let (addr, worker, _q) = start_service();
         http::request(&addr, "POST", "/sweep", b"{\"grid\":5}", &mut |_| {}).unwrap();
         let scrape = |addr: &str| {
@@ -2209,6 +2219,7 @@ mod tests {
 
     #[test]
     fn trace_export_has_one_admit_span_and_a_cell_span_per_progress() {
+        let _g = crate::testutil::fail_points_held();
         let (addr, worker, _q) = start_service();
         http::request(&addr, "POST", "/sweep", b"{\"grid\":3}", &mut |_| {}).unwrap();
         let token = resume_token(RequestKind::Sweep, "{\"grid\":3}");
@@ -2250,6 +2261,7 @@ mod tests {
 
     #[test]
     fn trace_survives_disconnect_and_counts_both_streams() {
+        let _g = crate::testutil::fail_points_held();
         use std::io::Write;
         let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 6 })).unwrap();
         let addr = svc.local_addr().to_string();
@@ -2329,6 +2341,7 @@ mod tests {
 
     #[test]
     fn slow_cells_trip_the_warn_log_under_the_threshold_override() {
+        let _g = crate::testutil::fail_points_held();
         // The env override is read once, at bind; scoped tightly so
         // concurrently-binding tests are unaffected (their cells all
         // report 0ms, which no threshold flags).
@@ -2365,7 +2378,7 @@ mod tests {
 
     #[test]
     fn accept_storm_fail_point_drops_then_serves() {
-        let _g = crate::testutil::FAILPOINT_LOCK.lock().unwrap();
+        let _g = crate::testutil::fail_points_held();
         failpoint::set(Some("serve-accept-storm=2"));
         let (addr, worker, _q) = start_service();
         // The first two connections are dropped on the floor; a

@@ -66,7 +66,7 @@ impl<'p> BatchRunner<'p> {
     /// whose cells reference short-lived programs cannot keep one
     /// `BatchRunner<'p>` alive across them (the memoized checkpoint
     /// borrows the program), but it can keep the owned [`EngineArena`]
-    /// and thread it through a fresh runner per cell.
+    /// and thread it through a fresh runner when the program changes.
     pub fn with_arena(arena: EngineArena) -> Self {
         BatchRunner {
             arena: Some(arena),

@@ -20,10 +20,8 @@
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
 #      batch must finish, render the survivors, exit non-zero, and
 #      leave a store that `ctcp store verify` passes clean
-#   8. batch throughput gate: a warmup-heavy 96-cell sweep batched vs
-#      CTCP_BATCH=off (BENCH_batch.json); batched must be
-#      >= 2x the unbatched cells/sec and within 125% of the committed
-#      reference
+#   8. batch throughput gate: a warmup-heavy 96-cell sweep must stay
+#      within 125% of the committed reference (BENCH_batch.json)
 #   9. serve smoke: a real daemon on an ephemeral port serves a client
 #      sweep byte-identical to the one-shot CLI, answers /status,
 #      drains on shutdown, and leaves a populated sharded store with
@@ -194,15 +192,13 @@ EOF
 echo "engine perf gate: event ${engine_ms} ms, legacy ${legacy_ms} ms" \
      "(gate: ${limit_ms} ms)"
 
-echo "==> batch throughput gate (batched vs unbatched sweep vs BENCH_batch.json)"
+echo "==> batch throughput gate (warmup-heavy sweep vs BENCH_batch.json)"
 # Warmup-heavy grid: 96 cells (2 benches x 2 cluster counts x 3
 # topologies x [baseline + 7 strategies]), each fast-forwarding 1M
-# instructions before a short timed phase. Batched workers capture one
-# warmup checkpoint per (program, warmup) and recycle engine arenas;
-# CTCP_BATCH=off forces the one-cell-at-a-time path on the identical
-# grid. Best of 3 each to shed host noise. The batched path must be at
-# least 2x the unbatched cells/sec and within 125% of the committed
-# reference.
+# instructions before a short timed phase. Scheduler workers capture
+# one warmup checkpoint per (program, warmup) and recycle engine
+# arenas, so losing either shows up here as a slowdown. Best of 3 to
+# shed host noise; must stay within 125% of the committed reference.
 batch_cells=96
 batch_bench="sweep gzip,twolf x 7 strategies x {2,4} clusters x 3 topologies --warmup 1000000 --insts 2000 --jobs 1 (best of 3)"
 batch_sweep() {
@@ -211,18 +207,8 @@ batch_sweep() {
         --clusters 2,4 --topology linear,ring,full \
         --warmup 1000000 --insts 2000 --jobs 1 >/dev/null
 }
-unbatched_sweep() {
-    CTCP_BATCH=off batch_sweep
-}
 batched_ms=$(best_of_3 batch_sweep)
-unbatched_ms=$(best_of_3 unbatched_sweep)
-if [ "$unbatched_ms" -lt $(( batched_ms * 2 )) ]; then
-    echo "FAIL: batched sweep (${batched_ms} ms) is not 2x faster than" \
-         "unbatched (${unbatched_ms} ms)" >&2
-    exit 1
-fi
 cells_per_sec=$(( batch_cells * 1000 / batched_ms ))
-speedup_x100=$(( unbatched_ms * 100 / batched_ms ))
 batch_ref_ms=$(sed -n 's/.*"gate_ref_ms": \([0-9]*\).*/\1/p' BENCH_batch.json 2>/dev/null || true)
 if [ -z "${batch_ref_ms}" ]; then
     batch_ref_ms=$batched_ms
@@ -238,15 +224,13 @@ record_bench BENCH_batch.json <<EOF
   "bench": "$batch_bench",
   "cells": $batch_cells,
   "batched_ms": $batched_ms,
-  "unbatched_ms": $unbatched_ms,
   "cells_per_sec": $cells_per_sec,
-  "speedup_x100": $speedup_x100,
   "gate_ref_ms": $batch_ref_ms,
   "recorded_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 }
 EOF
-echo "batch throughput gate: batched ${batched_ms} ms, unbatched ${unbatched_ms} ms" \
-     "(${cells_per_sec} cells/s, speedup ${speedup_x100}%)"
+echo "batch throughput gate: ${batched_ms} ms (${cells_per_sec} cells/s," \
+     "gate: ${batch_limit_ms} ms)"
 
 echo "==> serve smoke (daemon round-trip, status, drain)"
 serve_store="$smoke_dir/serve-store"
