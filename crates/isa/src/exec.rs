@@ -28,7 +28,8 @@ impl std::error::Error for ExecError {}
 ///
 /// The executor stops (yields `None`) at a `halt` instruction or when the
 /// PC runs off the end of the program. Runaway programs should be bounded
-/// by the caller with [`Iterator::take`].
+/// by the caller with [`Iterator::take`]. [`Executor::fast_forward`] skips
+/// instructions without building their records.
 ///
 /// # Example
 ///
@@ -124,11 +125,44 @@ impl<'p> Executor<'p> {
         self.error
     }
 
+    /// Executes up to `n` instructions without building their
+    /// [`DynInst`] records — the functional warmup fast-forward. Returns
+    /// how many ran, which is less than `n` only if the program halts
+    /// (the `halt` counts) or leaves its text first.
+    ///
+    /// Afterwards the architectural state, and every record the iterator
+    /// yields from then on, are exactly those after `n` calls to
+    /// [`Iterator::next`]: both run the same `step`, and this loop only
+    /// drops the record it returns.
+    ///
+    /// ```
+    /// use ctcp_isa::{Executor, ProgramBuilder, Reg};
+    ///
+    /// let mut b = ProgramBuilder::new();
+    /// b.movi(Reg::R1, 2);
+    /// b.addi(Reg::R1, Reg::R1, 3);
+    /// b.halt();
+    /// let p = b.build();
+    /// let mut ex = Executor::new(&p);
+    /// assert_eq!(ex.fast_forward(2), 2);
+    /// assert_eq!(ex.reg(Reg::R1), 5);
+    /// assert_eq!(ex.next().map(|d| d.seq), Some(2)); // the halt
+    /// assert_eq!(ex.fast_forward(10), 0);
+    /// ```
+    pub fn fast_forward(&mut self, n: u64) -> u64 {
+        let mut done = 0;
+        while done < n && self.step().is_some() {
+            done += 1;
+        }
+        done
+    }
+
+    // The zero register needs no test on reads: `iregs[ZERO]` starts at
+    // zero and `write_dest` and `set_reg` never write it.
     #[inline]
     fn read_int(&self, r: Option<Reg>) -> i64 {
         match r {
             None => 0,
-            Some(r) if r.is_zero() => 0,
             Some(r) if r.is_int() => self.iregs[r.index()],
             Some(r) => self.fregs[r.index() - Reg::NUM_INT] as i64,
         }
@@ -139,7 +173,6 @@ impl<'p> Executor<'p> {
         match r {
             None => 0.0,
             Some(r) if r.is_fp() => self.fregs[r.index() - Reg::NUM_INT],
-            Some(r) if r.is_zero() => 0.0,
             Some(r) => self.iregs[r.index()] as f64,
         }
     }
@@ -155,7 +188,11 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Executes one instruction, returning its dynamic record.
+    /// Executes one instruction, returning its dynamic record. The one
+    /// interpreter: [`Iterator::next`] returns the record and
+    /// [`fast_forward`](Self::fast_forward) drops it. Inlined into both,
+    /// so the compiler deletes the record building from the latter.
+    #[inline(always)]
     fn step(&mut self) -> Option<DynInst> {
         if self.halted || self.error.is_some() {
             return None;
@@ -182,8 +219,6 @@ impl<'p> Executor<'p> {
         } else {
             inst.imm
         };
-        let fa = self.read_fp(inst.src1);
-        let fb = self.read_fp(inst.src2);
 
         match inst.op {
             Opcode::Add => self.write_dest(inst.dest, a.wrapping_add(b), 0.0),
@@ -226,7 +261,7 @@ impl<'p> Executor<'p> {
             Opcode::FSt => {
                 let addr = (a.wrapping_add(inst.imm)) as u64 & !7;
                 mem_addr = Some(addr);
-                self.mem.write_f64(addr, fb);
+                self.mem.write_f64(addr, self.read_fp(inst.src2));
             }
             Opcode::Beq | Opcode::Bne | Opcode::Blt | Opcode::Bge => {
                 let cond = match inst.op {
@@ -294,18 +329,28 @@ impl<'p> Executor<'p> {
                     target,
                 });
             }
-            Opcode::FAdd => self.write_dest(inst.dest, 0, fa + fb),
-            Opcode::FSub => self.write_dest(inst.dest, 0, fa - fb),
-            Opcode::FMul => self.write_dest(inst.dest, 0, fa * fb),
-            Opcode::FDiv => {
-                let v = if fb == 0.0 { 0.0 } else { fa / fb };
-                self.write_dest(inst.dest, 0, v);
+            // FP operands are read only here: the integer opcodes that
+            // dominate the stream never pay for the conversions.
+            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv | Opcode::FCmp => {
+                let (fa, fb) = (self.read_fp(inst.src1), self.read_fp(inst.src2));
+                match inst.op {
+                    Opcode::FAdd => self.write_dest(inst.dest, 0, fa + fb),
+                    Opcode::FSub => self.write_dest(inst.dest, 0, fa - fb),
+                    Opcode::FMul => self.write_dest(inst.dest, 0, fa * fb),
+                    Opcode::FDiv => {
+                        let v = if fb == 0.0 { 0.0 } else { fa / fb };
+                        self.write_dest(inst.dest, 0, v);
+                    }
+                    _ => self.write_dest(inst.dest, i64::from(fa < fb), 0.0),
+                }
             }
-            Opcode::FSqrt => self.write_dest(inst.dest, 0, fa.abs().sqrt()),
-            Opcode::FCmp => self.write_dest(inst.dest, i64::from(fa < fb), 0.0),
-            Opcode::FMov => self.write_dest(inst.dest, 0, fa),
+            Opcode::FSqrt => {
+                let fa = self.read_fp(inst.src1);
+                self.write_dest(inst.dest, 0, fa.abs().sqrt());
+            }
+            Opcode::FMov => self.write_dest(inst.dest, 0, self.read_fp(inst.src1)),
             Opcode::ItoF => self.write_dest(inst.dest, 0, a as f64),
-            Opcode::FtoI => self.write_dest(inst.dest, fa as i64, 0.0),
+            Opcode::FtoI => self.write_dest(inst.dest, self.read_fp(inst.src1) as i64, 0.0),
             Opcode::Nop => {}
             Opcode::Halt => {
                 self.halted = true;

@@ -1,6 +1,7 @@
 //! Sparse word-addressable data memory used by the functional executor.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_WORDS: usize = 1024;
 const PAGE_SHIFT: u32 = 10; // 1024 words per page
@@ -12,7 +13,35 @@ const PAGE_SHIFT: u32 = 10; // 1024 words per page
 /// ignored). Untouched memory reads as zero.
 #[derive(Debug, Default, Clone)]
 pub struct WordMemory {
-    pages: HashMap<u64, Box<[i64; PAGE_WORDS]>>,
+    pages: HashMap<u64, Box<[i64; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Hashes a page number with one multiply by an odd constant (Fibonacci
+/// hashing). Every load and store looks its page up, and SipHash cost
+/// more than the rest of the access. Multiplying by an odd constant is a
+/// bijection, so distinct pages never share a hash; the low bits, which
+/// pick the bucket, stay distinct for runs of consecutive pages, and the
+/// high bits, which the table compares first, are well mixed. The keys
+/// are addresses the simulated program computes, not network input.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
 }
 
 impl WordMemory {
@@ -28,12 +57,14 @@ impl WordMemory {
     }
 
     /// Reads the 64-bit word containing byte address `addr`.
+    #[inline]
     pub fn read(&self, addr: u64) -> i64 {
         let (page, off) = Self::split(addr);
         self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes the 64-bit word containing byte address `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: i64) {
         let (page, off) = Self::split(addr);
         self.pages
@@ -42,11 +73,13 @@ impl WordMemory {
     }
 
     /// Reads an `f64` stored at `addr` (bit pattern reinterpretation).
+    #[inline]
     pub fn read_f64(&self, addr: u64) -> f64 {
         f64::from_bits(self.read(addr) as u64)
     }
 
     /// Writes an `f64` at `addr` (bit pattern reinterpretation).
+    #[inline]
     pub fn write_f64(&mut self, addr: u64, value: f64) {
         self.write(addr, value.to_bits() as i64);
     }

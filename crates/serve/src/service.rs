@@ -1716,6 +1716,23 @@ mod tests {
     }
 
     #[test]
+    fn a_nesting_bomb_gets_a_400_and_the_daemon_keeps_serving() {
+        let _g = crate::testutil::fail_points_held();
+        let (addr, worker, _q) = start_service();
+        // 64 KiB of `[` would overflow a connection thread's stack and
+        // abort the process without the parser's depth cap.
+        let bomb = vec![b'['; 64 << 10];
+        for path in ["/sweep", "/resume"] {
+            let resp = http::request(&addr, "POST", path, &bomb, &mut |_| {}).unwrap();
+            assert_eq!(resp.status, 400, "{path}");
+        }
+        let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
+        assert_eq!(resp.status, 200);
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        worker.join().unwrap();
+    }
+
+    #[test]
     fn shutdown_drains_and_stops_accepting() {
         let _g = crate::testutil::fail_points_held();
         let (addr, worker, quiesced) = start_service();

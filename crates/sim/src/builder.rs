@@ -48,6 +48,10 @@ pub enum ConfigError {
         /// Issue slots (= the widest possible fetch group).
         total_slots: usize,
     },
+    /// [`SimBuilder::resume_from`] was given a checkpoint captured from
+    /// a different program; resuming would simulate that program's
+    /// instruction stream under this one's name.
+    ForeignCheckpoint,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -74,6 +78,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "reorder buffer ({rob_entries} entries) cannot hold one full \
                  fetch group ({total_slots} slots)"
+            ),
+            ConfigError::ForeignCheckpoint => write!(
+                f,
+                "the warmup checkpoint was captured from a different program"
             ),
         }
     }
@@ -165,7 +173,9 @@ impl<'p> SimBuilder<'p> {
     /// checkpoint's warmup budget into the configuration, so the result
     /// (and its cache key) is identical to calling
     /// [`warmup_instructions`](Self::warmup_instructions) with the same
-    /// count — the checkpoint is purely an execution shortcut.
+    /// count — the checkpoint is purely an execution shortcut. A
+    /// checkpoint of another program makes [`build`](Self::build) fail
+    /// with [`ConfigError::ForeignCheckpoint`].
     pub fn resume_from(mut self, checkpoint: &Checkpoint<'p>) -> Self {
         self.cfg.warmup_insts = checkpoint.requested;
         self.resume = Some(checkpoint.clone());
@@ -253,7 +263,9 @@ impl<'p> SimBuilder<'p> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] the geometry violates.
+    /// Returns the first [`ConfigError`] the geometry violates, or
+    /// [`ConfigError::ForeignCheckpoint`] if the resume checkpoint was
+    /// captured from another program.
     pub fn build(self) -> Result<Simulation<'p>, ConfigError> {
         let g = &self.cfg.engine.geometry;
         if g.clusters == 0 {
@@ -279,6 +291,13 @@ impl<'p> SimBuilder<'p> {
                 rob_entries: self.cfg.engine.rob_entries,
                 total_slots,
             });
+        }
+        if let Some(ck) = &self.resume {
+            // Batched cells resume from checkpoints of their own program
+            // object, so the full comparison almost never runs.
+            if !std::ptr::eq(ck.program, self.program) && ck.program != self.program {
+                return Err(ConfigError::ForeignCheckpoint);
+            }
         }
         Ok(Simulation::from_builder(self))
     }
@@ -373,6 +392,30 @@ mod tests {
         .to_string();
         assert!(msg.contains("rename width 8"), "{msg}");
         assert!(msg.contains("16 slots"), "{msg}");
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_program_is_rejected() {
+        let p = tiny();
+        let mut b = ProgramBuilder::new();
+        b.movi(Reg::R1, 4);
+        b.halt();
+        let other = b.build();
+        let err = Simulation::builder(&p)
+            .resume_from(&Checkpoint::capture(&other, 1))
+            .build()
+            .err()
+            .unwrap();
+        assert_eq!(err, ConfigError::ForeignCheckpoint);
+        // An equal program held elsewhere is the same program.
+        let twin = tiny();
+        let ck = Checkpoint::capture(&twin, 1);
+        let r = Simulation::builder(&p)
+            .resume_from(&ck)
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(r.instructions, 1);
     }
 
     #[test]

@@ -18,6 +18,9 @@ use ctcp_isa::{Executor, Program};
 /// checkpoint, so one capture serves any number of timed runs.
 #[derive(Clone)]
 pub struct Checkpoint<'p> {
+    /// The program it was captured from: a simulation of any other
+    /// program refuses to resume from it.
+    pub(crate) program: &'p Program,
     pub(crate) stream: InstStream<'p>,
     pub(crate) requested: u64,
     pub(crate) skipped: u64,
@@ -26,11 +29,14 @@ pub struct Checkpoint<'p> {
 impl<'p> Checkpoint<'p> {
     /// Functionally executes the first `warmup_insts` instructions of
     /// `program` (fewer if the program ends first) and snapshots the
-    /// resulting state.
+    /// resulting state. The instructions run through
+    /// [`Executor::fast_forward`], which builds no per-instruction
+    /// records.
     pub fn capture(program: &'p Program, warmup_insts: u64) -> Self {
         let mut stream = InstStream::new(Executor::new(program));
         let skipped = stream.fast_forward(warmup_insts);
         Checkpoint {
+            program,
             stream,
             requested: warmup_insts,
             skipped,

@@ -54,20 +54,22 @@ impl<'p> InstStream<'p> {
     /// Functionally executes (and discards) up to `n` instructions —
     /// the warmup fast-forward. Returns how many were actually skipped,
     /// which is less than `n` only if the program ends first.
+    ///
+    /// Whatever fetch already peeked goes first; the rest runs through
+    /// [`Executor::fast_forward`], which shares the iterator's `step`
+    /// but builds no records. The stream that follows is the one `n`
+    /// pops would have left, and as with pops, a program that ends at
+    /// exactly `n` leaves the stream exhausted only once the next
+    /// instruction is asked for.
     pub(crate) fn fast_forward(&mut self, n: u64) -> u64 {
-        let mut skipped = 0;
-        // Whatever fetch already peeked goes first; after that the
-        // executor is stepped directly instead of through the buffer.
-        while skipped < n && self.buf.pop_front().is_some() {
-            skipped += 1;
+        let buffered = n.min(self.buf.len() as u64);
+        self.buf.drain(..buffered as usize);
+        let wanted = n - buffered;
+        let ran = self.exec.fast_forward(wanted);
+        if ran < wanted {
+            self.exhausted = true;
         }
-        while skipped < n && !self.exhausted {
-            match self.exec.next() {
-                Some(_) => skipped += 1,
-                None => self.exhausted = true,
-            }
-        }
-        skipped
+        buffered + ran
     }
 }
 
@@ -112,6 +114,21 @@ mod tests {
         // Past the end: only what is left is skipped.
         assert_eq!(s.fast_forward(10), 2);
         assert!(s.is_exhausted());
+        assert_eq!(s.fast_forward(1), 0);
+    }
+
+    #[test]
+    fn a_program_ending_at_exactly_n_exhausts_on_the_next_pop() {
+        let mut b = ProgramBuilder::new();
+        b.movi(Reg::R1, 1);
+        b.movi(Reg::R2, 2);
+        b.halt();
+        let p = b.build();
+        let mut s = InstStream::new(Executor::new(&p));
+        assert_eq!(s.fast_forward(3), 3);
+        assert!(!s.exhausted, "nothing has asked past the halt yet");
+        assert!(s.pop().is_none());
+        assert!(s.exhausted);
         assert_eq!(s.fast_forward(1), 0);
     }
 }

@@ -136,6 +136,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -164,9 +165,18 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts:
+/// far above any document the system writes, and shallow enough that
+/// the recursive descent never threatens a thread's stack. Without it a
+/// request body of nested `[` overflows the stack and aborts the whole
+/// process.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -209,11 +219,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -425,6 +450,27 @@ mod tests {
         for text in ["{", "[1,", "tru", "\"open", "{\"a\" 1}", "1 2", "{'a':1}"] {
             assert!(Value::parse(text).is_err(), "{text} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let doc = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&doc(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let mixed = format!("{}1{}", r#"{"a":["#.repeat(40), "]}".repeat(40));
+        assert!(Value::parse(&mixed).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default 2 MiB stack, as a daemon
+        // connection thread does; unbounded recursion would abort here.
+        let bomb = "[".repeat(1 << 20);
+        let parsed = std::thread::spawn(move || Value::parse(&bomb).is_err())
+            .join()
+            .expect("parsing never panics");
+        assert!(parsed);
     }
 
     #[test]

@@ -43,6 +43,10 @@
 #      /trace/<token> must return a non-empty Chrome trace for the
 #      request named in the structured log, every log line must be
 #      JSON, and `ctcp top --once` must render a dashboard frame
+#  13. benchmark self-check: ctcp-benchmark's own tests, then a one-second
+#      run of each in-process workload (detailed, warmup_grid, attrib);
+#      each run completes at least one full pass and exits 0 only if
+#      every cell matched its committed report digest and none failed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -557,5 +561,16 @@ if ! wait "$obs_pid"; then
     echo "FAIL: observability-gate daemon did not exit cleanly" >&2
     exit 1
 fi
+
+echo "==> benchmark self-check (ctcp-benchmark tests + one pass per workload)"
+# ctcp-benchmark is a package of its own, outside the workspace, so
+# `cargo test --workspace` never builds it.
+cargo test --offline -q --manifest-path ctcp-benchmark/Cargo.toml
+for workload in detailed warmup_grid attrib; do
+    cargo run --release --quiet --offline --manifest-path ctcp-benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 > "$smoke_dir/bench-$workload.out"
+    echo "$workload: $(grep -o '^{"correct":[a-z]*,"attempted":[0-9]*,"failed":[0-9]*' \
+        "$smoke_dir/bench-$workload.out")"
+done
 
 echo "==> verify OK"
