@@ -130,7 +130,7 @@ impl Default for AnalyzeArgs {
                 Strategy::Fdrt { pinning: true },
             ],
             json: false,
-            top: 8,
+            top: ctcp_telemetry::DEFAULT_TOP_EDGES,
         }
     }
 }

@@ -15,11 +15,11 @@ use ctcp_isa::{asm, Program};
 use ctcp_serve::{
     http, resume_token, Handler, HandlerError, HandlerStats, RequestKind, RunResult, Service,
 };
-use ctcp_sim::{SimConfig, SimReport, Simulation, Strategy};
+use ctcp_sim::{SimBuilder, SimConfig, SimReport, Simulation, Strategy};
 use ctcp_telemetry::json::Value;
 use ctcp_telemetry::{
     chrome_trace_with_flows, metrics_line, validate_chrome_trace, Counter, Metrics, PipeStage,
-    Probe, Recorder, RecorderConfig, RetireSlotKind,
+    Recorder, RecorderConfig, RetireSlotKind,
 };
 use ctcp_workload::Benchmark;
 use std::collections::{HashMap, HashSet};
@@ -56,23 +56,17 @@ fn config(args: &RunArgs, strategy: Strategy) -> SimConfig {
     c
 }
 
-fn build_sim<'p>(
-    program: &'p Program,
-    cfg: SimConfig,
-    probe: Option<Rc<dyn Probe>>,
-) -> Result<Simulation<'p>, CliError> {
-    let mut b = Simulation::builder(program).config(cfg);
-    if let Some(p) = probe {
-        b = b.probe(p);
-    }
-    b.build()
-        .map_err(|e| CliError(format!("invalid configuration: {e}")))
+/// Validates `builder` and runs the simulation to its report.
+fn run_sim(builder: SimBuilder<'_>) -> Result<SimReport, CliError> {
+    builder
+        .build()
+        .map_err(|e| CliError(format!("invalid configuration: {e}")))?
+        .try_run()
+        .map_err(|e| CliError(e.to_string()))
 }
 
 fn simulate(program: &Program, args: &RunArgs, strategy: Strategy) -> Result<SimReport, CliError> {
-    build_sim(program, config(args, strategy), None)?
-        .try_run()
-        .map_err(|e| CliError(e.to_string()))
+    run_sim(Simulation::builder(program).config(config(args, strategy)))
 }
 
 fn describe(source: &ProgramSource) -> String {
@@ -241,12 +235,12 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
     let recorder = Rc::new(Recorder::new(RecorderConfig {
         event_capacity: args.events,
         sample_every: args.sample,
-        collect_attrib: false,
     }));
-    let probe: Rc<dyn Probe> = Rc::clone(&recorder) as _;
-    let r = build_sim(&program, config(&args.run, args.run.strategy), Some(probe))?
-        .try_run()
-        .map_err(|e| CliError(e.to_string()))?;
+    let r = run_sim(
+        Simulation::builder(&program)
+            .config(config(&args.run, args.run.strategy))
+            .probe(Rc::clone(&recorder) as _),
+    )?;
 
     let events = recorder.events();
     // A flow arrow needs its consumer's retire span to anchor to; drop
@@ -306,10 +300,11 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs each requested strategy with an attribution-collecting
-/// [`Recorder`] and renders, per strategy: the retirement-driven CPI
-/// stack, per-cluster utilization, and the top critical-path edges with
-/// the fraction of critical edges that cross clusters.
+/// Runs each requested strategy with cycle attribution on
+/// ([`SimBuilder::attrib`]) and renders, per strategy: the
+/// retirement-driven CPI stack, per-cluster utilization, and the top
+/// critical-path edges with the fraction of critical edges that cross
+/// clusters.
 fn analyze(args: &AnalyzeArgs) -> Result<String, CliError> {
     analyze_with_progress(args, &mut |_, _, _| {})
 }
@@ -325,12 +320,11 @@ fn analyze_with_progress(
     let name = describe(&args.run.source);
     let mut results: Vec<SimReport> = Vec::new();
     for (done, &s) in args.strategies.iter().enumerate() {
-        let recorder = Rc::new(Recorder::new(RecorderConfig::attrib()));
-        let probe: Rc<dyn Probe> = Rc::clone(&recorder) as _;
-        let mut r = build_sim(&program, config(&args.run, s), Some(probe))?
-            .try_run()
-            .map_err(|e| CliError(e.to_string()))?;
-        r.attrib = Some(recorder.attrib_report_top(args.top));
+        let r = run_sim(
+            Simulation::builder(&program)
+                .config(config(&args.run, s))
+                .attrib(args.top),
+        )?;
         progress(done + 1, args.strategies.len(), &r.strategy);
         results.push(r);
     }

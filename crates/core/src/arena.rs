@@ -24,6 +24,7 @@
 //! keeps all wakeup traffic inside one slab.
 
 use crate::entry::Entry;
+use ctcp_telemetry::CritLink;
 use std::collections::VecDeque;
 
 /// Null handle for [`ConsumerArena`] chains.
@@ -109,8 +110,9 @@ impl ConsumerArena {
 
 /// Every recyclable allocation one [`Engine`](crate::Engine) owns: the
 /// ROB ring, the consumer slab, the completion wheel's slot vectors,
-/// scratch buffers, and pools of per-cluster queue storage. Obtain a
-/// fresh one with `EngineArena::default()`, pass it to
+/// scratch buffers, pools of per-cluster queue storage, and the
+/// critical-link buffer that attribution runs fill. Obtain a fresh one
+/// with `EngineArena::default()`, pass it to
 /// [`Engine::with_arena`](crate::Engine::with_arena), and harvest it
 /// back with [`Engine::into_arena`](crate::Engine::into_arena) to reuse
 /// across consecutive simulations. Contents are cleared (capacity kept)
@@ -127,6 +129,7 @@ pub struct EngineArena {
     pub(crate) dispatch_qs: Vec<VecDeque<u64>>,
     pub(crate) seq_lists: Vec<Vec<u64>>,
     pub(crate) pending_lists: Vec<Vec<(u64, u64)>>,
+    pub(crate) links: Vec<CritLink>,
 }
 
 #[cfg(test)]

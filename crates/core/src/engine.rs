@@ -18,7 +18,7 @@ use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
 use ctcp_isa::Instruction;
 use ctcp_memory::{AccessKind, CacheStats, DataMemory, StoreForward};
 use ctcp_telemetry::{
-    Counter, Hist, InstAttrib, InstTimeline, NullProbe, Probe, RetireSlotKind, SrcAttrib, SrcKind,
+    Counter, CritLink, Hist, InstAttrib, NullProbe, Probe, RetireSlotKind, SrcAttrib, SrcKind,
 };
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 use std::collections::VecDeque;
@@ -257,6 +257,10 @@ pub struct Engine {
     scratch_wakes: Vec<(u64, u8)>,
     /// Scratch for issue-time steering's per-group cluster counts.
     steer_counts: Vec<u32>,
+    /// One [`CritLink`] per retired instruction, in retirement order,
+    /// while `record_links` is set (see [`Engine::record_links`]).
+    links: Vec<CritLink>,
+    record_links: bool,
 }
 
 impl Engine {
@@ -284,12 +288,14 @@ impl Engine {
             mut events,
             mut wakes,
             mut steer_counts,
+            mut links,
             ..
         } = arena;
         consumers.clear();
         events.clear();
         wakes.clear();
         steer_counts.clear();
+        links.clear();
         Engine {
             mem: DataMemory::new(cfg.memory),
             cfg,
@@ -310,6 +316,8 @@ impl Engine {
             consumers,
             scratch_wakes: wakes,
             steer_counts,
+            links,
+            record_links: false,
         }
     }
 
@@ -324,6 +332,7 @@ impl Engine {
             events: self.scratch_events,
             wakes: self.scratch_wakes,
             steer_counts: self.steer_counts,
+            links: self.links,
             ..EngineArena::default()
         };
         for c in self.clusters {
@@ -355,6 +364,25 @@ impl Engine {
     pub fn set_probe(&mut self, probe: Rc<dyn Probe>) {
         self.probe_on = probe.enabled();
         self.probe = probe;
+    }
+
+    /// Turns on critical-link recording for cycle attribution: from now
+    /// on every retired instruction appends one 16-byte [`CritLink`]
+    /// (its PC, the distance back to the producer of its last-arriving
+    /// operand, and the hops that value crossed) to a buffer that
+    /// [`Engine::links`] exposes and the arena recycles. `expected`
+    /// retirements are reserved up front, so a run that stays within
+    /// them grows the buffer once, to exactly that size.
+    pub fn record_links(&mut self, expected: usize) {
+        self.record_links = true;
+        self.links.reserve_exact(expected);
+    }
+
+    /// The critical links recorded so far, one per retired instruction
+    /// in retirement order (empty unless [`Engine::record_links`] was
+    /// called).
+    pub fn links(&self) -> &[CritLink] {
+        &self.links
     }
 
     /// The configuration in use.
@@ -1165,31 +1193,22 @@ impl Engine {
                 },
                 // Unreachable at retire (producers are older and must
                 // have completed), kept total for safety.
-                SrcState::Waiting { producer_seq } => SrcAttrib {
+                SrcState::Waiting { .. } => SrcAttrib {
                     kind: SrcKind::RegFile,
-                    producer_seq,
                     ..SrcAttrib::default()
                 },
                 SrcState::Forwarded {
-                    producer_seq,
+                    complete, cluster, ..
+                } => SrcAttrib {
+                    kind: if self.cfg.geometry.distance(cluster, e.cluster) == 0 {
+                        SrcKind::Bypass
+                    } else {
+                        SrcKind::Forward
+                    },
+                    producer_cluster: cluster,
                     complete,
-                    cluster,
-                    ..
-                } => {
-                    let hops = self.cfg.geometry.distance(cluster, e.cluster);
-                    SrcAttrib {
-                        kind: if hops == 0 {
-                            SrcKind::Bypass
-                        } else {
-                            SrcKind::Forward
-                        },
-                        producer_seq,
-                        producer_cluster: cluster,
-                        hops,
-                        complete,
-                        arrival: self.arrival(s, e.cluster).unwrap_or(complete),
-                    }
-                }
+                    arrival: self.arrival(s, e.cluster).unwrap_or(complete),
+                },
             };
         }
         InstAttrib {
@@ -1202,8 +1221,32 @@ impl Engine {
             complete_at,
             retired_at: now,
             srcs,
-            critical_src: e.feedback.critical_src.map(usize::from),
         }
+    }
+
+    /// The critical link of a retiring entry: a step back to the
+    /// producer of its last-arriving operand when that value was
+    /// bypassed or forwarded, none (`back == 0`) when it was read from
+    /// the register file.
+    fn link_of(&self, e: &Entry) -> CritLink {
+        let mut link = CritLink {
+            pc: e.pc,
+            ..CritLink::default()
+        };
+        if let Some(c) = e.feedback.critical_src {
+            if let SrcState::Forwarded {
+                producer_seq,
+                cluster,
+                ..
+            } = e.srcs[usize::from(c)]
+            {
+                // Producers are in flight when their consumer renames,
+                // so the distance is bounded by the ROB size.
+                link.back = u32::try_from(e.seq - producer_seq).expect("producer within the ROB");
+                link.hops = self.cfg.geometry.distance(cluster, e.cluster);
+            }
+        }
+        link
     }
 
     /// Classifies what the ROB head is waiting on at cycle `now` — the
@@ -1216,7 +1259,9 @@ impl Engine {
     /// operand still crossing the interconnect is inter-cluster delay;
     /// a head executing a load is memory; a head with arrived operands
     /// that has not issued is RS/dispatch (structural) pressure;
-    /// everything else is base in-order drain.
+    /// everything else is base in-order drain. A station resident's
+    /// readiness is read from the entry once the event scheduler has
+    /// settled it, and derived afresh otherwise.
     pub fn head_blame(&self, now: u64) -> Option<RetireSlotKind> {
         let head = self.rob.front()?;
         Some(match head.stage {
@@ -1229,7 +1274,7 @@ impl Engine {
                     RetireSlotKind::Base
                 }
             }
-            Stage::InRs => match self.readiness(head) {
+            Stage::InRs => match head.ready.or_else(|| self.readiness(head)) {
                 Some((ready, critical)) if ready > now => {
                     let in_transit = critical.map(|c| head.srcs[c]).is_some_and(|s| {
                         matches!(s, SrcState::Forwarded { cluster, .. }
@@ -1262,18 +1307,12 @@ impl Engine {
                 self.stats.sum_complete_to_retire += now - at;
                 if self.probe_on {
                     self.probe.counter(Counter::Retired, 1);
-                    self.probe.timeline(&InstTimeline {
-                        seq: e.seq,
-                        pc: e.pc,
-                        cluster: e.cluster,
-                        renamed_at: e.renamed_at,
-                        dispatched_at: e.dispatched_at,
-                        exec_start: e.exec_start,
-                        complete_at: at,
-                        retired_at: now,
-                    });
                     self.probe.retire_attrib(&self.attrib_of(&e, at, now));
                 }
+            }
+            if self.record_links {
+                let link = self.link_of(&e);
+                self.links.push(link);
             }
             if let Some(d) = e.inst.dest {
                 if self.rat[d.index()] == Some(e.seq) {

@@ -103,7 +103,9 @@ pub use store::{
 
 use ctcp_isa::Program;
 use ctcp_sim::{BatchError, BatchRunner, SimConfig, SimError, SimReport, Simulation};
-use ctcp_telemetry::{failpoint, metrics_line, Counter, Metrics, Recorder, RecorderConfig};
+use ctcp_telemetry::{
+    failpoint, metrics_line, Counter, Metrics, Recorder, RecorderConfig, DEFAULT_TOP_EDGES,
+};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::AssertUnwindSafe;
@@ -162,10 +164,10 @@ impl Job {
     /// invalid configuration is a *job* defect, never grounds to panic a
     /// shared worker thread. With `with_metrics` set, a metrics-only
     /// [`Recorder`] rides along and the second element is the rendered
-    /// JSONL metrics line for this run. With `with_attrib` set, the same
-    /// recorder also accumulates the CPI stack and per-instruction
-    /// lifecycle records, and the report comes back with `attrib`
-    /// attached.
+    /// JSONL metrics line for this run. With `with_attrib` set, the
+    /// simulation attributes its cycles itself
+    /// ([`SimBuilder::attrib`](ctcp_sim::SimBuilder::attrib)) and the
+    /// report comes back with `attrib` attached.
     fn try_simulate_with<'p>(
         &self,
         program: &'p Program,
@@ -186,29 +188,19 @@ impl Job {
             );
         }
         let mut builder = Simulation::builder(program).config(self.config);
-        // One recorder serves both requests: metrics accumulate
-        // unconditionally, lifecycle records only when asked for.
-        let recorder = (with_metrics || with_attrib).then(|| {
-            Rc::new(Recorder::new(RecorderConfig {
-                collect_attrib: with_attrib,
-                ..RecorderConfig::metrics_only()
-            }))
-        });
+        if with_attrib {
+            builder = builder.attrib(DEFAULT_TOP_EDGES);
+        }
+        let recorder = with_metrics.then(|| Rc::new(Recorder::new(RecorderConfig::metrics_only())));
         if let Some(recorder) = &recorder {
             builder = builder.probe(Rc::clone(recorder) as _);
         }
-        let mut report = runner.try_run(builder).map_err(|e| match e {
+        let report = runner.try_run(builder).map_err(|e| match e {
             BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
             BatchError::Sim(s) => JobError::Sim(s),
         })?;
-        let Some(recorder) = recorder else {
-            return Ok((report, None));
-        };
-        if with_attrib {
-            report.attrib = Some(recorder.attrib_report());
-        }
-        let line = with_metrics
-            .then(|| metrics_line(&self.workload, &report.strategy, &recorder.metrics()));
+        let line = recorder
+            .map(|recorder| metrics_line(&self.workload, &report.strategy, &recorder.metrics()));
         Ok((report, line))
     }
 
@@ -576,15 +568,16 @@ impl Harness {
         self
     }
 
-    /// Turns on cycle attribution: every simulated job carries an
-    /// attribution-collecting [`Recorder`] and its report comes back
+    /// Turns on cycle attribution: every simulated job attributes its
+    /// cycles as it runs and its report comes back
     /// with [`SimReport::attrib`](ctcp_sim::SimReport) populated (a CPI
     /// stack plus critical-path summary). Store lines written before
     /// attribution existed — or by non-attrib runs — do not satisfy an
     /// attrib batch: such hits are rejected, the cell is re-simulated,
     /// and the refreshed line (a superset) overwrites the old one, so
     /// later batches of either kind hit. Off by default: attribution
-    /// records cost memory proportional to the instruction budget.
+    /// keeps 16 bytes per retired instruction for the critical-path
+    /// walk.
     pub fn attrib(mut self, on: bool) -> Harness {
         self.attrib = on;
         self

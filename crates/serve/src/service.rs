@@ -62,7 +62,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What kind of batch a request asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,10 +502,18 @@ impl Inner {
     }
 }
 
+/// How long reading a request may wait for the client's next bytes. A
+/// client that connects and then goes silent is dropped after this
+/// long, so it can pin a connection thread — and hold up a graceful
+/// drain, which joins that thread — no longer.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A bound, not-yet-running sweep service.
 pub struct Service {
     listener: TcpListener,
     inner: Arc<Inner>,
+    /// [`READ_TIMEOUT`]; unit tests shorten it.
+    read_timeout: Duration,
 }
 
 impl Service {
@@ -541,6 +549,7 @@ impl Service {
                 draining: AtomicBool::new(false),
                 addr,
             }),
+            read_timeout: READ_TIMEOUT,
         })
     }
 
@@ -610,8 +619,9 @@ impl Service {
                 }
             }
             let inner = Arc::clone(&self.inner);
+            let read_timeout = self.read_timeout;
             workers.push(std::thread::spawn(move || {
-                let _ = handle_connection(stream, &inner);
+                let _ = handle_connection(stream, read_timeout, &inner);
             }));
             // Reap finished threads so a long-lived daemon does not
             // accumulate one handle per connection ever served.
@@ -647,7 +657,8 @@ impl Service {
     }
 }
 
-fn handle_connection(stream: TcpStream, inner: &Inner) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, read_timeout: Duration, inner: &Inner) -> io::Result<()> {
+    stream.set_read_timeout(Some(read_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let req = match http::read_request(&mut reader) {
@@ -1535,7 +1546,6 @@ fn shutdown(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// A handler that "runs" a two-cell batch instantly, echoing the
     /// request back and reporting one cache hit per prior run of the
@@ -1730,6 +1740,38 @@ mod tests {
         assert_eq!(resp.status, 200);
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_silent_client_cannot_hold_up_the_drain() {
+        let _g = crate::testutil::fail_points_held();
+        let timeout = Duration::from_millis(300);
+        let (handler, quiesced) = MockHandler::new();
+        let mut svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
+        svc.read_timeout = timeout;
+        let addr = svc.local_addr().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done_tx.send(svc.run().expect("service run"));
+        });
+        // Connects, then says nothing and stays open.
+        let started = Instant::now();
+        let silent = TcpStream::connect(&addr).unwrap();
+        let resp = http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        assert_eq!(resp.status, 200);
+        // A channel rather than a join, so a hung drain fails the test
+        // instead of hanging it.
+        let summary = done_rx
+            .recv_timeout(timeout + Duration::from_secs(5))
+            .expect("the drain waited on the silent connection");
+        worker.join().unwrap();
+        assert!(
+            started.elapsed() >= timeout,
+            "the drain ended before the timeout"
+        );
+        assert_eq!(summary.requests, 1, "only /shutdown was a request");
+        assert!(quiesced.load(Ordering::SeqCst));
+        drop(silent);
     }
 
     #[test]

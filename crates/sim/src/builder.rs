@@ -109,6 +109,7 @@ pub struct SimBuilder<'p> {
     pub(crate) program: &'p Program,
     pub(crate) cfg: SimConfig,
     pub(crate) probe: Option<Rc<dyn Probe>>,
+    pub(crate) attrib_top_edges: Option<usize>,
     pub(crate) legacy_scheduler: Option<bool>,
     pub(crate) watchdog_stall: Option<u64>,
     pub(crate) cycle_budget: Option<u64>,
@@ -123,6 +124,7 @@ impl<'p> SimBuilder<'p> {
             program,
             cfg: SimConfig::default(),
             probe: None,
+            attrib_top_edges: None,
             legacy_scheduler: None,
             watchdog_stall: None,
             cycle_budget: None,
@@ -220,6 +222,20 @@ impl<'p> SimBuilder<'p> {
     /// branch per hook site.
     pub fn probe(mut self, probe: Rc<dyn Probe>) -> Self {
         self.probe = Some(probe);
+        self
+    }
+
+    /// Turns on cycle attribution: the report comes back with
+    /// [`SimReport::attrib`](crate::SimReport) set — the CPI stack
+    /// (every retire slot of every cycle charged to one blame bucket)
+    /// and the critical-path summary, keeping its `top_edges` hottest
+    /// edges. The simulation keeps one 16-byte critical link per retired
+    /// instruction for the walk, in storage a
+    /// [`BatchRunner`](crate::BatchRunner) recycles. Like
+    /// [`probe`](Self::probe), outside [`SimConfig`]: attribution cannot
+    /// change what the simulation computes, only what it reports.
+    pub fn attrib(mut self, top_edges: usize) -> Self {
+        self.attrib_top_edges = Some(top_edges);
         self
     }
 

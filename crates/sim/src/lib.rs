@@ -9,7 +9,9 @@
 //! Simulations are constructed through the validating
 //! [`SimBuilder`] (see [`Simulation::builder`]); attach a
 //! [`ctcp_telemetry::Recorder`] via [`SimBuilder::probe`] to capture
-//! pipeline events and metrics without perturbing the simulation.
+//! pipeline events and metrics, or turn on [`SimBuilder::attrib`] for a
+//! CPI stack and critical-path summary in the report — neither
+//! perturbs the simulation.
 //!
 //! ## Example
 //!

@@ -8,7 +8,9 @@ use ctcp_core::assign::RetireTimeStrategy;
 use ctcp_core::{Engine, EngineArena, FetchedInst, TickResult};
 use ctcp_frontend::{BranchPredictor, Btb, HybridPredictor, ICache, ReturnAddressStack};
 use ctcp_isa::{DynInst, Executor, Opcode, Program};
-use ctcp_telemetry::{Counter, Hist, Probe, RetireSlotKind};
+use ctcp_telemetry::{
+    AttribReport, Counter, CpiStack, CriticalSummary, Hist, Probe, RetireSlotKind,
+};
 use ctcp_tracecache::{
     FillUnit, PendingInst, RawTrace, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
 };
@@ -26,6 +28,18 @@ const DELIVERY_DEPTH: usize = 8;
 /// so five orders of magnitude of headroom keeps false trips impossible
 /// while still aborting a wedged pipeline in well under a second.
 pub const DEFAULT_WATCHDOG_STALL_LIMIT: u64 = 100_000;
+
+/// Links reserved up front for an attribution run: its instruction
+/// budget plus the last cycle's overshoot, up to this many (64 MiB).
+/// Longer runs grow the buffer beyond it.
+const MAX_RESERVED_LINKS: u64 = 1 << 22;
+
+/// Cycle attribution state of a run built with
+/// [`SimBuilder::attrib`].
+struct Attribution {
+    top_edges: usize,
+    stack: CpiStack,
+}
 
 /// A configured simulation of one program. Create with
 /// [`Simulation::builder`], run to completion with [`Simulation::run`].
@@ -63,6 +77,7 @@ pub struct Simulation<'p> {
     // telemetry
     probe: Rc<dyn Probe>,
     probe_on: bool,
+    attrib: Option<Attribution>,
     // robustness
     watchdog_stall: u64,
     cycle_budget: Option<u64>,
@@ -108,6 +123,17 @@ impl<'p> Simulation<'p> {
             .unwrap_or_else(|| Rc::new(ctcp_telemetry::NullProbe));
         engine.set_probe(Rc::clone(&probe));
         let probe_on = probe.enabled();
+        let attrib = b.attrib_top_edges.map(|top_edges| {
+            let expected = cfg
+                .max_insts
+                .saturating_add(cfg.engine.retire_width as u64)
+                .min(MAX_RESERVED_LINKS);
+            engine.record_links(expected as usize);
+            Attribution {
+                top_edges,
+                stack: CpiStack::default(),
+            }
+        });
         let (stream, seq_base) = match b.resume {
             Some(ck) => {
                 debug_assert_eq!(
@@ -145,6 +171,7 @@ impl<'p> Simulation<'p> {
             group_ctr: 0,
             probe,
             probe_on,
+            attrib,
             watchdog_stall: b.watchdog_stall.unwrap_or(DEFAULT_WATCHDOG_STALL_LIMIT),
             cycle_budget: b.cycle_budget,
             stall_retire_fp: ctcp_telemetry::failpoint::is_active("stall-retire"),
@@ -297,7 +324,7 @@ impl<'p> Simulation<'p> {
         // or charged to one blame bucket — the engine classifies a
         // non-empty ROB by what its head waits on; an empty ROB is the
         // front end's fault (squash refetch vs fetch starvation).
-        if self.probe_on {
+        if let Some(attrib) = &mut self.attrib {
             let width = self.cfg.engine.retire_width as u64;
             let used = result.retired.len() as u64;
             let stalled = width.saturating_sub(used);
@@ -310,7 +337,7 @@ impl<'p> Simulation<'p> {
                     RetireSlotKind::FetchMiss
                 })
             };
-            self.probe.retire_slots(now, used, stalled, stall);
+            attrib.stack.charge(used, stalled, stall);
         }
 
         // 5. Resume fetch once the awaited mispredicted branch resolves.
@@ -593,6 +620,10 @@ impl<'p> Simulation<'p> {
         }
         let fdrt = self.retire_strategy.fdrt_stats().copied();
         let cycles = self.now.max(1);
+        let attrib = self.attrib.take().map(|a| AttribReport {
+            stack: a.stack,
+            critical: CriticalSummary::walk(self.engine.links(), a.top_edges),
+        });
         let report = SimReport {
             strategy: self.cfg.strategy.name(),
             cycles,
@@ -615,7 +646,7 @@ impl<'p> Simulation<'p> {
                 l1d: em.l1d,
                 icache: self.icache.stats(),
             },
-            attrib: None,
+            attrib,
         };
         (report, self.engine.into_arena())
     }

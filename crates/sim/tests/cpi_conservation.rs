@@ -8,9 +8,8 @@
 //! relative to the slot-based baseline.
 
 use ctcp_sim::{SimConfig, Simulation, Strategy};
-use ctcp_telemetry::{CpiStack, Probe, Recorder, RecorderConfig, RetireSlotKind};
+use ctcp_telemetry::{CpiStack, RetireSlotKind, DEFAULT_TOP_EDGES};
 use ctcp_workload::Benchmark;
-use std::rc::Rc;
 
 const ALL_STRATEGIES: [Strategy; 7] = [
     Strategy::Baseline,
@@ -24,15 +23,15 @@ const ALL_STRATEGIES: [Strategy; 7] = [
 
 fn run_with_stack(bench: &str, strategy: Strategy, max_insts: u64) -> (u64, CpiStack) {
     let program = Benchmark::by_name(bench).unwrap().program();
-    let recorder: Rc<Recorder> = Rc::new(Recorder::new(RecorderConfig::attrib()));
     let report = Simulation::builder(&program)
         .strategy(strategy)
         .max_insts(max_insts)
-        .probe(Rc::clone(&recorder) as Rc<dyn Probe>)
+        .attrib(DEFAULT_TOP_EDGES)
         .build()
         .unwrap()
         .run();
-    (report.cycles, recorder.cpi_stack())
+    let attrib = report.attrib.expect("attribution was turned on");
+    (report.cycles, attrib.stack)
 }
 
 #[test]

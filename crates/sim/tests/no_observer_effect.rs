@@ -1,10 +1,11 @@
-//! Golden "no observer effect" test: attaching a telemetry recorder
-//! must not perturb the simulation. The report serialized through the
-//! store codec has to be byte-identical with and without a probe — any
-//! drift means a hook site leaked architectural state.
+//! Golden "no observer effect" test: attaching a telemetry recorder, or
+//! turning on cycle attribution, must not perturb the simulation. The
+//! report serialized through the store codec has to be byte-identical
+//! with and without them — any drift means a hook site leaked
+//! architectural state.
 
 use ctcp_sim::{Simulation, Strategy};
-use ctcp_telemetry::{Probe, Recorder, RecorderConfig};
+use ctcp_telemetry::{Probe, Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
 use ctcp_workload::Benchmark;
 use std::rc::Rc;
 
@@ -47,8 +48,8 @@ fn attaching_a_recorder_does_not_change_the_report() {
 
 #[test]
 fn attrib_collection_does_not_change_the_report() {
-    // Same golden rule for the attribution layer: collecting lifecycle
-    // records and the CPI stack must be invisible to the architecture.
+    // Same golden rule for attribution: charging the CPI stack and
+    // keeping critical links must be invisible to the architecture.
     for bench in ["gzip", "vortex"] {
         let program = Benchmark::by_name(bench).unwrap().program();
         for strategy in [Strategy::Baseline, Strategy::Fdrt { pinning: true }] {
@@ -58,16 +59,16 @@ fn attrib_collection_does_not_change_the_report() {
                 .build()
                 .unwrap()
                 .run();
+            assert!(bare.attrib.is_none(), "attribution is off by default");
 
-            let recorder: Rc<Recorder> = Rc::new(Recorder::new(RecorderConfig::attrib()));
-            let observed = Simulation::builder(&program)
+            let mut observed = Simulation::builder(&program)
                 .strategy(strategy)
                 .max_insts(30_000)
-                .probe(Rc::clone(&recorder) as Rc<dyn Probe>)
+                .attrib(DEFAULT_TOP_EDGES)
                 .build()
                 .unwrap()
                 .run();
-
+            let attrib = observed.attrib.take().expect("attribution was turned on");
             assert_eq!(
                 bare.to_json(),
                 observed.to_json(),
@@ -75,8 +76,7 @@ fn attrib_collection_does_not_change_the_report() {
                 strategy.name()
             );
             // The attribution really accumulated: every cycle's retire
-            // bandwidth is classified somewhere.
-            let attrib = recorder.attrib_report();
+            // bandwidth is classified somewhere, and the walk found edges.
             assert_eq!(
                 attrib.stack.cycles,
                 observed.cycles,
@@ -84,8 +84,8 @@ fn attrib_collection_does_not_change_the_report() {
                 strategy.name()
             );
             assert!(
-                attrib.stack.total() > 0,
-                "{bench}/{}: attribution recorder saw nothing",
+                attrib.stack.total() > 0 && attrib.critical.edges > 0,
+                "{bench}/{}: attribution saw nothing",
                 strategy.name()
             );
         }

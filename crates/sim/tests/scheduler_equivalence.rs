@@ -1,13 +1,15 @@
 //! Differential determinism oracle: the event-driven scheduler must be
 //! observably identical to the legacy scan-per-cycle scheduler it
 //! replaced. For every steering strategy and benchmark, the serialized
-//! `SimReport` has to match byte for byte, and a recording probe must
-//! see identical metrics — proving that cached result-store entries,
-//! repro experiments, and telemetry are all unaffected by the
-//! scheduling rewrite.
+//! `SimReport` — cycle attribution included — has to match byte for
+//! byte, and a recording probe must see identical metrics — proving
+//! that cached result-store entries, repro experiments, and telemetry
+//! are all unaffected by the scheduling rewrite. (Attribution reads
+//! the readiness the event scheduler caches where the scan recomputes
+//! it.)
 
 use ctcp_sim::{Simulation, Strategy};
-use ctcp_telemetry::{Probe, Recorder, RecorderConfig};
+use ctcp_telemetry::{Probe, Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
 use ctcp_workload::Benchmark;
 use std::rc::Rc;
 
@@ -33,6 +35,7 @@ fn event_scheduler_matches_legacy_scan_byte_for_byte() {
                     .max_insts(20_000)
                     .legacy_scheduler(legacy)
                     .probe(Rc::clone(&recorder) as Rc<dyn Probe>)
+                    .attrib(DEFAULT_TOP_EDGES)
                     .build()
                     .unwrap()
                     .run();

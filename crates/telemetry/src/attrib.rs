@@ -1,22 +1,25 @@
 //! Per-instruction cycle attribution.
 //!
-//! Three pieces live here, all downstream of the [`Probe`] hooks the
-//! engine fires at retirement:
+//! Four pieces live here:
 //!
-//! * [`InstAttrib`] — one lifecycle record per retired instruction:
-//!   stage cycle stamps plus, per source operand, *where the value came
-//!   from* (register file, same-cluster bypass, or an inter-cluster
-//!   forward and its hop count).
+//! * [`InstAttrib`] — one lifecycle record per retired instruction,
+//!   handed to [`Probe::retire_attrib`]: stage cycle stamps plus, per
+//!   source operand, *where the value came from* (register file,
+//!   same-cluster bypass, or an inter-cluster forward). The recorder
+//!   derives its pipeline spans and flow arrows from it.
 //! * [`CpiStack`] — the retirement-driven cycle accounting. Every cycle
 //!   the machine owns `retire_width` retire slots; each slot either
 //!   retires an instruction (charged to *base*) or stalls, and the
 //!   stalled slots are charged to exactly one of five blame buckets
 //!   keyed by what the ROB head was waiting for.
-//! * [`walk_critical_path`] — a last-arriving-operand walker over the
-//!   lifecycle records that reports how many critical dependence edges
+//! * [`CritLink`] — the 16-byte record an attribution-enabled engine
+//!   keeps per retired instruction: its PC and how far back its
+//!   last-arriving producer sits.
+//! * [`CriticalSummary::walk`] — a last-arriving-operand walker over
+//!   those links that reports how many critical dependence edges
 //!   crossed a cluster boundary, the paper's core mechanism.
 //!
-//! [`Probe`]: crate::probe::Probe
+//! [`Probe::retire_attrib`]: crate::probe::Probe::retire_attrib
 
 use crate::json::Value;
 use std::collections::HashMap;
@@ -118,15 +121,9 @@ impl SrcKind {
 pub struct SrcAttrib {
     /// How the value reached the consumer.
     pub kind: SrcKind,
-    /// Producer's sequence number (0 when `kind` is `Absent`/`RegFile`
-    /// with no in-window producer).
-    pub producer_seq: u64,
     /// Cluster the producer executed on (meaningful for
     /// `Bypass`/`Forward`).
     pub producer_cluster: u8,
-    /// Interconnect hops the value crossed (0 for everything but
-    /// `Forward`).
-    pub hops: u8,
     /// Cycle the producer's result completed (0 when not applicable).
     pub complete: u64,
     /// Cycle the value became usable at the consumer's cluster.
@@ -155,8 +152,6 @@ pub struct InstAttrib {
     pub retired_at: u64,
     /// Provenance of each source operand.
     pub srcs: [SrcAttrib; 2],
-    /// Which source arrived last and gated issue, when any did.
-    pub critical_src: Option<usize>,
 }
 
 /// The retirement-driven CPI stack: every cycle-slot of retire
@@ -233,6 +228,26 @@ impl CpiStack {
     }
 }
 
+/// Critical-path edges a summary keeps unless the caller asks for
+/// another count (`ctcp analyze --top`, `SimBuilder::attrib`).
+pub const DEFAULT_TOP_EDGES: usize = 8;
+
+/// One retired instruction's step on the last-arriving-operand path:
+/// what an attribution-enabled engine keeps per retired instruction,
+/// in retirement order, for [`CriticalSummary::walk`]. 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CritLink {
+    /// Program counter.
+    pub pc: u64,
+    /// How many retired instructions back the producer of the critical
+    /// (last-arriving) operand sits, when that value was bypassed or
+    /// forwarded from an in-window producer; 0 when the instruction
+    /// heads a chain (register-file operand, or no operand at all).
+    pub back: u32,
+    /// Interconnect hops the critical value crossed (0 = same cluster).
+    pub hops: u8,
+}
+
 /// One aggregated critical-path dependence edge (producer PC →
 /// consumer PC) and how often the walker crossed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +274,68 @@ pub struct CriticalSummary {
 }
 
 impl CriticalSummary {
+    /// Walks the last-arriving-operand critical path backwards through
+    /// `links`, one per retired instruction in retirement order.
+    ///
+    /// Starting from the last retired instruction, the walker steps
+    /// `back` links to the critical producer whenever the instruction
+    /// has one, counting one dependence edge per step. When the chain
+    /// breaks — the head of a dependence chain reads the register file,
+    /// or has no critical source — the walk restarts from the
+    /// instruction preceding the break point, so the whole run
+    /// decomposes into chain segments. Every step moves strictly
+    /// backwards, so the walk is O(n). The `top_n` hottest static edges
+    /// are kept, by dynamic count (descending), ties broken by producer
+    /// PC, consumer PC, then hops.
+    pub fn walk(links: &[CritLink], top_n: usize) -> CriticalSummary {
+        let mut edge_counts: HashMap<(u64, u64, u8), u64> = HashMap::new();
+        let mut edges = 0u64;
+        let mut cross_cluster = 0u64;
+        let mut idx = links.len();
+        while idx > 0 {
+            let cur = links[idx - 1];
+            let back = cur.back as usize;
+            if back == 0 || back >= idx {
+                // Chain head (or a producer before the first link):
+                // resume from the instruction just before it.
+                idx -= 1;
+                continue;
+            }
+            idx -= back;
+            edges += 1;
+            if cur.hops > 0 {
+                cross_cluster += 1;
+            }
+            let producer = links[idx - 1];
+            *edge_counts
+                .entry((producer.pc, cur.pc, cur.hops))
+                .or_insert(0) += 1;
+        }
+
+        let mut top: Vec<CritEdge> = edge_counts
+            .into_iter()
+            .map(|((from_pc, to_pc, hops), count)| CritEdge {
+                from_pc,
+                to_pc,
+                hops,
+                count,
+            })
+            .collect();
+        top.sort_unstable_by(|a, b| {
+            b.count
+                .cmp(&a.count)
+                .then(a.from_pc.cmp(&b.from_pc))
+                .then(a.to_pc.cmp(&b.to_pc))
+                .then(a.hops.cmp(&b.hops))
+        });
+        top.truncate(top_n);
+        CriticalSummary {
+            edges,
+            cross_cluster,
+            top,
+        }
+    }
+
     /// Fraction of critical edges that crossed clusters (0.0 when the
     /// walk found no edges).
     pub fn cross_fraction(&self) -> f64 {
@@ -365,119 +442,12 @@ impl AttribReport {
     }
 }
 
-/// Walks the last-arriving-operand critical path backwards through
-/// `records` (which must be in ascending `seq` order — retirement
-/// order guarantees this).
-///
-/// Starting from the last retired instruction, the walker follows the
-/// critical (last-arriving) source to its producer whenever that value
-/// was bypassed or forwarded from an in-window producer, counting one
-/// dependence edge per hop of the walk. When the chain breaks — the
-/// head of a dependence chain reads the register file, or has no
-/// critical source — the walk restarts from the instruction preceding
-/// the break point, so the whole run decomposes into chain segments.
-pub fn walk_critical_path(records: &[InstAttrib], top_n: usize) -> CriticalSummary {
-    let mut edge_counts: HashMap<(u64, u64, u8), u64> = HashMap::new();
-    let mut edges = 0u64;
-    let mut cross_cluster = 0u64;
-
-    let mut idx = match records.len() {
-        0 => return CriticalSummary::default(),
-        n => n - 1,
-    };
-    loop {
-        let cur = &records[idx];
-        let producer_idx = cur
-            .critical_src
-            .map(|c| cur.srcs[c])
-            .filter(|s| matches!(s.kind, SrcKind::Bypass | SrcKind::Forward))
-            .and_then(|s| {
-                records
-                    .binary_search_by_key(&s.producer_seq, |r| r.seq)
-                    .ok()
-                    .map(|pi| (pi, s.hops))
-            });
-        match producer_idx {
-            Some((pi, hops)) if pi < idx => {
-                let producer = &records[pi];
-                edges += 1;
-                if hops > 0 {
-                    cross_cluster += 1;
-                }
-                *edge_counts.entry((producer.pc, cur.pc, hops)).or_insert(0) += 1;
-                idx = pi;
-            }
-            _ => {
-                // Chain head (or a producer outside the record window):
-                // resume from the instruction just before it.
-                if idx == 0 {
-                    break;
-                }
-                idx -= 1;
-            }
-        }
-    }
-
-    let mut top: Vec<CritEdge> = edge_counts
-        .into_iter()
-        .map(|((from_pc, to_pc, hops), count)| CritEdge {
-            from_pc,
-            to_pc,
-            hops,
-            count,
-        })
-        .collect();
-    top.sort_by(|a, b| {
-        b.count
-            .cmp(&a.count)
-            .then(a.from_pc.cmp(&b.from_pc))
-            .then(a.to_pc.cmp(&b.to_pc))
-    });
-    top.truncate(top_n);
-    CriticalSummary {
-        edges,
-        cross_cluster,
-        top,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(seq: u64, pc: u64, critical: Option<(usize, SrcAttrib)>) -> InstAttrib {
-        let mut srcs = [SrcAttrib::default(); 2];
-        let critical_src = critical.map(|(i, s)| {
-            srcs[i] = s;
-            i
-        });
-        InstAttrib {
-            seq,
-            pc,
-            cluster: 0,
-            renamed_at: seq,
-            dispatched_at: seq + 1,
-            exec_start: seq + 2,
-            complete_at: seq + 3,
-            retired_at: seq + 4,
-            srcs,
-            critical_src,
-        }
-    }
-
-    fn fwd(producer_seq: u64, hops: u8) -> SrcAttrib {
-        SrcAttrib {
-            kind: if hops == 0 {
-                SrcKind::Bypass
-            } else {
-                SrcKind::Forward
-            },
-            producer_seq,
-            producer_cluster: hops,
-            hops,
-            complete: 0,
-            arrival: 0,
-        }
+    fn link(pc: u64, back: u32, hops: u8) -> CritLink {
+        CritLink { pc, back, hops }
     }
 
     #[test]
@@ -506,13 +476,13 @@ mod tests {
     #[test]
     fn walker_follows_chains_and_counts_crossings() {
         // 0 -> 1 (cross, 2 hops) -> 2 (same cluster) ; 3 independent.
-        let records = vec![
-            rec(0, 0x100, None),
-            rec(1, 0x104, Some((0, fwd(0, 2)))),
-            rec(2, 0x108, Some((1, fwd(1, 0)))),
-            rec(3, 0x10c, None),
+        let links = [
+            link(0x100, 0, 0),
+            link(0x104, 1, 2),
+            link(0x108, 1, 0),
+            link(0x10c, 0, 0),
         ];
-        let s = walk_critical_path(&records, 8);
+        let s = CriticalSummary::walk(&links, 8);
         assert_eq!(s.edges, 2);
         assert_eq!(s.cross_cluster, 1);
         assert!((s.cross_fraction() - 0.5).abs() < 1e-12);
@@ -523,17 +493,53 @@ mod tests {
     }
 
     #[test]
-    fn walker_handles_empty_and_missing_producers() {
-        assert_eq!(walk_critical_path(&[], 4), CriticalSummary::default());
-        // Producer seq 99 is outside the window: no edge, walk restarts.
-        let records = vec![rec(5, 0x100, None), rec(6, 0x104, Some((0, fwd(99, 1))))];
-        let s = walk_critical_path(&records, 4);
+    fn walker_covers_segments_and_skips_the_jumped_over_span() {
+        // 4 -> 2 -> 0 is one chain; 3 and 1 lie inside it, so the walk
+        // (which resumes only before a chain head) never visits them.
+        let links = [
+            link(0x40, 0, 0),
+            link(0x44, 1, 1),
+            link(0x48, 2, 1),
+            link(0x4c, 1, 0),
+            link(0x50, 2, 0),
+        ];
+        let s = CriticalSummary::walk(&links, 8);
+        assert_eq!(s.edges, 2);
+        assert_eq!(s.cross_cluster, 1);
+        let pairs: Vec<(u64, u64, u8)> =
+            s.top.iter().map(|e| (e.from_pc, e.to_pc, e.hops)).collect();
+        assert_eq!(pairs, vec![(0x40, 0x48, 1), (0x48, 0x50, 0)]);
+        // Equal counts and PCs fall back to hops, and top_n truncates.
+        let same = [
+            link(0x40, 0, 0),
+            link(0x44, 1, 2),
+            link(0x40, 0, 0),
+            link(0x44, 1, 1),
+        ];
+        let s = CriticalSummary::walk(&same, 1);
+        assert_eq!(s.edges, 2);
+        assert_eq!(s.top.len(), 1);
+        assert_eq!(s.top[0].hops, 1);
+    }
+
+    #[test]
+    fn walker_handles_empty_and_out_of_range_producers() {
+        assert_eq!(CriticalSummary::walk(&[], 4), CriticalSummary::default());
+        // A producer further back than the first link: no edge, the
+        // walk restarts.
+        let links = [link(0x100, 0, 0), link(0x104, 99, 1)];
+        let s = CriticalSummary::walk(&links, 4);
         assert_eq!(s.edges, 0);
         assert_eq!(s.cross_cluster, 0);
     }
 
     #[test]
-    fn attrib_report_json_round_trips() {
+    fn a_link_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<CritLink>(), 16);
+    }
+
+    #[test]
+    fn attribution_report_json_round_trips() {
         let mut r = AttribReport::default();
         r.stack.charge(4, 12, RetireSlotKind::BranchMispredict);
         r.critical = CriticalSummary {

@@ -339,7 +339,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{InstTimeline, SpanEvent};
+    use crate::attrib::{InstAttrib, SrcAttrib};
+    use crate::event::SpanEvent;
     use crate::probe::Probe;
     use crate::recorder::Recorder;
 
@@ -348,7 +349,7 @@ mod tests {
         let r = Recorder::default();
         // Deliberately out of order and across clusters.
         for seq in [5u64, 1, 3, 2, 4] {
-            r.timeline(&InstTimeline {
+            r.retire_attrib(&InstAttrib {
                 seq,
                 pc: 0x1000 + seq * 4,
                 cluster: (seq % 2) as u8,
@@ -357,6 +358,7 @@ mod tests {
                 exec_start: seq * 10 + 3,
                 complete_at: seq * 10 + 6,
                 retired_at: seq * 10 + 9,
+                srcs: [SrcAttrib::default(); 2],
             });
         }
         r.fetch_group(2, 0x1000, 8, true);

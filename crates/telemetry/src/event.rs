@@ -54,30 +54,6 @@ pub struct SpanEvent {
 /// bound to any execution cluster.
 pub const FETCH_LANE: u8 = u8::MAX;
 
-/// The per-retired-instruction stage timestamps the engine hands to a
-/// probe. The recorder expands this into [`SpanEvent`]s; keeping the
-/// expansion out of the engine keeps the probe call a single pass-by-
-/// reference even when sampling drops the instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstTimeline {
-    /// Global dynamic sequence number (dense, program order).
-    pub seq: u64,
-    /// Program counter.
-    pub pc: u64,
-    /// Cluster the instruction executed on.
-    pub cluster: u8,
-    /// Cycle rename accepted the instruction into the window.
-    pub renamed_at: u64,
-    /// Cycle the instruction won a dispatch port into its RS.
-    pub dispatched_at: u64,
-    /// Cycle execution began.
-    pub exec_start: u64,
-    /// Cycle the result completed.
-    pub complete_at: u64,
-    /// Cycle the instruction retired.
-    pub retired_at: u64,
-}
-
 /// One inter-cluster operand forward, rendered into Chrome traces as a
 /// flow (`"s"`/`"f"`) arrow from the producer's completion on its
 /// cluster lane to the value's arrival on the consumer's lane.

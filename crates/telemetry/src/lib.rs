@@ -12,11 +12,11 @@
 //!   fixed-bucket [`Histogram`]s ([`Hist`]) — array-indexed, no hashing
 //!   or allocation on the hot path.
 //! - [`EventRing`]: a preallocated overwrite-oldest ring of pipeline
-//!   [`SpanEvent`]s, fed from per-instruction [`InstTimeline`]s with an
-//!   interval-sampling mode for long runs.
+//!   [`SpanEvent`]s, fed from per-instruction [`InstAttrib`] records
+//!   with an interval-sampling mode for long runs.
 //! - [`attrib`]: per-instruction lifecycle records ([`InstAttrib`]),
 //!   the retirement-driven [`CpiStack`], and the critical-path walker
-//!   behind `ctcp analyze`.
+//!   over [`CritLink`]s behind `ctcp analyze`.
 //! - [`Recorder`]: the accumulating [`Probe`] combining both.
 //! - Exporters: [`chrome_trace`] renders `about://tracing`-loadable
 //!   JSON (checked by [`validate_chrome_trace`]), [`metrics_line`]
@@ -50,14 +50,14 @@ pub mod recorder;
 pub mod series;
 
 pub use attrib::{
-    walk_critical_path, AttribReport, CpiStack, CritEdge, CriticalSummary, InstAttrib,
-    RetireSlotKind, SrcAttrib, SrcKind,
+    AttribReport, CpiStack, CritEdge, CritLink, CriticalSummary, InstAttrib, RetireSlotKind,
+    SrcAttrib, SrcKind, DEFAULT_TOP_EDGES,
 };
 pub use chrome::{
     chrome_trace, chrome_trace_with_flows, request_trace, validate_chrome_trace,
     ChromeTraceSummary, ReqSpan,
 };
-pub use event::{EventRing, FlowEvent, InstTimeline, PipeStage, SpanEvent, FETCH_LANE};
+pub use event::{EventRing, FlowEvent, PipeStage, SpanEvent, FETCH_LANE};
 pub use metrics::{metrics_line, Counter, Hist, Histogram, Metrics, HIST_BUCKETS};
 pub use probe::{NullProbe, Probe};
 pub use recorder::{Recorder, RecorderConfig};

@@ -5,8 +5,7 @@
 //! nothing. Components additionally cache `enabled()` at attach time so
 //! the *off* path costs one branch per hook site, not a virtual call.
 
-use crate::attrib::{InstAttrib, RetireSlotKind};
-use crate::event::InstTimeline;
+use crate::attrib::InstAttrib;
 use crate::metrics::{Counter, Hist};
 
 /// A sink for pipeline telemetry.
@@ -38,21 +37,11 @@ pub trait Probe {
         let _ = (ts, pc, size, from_tc);
     }
 
-    /// Reports the full stage timeline of one retired instruction.
-    fn timeline(&self, t: &InstTimeline) {
-        let _ = t;
-    }
-
-    /// Reports one retired instruction's lifecycle and operand
-    /// provenance for cycle attribution.
+    /// Reports one retired instruction: its stage timeline (rename,
+    /// dispatch, issue, completion and retirement cycles) and the
+    /// provenance of each source operand. The one per-retire hook.
     fn retire_attrib(&self, rec: &InstAttrib) {
         let _ = rec;
-    }
-
-    /// Accounts one cycle of retire bandwidth: `retired` slots used
-    /// and `stalled` slots lost to `stall` at cycle `now`.
-    fn retire_slots(&self, now: u64, retired: u64, stalled: u64, stall: RetireSlotKind) {
-        let _ = (now, retired, stalled, stall);
     }
 }
 
@@ -73,16 +62,6 @@ mod tests {
         p.counter(Counter::Retired, 1);
         p.observe(Hist::TraceSize, 4);
         p.fetch_group(0, 0x40, 8, true);
-        p.timeline(&InstTimeline {
-            seq: 1,
-            pc: 0x40,
-            cluster: 0,
-            renamed_at: 1,
-            dispatched_at: 2,
-            exec_start: 3,
-            complete_at: 4,
-            retired_at: 5,
-        });
         p.retire_attrib(&InstAttrib {
             seq: 1,
             pc: 0x40,
@@ -93,8 +72,6 @@ mod tests {
             complete_at: 4,
             retired_at: 5,
             srcs: [crate::attrib::SrcAttrib::default(); 2],
-            critical_src: None,
         });
-        p.retire_slots(5, 4, 12, RetireSlotKind::InterCluster);
     }
 }

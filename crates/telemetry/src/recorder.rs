@@ -1,16 +1,10 @@
 //! The accumulating probe implementation.
 
-use crate::attrib::{
-    walk_critical_path, AttribReport, CpiStack, InstAttrib, RetireSlotKind, SrcKind,
-};
-use crate::event::{EventRing, FlowEvent, InstTimeline, PipeStage, SpanEvent, FETCH_LANE};
+use crate::attrib::{InstAttrib, SrcKind};
+use crate::event::{EventRing, FlowEvent, PipeStage, SpanEvent, FETCH_LANE};
 use crate::metrics::{Counter, Hist, Metrics};
 use crate::probe::Probe;
 use std::cell::RefCell;
-
-/// Static edges reported by [`Recorder::attrib_report`]'s critical-path
-/// summary.
-const CRITICAL_TOP_N: usize = 8;
 
 /// Capture settings for a [`Recorder`].
 #[derive(Debug, Clone, Copy)]
@@ -21,10 +15,6 @@ pub struct RecorderConfig {
     /// instruction (1 = all). 0 disables the event trace entirely and
     /// keeps only metrics — the right mode for long sweeps.
     pub sample_every: u64,
-    /// Keep every per-instruction attribution record so
-    /// [`Recorder::attrib_report`] can run the critical-path walker.
-    /// The CPI stack accumulates regardless of this flag.
-    pub collect_attrib: bool,
 }
 
 impl Default for RecorderConfig {
@@ -32,7 +22,6 @@ impl Default for RecorderConfig {
         RecorderConfig {
             event_capacity: 1 << 16,
             sample_every: 1,
-            collect_attrib: false,
         }
     }
 }
@@ -43,17 +32,6 @@ impl RecorderConfig {
         RecorderConfig {
             event_capacity: 0,
             sample_every: 0,
-            collect_attrib: false,
-        }
-    }
-
-    /// An attribution configuration: no event ring, but full lifecycle
-    /// records for the CPI stack and critical-path walker.
-    pub fn attrib() -> RecorderConfig {
-        RecorderConfig {
-            event_capacity: 0,
-            sample_every: 0,
-            collect_attrib: true,
         }
     }
 }
@@ -62,9 +40,6 @@ struct Inner {
     metrics: Metrics,
     ring: EventRing,
     sample_every: u64,
-    collect_attrib: bool,
-    stack: CpiStack,
-    records: Vec<InstAttrib>,
     flows: Vec<FlowEvent>,
     next_flow_id: u64,
 }
@@ -85,9 +60,6 @@ impl Recorder {
                 metrics: Metrics::new(),
                 ring: EventRing::new(cfg.event_capacity),
                 sample_every: cfg.sample_every,
-                collect_attrib: cfg.collect_attrib,
-                stack: CpiStack::default(),
-                records: Vec::new(),
                 flows: Vec::new(),
                 next_flow_id: 0,
             }),
@@ -118,33 +90,10 @@ impl Recorder {
         self.inner.borrow().ring.dropped()
     }
 
-    /// The accumulated CPI stack (empty unless the pipeline fired
-    /// [`Probe::retire_slots`]).
-    pub fn cpi_stack(&self) -> CpiStack {
-        self.inner.borrow().stack.clone()
-    }
-
     /// Inter-cluster forward flows derived from sampled instructions,
     /// for Chrome-trace export.
     pub fn flows(&self) -> Vec<FlowEvent> {
         self.inner.borrow().flows.clone()
-    }
-
-    /// The full attribution result: the CPI stack plus the critical-
-    /// path walk over the collected lifecycle records (empty unless
-    /// constructed with [`RecorderConfig::collect_attrib`]).
-    pub fn attrib_report(&self) -> AttribReport {
-        self.attrib_report_top(CRITICAL_TOP_N)
-    }
-
-    /// [`Recorder::attrib_report`] with a caller-chosen cap on how many
-    /// critical-path edges are kept.
-    pub fn attrib_report_top(&self, top_n: usize) -> AttribReport {
-        let inner = self.inner.borrow();
-        AttribReport {
-            stack: inner.stack.clone(),
-            critical: walk_critical_path(&inner.records, top_n),
-        }
     }
 }
 
@@ -186,16 +135,17 @@ impl Probe for Recorder {
         });
     }
 
-    fn timeline(&self, t: &InstTimeline) {
+    fn retire_attrib(&self, rec: &InstAttrib) {
         let mut inner = self.inner.borrow_mut();
-        if inner.sample_every == 0 || !t.seq.is_multiple_of(inner.sample_every) {
+        if inner.sample_every == 0 || !rec.seq.is_multiple_of(inner.sample_every) {
             return;
         }
+        // A sampled instruction becomes four stage spans ...
         let spans = [
-            (PipeStage::Dispatch, t.renamed_at, t.dispatched_at),
-            (PipeStage::Issue, t.dispatched_at, t.exec_start),
-            (PipeStage::Execute, t.exec_start, t.complete_at),
-            (PipeStage::Retire, t.complete_at, t.retired_at),
+            (PipeStage::Dispatch, rec.renamed_at, rec.dispatched_at),
+            (PipeStage::Issue, rec.dispatched_at, rec.exec_start),
+            (PipeStage::Execute, rec.exec_start, rec.complete_at),
+            (PipeStage::Retire, rec.complete_at, rec.retired_at),
         ];
         for (stage, start, end) in spans {
             inner.metrics.add(Counter::EventsSampled, 1);
@@ -203,23 +153,12 @@ impl Probe for Recorder {
                 ts: start,
                 dur: end.saturating_sub(start),
                 stage,
-                seq: t.seq,
-                pc: t.pc,
-                cluster: t.cluster,
+                seq: rec.seq,
+                pc: rec.pc,
+                cluster: rec.cluster,
             });
         }
-    }
-
-    fn retire_attrib(&self, rec: &InstAttrib) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.collect_attrib {
-            inner.records.push(*rec);
-        }
-        // Flow arrows ride the sampled event trace: one per forwarded
-        // (cross-cluster) source of each sampled instruction.
-        if inner.sample_every == 0 || !rec.seq.is_multiple_of(inner.sample_every) {
-            return;
-        }
+        // ... plus one flow arrow per forwarded (cross-cluster) source.
         for src in rec.srcs {
             if src.kind != SrcKind::Forward {
                 continue;
@@ -237,21 +176,16 @@ impl Probe for Recorder {
             });
         }
     }
-
-    fn retire_slots(&self, _now: u64, retired: u64, stalled: u64, stall: RetireSlotKind) {
-        self.inner
-            .borrow_mut()
-            .stack
-            .charge(retired, stalled, stall);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn timeline(seq: u64) -> InstTimeline {
-        InstTimeline {
+    use crate::attrib::SrcAttrib;
+
+    fn retired(seq: u64) -> InstAttrib {
+        InstAttrib {
             seq,
             pc: 0x100 + seq * 4,
             cluster: (seq % 4) as u8,
@@ -260,13 +194,14 @@ mod tests {
             exec_start: seq + 3,
             complete_at: seq + 5,
             retired_at: seq + 8,
+            srcs: [SrcAttrib::default(); 2],
         }
     }
 
     #[test]
-    fn timeline_expands_to_four_spans() {
+    fn a_retired_instruction_expands_to_four_spans() {
         let r = Recorder::default();
-        r.timeline(&timeline(1));
+        r.retire_attrib(&retired(1));
         let evs = r.events();
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].stage, PipeStage::Dispatch);
@@ -281,10 +216,9 @@ mod tests {
         let r = Recorder::new(RecorderConfig {
             event_capacity: 1024,
             sample_every: 10,
-            collect_attrib: false,
         });
         for seq in 1..=100 {
-            r.timeline(&timeline(seq));
+            r.retire_attrib(&retired(seq));
         }
         // seq 10, 20, ..., 100 → 10 instructions × 4 spans.
         assert_eq!(r.events().len(), 40);
@@ -293,7 +227,7 @@ mod tests {
     #[test]
     fn metrics_only_mode_records_no_events() {
         let r = Recorder::new(RecorderConfig::metrics_only());
-        r.timeline(&timeline(1));
+        r.retire_attrib(&retired(1));
         r.fetch_group(0, 0x40, 8, true);
         assert!(r.events().is_empty());
         assert_eq!(r.metrics().get(Counter::EventsSampled), 0);
@@ -301,49 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn attrib_recorder_accumulates_stack_and_records() {
-        use crate::attrib::{SrcAttrib, SrcKind};
-        let r = Recorder::new(RecorderConfig::attrib());
-        r.retire_slots(1, 16, 0, RetireSlotKind::Base);
-        r.retire_slots(2, 3, 13, RetireSlotKind::InterCluster);
-        let mk = |seq: u64, src: SrcAttrib, critical: Option<usize>| InstAttrib {
-            seq,
-            pc: 0x100 + seq * 4,
-            cluster: 1,
-            renamed_at: seq,
-            dispatched_at: seq + 1,
-            exec_start: seq + 3,
-            complete_at: seq + 5,
-            retired_at: seq + 8,
-            srcs: [src, SrcAttrib::default()],
-            critical_src: critical,
-        };
-        r.retire_attrib(&mk(1, SrcAttrib::default(), None));
-        r.retire_attrib(&mk(
-            2,
-            SrcAttrib {
-                kind: SrcKind::Forward,
-                producer_seq: 1,
-                producer_cluster: 0,
-                hops: 2,
-                complete: 6,
-                arrival: 10,
-            },
-            Some(0),
-        ));
-        let report = r.attrib_report();
-        assert_eq!(report.stack.cycles, 2);
-        assert_eq!(report.stack.total(), 32);
-        assert_eq!(report.stack.get(RetireSlotKind::InterCluster), 13);
-        assert_eq!(report.critical.edges, 1);
-        assert_eq!(report.critical.cross_cluster, 1);
-        // attrib mode samples no events, so no flows are derived.
-        assert!(r.flows().is_empty());
-    }
-
-    #[test]
     fn sampled_forward_sources_become_flows() {
-        use crate::attrib::{SrcAttrib, SrcKind};
         let r = Recorder::default(); // sample_every = 1
         r.retire_attrib(&InstAttrib {
             seq: 4,
@@ -357,22 +249,17 @@ mod tests {
             srcs: [
                 SrcAttrib {
                     kind: SrcKind::Forward,
-                    producer_seq: 2,
                     producer_cluster: 0,
-                    hops: 3,
                     complete: 5,
                     arrival: 11,
                 },
                 SrcAttrib {
                     kind: SrcKind::Bypass,
-                    producer_seq: 3,
                     producer_cluster: 3,
-                    hops: 0,
                     complete: 9,
                     arrival: 9,
                 },
             ],
-            critical_src: Some(0),
         });
         let flows = r.flows();
         assert_eq!(flows.len(), 1, "only the cross-cluster source flows");
@@ -381,6 +268,28 @@ mod tests {
         assert_eq!(flows[0].from_ts, 5);
         assert_eq!(flows[0].to_ts, 11);
         assert_eq!(flows[0].seq, 4);
+        // The same record also yielded the instruction's four spans.
+        assert_eq!(r.events().len(), 4);
+        // An unsampled instruction yields neither spans nor flows.
+        let sparse = Recorder::new(RecorderConfig {
+            event_capacity: 16,
+            sample_every: 8,
+        });
+        sparse.retire_attrib(&InstAttrib {
+            srcs: [flows_src(), SrcAttrib::default()],
+            ..retired(3)
+        });
+        assert!(sparse.events().is_empty());
+        assert!(sparse.flows().is_empty());
+    }
+
+    fn flows_src() -> SrcAttrib {
+        SrcAttrib {
+            kind: SrcKind::Forward,
+            producer_cluster: 0,
+            complete: 2,
+            arrival: 3,
+        }
     }
 
     #[test]
@@ -388,10 +297,9 @@ mod tests {
         let r = Recorder::new(RecorderConfig {
             event_capacity: 4,
             sample_every: 1,
-            collect_attrib: false,
         });
         for seq in 1..=3 {
-            r.timeline(&timeline(seq)); // 12 spans into a 4-slot ring
+            r.retire_attrib(&retired(seq)); // 12 spans into a 4-slot ring
         }
         assert_eq!(r.dropped_events(), 8);
         assert_eq!(r.metrics().get(Counter::EventsDropped), 8);

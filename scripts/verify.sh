@@ -14,7 +14,9 @@
 #   4. telemetry smoke: `ctcp trace --check` validates the Chrome trace
 #      and reconciles its counters against the report
 #   5. attribution smoke: `ctcp analyze --json` must emit non-empty CPI
-#      stacks and `ctcp sweep --attrib` must append the attribution table
+#      stacks, `ctcp analyze --top 12 --json` must match its golden file
+#      (tests/golden/) byte for byte, and `ctcp sweep --attrib` must
+#      append the attribution table
 #   6. perf smoke: wall-time of a fixed sweep (recorded into
 #      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
@@ -100,6 +102,14 @@ grep -q '"inter_cluster":' "$smoke_dir/analyze.json"
 # Non-empty stacks: no strategy may report a zero-cycle CPI stack.
 if grep -q '"cycles":0,"slots"' "$smoke_dir/analyze.json"; then
     echo "FAIL: analyze emitted an empty CPI stack" >&2
+    exit 1
+fi
+# A top-N wider than the default the harness uses, against a golden
+# capture: the stacks, the walk and the edge order must not drift.
+./target/release/ctcp analyze gzip --strategies base,friendly,fdrt --insts 50000 \
+    --top 12 --json > "$smoke_dir/analyze-top12.json"
+if ! cmp tests/golden/analyze-gzip-top12.json "$smoke_dir/analyze-top12.json"; then
+    echo "FAIL: ctcp analyze --top 12 differs from tests/golden/analyze-gzip-top12.json" >&2
     exit 1
 fi
 ./target/release/ctcp sweep --benches gzip --strategies baseline,fdrt \
