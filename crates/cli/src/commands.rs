@@ -6,7 +6,6 @@ use crate::args::{
     ServeArgs, StoreAction, StoreArgs, SweepArgs, TopArgs, TraceArgs, USAGE,
 };
 use crate::wire;
-use ctcp_core::Topology;
 use ctcp_harness::{
     failure_table, CellScheduler, Harness, Job, Journal, ProgressSink, ResultStore, Saturated,
     StderrProgress, SweepCell, SweepSpec,
@@ -481,14 +480,6 @@ fn reconcile(m: &Metrics, r: &SimReport) -> Result<(), String> {
     Ok(())
 }
 
-fn topology_name(t: Topology) -> &'static str {
-    match t {
-        Topology::Linear => "linear",
-        Topology::Ring => "ring",
-        Topology::FullyConnected => "full",
-    }
-}
-
 /// Resolves `--benches` values: suite keywords or explicit names.
 fn resolve_benches(names: &[String]) -> Result<Vec<Benchmark>, CliError> {
     match names {
@@ -602,7 +593,7 @@ fn run_sweep(
                 "{},{},{},{},{:.4},{:.4}\n",
                 c.bench,
                 c.clusters,
-                topology_name(c.topology),
+                wire::topology_cli_name(c.topology),
                 r.strategy,
                 r.ipc,
                 r.speedup_over(base)
@@ -630,7 +621,7 @@ fn run_sweep(
                 "{:<12}{:>9}{:>9}{:<2}{:<16}{:>8.3}{:>10.3}\n",
                 c.bench,
                 c.clusters,
-                topology_name(c.topology),
+                wire::topology_cli_name(c.topology),
                 "",
                 r.strategy,
                 r.ipc,
@@ -688,7 +679,7 @@ fn run_sweep(
                     "{},{},{},{},{}",
                     c.bench,
                     c.clusters,
-                    topology_name(c.topology),
+                    wire::topology_cli_name(c.topology),
                     r.strategy,
                     r.cycles
                 ));
@@ -701,7 +692,7 @@ fn run_sweep(
                     "{:<12}{:>9}{:>9}{:<2}{:<16}",
                     c.bench,
                     c.clusters,
-                    topology_name(c.topology),
+                    wire::topology_cli_name(c.topology),
                     "",
                     r.strategy
                 ));
@@ -1097,22 +1088,23 @@ fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
     // Service::run quiesces the handler — and through it the shared
     // pool — after the last connection thread is joined, so every
     // admitted cell has run and memoized by the time this returns.
-    let summary = service
+    let last = service
         .run()
         .map_err(|e| CliError(format!("serve failed: {e}")))?;
+    let n = |name: &str| last.count(&format!("counters.serve_{name}"));
     Ok(CliOutcome::ok(format!(
         "ctcp serve: drained after {} requests ({} concurrent, {} cache hits, \
          {} rejected, {} cells cancelled, {} journal-replayed, {} streams resumed, \
          {} worker respawns, {} cells poisoned)\n",
-        summary.requests,
-        summary.queued,
-        summary.cache_hits,
-        summary.rejected,
-        summary.cancelled_cells,
-        summary.journal_replayed,
-        summary.resumed_streams,
-        summary.respawns,
-        summary.poisoned
+        n("requests"),
+        n("queued"),
+        n("cache_hits"),
+        n("rejected"),
+        n("cancelled_cells"),
+        n("journal_replayed"),
+        n("resumed_streams"),
+        n("worker_respawns"),
+        n("cells_poisoned")
     )))
 }
 
@@ -1204,35 +1196,31 @@ fn client_document(addr: &str, method: &str, path: &str) -> Result<CliOutcome, C
 }
 
 /// Executes `ctcp top`: a live terminal dashboard over a running
-/// daemon, redrawn every `--interval-ms` from `GET /status` (queue,
-/// rolling rates, live requests, recent logs) and `GET /metrics`
-/// (lifetime counters). `--once` renders a single frame with no
-/// screen control and exits — the scriptable form.
+/// daemon, redrawn every `--interval-ms` from one `GET /status` (queue,
+/// rolling rates, lifetime counters, live requests, recent logs).
+/// `--once` renders a single frame with no screen control and exits —
+/// the scriptable form.
 fn top_cmd(args: &TopArgs) -> Result<CliOutcome, CliError> {
-    let fetch = |path: &str| -> Result<String, CliError> {
-        let resp = http::request(&args.addr, "GET", path, b"", &mut |_| {})
+    let frame = || -> Result<String, CliError> {
+        let resp = http::request(&args.addr, "GET", "/status", b"", &mut |_| {})
             .map_err(|e| CliError(format!("cannot reach a daemon at {}: {e}", args.addr)))?;
         if resp.status != 200 {
             return Err(CliError(format!(
-                "daemon at {} answered {} for {path}",
+                "daemon at {} answered {} for /status",
                 args.addr, resp.status
             )));
         }
-        Ok(String::from_utf8_lossy(&resp.body).into_owned())
-    };
-    let frame = |fetch: &dyn Fn(&str) -> Result<String, CliError>| -> Result<String, CliError> {
-        let status = Value::parse(&fetch("/status")?)
+        let status = Value::parse(&String::from_utf8_lossy(&resp.body))
             .map_err(|e| CliError(format!("bad /status document: {e}")))?;
-        let metrics = fetch("/metrics")?;
-        Ok(render_top_frame(&args.addr, &status, &metrics))
+        Ok(render_top_frame(&args.addr, &status))
     };
     if args.once {
-        return Ok(CliOutcome::ok(frame(&fetch)?));
+        return Ok(CliOutcome::ok(frame()?));
     }
     loop {
         // Clear-and-home per redraw; plain ANSI so there is nothing to
         // depend on. A vanished daemon ends the session cleanly.
-        let f = match frame(&fetch) {
+        let f = match frame() {
             Ok(f) => f,
             Err(e) => return Ok(CliOutcome::ok(format!("ctcp top: {e}\n"))),
         };
@@ -1246,7 +1234,7 @@ fn top_cmd(args: &TopArgs) -> Result<CliOutcome, CliError> {
 /// bar, rolling rates, per-request progress table, backend gauges and
 /// the recent warn/error tail. Pure text in, text out — unit-testable
 /// without a daemon.
-fn render_top_frame(addr: &str, status: &Value, metrics: &str) -> String {
+fn render_top_frame(addr: &str, status: &Value) -> String {
     let g_u64 = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
     let g_f64 = |v: &Value, k: &str| v.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     let bar = |filled: u64, total: u64, width: usize| -> String {
@@ -1259,17 +1247,7 @@ fn render_top_frame(addr: &str, status: &Value, metrics: &str) -> String {
         };
         format!("[{}{}]", "#".repeat(n), "-".repeat(width - n))
     };
-    // Lifetime totals come off the Prometheus exposition — the same
-    // numbers a real scraper would chart.
-    let prom = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find_map(|l| {
-                l.strip_prefix(name)
-                    .and_then(|r| r.trim().parse::<u64>().ok())
-            })
-            .unwrap_or(0)
-    };
+    let total = |name: &str| status.get("counters").map_or(0, |c| g_u64(c, name));
 
     let workers = g_u64(status, "workers");
     let running = g_u64(status, "running_cells");
@@ -1292,11 +1270,11 @@ fn render_top_frame(addr: &str, status: &Value, metrics: &str) -> String {
     }
     out.push_str(&format!(
         "totals  {} requests   {} cache hits   {} rejected   {} respawns   {} poisoned\n",
-        prom("ctcp_serve_requests_total "),
-        prom("ctcp_serve_cache_hits_total "),
-        prom("ctcp_serve_rejected_total "),
-        prom("ctcp_serve_worker_respawns_total "),
-        prom("ctcp_serve_cells_poisoned_total "),
+        total("serve_requests"),
+        total("serve_cache_hits"),
+        total("serve_rejected"),
+        total("serve_worker_respawns"),
+        total("serve_cells_poisoned"),
     ));
     if let Some(gauges) = status.get("gauges") {
         let shards = match gauges.get("store_shard_entries") {
@@ -1667,26 +1645,27 @@ mod tests {
                           "journal_live_requests":1,
                           "store_shard_entries":[10,11,12,9]},
                 "recent_logs":[{"level":"warn","msg":"slow cell","token":"a25bb65a15349da7"}],
-                "counters":{}}"#,
+                "counters":{"serve_requests":120,"serve_cache_hits":40,"serve_rejected":0,
+                            "serve_worker_respawns":0,"serve_cells_poisoned":0}}"#,
         )
         .unwrap();
-        let metrics = "ctcp_serve_requests_total 120\nctcp_serve_cache_hits_total 40\n\
-                       ctcp_serve_rejected_total 0\nctcp_serve_worker_respawns_total 0\n\
-                       ctcp_serve_cells_poisoned_total 0\n";
-        let frame = render_top_frame("127.0.0.1:7199", &status, metrics);
-        assert!(frame.contains("daemon 127.0.0.1:7199"));
-        assert!(frame.contains("2/4 busy"), "worker bar: {frame}");
-        assert!(frame.contains("2.0 cells/s over 60s"));
-        assert!(frame.contains("120 requests"));
-        assert!(frame.contains("40 cache hits"));
-        assert!(frame.contains("4 shards, 42 entries"));
-        assert!(frame.contains("journal 2048 B, 2 compaction(s), 1 live"));
-        assert!(frame.contains("a25bb65a15349da7"));
-        assert!(frame.contains("34/80"));
-        assert!(frame.contains("slow cell"));
+        let frame = render_top_frame("127.0.0.1:7199", &status);
+        assert_eq!(
+            frame,
+            "ctcp top — daemon 127.0.0.1:7199\n\n\
+             workers [##########----------] 2/4 busy   queued 6   in-flight 1\n\
+             rolling 2.0 cells/s over 60s   req p95 31 ms   cell p95 15 ms   3 request(s)\n\
+             totals  120 requests   40 cache hits   0 rejected   0 respawns   0 poisoned\n\
+             store   4 shards, 42 entries   journal 2048 B, 2 compaction(s), 1 live\n\n\
+             live requests (1)\n  \
+             TOKEN             KIND     AGE   PROGRESS\n  \
+             a25bb65a15349da7  sweep      12s [#####-----] 34/80\n\n\
+             recent warnings (1)\n  \
+             warn  slow cell a25bb65a15349da7\n"
+        );
         // An idle daemon still renders (empty tables degrade politely).
         let idle = Value::parse(r#"{"status":"ok","workers":4}"#).unwrap();
-        let frame = render_top_frame("h:1", &idle, "");
+        let frame = render_top_frame("h:1", &idle);
         assert!(frame.contains("no live requests"));
     }
 
@@ -1984,7 +1963,6 @@ mod tests {
         let gc = run_outcome(&["store", "gc", "--dir", d]);
         assert_eq!(gc.exit_code, 0);
         assert!(gc.output.contains("quarantine cleared"), "{}", gc.output);
-        assert!(!dir.join("results.quarantine.jsonl").exists());
         for i in 0..ctcp_harness::STORE_SHARDS {
             assert!(!dir.join(format!("shard-{i}.quarantine.jsonl")).exists());
         }

@@ -4,9 +4,9 @@
 //! (popped exactly when due), wakeups traverse per-producer consumer
 //! lists built at rename, and selectable instructions sit in per-RS
 //! ready queues keyed by their operand-arrival cycle. The original
-//! scan-per-cycle scheduler is retained as a runtime-selectable
-//! determinism oracle (see [`Engine::set_legacy_scheduler`]); both
-//! paths produce cycle-for-cycle identical results.
+//! scan-per-cycle scheduler is retained as the determinism oracle that
+//! differential tests select with [`Engine::set_legacy_scheduler`];
+//! both paths produce cycle-for-cycle identical results.
 
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
@@ -264,9 +264,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine. The scheduler defaults to event-driven;
-    /// set `CTCP_SCHED=legacy` in the environment (or call
-    /// [`Engine::set_legacy_scheduler`]) to select the scan oracle.
+    /// Creates an empty engine with the event-driven scheduler; call
+    /// [`Engine::set_legacy_scheduler`] to select the scan oracle.
     pub fn new(cfg: EngineConfig, mode: SteeringMode) -> Self {
         Engine::with_arena(cfg, mode, EngineArena::default())
     }
@@ -310,7 +309,7 @@ impl Engine {
             history: ProducerHistory::default(),
             probe: Rc::new(NullProbe),
             probe_on: false,
-            event_driven: std::env::var("CTCP_SCHED").map_or(true, |v| v != "legacy"),
+            event_driven: true,
             wheel: CompletionWheel::from_slots(wheel_slots),
             scratch_events: events,
             consumers,

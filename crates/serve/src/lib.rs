@@ -16,7 +16,10 @@
 //! from the store while the pool is busy.
 //!
 //! The crate deliberately depends on nothing but `std::net` and
-//! `ctcp-telemetry` (for the JSON value and the service counters). The
+//! `ctcp-telemetry` (for the JSON value, logs, spans and the rolling
+//! series). Every number the daemon reports about itself is one row of
+//! the metrics registry in `exposition.rs`, which renders `/status`,
+//! `/metrics` and the drained [`Snapshot`]. The
 //! simulator side plugs in through the [`Handler`] trait — the CLI
 //! implements it around a persistent `Harness`, and tests implement it
 //! with mocks — so the wire layer, queueing, counters and drain logic
@@ -31,12 +34,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod exposition;
 pub mod http;
 pub mod service;
 
+pub use exposition::Snapshot;
 pub use service::{
     resume_token, Handler, HandlerError, HandlerStats, RequestKind, RunResult, Service,
-    ServiceSummary,
 };
 
 #[cfg(test)]

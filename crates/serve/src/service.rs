@@ -1,5 +1,6 @@
 //! The resident sweep service: accept loop, request routing, admission
-//! control, crash-safe request registry, counters, and graceful drain.
+//! control, crash-safe request registry, and graceful drain. The
+//! numbers it reports about itself are declared in `exposition.rs`.
 //!
 //! The service itself knows nothing about simulators. It owns a
 //! [`Handler`] — the CLI plugs in one wrapping the shared cell
@@ -49,18 +50,15 @@
 //!   handler is [quiesced](Handler::quiesce) so its worker pool runs
 //!   every admitted cell to completion before the daemon exits.
 
+use crate::exposition::{Registry, Slot, Snapshot, ROLLING_WINDOW_S};
 use crate::http;
 use ctcp_telemetry::json::Value;
-use ctcp_telemetry::series::{bucket_lower_ms, bucket_upper_ms, latency_bucket};
-use ctcp_telemetry::{
-    failpoint, log, request_trace, Counter, Histogram, Metrics, ReqSpan, SeriesRing, HIST_BUCKETS,
-    SERIES_SECONDS,
-};
+use ctcp_telemetry::{failpoint, log, request_trace, ReqSpan, SeriesRing, SERIES_SECONDS};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -270,32 +268,6 @@ pub trait Handler: Send + Sync {
     fn quiesce(&self) {}
 }
 
-/// Counter totals for one service lifetime, reported when the drain
-/// completes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceSummary {
-    /// Requests accepted (all routes).
-    pub requests: u64,
-    /// Batch requests that overlapped another in-flight batch (the
-    /// concurrency the shared scheduler interleaved).
-    pub queued: u64,
-    /// Sweep cells answered from the warm shared cache.
-    pub cache_hits: u64,
-    /// Batch requests refused by admission control (`503`).
-    pub rejected: u64,
-    /// Queued cells dropped before they ran.
-    pub cancelled_cells: u64,
-    /// Journaled requests replayed headless after a restart.
-    pub journal_replayed: u64,
-    /// Streams re-attached to an existing batch (`/resume`, or an
-    /// idempotent duplicate `POST` joining a live run).
-    pub resumed_streams: u64,
-    /// Worker threads respawned after a panic.
-    pub respawns: u64,
-    /// Cells quarantined after repeated worker panics.
-    pub poisoned: u64,
-}
-
 /// One admitted batch's replayable state: every event line it has
 /// emitted (progress and the final result), and whether it finished.
 /// Readers — the owning connection, `/resume` attachments, duplicate
@@ -413,15 +385,7 @@ impl SpanRing {
 
 struct Inner {
     handler: Box<dyn Handler>,
-    metrics: Mutex<Metrics>,
-    /// Completed-batch latency, bucketed as `log2(ms + 1)` so the
-    /// fixed 33-bucket histogram spans sub-millisecond cache hits to
-    /// multi-hour sweeps.
-    latency: Mutex<Histogram>,
-    /// Sum of raw batch latencies in ms — the exact `_sum` the
-    /// Prometheus histogram exposition wants (the [`Histogram`]'s own
-    /// `sum` accumulates bucket indices, not milliseconds).
-    latency_sum_ms: AtomicU64,
+    metrics: Registry,
     /// The last two minutes at one-second resolution, for rolling
     /// rates and windowed percentiles in `/status` and `/metrics`.
     series: Mutex<SeriesRing>,
@@ -441,9 +405,6 @@ struct Inner {
     /// Headless replay threads started by [`Service::replay`], joined
     /// during the drain so no journaled batch is ever abandoned twice.
     replays: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Batch requests currently being handled (admitted or not-yet-
-    /// admitted; excludes `/status` and `/shutdown`).
-    in_flight: AtomicUsize,
     /// Set by `/shutdown`; the accept loop stops taking connections.
     draining: AtomicBool,
     addr: SocketAddr,
@@ -451,7 +412,7 @@ struct Inner {
 
 /// Mutex access that survives a poisoned lock: a panicking batch must
 /// not wedge the whole daemon.
-fn relock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn relock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -464,6 +425,12 @@ impl Inner {
     /// Whole seconds since daemon start — the series slot clock.
     fn now_sec(&self) -> u64 {
         self.epoch.elapsed().as_secs()
+    }
+
+    /// Every registry row, read now.
+    fn snapshot(&self) -> Snapshot {
+        let window = relock(&self.series).window(self.now_sec(), ROLLING_WINDOW_S);
+        self.metrics.snapshot(&self.handler.stats(), &window)
     }
 
     /// Records one request span under its correlation token.
@@ -532,9 +499,7 @@ impl Service {
             listener,
             inner: Arc::new(Inner {
                 handler,
-                metrics: Mutex::new(Metrics::new()),
-                latency: Mutex::new(Histogram::default()),
-                latency_sum_ms: AtomicU64::new(0),
+                metrics: Registry::new(),
                 series: Mutex::new(SeriesRing::new(SERIES_SECONDS)),
                 spans: (0..SPAN_SHARDS)
                     .map(|_| Mutex::new(SpanRing::new()))
@@ -545,7 +510,6 @@ impl Service {
                     .and_then(|s| s.parse().ok()),
                 registry: Mutex::new(HashMap::new()),
                 replays: Mutex::new(Vec::new()),
-                in_flight: AtomicUsize::new(0),
                 draining: AtomicBool::new(false),
                 addr,
             }),
@@ -578,7 +542,7 @@ impl Service {
             }
             reg.insert(token.clone(), Arc::clone(&entry));
         }
-        relock(&self.inner.metrics).add(Counter::ServeJournalReplayed, 1);
+        self.inner.metrics.add(Slot::JournalReplayed, 1);
         let inner = Arc::clone(&self.inner);
         let handle = std::thread::spawn(move || {
             let _ = execute_entry(&inner, kind, &body, &token, &entry, None);
@@ -590,14 +554,15 @@ impl Service {
     /// Serves until a `/shutdown` request, then drains: the accept
     /// loop stops, every in-flight connection thread and replay thread
     /// is joined (their batches run to completion), the handler is
-    /// quiesced, and the counter totals are returned.
+    /// quiesced, and the final snapshot of the metrics registry is
+    /// returned.
     ///
     /// # Errors
     ///
     /// Fatal accept-loop failures only; per-connection errors (a peer
     /// hanging up mid-stream) are contained in that connection's
     /// thread.
-    pub fn run(self) -> io::Result<ServiceSummary> {
+    pub fn run(self) -> io::Result<Snapshot> {
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         // `serve-accept-storm=N` drops the first N connections on the
         // floor — the reconnect-herd chaos the client backoff absorbs.
@@ -640,20 +605,9 @@ impl Service {
         for r in std::mem::take(&mut *relock(&self.inner.replays)) {
             let _ = r.join();
         }
-        let hs = self.inner.handler.stats();
+        let last = self.inner.snapshot();
         self.inner.handler.quiesce();
-        let m = relock(&self.inner.metrics);
-        Ok(ServiceSummary {
-            requests: m.get(Counter::ServeRequests),
-            queued: m.get(Counter::ServeQueued),
-            cache_hits: m.get(Counter::ServeCacheHits),
-            rejected: m.get(Counter::ServeRejected),
-            cancelled_cells: m.get(Counter::ServeCancelledCells),
-            journal_replayed: m.get(Counter::ServeJournalReplayed),
-            resumed_streams: m.get(Counter::ServeResumedStreams),
-            respawns: hs.respawns,
-            poisoned: hs.poisoned,
-        })
+        Ok(last)
     }
 }
 
@@ -669,7 +623,7 @@ fn handle_connection(stream: TcpStream, read_timeout: Duration, inner: &Inner) -
         }
         Err(e) => return Err(e),
     };
-    relock(&inner.metrics).add(Counter::ServeRequests, 1);
+    inner.metrics.add(Slot::Requests, 1);
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/sweep") => run_batch(RequestKind::Sweep, &req, &mut out, inner),
         ("POST", "/analyze") => run_batch(RequestKind::Analyze, &req, &mut out, inner),
@@ -687,11 +641,11 @@ fn handle_connection(stream: TcpStream, read_timeout: Duration, inner: &Inner) -
 
 /// Decrements the in-flight gauge however the batch ends (result,
 /// rejection, panic in the handler, broken pipe).
-struct InFlight<'a>(&'a AtomicUsize);
+struct InFlight<'a>(&'a Registry);
 
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.0.sub(Slot::InFlight, 1);
     }
 }
 
@@ -779,7 +733,7 @@ fn execute_entry(
     let result = match outcome {
         Ok(Ok(result)) => result,
         Ok(Err(refusal)) => {
-            relock(&inner.metrics).add(Counter::ServeRejected, 1);
+            inner.metrics.add(Slot::Rejected, 1);
             relock(&inner.registry).remove(token);
             log::warn(
                 "serve",
@@ -819,14 +773,10 @@ fn execute_entry(
         }
     };
 
-    {
-        let mut m = relock(&inner.metrics);
-        m.add(Counter::ServeCacheHits, result.cache_hits);
-        m.add(Counter::ServeCancelledCells, result.cancelled);
-    }
+    inner.metrics.add(Slot::CacheHits, result.cache_hits);
+    inner.metrics.add(Slot::CancelledCells, result.cancelled);
     let ms = started.elapsed().as_millis() as u64;
-    relock(&inner.latency).observe(latency_bucket(ms));
-    inner.latency_sum_ms.fetch_add(ms, Ordering::Relaxed);
+    inner.metrics.observe_latency(ms);
     relock(&inner.series).record_request(inner.now_sec(), ms);
     // The wait between admission and the first progress event is the
     // best queue-time proxy the wire has: the handler emits nothing
@@ -1000,7 +950,7 @@ fn run_batch(
             Some(live) if !live.is_done() => {
                 let live = Arc::clone(live);
                 drop(reg);
-                relock(&inner.metrics).add(Counter::ServeResumedStreams, 1);
+                inner.metrics.add(Slot::ResumedStreams, 1);
                 return stream_entry(out, &live, &token, 0, inner);
             }
             _ => {
@@ -1011,12 +961,12 @@ fn run_batch(
         }
     };
 
-    if inner.in_flight.fetch_add(1, Ordering::SeqCst) > 0 {
+    if inner.metrics.add(Slot::InFlight, 1) > 0 {
         // Another batch is already running: this one rides the shared
         // pool concurrently instead of waiting its turn.
-        relock(&inner.metrics).add(Counter::ServeQueued, 1);
+        inner.metrics.add(Slot::Queued, 1);
     }
-    let _gauge = InFlight(&inner.in_flight);
+    let _gauge = InFlight(&inner.metrics);
 
     // The chunked stream starts lazily, on the first event: a batch
     // refused by admission control streams nothing, so it can still
@@ -1176,7 +1126,7 @@ fn resume(req: &http::Request, out: &mut TcpStream, inner: &Inner) -> io::Result
         return http::write_response(out, 404, "application/json", body.as_bytes());
     };
     let from = if run == run_id() { have } else { 0 };
-    relock(&inner.metrics).add(Counter::ServeResumedStreams, 1);
+    inner.metrics.add(Slot::ResumedStreams, 1);
     log::info(
         "serve",
         "stream resumed",
@@ -1188,47 +1138,26 @@ fn resume(req: &http::Request, out: &mut TcpStream, inner: &Inner) -> io::Result
     stream_entry(out, &entry, &token, from, inner)
 }
 
-/// The explicit `[lower, upper]` bucket bounds of the latency
-/// histogram as a JSON array of `{le, count}` objects (non-cumulative
-/// counts, one entry per populated bucket). The unbounded last bucket
-/// reports `"+Inf"` — the same upper bounds `/metrics` exposes, so the
-/// percentiles in `/status` are finally interpretable.
-fn latency_buckets_value(lat: &Histogram) -> Value {
-    let mut buckets = Vec::new();
-    for (i, &c) in lat.counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let le = bucket_upper_ms(i as u64);
-        let le = if le == u64::MAX {
-            Value::str("+Inf")
-        } else {
-            Value::u64(le)
-        };
-        buckets.push(Value::Obj(vec![
-            ("le".into(), le),
-            ("count".into(), Value::u64(c)),
-        ]));
-    }
-    Value::Arr(buckets)
+/// `GET /status`: the registry's rows, the lifetime latency
+/// percentiles, the live-request table, the handler's gauges and the
+/// recent warn/error tail as one JSON document.
+fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
+    // Nothing here waits on a batch: the registry slots are atomics,
+    // the handler snapshot reads its scheduler's atomics, and the
+    // mutexes are only ever held for micro-ops.
+    let mut doc = vec![("status".into(), Value::str("ok"))];
+    doc.extend(inner.snapshot().status_fields());
+    doc.push(("latency_ms".into(), inner.metrics.latency_status()));
+    doc.push(("requests".into(), Value::Arr(live_requests(inner))));
+    doc.push(("gauges".into(), inner.handler.gauges()));
+    doc.push(("recent_logs".into(), Value::Arr(log::recent())));
+    let body = Value::Obj(doc).render();
+    http::write_response(out, 200, "application/json", body.as_bytes())
 }
 
-fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
-    // Nothing here waits on a batch: the gauges are atomics, the
-    // handler snapshot reads its scheduler's atomics, and the
-    // mutexes are only ever held for micro-ops.
-    let hs = inner.handler.stats();
-    let in_flight = inner.in_flight.load(Ordering::SeqCst) as u64;
-    let utilization = if hs.workers == 0 {
-        0.0
-    } else {
-        hs.running_cells as f64 / hs.workers as f64
-    };
-    let lat = relock(&inner.latency).clone();
-    // Rolling one-minute window off the series ring: true rates, not
-    // lifetime averages.
-    let win = relock(&inner.series).window(inner.now_sec(), 60);
-    // Live (unfinished) requests, oldest first, for `ctcp top`'s table.
+/// Live (unfinished) requests, oldest first and at most 64, for
+/// `ctcp top`'s table.
+fn live_requests(inner: &Inner) -> Vec<Value> {
     let mut requests: Vec<(u64, Value)> = relock(&inner.registry)
         .iter()
         .filter(|(_, e)| !e.is_done())
@@ -1248,82 +1177,7 @@ fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
         })
         .collect();
     requests.sort_by_key(|(age, _)| std::cmp::Reverse(*age));
-    let requests: Vec<Value> = requests.into_iter().map(|(_, v)| v).take(64).collect();
-    let m = relock(&inner.metrics);
-    let mut counters: Vec<(String, Value)> = [
-        Counter::ServeRequests,
-        Counter::ServeQueued,
-        Counter::ServeCacheHits,
-        Counter::ServeRejected,
-        Counter::ServeCancelledCells,
-        Counter::ServeJournalReplayed,
-        Counter::ServeResumedStreams,
-    ]
-    .iter()
-    .map(|&c| (c.name().to_string(), Value::u64(m.get(c))))
-    .collect();
-    // The supervision counters live in the handler's scheduler, not in
-    // the service's metrics — surfaced here under their Counter names
-    // so `/status` is the one place to read robustness state.
-    counters.push((
-        Counter::ServeWorkerRespawns.name().to_string(),
-        Value::u64(hs.respawns),
-    ));
-    counters.push((
-        Counter::ServeCellsPoisoned.name().to_string(),
-        Value::u64(hs.poisoned),
-    ));
-    let body = Value::Obj(vec![
-        ("status".into(), Value::str("ok")),
-        ("in_flight".into(), Value::u64(in_flight)),
-        ("workers".into(), Value::u64(hs.workers as u64)),
-        ("queued_cells".into(), Value::u64(hs.queued_cells as u64)),
-        ("running_cells".into(), Value::u64(hs.running_cells as u64)),
-        ("worker_utilization".into(), Value::f64(utilization)),
-        ("cancelled_cells".into(), Value::u64(hs.cancelled_cells)),
-        ("store_read_only".into(), Value::Bool(hs.read_only)),
-        (
-            "latency_ms".into(),
-            Value::Obj(vec![
-                ("samples".into(), Value::u64(lat.total)),
-                (
-                    "p50".into(),
-                    Value::u64(bucket_lower_ms(lat.percentile(50.0))),
-                ),
-                (
-                    "p95".into(),
-                    Value::u64(bucket_lower_ms(lat.percentile(95.0))),
-                ),
-                (
-                    "p99".into(),
-                    Value::u64(bucket_lower_ms(lat.percentile(99.0))),
-                ),
-                ("buckets".into(), latency_buckets_value(&lat)),
-            ]),
-        ),
-        (
-            "rolling".into(),
-            Value::Obj(vec![
-                ("window_s".into(), Value::u64(win.seconds)),
-                ("cells".into(), Value::u64(win.cells)),
-                ("requests".into(), Value::u64(win.requests)),
-                ("cells_per_sec".into(), Value::f64(win.cells_per_sec())),
-                ("p95_ms".into(), Value::u64(win.req_percentile_ms(95.0))),
-                ("p99_ms".into(), Value::u64(win.req_percentile_ms(99.0))),
-                (
-                    "cell_p95_ms".into(),
-                    Value::u64(win.cell_percentile_ms(95.0)),
-                ),
-            ]),
-        ),
-        ("requests".into(), Value::Arr(requests)),
-        ("gauges".into(), inner.handler.gauges()),
-        ("recent_logs".into(), Value::Arr(log::recent())),
-        ("counters".into(), Value::Obj(counters)),
-    ])
-    .render();
-    drop(m);
-    http::write_response(out, 200, "application/json", body.as_bytes())
+    requests.into_iter().map(|(_, v)| v).take(64).collect()
 }
 
 /// `GET /trace/<token>` — one request's recorded spans as a Chrome
@@ -1344,193 +1198,12 @@ fn trace_export(token: &str, out: &mut TcpStream, inner: &Inner) -> io::Result<(
     http::write_response(out, 200, "application/json", text.as_bytes())
 }
 
-/// Writes one Prometheus metric family: `# HELP` / `# TYPE` header
-/// plus the sample lines.
-fn prom_family(out: &mut String, name: &str, kind: &str, help: &str, lines: &[String]) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    for l in lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-}
-
-/// Renders a float the exposition format accepts (no exponent needed
-/// at our magnitudes; integers stay integral).
-fn prom_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// `GET /metrics` — the service's counters, gauges and the request
-/// latency histogram in Prometheus text exposition format, every name
-/// prefixed `ctcp_`. Counters come from the same [`Metrics`] snapshot
-/// `/status` reads (the two scheduler-owned supervision counters are
-/// patched in from the handler, as in `/status`); gauges add the
-/// handler's backend numbers (journal size, per-shard store entries)
-/// and the rolling one-minute series.
+/// `GET /metrics` — the registry, the handler's gauges and the
+/// request latency histogram in Prometheus text exposition format.
 fn metrics_export(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
-    let hs = inner.handler.stats();
-    let in_flight = inner.in_flight.load(Ordering::SeqCst) as u64;
-    let utilization = if hs.workers == 0 {
-        0.0
-    } else {
-        hs.running_cells as f64 / hs.workers as f64
-    };
-    let lat = relock(&inner.latency).clone();
-    let lat_sum_ms = inner.latency_sum_ms.load(Ordering::Relaxed);
-    let win = relock(&inner.series).window(inner.now_sec(), 60);
-    let snapshot = relock(&inner.metrics).clone();
-
-    let mut text = String::new();
-    for c in Counter::ALL {
-        // The supervision counters are owned by the handler's
-        // scheduler; the service-side slots for them are always zero.
-        let v = match c {
-            Counter::ServeWorkerRespawns => hs.respawns,
-            Counter::ServeCellsPoisoned => hs.poisoned,
-            _ => snapshot.get(c),
-        };
-        let name = format!("ctcp_{}_total", c.name());
-        prom_family(
-            &mut text,
-            &name,
-            "counter",
-            &format!("Cumulative {} count.", c.name()),
-            &[format!("{name} {v}")],
-        );
-    }
-
-    let gauges: Vec<(&str, &str, f64)> = vec![
-        (
-            "ctcp_workers",
-            "Resident pool worker threads.",
-            hs.workers as f64,
-        ),
-        (
-            "ctcp_queue_depth",
-            "Cells queued, not yet running.",
-            hs.queued_cells as f64,
-        ),
-        (
-            "ctcp_running_cells",
-            "Cells executing right now.",
-            hs.running_cells as f64,
-        ),
-        (
-            "ctcp_in_flight_requests",
-            "Batch requests currently being handled.",
-            in_flight as f64,
-        ),
-        (
-            "ctcp_worker_utilization",
-            "Running cells over pool size.",
-            utilization,
-        ),
-        (
-            "ctcp_store_read_only",
-            "1 while the result store is degraded to read-only.",
-            f64::from(u8::from(hs.read_only)),
-        ),
-        (
-            "ctcp_cells_per_sec_1m",
-            "Cell completions per second over the last minute.",
-            win.cells_per_sec(),
-        ),
-        (
-            "ctcp_requests_1m",
-            "Requests completed in the last minute.",
-            win.requests as f64,
-        ),
-        (
-            "ctcp_request_p95_ms_1m",
-            "Request latency p95 over the last minute (bucket lower bound).",
-            win.req_percentile_ms(95.0) as f64,
-        ),
-        (
-            "ctcp_cell_p95_ms_1m",
-            "Cell latency p95 over the last minute (bucket lower bound).",
-            win.cell_percentile_ms(95.0) as f64,
-        ),
-    ];
-    for (name, help, v) in gauges {
-        prom_family(
-            &mut text,
-            name,
-            "gauge",
-            help,
-            &[format!("{name} {}", prom_num(v))],
-        );
-    }
-
-    // Backend gauges the handler owns: journal size/compactions,
-    // per-shard store entries. Arrays become one labelled sample per
-    // element.
-    if let Value::Obj(fields) = inner.handler.gauges() {
-        for (key, val) in &fields {
-            let name = format!("ctcp_{key}");
-            match val {
-                Value::Arr(items) => {
-                    let lines: Vec<String> = items
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, v)| {
-                            v.as_f64()
-                                .map(|f| format!("{name}{{shard=\"{i}\"}} {}", prom_num(f)))
-                        })
-                        .collect();
-                    prom_family(
-                        &mut text,
-                        &name,
-                        "gauge",
-                        &format!("Backend gauge {key}."),
-                        &lines,
-                    );
-                }
-                v => {
-                    if let Some(f) = v.as_f64() {
-                        prom_family(
-                            &mut text,
-                            &name,
-                            "gauge",
-                            &format!("Backend gauge {key}."),
-                            &[format!("{name} {}", prom_num(f))],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // The request latency histogram with explicit, cumulative bucket
-    // upper bounds — `le` for log2 bucket i is `2^(i+1) - 2` ms.
-    let mut lines = Vec::with_capacity(HIST_BUCKETS + 2);
-    let mut cum = 0u64;
-    for (i, &c) in lat.counts.iter().enumerate() {
-        cum += c;
-        let le = bucket_upper_ms(i as u64);
-        if le == u64::MAX {
-            lines.push(format!(
-                "ctcp_request_latency_ms_bucket{{le=\"+Inf\"}} {cum}"
-            ));
-        } else {
-            lines.push(format!(
-                "ctcp_request_latency_ms_bucket{{le=\"{le}\"}} {cum}"
-            ));
-        }
-    }
-    lines.push(format!("ctcp_request_latency_ms_sum {lat_sum_ms}"));
-    lines.push(format!("ctcp_request_latency_ms_count {}", lat.total));
-    prom_family(
-        &mut text,
-        "ctcp_request_latency_ms",
-        "histogram",
-        "Completed-batch wall latency in milliseconds.",
-        &lines,
-    );
-
+    let text = inner
+        .metrics
+        .prometheus(&inner.snapshot(), &inner.handler.gauges());
     http::write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes())
 }
 
@@ -1607,16 +1280,22 @@ mod tests {
             }
         }
 
+        fn gauges(&self) -> Value {
+            Value::Obj(vec![
+                ("journal_bytes".into(), Value::u64(2048)),
+                (
+                    "store_shard_entries".into(),
+                    Value::Arr(vec![Value::u64(3), Value::u64(4)]),
+                ),
+            ])
+        }
+
         fn quiesce(&self) {
             self.quiesced.store(true, Ordering::SeqCst);
         }
     }
 
-    fn start_service() -> (
-        String,
-        std::thread::JoinHandle<ServiceSummary>,
-        Arc<AtomicBool>,
-    ) {
+    fn start_service() -> (String, std::thread::JoinHandle<Snapshot>, Arc<AtomicBool>) {
         let (handler, quiesced) = MockHandler::new();
         let svc = Service::bind("127.0.0.1:0", Box::new(handler)).expect("bind ephemeral port");
         let addr = svc.local_addr().to_string();
@@ -1671,9 +1350,9 @@ mod tests {
         let resp = http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 200);
         let summary = worker.join().unwrap();
-        assert_eq!(summary.requests, 3);
-        assert_eq!(summary.cache_hits, 2);
-        assert_eq!(summary.rejected, 0);
+        assert_eq!(summary.count("counters.serve_requests"), 3);
+        assert_eq!(summary.count("counters.serve_cache_hits"), 2);
+        assert_eq!(summary.count("counters.serve_rejected"), 0);
         assert!(quiesced.load(Ordering::SeqCst), "drain quiesces the pool");
     }
 
@@ -1769,7 +1448,11 @@ mod tests {
             started.elapsed() >= timeout,
             "the drain ended before the timeout"
         );
-        assert_eq!(summary.requests, 1, "only /shutdown was a request");
+        assert_eq!(
+            summary.count("counters.serve_requests"),
+            1,
+            "only /shutdown was a request"
+        );
         assert!(quiesced.load(Ordering::SeqCst));
         drop(silent);
     }
@@ -1781,7 +1464,7 @@ mod tests {
         let resp = http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 200);
         let summary = worker.join().unwrap();
-        assert_eq!(summary.requests, 1);
+        assert_eq!(summary.count("counters.serve_requests"), 1);
         assert!(quiesced.load(Ordering::SeqCst));
         // The listener is gone: a fresh connection is refused (or at
         // best connects to nothing and sees EOF/reset).
@@ -1869,7 +1552,11 @@ mod tests {
         let summary = worker.join().unwrap();
         // All three batches overlapped, so at least two of them saw
         // another batch already in flight when they were admitted.
-        assert!(summary.queued >= 2, "queued = {}", summary.queued);
+        assert!(
+            summary.count("counters.serve_queued") >= 2,
+            "queued = {}",
+            summary.count("counters.serve_queued")
+        );
     }
 
     /// A handler that always refuses: the wire side of admission.
@@ -1922,7 +1609,7 @@ mod tests {
         );
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
-        assert_eq!(summary.rejected, 1);
+        assert_eq!(summary.count("counters.serve_rejected"), 1);
     }
 
     #[test]
@@ -1950,7 +1637,7 @@ mod tests {
             .contains("read-only"));
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
-        assert_eq!(summary.rejected, 1);
+        assert_eq!(summary.count("counters.serve_rejected"), 1);
     }
 
     /// A handler that emits `total` events with a small delay — long
@@ -2045,8 +1732,12 @@ mod tests {
 
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
-        assert_eq!(summary.resumed_streams, 2);
-        assert_eq!(summary.cancelled_cells, 0, "detach is not cancellation");
+        assert_eq!(summary.count("counters.serve_resumed_streams"), 2);
+        assert_eq!(
+            summary.count("counters.serve_cancelled_cells"),
+            0,
+            "detach is not cancellation"
+        );
     }
 
     #[test]
@@ -2074,8 +1765,16 @@ mod tests {
         }
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
-        assert_eq!(summary.resumed_streams, 1, "the twin attached");
-        assert_eq!(summary.queued, 0, "only one batch actually ran");
+        assert_eq!(
+            summary.count("counters.serve_resumed_streams"),
+            1,
+            "the twin attached"
+        );
+        assert_eq!(
+            summary.count("counters.serve_queued"),
+            0,
+            "only one batch actually ran"
+        );
     }
 
     #[test]
@@ -2104,8 +1803,8 @@ mod tests {
         );
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
-        assert_eq!(summary.journal_replayed, 1);
-        assert_eq!(summary.resumed_streams, 1);
+        assert_eq!(summary.count("counters.serve_journal_replayed"), 1);
+        assert_eq!(summary.count("counters.serve_resumed_streams"), 1);
     }
 
     /// Minimal Prometheus text-exposition parser for the round-trip
@@ -2178,22 +1877,57 @@ mod tests {
             .any(|t| t == "ctcp_serve_requests_total counter"));
         assert!(typed.iter().any(|t| t == "ctcp_workers gauge"));
 
-        // Counters agree with /status (modulo the /status request
-        // itself, so compare against a snapshot taken right after).
+        // Every registry row /metrics exports agrees with /status,
+        // modulo the /status request itself: /metrics saw the sweep and
+        // itself, /status those plus itself.
         let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
         let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let status_requests = v
-            .get("counters")
-            .unwrap()
-            .get("serve_requests")
-            .unwrap()
-            .as_u64()
-            .unwrap();
-        let prom_requests = prom_get(&samples, "ctcp_serve_requests_total") as u64;
-        // /metrics saw: sweep + itself. /status saw those plus itself.
-        assert_eq!(prom_requests + 1, status_requests);
+        let status_at = |key: &str| -> f64 {
+            let found = key
+                .split('.')
+                .try_fold(&v, |doc, k| doc.get(k))
+                .unwrap_or_else(|| panic!("/status lacks {key}"));
+            match found {
+                Value::Bool(b) => f64::from(u8::from(*b)),
+                n => n.as_f64().expect("numeric /status value"),
+            }
+        };
+        let mut counters = 0;
+        for row in &crate::exposition::ROWS {
+            let Some(family) = row.family else { continue };
+            let lag = f64::from(u8::from(family == "ctcp_serve_requests_total"));
+            assert_eq!(
+                prom_get(&samples, family) + lag,
+                status_at(row.key),
+                "{family}"
+            );
+            if row.kind == crate::exposition::COUNTER {
+                assert!(typed.contains(&format!("{family} counter")), "{family}");
+                counters += 1;
+            }
+        }
+        assert_eq!(counters, 9, "the nine serve_* counters");
         assert_eq!(prom_get(&samples, "ctcp_workers"), 2.0);
         assert_eq!(prom_get(&samples, "ctcp_store_read_only"), 0.0);
+        assert_eq!(prom_get(&samples, "ctcp_journal_bytes"), 2048.0);
+        assert_eq!(
+            prom_get(&samples, "ctcp_store_shard_entries{shard=\"1\"}"),
+            4.0
+        );
+        // Nothing else is exported: every family is a registry row, a
+        // handler gauge or the latency histogram.
+        for t in &typed {
+            let family = t.split(' ').next().unwrap();
+            assert!(
+                crate::exposition::ROWS
+                    .iter()
+                    .any(|r| r.family == Some(family))
+                    || ["ctcp_journal_bytes", "ctcp_store_shard_entries"].contains(&family)
+                    || family == "ctcp_request_latency_ms",
+                "unexpected /metrics family {family}"
+            );
+        }
+        let prom_requests = prom_get(&samples, "ctcp_serve_requests_total") as u64;
 
         // Histogram invariants: cumulative buckets end at +Inf == _count,
         // explicit finite le bounds are strictly increasing.

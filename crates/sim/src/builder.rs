@@ -110,7 +110,7 @@ pub struct SimBuilder<'p> {
     pub(crate) cfg: SimConfig,
     pub(crate) probe: Option<Rc<dyn Probe>>,
     pub(crate) attrib_top_edges: Option<usize>,
-    pub(crate) legacy_scheduler: Option<bool>,
+    pub(crate) legacy_scheduler: bool,
     pub(crate) watchdog_stall: Option<u64>,
     pub(crate) cycle_budget: Option<u64>,
     pub(crate) arena: Option<EngineArena>,
@@ -125,7 +125,7 @@ impl<'p> SimBuilder<'p> {
             cfg: SimConfig::default(),
             probe: None,
             attrib_top_edges: None,
-            legacy_scheduler: None,
+            legacy_scheduler: false,
             watchdog_stall: None,
             cycle_budget: None,
             arena: None,
@@ -247,7 +247,7 @@ impl<'p> SimBuilder<'p> {
     /// [`SimConfig`] — it cannot change simulation results, so it must
     /// not perturb result-store cache keys (which hash the config).
     pub fn legacy_scheduler(mut self, legacy: bool) -> Self {
-        self.legacy_scheduler = Some(legacy);
+        self.legacy_scheduler = legacy;
         self
     }
 

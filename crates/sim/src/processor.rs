@@ -115,9 +115,7 @@ impl<'p> Simulation<'p> {
             cfg.strategy.steering_mode(),
             b.arena.unwrap_or_default(),
         );
-        if let Some(legacy) = b.legacy_scheduler {
-            engine.set_legacy_scheduler(legacy);
-        }
+        engine.set_legacy_scheduler(b.legacy_scheduler);
         let probe = b
             .probe
             .unwrap_or_else(|| Rc::new(ctcp_telemetry::NullProbe));

@@ -51,32 +51,11 @@ pub enum Counter {
     HarnessRetries,
     /// Result-store lines quarantined as corrupt at load time.
     StoreQuarantined,
-    /// Requests accepted by the sweep service (`ctcp serve`).
-    ServeRequests,
-    /// Service requests that had to queue behind a running batch.
-    ServeQueued,
-    /// Sweep cells the service answered from its warm shared cache.
-    ServeCacheHits,
-    /// Service requests rejected with 503 because the shared cell
-    /// queue was at its admission limit.
-    ServeRejected,
-    /// Queued (not yet running) cells dropped because their request's
-    /// client disconnected before they were scheduled.
-    ServeCancelledCells,
-    /// Journaled requests re-enqueued when the daemon restarted.
-    ServeJournalReplayed,
-    /// Scheduler workers respawned with a fresh arena after a panic.
-    ServeWorkerRespawns,
-    /// Cells quarantined (`CellPoisoned`) after repeated panics.
-    ServeCellsPoisoned,
-    /// Client streams re-attached to a live or journaled request via
-    /// a resume token.
-    ServeResumedStreams,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 18] = [
         Counter::Cycles,
         Counter::Retired,
         Counter::FetchGroups,
@@ -95,15 +74,6 @@ impl Counter {
         Counter::HarnessJobFailures,
         Counter::HarnessRetries,
         Counter::StoreQuarantined,
-        Counter::ServeRequests,
-        Counter::ServeQueued,
-        Counter::ServeCacheHits,
-        Counter::ServeRejected,
-        Counter::ServeCancelledCells,
-        Counter::ServeJournalReplayed,
-        Counter::ServeWorkerRespawns,
-        Counter::ServeCellsPoisoned,
-        Counter::ServeResumedStreams,
     ];
 
     /// Number of distinct counters.
@@ -130,15 +100,6 @@ impl Counter {
             Counter::HarnessJobFailures => "harness_job_failures",
             Counter::HarnessRetries => "harness_retries",
             Counter::StoreQuarantined => "store_quarantined",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeQueued => "serve_queued",
-            Counter::ServeCacheHits => "serve_cache_hits",
-            Counter::ServeRejected => "serve_rejected",
-            Counter::ServeCancelledCells => "serve_cancelled_cells",
-            Counter::ServeJournalReplayed => "serve_journal_replayed",
-            Counter::ServeWorkerRespawns => "serve_worker_respawns",
-            Counter::ServeCellsPoisoned => "serve_cells_poisoned",
-            Counter::ServeResumedStreams => "serve_resumed_streams",
         }
     }
 
@@ -151,9 +112,8 @@ impl Counter {
 /// A named fixed-bucket histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hist {
-    /// Instructions issued per cluster per cycle (only cycles where the
-    /// cluster issued at least one instruction are... no — every tick
-    /// samples every cluster, so bucket 0 counts idle cluster-cycles).
+    /// Instructions issued per cluster per cycle. Every tick samples
+    /// every cluster, so bucket 0 counts idle cluster-cycles.
     ClusterIssueOccupancy,
     /// Latency in cycles of a critical inter-cluster operand forward.
     ForwardLatency,

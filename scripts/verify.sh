@@ -155,18 +155,13 @@ echo "==> result store verify (post-crash store must be clean)"
 
 echo "==> engine perf gate (scheduler-bound sweep vs BENCH_engine.json)"
 # Scheduler-bound workload: enough instructions that the engine's
-# dispatch/wakeup/complete/select loop dominates wall time. Runs the
-# event-driven scheduler (the default) and the legacy scan oracle
-# (CTCP_SCHED=legacy) on the identical sweep, best of 3 to shed host
-# noise; fails if the event path regresses more than 25% over the
+# dispatch/wakeup/complete/select loop dominates wall time. Best of 3
+# to shed host noise; fails if it regresses more than 25% over the
 # committed reference.
 engine_bench="sweep gzip,twolf x baseline,friendly --insts 200000 --jobs 1 (best of 3)"
 engine_sweep() {
     ./target/release/ctcp sweep --benches gzip,twolf \
         --strategies baseline,friendly --insts 200000 --jobs 1 >/dev/null
-}
-legacy_sweep() {
-    CTCP_SCHED=legacy engine_sweep
 }
 best_of_3() {
     local best=0 ms start_ns end_ns
@@ -180,7 +175,6 @@ best_of_3() {
     echo "$best"
 }
 engine_ms=$(best_of_3 engine_sweep)
-legacy_ms=$(best_of_3 legacy_sweep)
 # The committed gate_ref_ms is the regression reference; keep it stable
 # across runs so noise cannot ratchet the gate. Refresh it by deleting
 # the field (or the file) and re-running verify --record.
@@ -198,13 +192,11 @@ record_bench BENCH_engine.json <<EOF
 {
   "bench": "$engine_bench",
   "wall_ms": $engine_ms,
-  "legacy_wall_ms": $legacy_ms,
   "gate_ref_ms": $gate_ref_ms,
   "recorded_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 }
 EOF
-echo "engine perf gate: event ${engine_ms} ms, legacy ${legacy_ms} ms" \
-     "(gate: ${limit_ms} ms)"
+echo "engine perf gate: ${engine_ms} ms (gate: ${limit_ms} ms)"
 
 echo "==> batch throughput gate (warmup-heavy sweep vs BENCH_batch.json)"
 # Warmup-heavy grid: 96 cells (2 benches x 2 cluster counts x 3
