@@ -238,7 +238,7 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
     let r = run_sim(
         Simulation::builder(&program)
             .config(config(&args.run, args.run.strategy))
-            .probe(Rc::clone(&recorder) as _),
+            .recorder(Rc::clone(&recorder)),
     )?;
 
     let events = recorder.events();

@@ -18,7 +18,7 @@ use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
 use ctcp_isa::Instruction;
 use ctcp_memory::{AccessKind, CacheStats, DataMemory, StoreForward};
 use ctcp_telemetry::{
-    Counter, CritLink, Hist, InstAttrib, NullProbe, Probe, RetireSlotKind, SrcAttrib, SrcKind,
+    Counter, CritLink, Hist, InstAttrib, Recorder, RetireSlotKind, SrcAttrib, SrcKind,
 };
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 use std::collections::VecDeque;
@@ -238,10 +238,9 @@ pub struct Engine {
     stats: EngineStats,
     fwd: ForwardingStats,
     history: ProducerHistory,
-    probe: Rc<dyn Probe>,
-    /// Cached `probe.enabled()`: the telemetry-off fast path is one
-    /// branch per hook site, never a virtual call.
-    probe_on: bool,
+    /// The attached telemetry sink, if any: without one every hook
+    /// site is a single `None` check.
+    recorder: Option<Rc<Recorder>>,
     /// Event-driven scheduling (the default). `false` selects the
     /// legacy scan-per-cycle path, kept as a determinism oracle.
     event_driven: bool,
@@ -307,8 +306,7 @@ impl Engine {
             stats: EngineStats::default(),
             fwd: ForwardingStats::default(),
             history: ProducerHistory::default(),
-            probe: Rc::new(NullProbe),
-            probe_on: false,
+            recorder: None,
             event_driven: true,
             wheel: CompletionWheel::from_slots(wheel_slots),
             scratch_events: events,
@@ -357,12 +355,10 @@ impl Engine {
         self.event_driven = !legacy;
     }
 
-    /// Attaches a telemetry probe. The engine caches
-    /// [`Probe::enabled`], so a [`NullProbe`] (the default) keeps every
-    /// hook site on a single-branch fast path.
-    pub fn set_probe(&mut self, probe: Rc<dyn Probe>) {
-        self.probe_on = probe.enabled();
-        self.probe = probe;
+    /// Attaches a telemetry [`Recorder`]. Without one (the default)
+    /// every hook site is a single `None` check.
+    pub fn set_recorder(&mut self, recorder: Rc<Recorder>) {
+        self.recorder = Some(recorder);
     }
 
     /// Turns on critical-link recording for cycle attribution: from now
@@ -688,15 +684,15 @@ impl Engine {
         }
         self.retire_into(now, &mut out.retired);
         self.mem.drain_stores(2);
-        if self.probe_on {
-            self.probe.counter(Counter::Cycles, 1);
+        if let Some(rec) = &self.recorder {
+            rec.counter(Counter::Cycles, 1);
             let mshrs = self.mem.mshr_in_use(now) as u64;
-            self.probe.observe(Hist::MshrOccupancy, mshrs);
+            rec.observe(Hist::MshrOccupancy, mshrs);
             let lq = self.mem.load_queue_len() as u64;
-            self.probe.observe(Hist::LoadQueueOccupancy, lq);
+            rec.observe(Hist::LoadQueueOccupancy, lq);
             for ci in 0..self.clusters.len() {
                 let occ = (0..5).map(|rsi| self.station_len(ci, rsi)).sum::<usize>();
-                self.probe.observe(Hist::RsOccupancy, occ as u64);
+                rec.observe(Hist::RsOccupancy, occ as u64);
             }
         }
     }
@@ -916,10 +912,10 @@ impl Engine {
     }
 
     fn observe_issue(&mut self, issued: &[u32; 8]) {
-        if self.probe_on {
+        if let Some(rec) = &self.recorder {
             for ci in 0..self.clusters.len() {
                 let n = u64::from(issued[ci.min(7)]);
-                self.probe.observe(Hist::ClusterIssueOccupancy, n);
+                rec.observe(Hist::ClusterIssueOccupancy, n);
             }
         }
     }
@@ -1036,9 +1032,9 @@ impl Engine {
                     self.fwd.critical_intra_cluster += 1;
                 }
                 self.fwd.critical_distance_sum += u64::from(d);
-                if self.probe_on {
+                if let Some(rec) = &self.recorder {
                     let lat = self.cfg.forward_latency(p.cluster, consumer_cluster);
-                    self.probe.observe(Hist::ForwardLatency, lat);
+                    rec.observe(Hist::ForwardLatency, lat);
                 }
             }
         }
@@ -1167,19 +1163,19 @@ impl Engine {
     }
 
     fn note_completions(&mut self, completions: u64, woken: u64) {
-        if self.probe_on {
+        if let Some(rec) = &self.recorder {
             if completions > 0 {
-                self.probe.counter(Counter::SchedCompletions, completions);
+                rec.counter(Counter::SchedCompletions, completions);
             }
             if woken > 0 {
-                self.probe.counter(Counter::SchedWakeups, woken);
+                rec.counter(Counter::SchedWakeups, woken);
             }
         }
     }
 
     /// Builds the attribution record for a retiring entry: stage stamps
     /// plus per-source operand provenance (register file vs same-cluster
-    /// bypass vs inter-cluster forward). Probe-on path only.
+    /// bypass vs inter-cluster forward). Recorder-on path only.
     fn attrib_of(&self, e: &Entry, complete_at: u64, now: u64) -> InstAttrib {
         let mut srcs = [SrcAttrib::default(); 2];
         for (i, s) in e.srcs.iter().enumerate() {
@@ -1304,9 +1300,9 @@ impl Engine {
             let e = self.rob.pop_front().expect("checked front");
             if let Stage::Complete { at } = e.stage {
                 self.stats.sum_complete_to_retire += now - at;
-                if self.probe_on {
-                    self.probe.counter(Counter::Retired, 1);
-                    self.probe.retire_attrib(&self.attrib_of(&e, at, now));
+                if let Some(rec) = &self.recorder {
+                    rec.counter(Counter::Retired, 1);
+                    rec.retire_attrib(&self.attrib_of(&e, at, now));
                 }
             }
             if self.record_links {

@@ -45,7 +45,7 @@
 //! bug), a typed simulation abort (watchdog trip, cycle budget) or an
 //! invalid configuration fails *that job* — never the worker, never
 //! the batch. [`Harness::try_run`] returns one [`JobOutcome`] per job;
-//! panics are retried with linear backoff ([`Harness::retries`]).
+//! panics are retried with linear backoff, [`DEFAULT_RETRIES`] times.
 //! The infallible [`Harness::run`] keeps its historical signature by
 //! panicking with the rendered [`failure_table`] — but only after the
 //! whole batch has run and every successful cell is in the store.
@@ -115,8 +115,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Transient failures (panics) are re-attempted this many times by
-/// default; see [`Harness::retries`].
+/// Transient failures (panics) are re-attempted this many times, with
+/// linear backoff, before the job is reported as
+/// [`JobOutcome::Failed`]. Deterministic failures — invalid
+/// configuration, watchdog trips — are never retried.
 pub const DEFAULT_RETRIES: u32 = 1;
 
 /// Linear backoff unit between re-attempts of a transient failure:
@@ -193,7 +195,7 @@ impl Job {
         }
         let recorder = with_metrics.then(|| Rc::new(Recorder::new(RecorderConfig::metrics_only())));
         if let Some(recorder) = &recorder {
-            builder = builder.probe(Rc::clone(recorder) as _);
+            builder = builder.recorder(Rc::clone(recorder));
         }
         let report = runner.try_run(builder).map_err(|e| match e {
             BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
@@ -453,7 +455,6 @@ pub struct Harness {
     metrics_out: Option<PathBuf>,
     metrics_file: Option<std::fs::File>,
     attrib: bool,
-    retries: u32,
     telemetry: Metrics,
     last: BatchStats,
 }
@@ -493,7 +494,6 @@ impl Harness {
             metrics_out: None,
             metrics_file: None,
             attrib: false,
-            retries: DEFAULT_RETRIES,
             telemetry: Metrics::new(),
             last: BatchStats::default(),
         }
@@ -545,16 +545,6 @@ impl Harness {
     /// sets the token when a client's connection breaks mid-stream.
     pub fn cancel_token(mut self, token: Arc<std::sync::atomic::AtomicBool>) -> Harness {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets how many times a *transient* job failure (a panic) is
-    /// re-attempted before the job is reported as
-    /// [`JobOutcome::Failed`]. Deterministic failures — invalid
-    /// configuration, watchdog trips — are never retried. Defaults to
-    /// [`DEFAULT_RETRIES`]; `0` disables retrying.
-    pub fn retries(mut self, n: u32) -> Harness {
-        self.retries = n;
         self
     }
 
@@ -665,9 +655,10 @@ impl Harness {
     /// crashing cell cannot take down the batch: the remaining jobs
     /// still run, successful results still reach the result store, and
     /// the failure comes back as [`JobOutcome::Failed`] carrying the
-    /// [`JobError`] and retry count. Transient failures are retried per
-    /// [`Harness::retries`]. On the all-success path the outcomes are
-    /// exactly the reports [`Harness::run`] returns, in the same order.
+    /// [`JobError`] and retry count. Transient failures are retried
+    /// [`DEFAULT_RETRIES`] times. On the all-success path the outcomes
+    /// are exactly the reports [`Harness::run`] returns, in the same
+    /// order.
     pub fn try_run(&mut self, jobs: &[Job]) -> Vec<JobOutcome> {
         let mut sink = StderrProgress::new(self.progress);
         self.try_run_with_progress(jobs, &mut sink)
@@ -773,7 +764,6 @@ impl Harness {
         let handle = if pending.is_empty() {
             None
         } else {
-            let retries = self.retries;
             let cells = pending
                 .iter()
                 .map(|&i| sched::Cell {
@@ -781,7 +771,7 @@ impl Harness {
                     job: jobs[i].clone(),
                     with_metrics,
                     with_attrib,
-                    retries,
+                    retries: DEFAULT_RETRIES,
                 })
                 .collect();
             Some(self.scheduler().submit(cells)?)

@@ -9,8 +9,8 @@
 //! worker threads fed by a *fair* queue of cells: each in-flight
 //! request keeps its own FIFO of pending cells, and a round-robin ring
 //! over request ids hands workers **one cell per request per turn** —
-//! so a 2-cell `analyze` is never starved behind a 96-cell sweep; it
-//! waits for at most one cell per request ahead of it in the ring.
+//! so a small sweep is never starved behind a 96-cell one; it waits
+//! for at most one cell per request ahead of it in the ring.
 //!
 //! Results are routed back to the submitting request over a private
 //! channel (one per [`RequestHandle`]), so every request collects its

@@ -12,7 +12,7 @@ use crate::processor::Simulation;
 use crate::{SimConfig, Strategy};
 use ctcp_core::{EngineArena, Topology};
 use ctcp_isa::Program;
-use ctcp_telemetry::Probe;
+use ctcp_telemetry::Recorder;
 use std::rc::Rc;
 
 /// The number of clusters the engine's fixed-size per-cluster counter
@@ -108,7 +108,7 @@ impl std::error::Error for ConfigError {}
 pub struct SimBuilder<'p> {
     pub(crate) program: &'p Program,
     pub(crate) cfg: SimConfig,
-    pub(crate) probe: Option<Rc<dyn Probe>>,
+    pub(crate) recorder: Option<Rc<Recorder>>,
     pub(crate) attrib_top_edges: Option<usize>,
     pub(crate) legacy_scheduler: bool,
     pub(crate) watchdog_stall: Option<u64>,
@@ -123,7 +123,7 @@ impl<'p> SimBuilder<'p> {
         SimBuilder {
             program,
             cfg: SimConfig::default(),
-            probe: None,
+            recorder: None,
             attrib_top_edges: None,
             legacy_scheduler: false,
             watchdog_stall: None,
@@ -161,13 +161,6 @@ impl<'p> SimBuilder<'p> {
     pub fn warmup_instructions(mut self, insts: u64) -> Self {
         self.cfg.warmup_insts = insts;
         self
-    }
-
-    /// Alias for [`max_insts`](Self::max_insts) matching the
-    /// [`warmup_instructions`](Self::warmup_instructions) vocabulary:
-    /// how many instructions the *timed* phase retires.
-    pub fn simulation_instructions(self, insts: u64) -> Self {
-        self.max_insts(insts)
     }
 
     /// Resumes the timed phase from a previously captured warmup
@@ -216,12 +209,12 @@ impl<'p> SimBuilder<'p> {
         self
     }
 
-    /// Attaches a telemetry probe (e.g. a
-    /// [`Recorder`](ctcp_telemetry::Recorder)). Without one the
-    /// simulation runs with the no-op probe and pays a single cached
-    /// branch per hook site.
-    pub fn probe(mut self, probe: Rc<dyn Probe>) -> Self {
-        self.probe = Some(probe);
+    /// Attaches a telemetry [`Recorder`], shared by the front end and
+    /// the engine, to capture counters, histograms and the pipeline
+    /// event trace. Without one every hook site is a single `None`
+    /// check.
+    pub fn recorder(mut self, recorder: Rc<Recorder>) -> Self {
+        self.recorder = Some(recorder);
         self
     }
 
@@ -232,8 +225,8 @@ impl<'p> SimBuilder<'p> {
     /// edges. The simulation keeps one 16-byte critical link per retired
     /// instruction for the walk, in storage a
     /// [`BatchRunner`](crate::BatchRunner) recycles. Like
-    /// [`probe`](Self::probe), outside [`SimConfig`]: attribution cannot
-    /// change what the simulation computes, only what it reports.
+    /// [`recorder`](Self::recorder), outside [`SimConfig`]: attribution
+    /// cannot change what the simulation computes, only what it reports.
     pub fn attrib(mut self, top_edges: usize) -> Self {
         self.attrib_top_edges = Some(top_edges);
         self

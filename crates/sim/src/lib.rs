@@ -8,7 +8,7 @@
 //!
 //! Simulations are constructed through the validating
 //! [`SimBuilder`] (see [`Simulation::builder`]); attach a
-//! [`ctcp_telemetry::Recorder`] via [`SimBuilder::probe`] to capture
+//! [`ctcp_telemetry::Recorder`] via [`SimBuilder::recorder`] to capture
 //! pipeline events and metrics, or turn on [`SimBuilder::attrib`] for a
 //! CPI stack and critical-path summary in the report — neither
 //! perturbs the simulation.

@@ -9,7 +9,7 @@ use ctcp_core::{Engine, EngineArena, FetchedInst, TickResult};
 use ctcp_frontend::{BranchPredictor, Btb, HybridPredictor, ICache, ReturnAddressStack};
 use ctcp_isa::{DynInst, Executor, Opcode, Program};
 use ctcp_telemetry::{
-    AttribReport, Counter, CpiStack, CriticalSummary, Hist, Probe, RetireSlotKind,
+    AttribReport, Counter, CpiStack, CriticalSummary, Hist, Recorder, RetireSlotKind,
 };
 use ctcp_tracecache::{
     FillUnit, PendingInst, RawTrace, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
@@ -75,8 +75,7 @@ pub struct Simulation<'p> {
     waiting_redirect: Option<u64>,
     group_ctr: u64,
     // telemetry
-    probe: Rc<dyn Probe>,
-    probe_on: bool,
+    recorder: Option<Rc<Recorder>>,
     attrib: Option<Attribution>,
     // robustness
     watchdog_stall: u64,
@@ -116,11 +115,9 @@ impl<'p> Simulation<'p> {
             b.arena.unwrap_or_default(),
         );
         engine.set_legacy_scheduler(b.legacy_scheduler);
-        let probe = b
-            .probe
-            .unwrap_or_else(|| Rc::new(ctcp_telemetry::NullProbe));
-        engine.set_probe(Rc::clone(&probe));
-        let probe_on = probe.enabled();
+        if let Some(rec) = &b.recorder {
+            engine.set_recorder(Rc::clone(rec));
+        }
         let attrib = b.attrib_top_edges.map(|top_edges| {
             let expected = cfg
                 .max_insts
@@ -167,8 +164,7 @@ impl<'p> Simulation<'p> {
             fetch_resume: 0,
             waiting_redirect: None,
             group_ctr: 0,
-            probe,
-            probe_on,
+            recorder: b.recorder,
             attrib,
             watchdog_stall: b.watchdog_stall.unwrap_or(DEFAULT_WATCHDOG_STALL_LIMIT),
             cycle_budget: b.cycle_budget,
@@ -214,7 +210,7 @@ impl<'p> Simulation<'p> {
     ///
     /// Both errors carry a [`ctcp_core::PipelineDiagnostic`] naming the
     /// instruction the machine stopped behind, and both bump the
-    /// `watchdog_trips` telemetry counter when a probe is attached.
+    /// `watchdog_trips` telemetry counter when a recorder is attached.
     ///
     /// # Errors
     ///
@@ -257,8 +253,8 @@ impl<'p> Simulation<'p> {
                 last_retired = self.retired;
                 last_progress = self.now;
             } else if stall_limit > 0 && self.now - last_progress >= stall_limit {
-                if self.probe_on {
-                    self.probe.counter(Counter::WatchdogTrips, 1);
+                if let Some(rec) = &self.recorder {
+                    rec.counter(Counter::WatchdogTrips, 1);
                 }
                 return Err(SimError::Livelock {
                     stalled_for: self.now - last_progress,
@@ -267,8 +263,8 @@ impl<'p> Simulation<'p> {
             }
         }
         if self.retired < self.cfg.max_insts && !self.pipeline_empty() {
-            if self.probe_on {
-                self.probe.counter(Counter::WatchdogTrips, 1);
+            if let Some(rec) = &self.recorder {
+                rec.counter(Counter::WatchdogTrips, 1);
             }
             return Err(SimError::CycleBudget {
                 budget: cycle_cap,
@@ -409,10 +405,10 @@ impl<'p> Simulation<'p> {
         );
         let mut line = self.tc.recycled_line();
         line.refill(&raw, &self.placement, self.cfg.trace_cache.line_capacity);
-        if self.probe_on {
-            self.probe.observe(Hist::TraceSize, raw.len() as u64);
+        if let Some(rec) = &self.recorder {
+            rec.observe(Hist::TraceSize, raw.len() as u64);
             for d in line.reorder_distances() {
-                self.probe.observe(Hist::ReorderDistance, d);
+                rec.observe(Hist::ReorderDistance, d);
             }
         }
         self.installs.push_back((now + self.fill.latency(), line));
@@ -433,10 +429,10 @@ impl<'p> Simulation<'p> {
                 if mis {
                     self.cond_mispredicts += 1;
                 }
-                if self.probe_on {
-                    self.probe.counter(Counter::CondBranches, 1);
+                if let Some(rec) = &self.recorder {
+                    rec.counter(Counter::CondBranches, 1);
                     if mis {
-                        self.probe.counter(Counter::CondMispredicts, 1);
+                        rec.counter(Counter::CondMispredicts, 1);
                     }
                 }
                 mis
@@ -580,14 +576,14 @@ impl<'p> Simulation<'p> {
             self.group_pool.push(group);
             return;
         }
-        if self.probe_on {
+        if let Some(rec) = &self.recorder {
             let src = if from_tc {
                 Counter::InstsFromTc
             } else {
                 Counter::InstsFromIcache
             };
-            self.probe.counter(src, group.len() as u64);
-            self.probe.fetch_group(now, pc, group.len() as u32, from_tc);
+            rec.counter(src, group.len() as u64);
+            rec.fetch_group(now, pc, group.len() as u32, from_tc);
         }
         if let Some(seq) = mispredicted_seq {
             self.waiting_redirect = Some(seq);
@@ -605,16 +601,13 @@ impl<'p> Simulation<'p> {
         let _ = self.fill.flush();
         let em = self.engine.metrics();
         let fill_stats = self.fill.stats();
-        if self.probe_on {
+        if let Some(rec) = &self.recorder {
             // Whole-run reconciliation counters: emitted once so an
             // exported metrics dump can be cross-checked against the
             // report (`ctcp trace --check` does exactly that).
-            self.probe
-                .counter(Counter::TracesBuilt, fill_stats.traces_built);
-            self.probe
-                .counter(Counter::InstsInTraces, fill_stats.insts_buffered);
-            self.probe
-                .counter(Counter::PredictorLookups, self.predictor.lookups());
+            rec.counter(Counter::TracesBuilt, fill_stats.traces_built);
+            rec.counter(Counter::InstsInTraces, fill_stats.insts_buffered);
+            rec.counter(Counter::PredictorLookups, self.predictor.lookups());
         }
         let fdrt = self.retire_strategy.fdrt_stats().copied();
         let cycles = self.now.max(1);

@@ -75,7 +75,7 @@ fn checkpoint_resume_is_deterministic_and_matches_self_forwarding() {
     let resumed = |ck: &Checkpoint| {
         Simulation::builder(&program)
             .strategy(Strategy::Fdrt { pinning: true })
-            .simulation_instructions(6_000)
+            .max_insts(6_000)
             .resume_from(ck)
             .build()
             .unwrap()
@@ -89,7 +89,7 @@ fn checkpoint_resume_is_deterministic_and_matches_self_forwarding() {
     let self_forwarded = Simulation::builder(&program)
         .strategy(Strategy::Fdrt { pinning: true })
         .warmup_instructions(warmup)
-        .simulation_instructions(6_000)
+        .max_insts(6_000)
         .build()
         .unwrap()
         .run()
@@ -157,7 +157,7 @@ fn report_covers_only_the_timed_phase() {
     let warmed = Simulation::builder(&gzip)
         .strategy(Strategy::Baseline)
         .warmup_instructions(4_000)
-        .simulation_instructions(2_500)
+        .max_insts(2_500)
         .build()
         .unwrap()
         .run();
@@ -167,7 +167,7 @@ fn report_covers_only_the_timed_phase() {
     let run = |warmup: u64, max: u64| {
         Simulation::builder(&program)
             .warmup_instructions(warmup)
-            .simulation_instructions(max)
+            .max_insts(max)
             .build()
             .unwrap()
             .run()

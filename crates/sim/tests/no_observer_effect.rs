@@ -5,7 +5,7 @@
 //! architectural state.
 
 use ctcp_sim::{Simulation, Strategy};
-use ctcp_telemetry::{Probe, Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
+use ctcp_telemetry::{Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
 use ctcp_workload::Benchmark;
 use std::rc::Rc;
 
@@ -25,7 +25,7 @@ fn attaching_a_recorder_does_not_change_the_report() {
             let observed = Simulation::builder(&program)
                 .strategy(strategy)
                 .max_insts(30_000)
-                .probe(Rc::clone(&recorder) as Rc<dyn Probe>)
+                .recorder(Rc::clone(&recorder))
                 .build()
                 .unwrap()
                 .run();

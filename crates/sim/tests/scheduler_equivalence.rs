@@ -2,14 +2,14 @@
 //! observably identical to the legacy scan-per-cycle scheduler it
 //! replaced. For every steering strategy and benchmark, the serialized
 //! `SimReport` — cycle attribution included — has to match byte for
-//! byte, and a recording probe must see identical metrics — proving
+//! byte, and an attached recorder must see identical metrics — proving
 //! that cached result-store entries, repro experiments, and telemetry
 //! are all unaffected by the scheduling rewrite. (Attribution reads
 //! the readiness the event scheduler caches where the scan recomputes
 //! it.)
 
 use ctcp_sim::{Simulation, Strategy};
-use ctcp_telemetry::{Probe, Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
+use ctcp_telemetry::{Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
 use ctcp_workload::Benchmark;
 use std::rc::Rc;
 
@@ -34,7 +34,7 @@ fn event_scheduler_matches_legacy_scan_byte_for_byte() {
                     .strategy(strategy)
                     .max_insts(20_000)
                     .legacy_scheduler(legacy)
-                    .probe(Rc::clone(&recorder) as Rc<dyn Probe>)
+                    .recorder(Rc::clone(&recorder))
                     .attrib(DEFAULT_TOP_EDGES)
                     .build()
                     .unwrap()
@@ -52,7 +52,7 @@ fn event_scheduler_matches_legacy_scan_byte_for_byte() {
             assert_eq!(
                 legacy_metrics,
                 event_metrics,
-                "{bench}/{}: probe metrics diverged between schedulers",
+                "{bench}/{}: recorder metrics diverged between schedulers",
                 strategy.name()
             );
             // Histogram-level equality, spelled out per histogram: both

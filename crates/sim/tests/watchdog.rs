@@ -92,7 +92,7 @@ fn watchdog_trip_bumps_the_telemetry_counter() {
     let err = Simulation::builder(&p)
         .max_insts(10_000)
         .watchdog_stall_limit(1_000)
-        .probe(Rc::clone(&rec) as Rc<dyn ctcp_telemetry::Probe>)
+        .recorder(Rc::clone(&rec))
         .build()
         .unwrap()
         .try_run();

@@ -3,7 +3,7 @@
 //! Four pieces live here:
 //!
 //! * [`InstAttrib`] — one lifecycle record per retired instruction,
-//!   handed to [`Probe::retire_attrib`]: stage cycle stamps plus, per
+//!   handed to [`Recorder::retire_attrib`]: stage cycle stamps plus, per
 //!   source operand, *where the value came from* (register file,
 //!   same-cluster bypass, or an inter-cluster forward). The recorder
 //!   derives its pipeline spans and flow arrows from it.
@@ -19,7 +19,7 @@
 //!   those links that reports how many critical dependence edges
 //!   crossed a cluster boundary, the paper's core mechanism.
 //!
-//! [`Probe::retire_attrib`]: crate::probe::Probe::retire_attrib
+//! [`Recorder::retire_attrib`]: crate::Recorder::retire_attrib
 
 use crate::json::Value;
 use std::collections::HashMap;
@@ -131,7 +131,7 @@ pub struct SrcAttrib {
 }
 
 /// One retired instruction's lifecycle, as handed to
-/// [`Probe::retire_attrib`](crate::probe::Probe::retire_attrib).
+/// [`Recorder::retire_attrib`](crate::Recorder::retire_attrib).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstAttrib {
     /// Global dynamic sequence number (dense, program order).

@@ -341,7 +341,6 @@ mod tests {
     use super::*;
     use crate::attrib::{InstAttrib, SrcAttrib};
     use crate::event::SpanEvent;
-    use crate::probe::Probe;
     use crate::recorder::Recorder;
 
     #[test]

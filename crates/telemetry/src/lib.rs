@@ -4,10 +4,12 @@
 //! into, and it sits at the bottom of the workspace dependency graph
 //! (it depends on nothing). The pieces:
 //!
-//! - [`Probe`]: the trait hook the pipeline calls. The default
-//!   implementation of every method is a no-op, so the bundled
-//!   [`NullProbe`] costs nothing — components also cache
-//!   [`Probe::enabled`] so the off path is a single branch.
+//! - [`Recorder`]: the one sink the pipeline reports into, through four
+//!   hooks ([`Recorder::counter`], [`Recorder::observe`],
+//!   [`Recorder::fetch_group`], [`Recorder::retire_attrib`]) that feed
+//!   the two pieces below. A simulation holds an
+//!   `Option<Rc<Recorder>>`; without one every hook site is a single
+//!   `None` check.
 //! - [`Metrics`]: a closed registry of typed [`Counter`]s and
 //!   fixed-bucket [`Histogram`]s ([`Hist`]) — array-indexed, no hashing
 //!   or allocation on the hot path.
@@ -17,7 +19,6 @@
 //! - [`attrib`]: per-instruction lifecycle records ([`InstAttrib`]),
 //!   the retirement-driven [`CpiStack`], and the critical-path walker
 //!   over [`CritLink`]s behind `ctcp analyze`.
-//! - [`Recorder`]: the accumulating [`Probe`] combining both.
 //! - Exporters: [`chrome_trace`] renders `about://tracing`-loadable
 //!   JSON (checked by [`validate_chrome_trace`]), [`metrics_line`]
 //!   renders one JSONL metrics record per job.
@@ -45,7 +46,6 @@ pub mod failpoint;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod probe;
 pub mod recorder;
 pub mod series;
 
@@ -59,6 +59,5 @@ pub use chrome::{
 };
 pub use event::{EventRing, FlowEvent, PipeStage, SpanEvent, FETCH_LANE};
 pub use metrics::{metrics_line, Counter, Hist, Histogram, Metrics, HIST_BUCKETS};
-pub use probe::{NullProbe, Probe};
 pub use recorder::{Recorder, RecorderConfig};
 pub use series::{SeriesRing, SeriesWindow, SERIES_SECONDS};

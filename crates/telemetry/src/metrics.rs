@@ -1,7 +1,7 @@
 //! Typed counters and fixed-bucket histograms.
 //!
 //! The registry is deliberately closed: every counter and histogram the
-//! pipeline can report is an enum variant, so probe call sites are
+//! pipeline can report is an enum variant, so recorder call sites are
 //! checked at compile time, lookups are array indexing (no hashing in
 //! the hot loop), and exporters can enumerate everything without a
 //! schema side-channel.

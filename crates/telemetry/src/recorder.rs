@@ -1,9 +1,8 @@
-//! The accumulating probe implementation.
+//! The pipeline recorder: the one sink the simulator reports into.
 
 use crate::attrib::{InstAttrib, SrcKind};
 use crate::event::{EventRing, FlowEvent, PipeStage, SpanEvent, FETCH_LANE};
 use crate::metrics::{Counter, Hist, Metrics};
-use crate::probe::Probe;
 use std::cell::RefCell;
 
 /// Capture settings for a [`Recorder`].
@@ -44,10 +43,14 @@ struct Inner {
     next_flow_id: u64,
 }
 
-/// A [`Probe`] that accumulates metrics and a ring-buffered event
-/// trace. Interior mutability (a `RefCell`) lets one `Rc<Recorder>` be
-/// shared across pipeline components; simulations are single-threaded,
-/// so the borrow is never contended.
+/// Accumulates metrics and a ring-buffered event trace from the
+/// pipeline's hooks ([`counter`](Self::counter),
+/// [`observe`](Self::observe), [`fetch_group`](Self::fetch_group) and
+/// [`retire_attrib`](Self::retire_attrib)). Interior mutability (a
+/// `RefCell`) lets one `Rc<Recorder>` be shared by the simulation front
+/// end and the execution engine without threading `&mut` borrows
+/// through the pipeline; simulations are single-threaded, so the borrow
+/// is never contended.
 pub struct Recorder {
     inner: RefCell<Inner>,
 }
@@ -95,28 +98,20 @@ impl Recorder {
     pub fn flows(&self) -> Vec<FlowEvent> {
         self.inner.borrow().flows.clone()
     }
-}
 
-impl Default for Recorder {
-    fn default() -> Recorder {
-        Recorder::new(RecorderConfig::default())
-    }
-}
-
-impl Probe for Recorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter(&self, c: Counter, delta: u64) {
+    /// Adds `delta` to counter `c`.
+    pub fn counter(&self, c: Counter, delta: u64) {
         self.inner.borrow_mut().metrics.add(c, delta);
     }
 
-    fn observe(&self, h: Hist, value: u64) {
+    /// Records one histogram observation.
+    pub fn observe(&self, h: Hist, value: u64) {
         self.inner.borrow_mut().metrics.observe(h, value);
     }
 
-    fn fetch_group(&self, ts: u64, pc: u64, size: u32, from_tc: bool) {
+    /// Reports a fetch group of `size` instructions delivered at cycle
+    /// `ts` from the trace cache (`from_tc`) or the icache.
+    pub fn fetch_group(&self, ts: u64, pc: u64, size: u32, from_tc: bool) {
         let mut inner = self.inner.borrow_mut();
         inner.metrics.add(Counter::FetchGroups, 1);
         if inner.sample_every == 0 {
@@ -135,7 +130,10 @@ impl Probe for Recorder {
         });
     }
 
-    fn retire_attrib(&self, rec: &InstAttrib) {
+    /// Reports one retired instruction: its stage timeline (rename,
+    /// dispatch, issue, completion and retirement cycles) and the
+    /// provenance of each source operand. The one per-retire hook.
+    pub fn retire_attrib(&self, rec: &InstAttrib) {
         let mut inner = self.inner.borrow_mut();
         if inner.sample_every == 0 || !rec.seq.is_multiple_of(inner.sample_every) {
             return;
@@ -175,6 +173,12 @@ impl Probe for Recorder {
                 pc: rec.pc,
             });
         }
+    }
+}
+
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder::new(RecorderConfig::default())
     }
 }
 

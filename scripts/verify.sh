@@ -20,32 +20,35 @@
 #   6. perf smoke: wall-time of a fixed sweep (recorded into
 #      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
-#      batch must finish, render the survivors, exit non-zero, and
-#      leave a store that `ctcp store verify` passes clean
-#   8. batch throughput gate: a warmup-heavy 96-cell sweep must stay
+#      batch must finish, render the survivors and exit non-zero; then
+#      `ctcp store verify` must pass the store it left clean
+#   8. engine perf gate: a scheduler-bound sweep (gzip,twolf x
+#      baseline,friendly, 200k instructions, --jobs 1, best of 3) must
+#      stay within 125% of the committed reference (BENCH_engine.json)
+#   9. batch throughput gate: a warmup-heavy 96-cell sweep must stay
 #      within 125% of the committed reference (BENCH_batch.json)
-#   9. serve smoke: a real daemon on an ephemeral port serves a client
+#  10. serve smoke: a real daemon on an ephemeral port serves a client
 #      sweep byte-identical to the one-shot CLI, answers /status,
 #      drains on shutdown, and leaves a populated sharded store with
 #      no leftover socket or lock tokens
-#  10. serve concurrency gate: four overlapping clients (one big sweep
+#  11. serve concurrency gate: four overlapping clients (one big sweep
 #      + three memoized grids) against one daemon (BENCH_serve.json);
 #      the aggregate must be <= half the serialized
 #      one-shot reference, no cached client may wait more than 100 ms
 #      behind the running sweep, and the concurrent time must stay
 #      within 125% of the committed reference
-#  11. serve chaos gate: SIGKILL a daemon mid-sweep, restart it over
+#  12. serve chaos gate: SIGKILL a daemon mid-sweep, restart it over
 #      the same store, and re-ask the identical grid — the journaled
 #      request must replay, the output must be byte-identical to the
 #      one-shot CLI, and no finished cell may be recomputed (each of
 #      the grid's cells has exactly one valid store line)
-#  12. serve observability gate: a daemon with debug logging to a file
+#  13. serve observability gate: a daemon with debug logging to a file
 #      serves a mixed workload while /metrics is scraped twice (the
 #      exposition must parse and its counters must be monotone),
 #      /trace/<token> must return a non-empty Chrome trace for the
 #      request named in the structured log, every log line must be
 #      JSON, and `ctcp top --once` must render a dashboard frame
-#  13. benchmark self-check: ctcp-benchmark's own tests, then a one-second
+#  14. benchmark self-check: ctcp-benchmark's own tests, then a one-second
 #      run of each in-process workload (detailed, warmup_grid, attrib);
 #      each run completes at least one full pass and exits 0 only if
 #      every cell matched its committed report digest and none failed
@@ -117,7 +120,7 @@ fi
 grep -q "attribution (fraction of retire slots" "$smoke_dir/sweep-attrib.out"
 
 echo "==> perf smoke (fixed sweep wall-time)"
-# Fixed workload: no-probe sweep, single-threaded so the number tracks
+# Fixed workload: recorder-off sweep, single-threaded so the number tracks
 # simulator speed rather than host core count; no cache so it always
 # simulates.
 start_ns=$(date +%s%N)
