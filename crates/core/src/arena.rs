@@ -2,7 +2,7 @@
 //!
 //! Constructing an [`Engine`](crate::Engine) allocates a ROB ring, a
 //! 256-slot completion wheel, per-cluster dispatch queues, per-RS
-//! ready/pending lists, and a consumer-list slab. For a single long
+//! ready/pending lists, a parked-load list, and a consumer-list slab. For a single long
 //! simulation that cost is noise; for a sweep that interleaves hundreds
 //! of short cells on one worker thread it dominates, and it scatters
 //! every cell's hot state across fresh, cache-cold allocations.
@@ -24,6 +24,7 @@
 //! keeps all wakeup traffic inside one slab.
 
 use crate::entry::Entry;
+use crate::sched::ReadyQueue;
 use ctcp_telemetry::CritLink;
 use std::collections::VecDeque;
 
@@ -110,7 +111,8 @@ impl ConsumerArena {
 
 /// Every recyclable allocation one [`Engine`](crate::Engine) owns: the
 /// ROB ring, the consumer slab, the completion wheel's slot vectors,
-/// scratch buffers, pools of per-cluster queue storage, and the
+/// scratch buffers, per-cluster and per-station queue storage, the list of
+/// loads parked behind unresolved store addresses, and the
 /// critical-link buffer that attribution runs fill. Obtain a fresh one
 /// with `EngineArena::default()`, pass it to
 /// [`Engine::with_arena`](crate::Engine::with_arena), and harvest it
@@ -126,9 +128,10 @@ pub struct EngineArena {
     pub(crate) events: Vec<(u64, u64)>,
     pub(crate) wakes: Vec<(u64, u8)>,
     pub(crate) steer_counts: Vec<u32>,
-    pub(crate) dispatch_qs: Vec<VecDeque<u64>>,
+    pub(crate) dispatch_qs: Vec<VecDeque<(u64, u64)>>,
     pub(crate) seq_lists: Vec<Vec<u64>>,
-    pub(crate) pending_lists: Vec<Vec<(u64, u64)>>,
+    pub(crate) queues: Vec<ReadyQueue>,
+    pub(crate) parked: Vec<u64>,
     pub(crate) links: Vec<CritLink>,
 }
 

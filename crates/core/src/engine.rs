@@ -2,18 +2,22 @@
 //!
 //! Scheduling is event-driven: completions live in a calendar queue
 //! (popped exactly when due), wakeups traverse per-producer consumer
-//! lists built at rename, and selectable instructions sit in per-RS
-//! ready queues keyed by their operand-arrival cycle. The original
-//! scan-per-cycle scheduler is retained as the determinism oracle that
-//! differential tests select with [`Engine::set_legacy_scheduler`];
-//! both paths produce cycle-for-cycle identical results.
+//! lists built at rename, selectable instructions sit in per-RS ready
+//! queues keyed by their operand-arrival cycle, loads behind an
+//! unresolved store address are parked until it resolves, and a tick
+//! that changes nothing names the next cycle that can
+//! ([`Engine::next_event`]) so the caller may skip the quiet ones. The
+//! original scan-per-cycle scheduler is retained as the determinism
+//! oracle that differential tests select with
+//! [`Engine::set_legacy_scheduler`]; both paths produce cycle-for-cycle
+//! identical results.
 
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
 use crate::fu::FuPool;
 use crate::geometry::GeometryTables;
 use crate::rob::Rob;
-use crate::sched::{CompletionWheel, ReadyQueue};
+use crate::sched::{CompletionWheel, Stations, RS_PER_CLUSTER};
 use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
 use ctcp_isa::Instruction;
 use ctcp_memory::{AccessKind, CacheStats, DataMemory, StoreForward};
@@ -164,12 +168,29 @@ struct Completed {
     group: u64,
 }
 
+/// The [`Stations`] index of reservation station `rs` of `cluster`.
+fn station(cluster: usize, rs: RsClass) -> usize {
+    cluster * RS_PER_CLUSTER + rs.index()
+}
+
+/// The outcome of one issue attempt.
+enum Issue {
+    /// Execution began; the caller removes the entry from its station.
+    Began,
+    /// A load behind an older store whose address is still unknown:
+    /// nothing changes for it until that store executes.
+    BehindStore,
+    /// Not this cycle: operands still in flight, no free functional
+    /// unit, or a full store buffer.
+    Wait,
+}
+
 struct ClusterState {
-    dispatch_q: VecDeque<u64>,
+    /// `(dispatch_at, seq)` in program order, so a head that is not yet
+    /// due is recognised without a ROB lookup.
+    dispatch_q: VecDeque<(u64, u64)>,
     /// Legacy scheduler only: flat per-RS candidate lists.
     rs: [Vec<u64>; 5],
-    /// Event scheduler only: per-RS ready/pending queues.
-    queues: [ReadyQueue; 5],
     /// Station residency, maintained identically by both schedulers
     /// (incremented at dispatch, decremented at issue): the single
     /// source every occupancy read — dispatch back-pressure, routing,
@@ -185,12 +206,6 @@ impl ClusterState {
     /// fresh.
     fn from_arena(arena: &mut EngineArena) -> Self {
         let take_seq = |arena: &mut EngineArena| arena.seq_lists.pop().unwrap_or_default();
-        let take_queue = |arena: &mut EngineArena| {
-            ReadyQueue::from_parts(
-                arena.seq_lists.pop().unwrap_or_default(),
-                arena.pending_lists.pop().unwrap_or_default(),
-            )
-        };
         let mut dispatch_q = arena.dispatch_qs.pop().unwrap_or_default();
         dispatch_q.clear();
         let mut rs: [Vec<u64>; 5] = std::array::from_fn(|_| take_seq(arena));
@@ -200,7 +215,6 @@ impl ClusterState {
         ClusterState {
             dispatch_q,
             rs,
-            queues: std::array::from_fn(|_| take_queue(arena)),
             station_occ: [0; 5],
             fus: FuPool::new(),
         }
@@ -211,11 +225,6 @@ impl ClusterState {
         arena.dispatch_qs.push(self.dispatch_q);
         for list in self.rs {
             arena.seq_lists.push(list);
-        }
-        for q in self.queues {
-            let (ready, pending) = q.into_parts();
-            arena.seq_lists.push(ready);
-            arena.pending_lists.push(pending);
         }
     }
 }
@@ -246,6 +255,19 @@ pub struct Engine {
     event_driven: bool,
     /// Calendar queue of `(complete_cycle, seq)` execution completions.
     wheel: CompletionWheel,
+    /// Event scheduler only: every reservation station's ready/pending
+    /// queues behind their bitmasks.
+    stations: Stations,
+    /// Event scheduler only: station residents (ascending seq) that are
+    /// loads behind an older store whose address is unknown. They leave
+    /// their ready lists until that store executes instead of failing
+    /// an issue attempt every cycle.
+    parked: Vec<u64>,
+    /// The cycle of the last tick if it changed no state.
+    quiet_at: Option<u64>,
+    /// Dispatch stalls on a full station the last tick counted: what
+    /// every skipped quiet cycle after it counts too.
+    quiet_stalls: u64,
     /// Scratch for the wheel's per-cycle drain (reused every tick).
     scratch_events: Vec<(u64, u64)>,
     /// Struct-of-arrays slab holding every entry's wakeup chain; entries
@@ -286,10 +308,13 @@ impl Engine {
             mut events,
             mut wakes,
             mut steer_counts,
+            queues,
+            mut parked,
             mut links,
             ..
         } = arena;
         consumers.clear();
+        parked.clear();
         events.clear();
         wakes.clear();
         steer_counts.clear();
@@ -309,6 +334,10 @@ impl Engine {
             recorder: None,
             event_driven: true,
             wheel: CompletionWheel::from_slots(wheel_slots),
+            stations: Stations::from_queues(n, queues),
+            parked,
+            quiet_at: None,
+            quiet_stalls: 0,
             scratch_events: events,
             consumers,
             scratch_wakes: wakes,
@@ -329,6 +358,8 @@ impl Engine {
             events: self.scratch_events,
             wakes: self.scratch_wakes,
             steer_counts: self.steer_counts,
+            queues: self.stations.into_queues(),
+            parked: self.parked,
             links: self.links,
             ..EngineArena::default()
         };
@@ -467,6 +498,7 @@ impl Engine {
     /// sequence numbers are not dense and increasing.
     pub fn accept(&mut self, group: &[FetchedInst], now: u64) {
         assert!(self.can_accept(group.len()), "caller must check can_accept");
+        self.quiet_at = None;
         // Issue-time steering balances within the cycle's group.
         let mut cycle_counts = std::mem::take(&mut self.steer_counts);
         cycle_counts.clear();
@@ -535,7 +567,9 @@ impl Engine {
             if let Some(d) = f.inst.dest {
                 self.rat[d.index()] = Some(f.seq);
             }
-            self.clusters[cluster as usize].dispatch_q.push_back(f.seq);
+            self.clusters[cluster as usize]
+                .dispatch_q
+                .push_back((dispatch_at, f.seq));
             self.rob.push_back(entry);
         }
         self.steer_counts = cycle_counts;
@@ -671,19 +705,23 @@ impl Engine {
     pub fn tick_into(&mut self, now: u64, out: &mut TickResult) {
         out.retired.clear();
         out.redirects.clear();
-        self.dispatch(now);
+        let stalls = self.stats.rs_full_stalls;
+        let dispatched = self.dispatch(now);
         // Complete (and wake consumers) before select so that a result
         // produced at cycle `now` can be consumed intra-cluster at `now` —
         // the paper's "same cycle as instruction dispatch" forwarding.
-        if self.event_driven {
-            self.complete_event(now, &mut out.redirects);
-            self.select_event(now);
+        let (completed, issued) = if self.event_driven {
+            let completed = self.complete_event(now, &mut out.redirects);
+            (completed, self.select_event(now))
         } else {
-            self.complete_scan(now, &mut out.redirects);
-            self.select_scan(now);
-        }
+            let completed = self.complete_scan(now, &mut out.redirects);
+            (completed, self.select_scan(now))
+        };
         self.retire_into(now, &mut out.retired);
-        self.mem.drain_stores(2);
+        let drained = self.mem.drain_stores(2);
+        let changed = dispatched + completed + issued + out.retired.len() + drained;
+        self.quiet_at = (changed == 0).then_some(now);
+        self.quiet_stalls = self.stats.rs_full_stalls - stalls;
         if let Some(rec) = &self.recorder {
             rec.counter(Counter::Cycles, 1);
             let mshrs = self.mem.mshr_in_use(now) as u64;
@@ -697,23 +735,67 @@ impl Engine {
         }
     }
 
-    fn dispatch(&mut self, now: u64) {
+    /// After a tick that changed no state (nothing dispatched, issued,
+    /// completed, retired or drained to the cache), the earliest cycle
+    /// at which a tick can change state again: the next completion on
+    /// the wheel, the earliest pending operand arrival, the next
+    /// dispatch-queue head that falls due, or, on a cluster with
+    /// selectable entries, the next functional unit that frees up;
+    /// `u64::MAX` when none of these is scheduled. Every tick before
+    /// that cycle would be just as quiet, so a caller may skip those
+    /// cycles and charge them with [`Engine::skip_quiet`].
+    ///
+    /// `None` after a tick that did something, after
+    /// [`Engine::accept`], and always under the legacy scan scheduler,
+    /// which is kept ticking every cycle as the oracle.
+    pub fn next_event(&self) -> Option<u64> {
+        let now = self.quiet_at.filter(|_| self.event_driven)?;
+        let mut next = self.stations.next_arrival();
+        if let Some(at) = self.wheel.next_due() {
+            next = next.min(at);
+        }
+        for (ci, c) in self.clusters.iter().enumerate() {
+            if let Some(&(at, _)) = c.dispatch_q.front() {
+                if at > now {
+                    next = next.min(at);
+                }
+            }
+            if self.stations.cluster_has_ready(ci) {
+                if let Some(free) = c.fus.next_free(now) {
+                    next = next.min(free);
+                }
+            }
+        }
+        Some(next)
+    }
+
+    /// Charges `cycles` skipped cycles after a quiet tick what each
+    /// would have counted had it been ticked: the dispatch stalls on a
+    /// full reservation station that the quiet tick counted.
+    pub fn skip_quiet(&mut self, cycles: u64) {
+        debug_assert!(
+            self.quiet_at.is_some(),
+            "only the cycles after a quiet tick can be skipped"
+        );
+        self.stats.rs_full_stalls += cycles * self.quiet_stalls;
+    }
+
+    /// Moves due dispatch-queue heads into their stations; returns how
+    /// many moved.
+    fn dispatch(&mut self, now: u64) -> usize {
+        let mut total = 0;
         for ci in 0..self.clusters.len() {
             let mut dispatched = 0;
             let mut port_use = [0usize; 5];
             while dispatched < self.cfg.dispatch_per_cluster {
-                let Some(&seq) = self.clusters[ci].dispatch_q.front() else {
+                let Some(&(at, seq)) = self.clusters[ci].dispatch_q.front() else {
                     break;
-                };
-                let entry = self.entry(seq).expect("queued entries are in ROB");
-                let Stage::AwaitDispatch { at } = entry.stage else {
-                    // Should not happen, but drop defensively.
-                    self.clusters[ci].dispatch_q.pop_front();
-                    continue;
                 };
                 if at > now {
                     break;
                 }
+                let entry = self.entry(seq).expect("queued entries are in ROB");
+                debug_assert_eq!(entry.stage, Stage::AwaitDispatch { at });
                 let rs = entry.rs;
                 let is_load = entry.inst.op.is_load();
                 if self.station_len(ci, rs.index()) >= self.cfg.rs_entries
@@ -741,14 +823,16 @@ impl Engine {
                     // cycle is final: file it now. Otherwise the last
                     // producer's wakeup will file it.
                     if let Some(at) = self.settle_readiness(seq) {
-                        self.clusters[ci].queues[rs.index()].push_at(at, seq, now);
+                        self.stations.file(station(ci, rs), at, seq, now);
                     }
                 } else {
                     self.clusters[ci].rs[rs.index()].push(seq);
                 }
                 dispatched += 1;
             }
+            total += dispatched;
         }
+        total
     }
 
     /// Computes the operand-arrival cycle of `src` for a consumer on
@@ -819,9 +903,8 @@ impl Engine {
     }
 
     /// Issue checks shared by both schedulers. `seq` must sit in a
-    /// reservation station of cluster `ci`. Returns `true` when
-    /// execution began (the caller removes it from its station).
-    fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> bool {
+    /// reservation station of cluster `ci`.
+    fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> Issue {
         let e = self.entry(seq).expect("RS entries are in ROB");
         debug_assert!(matches!(e.stage, Stage::InRs));
         // The event scheduler only visits entries whose readiness it
@@ -832,44 +915,41 @@ impl Engine {
             self.readiness(e)
         };
         let Some((ready, critical)) = readiness else {
-            return false;
+            return Issue::Wait;
         };
         if ready > now {
-            return false;
+            return Issue::Wait;
         }
         let op = e.inst.op;
         // No speculative disambiguation: loads wait for all older store
         // addresses.
-        if op.is_load() {
-            if let Some(ms) = min_unresolved {
-                if ms < seq {
-                    return false;
-                }
-            }
+        if op.is_load() && min_unresolved.is_some_and(|ms| ms < seq) {
+            return Issue::BehindStore;
         }
         if op.is_store() && !self.mem.store_buffer().has_room() {
-            return false;
+            return Issue::Wait;
         }
         let lat = EngineConfig::opcode_latency(op);
         if !self.clusters[ci]
             .fus
             .try_claim(op.fu_type(), now, lat.issue)
         {
-            return false;
+            return Issue::Wait;
         }
         self.begin_execution(seq, now, lat.exec, critical);
-        true
+        Issue::Began
     }
 
     /// Legacy select: poll `readiness()` on every station resident.
-    fn select_scan(&mut self, now: u64) {
+    /// Returns how many issued.
+    fn select_scan(&mut self, now: u64) -> usize {
         let min_unresolved = self.unresolved_stores.front().copied();
         let mut issued = [0u32; 8];
         for ci in 0..self.clusters.len() {
             for rsi in 0..5 {
                 let candidates: Vec<u64> = self.clusters[ci].rs[rsi].clone();
                 for seq in candidates {
-                    if self.try_issue(seq, now, min_unresolved, ci) {
+                    if let Issue::Began = self.try_issue(seq, now, min_unresolved, ci) {
                         issued[ci.min(7)] += 1;
                         self.clusters[ci].rs[rsi].retain(|&s| s != seq);
                         self.clusters[ci].station_occ[rsi] -= 1;
@@ -877,47 +957,78 @@ impl Engine {
                 }
             }
         }
-        self.observe_issue(&issued);
+        self.observe_issue(&issued)
     }
 
-    /// Event-driven select: only entries whose operands have arrived are
-    /// visited; non-issuers (FU or memory structural hazards) stay via
-    /// in-place compaction instead of O(n) `retain` removals.
-    fn select_event(&mut self, now: u64) {
+    /// Event-driven select: refiles the parked loads a store's address
+    /// freed, promotes due arrivals, and visits only the stations whose
+    /// ready bit is set. Non-issuers stay via in-place compaction
+    /// instead of O(n) `retain` removals, except a load behind an
+    /// unresolved older store address, which is parked. Returns how
+    /// many issued.
+    fn select_event(&mut self, now: u64) -> usize {
         let min_unresolved = self.unresolved_stores.front().copied();
+        self.refile_parked(min_unresolved, now);
+        self.stations.promote_due(now);
         let mut issued = [0u32; 8];
-        for ci in 0..self.clusters.len() {
-            for rsi in 0..5 {
-                self.clusters[ci].queues[rsi].promote(now);
-                if self.clusters[ci].queues[rsi].ready.is_empty() {
-                    continue;
-                }
-                let mut ready = std::mem::take(&mut self.clusters[ci].queues[rsi].ready);
-                let mut keep = 0;
-                for i in 0..ready.len() {
-                    let seq = ready[i];
-                    if self.try_issue(seq, now, min_unresolved, ci) {
+        let mut mask = self.stations.ready_mask();
+        while mask != 0 {
+            let station = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let (ci, rsi) = (station / RS_PER_CLUSTER, station % RS_PER_CLUSTER);
+            let mut ready = self.stations.take_ready(station);
+            let mut keep = 0;
+            for i in 0..ready.len() {
+                let seq = ready[i];
+                match self.try_issue(seq, now, min_unresolved, ci) {
+                    Issue::Began => {
                         issued[ci.min(7)] += 1;
                         self.clusters[ci].station_occ[rsi] -= 1;
-                    } else {
+                    }
+                    Issue::BehindStore => {
+                        let at = self.parked.partition_point(|&s| s < seq);
+                        self.parked.insert(at, seq);
+                    }
+                    Issue::Wait => {
                         ready[keep] = seq;
                         keep += 1;
                     }
                 }
-                ready.truncate(keep);
-                self.clusters[ci].queues[rsi].ready = ready;
             }
+            ready.truncate(keep);
+            self.stations.put_ready(station, ready);
         }
-        self.observe_issue(&issued);
+        self.observe_issue(&issued)
     }
 
-    fn observe_issue(&mut self, issued: &[u32; 8]) {
+    /// Files every parked load that no older unresolved store address
+    /// blocks any more back in its ready list. The list is in sequence
+    /// order, so the loads older than the oldest unresolved store are a
+    /// prefix; stores rename in order, so none can block them again.
+    fn refile_parked(&mut self, min_unresolved: Option<u64>, now: u64) {
+        let free = match min_unresolved {
+            Some(ms) => self.parked.partition_point(|&s| s < ms),
+            None => self.parked.len(),
+        };
+        for i in 0..free {
+            let seq = self.parked[i];
+            let e = self.entry(seq).expect("parked loads are in the ROB");
+            let (ready_at, _) = e.ready.expect("parked loads have settled");
+            let station = station(usize::from(e.cluster), e.rs);
+            self.stations.file(station, ready_at, seq, now);
+        }
+        self.parked.drain(..free);
+    }
+
+    /// Samples the per-cluster issue histogram; returns the total issued.
+    fn observe_issue(&mut self, issued: &[u32; 8]) -> usize {
         if let Some(rec) = &self.recorder {
             for ci in 0..self.clusters.len() {
                 let n = u64::from(issued[ci.min(7)]);
                 rec.observe(Hist::ClusterIssueOccupancy, n);
             }
         }
+        issued.iter().map(|&n| n as usize).sum()
     }
 
     fn begin_execution(&mut self, seq: u64, now: u64, exec_lat: u64, critical: Option<usize>) {
@@ -1049,8 +1160,9 @@ impl Engine {
     }
 
     /// Legacy complete: scan the ROB for finishers, then broadcast each
-    /// finisher against every entry's sources.
-    fn complete_scan(&mut self, now: u64, redirects: &mut Vec<u64>) {
+    /// finisher against every entry's sources. Returns how many
+    /// completed.
+    fn complete_scan(&mut self, now: u64, redirects: &mut Vec<u64>) -> usize {
         let mut completed: Vec<(u64, u64, u8, u64)> = Vec::new(); // (seq, cycle, cluster, group)
         for e in self.rob.iter_mut() {
             if let Stage::Executing { complete } = e.stage {
@@ -1065,7 +1177,7 @@ impl Engine {
             }
         }
         // Wakeup broadcast: resolve waiting consumers.
-        let n = completed.len() as u64;
+        let n = completed.len();
         let mut woken = 0u64;
         for (pseq, cycle, cluster, pgroup) in completed {
             for e in self.rob.iter_mut() {
@@ -1084,13 +1196,14 @@ impl Engine {
                 }
             }
         }
-        self.note_completions(n, woken);
+        self.note_completions(n as u64, woken);
+        n
     }
 
     /// Event-driven complete: pop exactly the instructions finishing in
     /// `(last_tick, now]` from the wheel and wake only their registered
-    /// consumers.
-    fn complete_event(&mut self, now: u64, redirects: &mut Vec<u64>) {
+    /// consumers. Returns how many completed.
+    fn complete_event(&mut self, now: u64, redirects: &mut Vec<u64>) -> usize {
         let mut events = std::mem::take(&mut self.scratch_events);
         let mut wakes = std::mem::take(&mut self.scratch_wakes);
         events.clear();
@@ -1128,9 +1241,11 @@ impl Engine {
         // legacy scan reported them in program order. Sort so the two
         // paths stay observably identical.
         redirects.sort_unstable();
-        self.note_completions(events.len() as u64, woken);
+        let completed = events.len();
+        self.note_completions(completed as u64, woken);
         self.scratch_events = events;
         self.scratch_wakes = wakes;
+        completed
     }
 
     /// Resolves consumer `cseq`'s source `si` against `producer`, and
@@ -1157,9 +1272,9 @@ impl Engine {
             // another producer (that wakeup files it).
             return;
         }
-        let (ccl, crs) = (c.cluster as usize, c.rs.index());
+        let station = station(usize::from(c.cluster), c.rs);
         let ready_at = self.settle_readiness(cseq).expect("all sources resolved");
-        self.clusters[ccl].queues[crs].push_at(ready_at, cseq, now);
+        self.stations.file(station, ready_at, cseq, now);
     }
 
     fn note_completions(&mut self, completions: u64, woken: u64) {
@@ -1629,6 +1744,43 @@ mod tests {
                 r.retire_cycle
             );
         }
+    }
+
+    #[test]
+    fn parked_loads_leave_select_and_their_list_is_recycled() {
+        // A divide feeds a store's address; three younger loads with
+        // ready operands park behind it instead of retrying each cycle.
+        let div = Instruction::new(Opcode::Div, Some(Reg::R1), Some(Reg::R2), Some(Reg::R3), 0);
+        let st = Instruction::new(Opcode::St, None, Some(Reg::R1), Some(Reg::R4), 0);
+        let mut group = vec![fetched(0, div, 0), fetched(1, st, 1)];
+        group[1].mem_addr = Some(0x5000);
+        for i in 0..3u64 {
+            let ld = Instruction::new(
+                Opcode::Ld,
+                Some(Reg::int(5 + i as u8)),
+                Some(Reg::R9),
+                None,
+                0,
+            );
+            let mut l = fetched(2 + i, ld, (4 * (i + 1)) as u8);
+            l.mem_addr = Some(0x6000 + 0x100 * i);
+            group.push(l);
+        }
+        let mut e = Engine::new(cfg(), SteeringMode::Slot);
+        e.accept(&group, 0);
+        for now in 1..10 {
+            e.tick(now);
+        }
+        assert_eq!(e.parked, vec![2, 3, 4]);
+        assert_eq!(
+            e.stations.ready_mask(),
+            0,
+            "parked loads are off the ready lists"
+        );
+        let arena = e.into_arena();
+        assert!(arena.parked.capacity() >= 3);
+        let e = Engine::with_arena(cfg(), SteeringMode::Slot, arena);
+        assert!(e.parked.is_empty() && e.parked.capacity() >= 3);
     }
 
     #[test]

@@ -38,6 +38,17 @@ impl FuPool {
         }
     }
 
+    /// The earliest cycle after `now` at which a busy unit frees up,
+    /// if any unit is busy.
+    pub(crate) fn next_free(&self, now: u64) -> Option<u64> {
+        self.busy
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&u| u > now)
+            .min()
+    }
+
     /// True if some unit of `fu` is free at `now` (no claim).
     #[cfg(test)]
     pub(crate) fn available(&self, fu: FuType, now: u64) -> bool {
@@ -73,5 +84,16 @@ mod tests {
         assert!(p.try_claim(FuType::Cpx, 0, 19)); // integer divide
         assert!(!p.available(FuType::Cpx, 18));
         assert!(p.available(FuType::Cpx, 19));
+    }
+
+    #[test]
+    fn next_free_names_the_earliest_busy_unit() {
+        let mut p = FuPool::new();
+        assert_eq!(p.next_free(0), None);
+        assert!(p.try_claim(FuType::Cpx, 0, 19));
+        assert!(p.try_claim(FuType::Alu, 0, 1));
+        assert_eq!(p.next_free(0), Some(1));
+        assert_eq!(p.next_free(1), Some(19), "the ALU is free again at 1");
+        assert_eq!(p.next_free(19), None);
     }
 }

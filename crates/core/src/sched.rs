@@ -1,14 +1,17 @@
 //! Event-driven scheduling structures: the completion wheel and the
-//! per-reservation-station ready queues.
+//! reservation stations' ready queues.
 //!
 //! Both exist to remove the per-cycle O(ROB) scans from the engine's
-//! `complete` and `select_and_execute` phases. A finish cycle is fixed
-//! the moment execution begins, so completions live in a calendar queue
+//! complete and select phases. A finish cycle is fixed the moment
+//! execution begins, so completions live in a calendar queue
 //! ([`CompletionWheel`]) and are popped exactly when due. A source's
 //! arrival cycle is fixed the moment its last producer completes (or at
 //! dispatch when nothing is outstanding), so selectable instructions
 //! live in [`ReadyQueue`]s keyed by that cycle instead of being
-//! re-polled with `readiness()` every cycle.
+//! re-polled with `readiness()` every cycle. [`Stations`] holds every
+//! station's queue behind two bitmasks and the earliest pending
+//! arrival, so select visits only stations with selectable work and
+//! promotes only on cycles when some arrival is due.
 
 /// Number of slots in the completion wheel. Must comfortably exceed the
 /// longest single-instruction latency (worst case is a load that misses
@@ -64,6 +67,23 @@ impl CompletionWheel {
         );
         self.slots[(complete as usize) % WHEEL_SLOTS].push((complete, seq));
         self.len += 1;
+    }
+
+    /// The earliest cycle with a scheduled completion, if any. Scans
+    /// forward one lap from the cursor (the next completion is usually
+    /// a few cycles out); a wheel holding only later-lap residents
+    /// falls back to a pass over every slot.
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        for cycle in (self.cursor + 1)..=(self.cursor + WHEEL_SLOTS as u64) {
+            let slot = &self.slots[(cycle as usize) % WHEEL_SLOTS];
+            if slot.iter().any(|&(at, _)| at == cycle) {
+                return Some(cycle);
+            }
+        }
+        self.slots.iter().flatten().map(|&(at, _)| at).min()
     }
 
     /// Appends every event due in `(cursor, now]` to `out`, ordered by
@@ -130,24 +150,12 @@ impl CompletionWheel {
 #[derive(Debug, Default)]
 pub(crate) struct ReadyQueue {
     /// Selectable now (operands arrived), ascending seq.
-    pub(crate) ready: Vec<u64>,
+    ready: Vec<u64>,
     /// Operands arrive at a known future cycle, ascending `(at, seq)`.
     pending: Vec<(u64, u64)>,
 }
 
 impl ReadyQueue {
-    /// An empty queue built from recycled list storage (cleared here).
-    pub(crate) fn from_parts(mut ready: Vec<u64>, mut pending: Vec<(u64, u64)>) -> Self {
-        ready.clear();
-        pending.clear();
-        ReadyQueue { ready, pending }
-    }
-
-    /// Tears the queue down to its list storage for arena recycling.
-    pub(crate) fn into_parts(self) -> (Vec<u64>, Vec<(u64, u64)>) {
-        (self.ready, self.pending)
-    }
-
     /// Files `seq`, whose operands arrive at `ready_at`, under the
     /// current cycle `now`. Station residency is tracked separately by
     /// the engine's shared per-station counters, which both schedulers
@@ -164,8 +172,8 @@ impl ReadyQueue {
     }
 
     /// Moves every pending entry whose arrival cycle has come into the
-    /// ready list.
-    pub(crate) fn promote(&mut self, now: u64) {
+    /// ready list. Returns `true` if any moved.
+    pub(crate) fn promote(&mut self, now: u64) -> bool {
         let n = self.pending.partition_point(|&(at, _)| at <= now);
         for idx in 0..n {
             let seq = self.pending[idx].1;
@@ -173,6 +181,125 @@ impl ReadyQueue {
             self.ready.insert(i, seq);
         }
         self.pending.drain(..n);
+        n > 0
+    }
+
+    /// The earliest pending arrival, if any entry is pending.
+    fn next_arrival(&self) -> Option<u64> {
+        self.pending.first().map(|&(at, _)| at)
+    }
+}
+
+/// Reservation stations per cluster (Figure 3).
+pub(crate) const RS_PER_CLUSTER: usize = 5;
+
+/// Every reservation station's [`ReadyQueue`], station `s` being
+/// `cluster * RS_PER_CLUSTER + class`. Bit `s` of `ready` is set while
+/// station `s` has selectable entries and bit `s` of `pending` while it
+/// has entries waiting for an arrival; ascending bit order is the
+/// legacy scan's cluster-then-station order, so select keeps its
+/// program-order tie-breaks while skipping idle stations.
+pub(crate) struct Stations {
+    /// At least one queue per station; a recycled vector may hold more,
+    /// which stay empty and keep their capacity for a wider machine.
+    queues: Vec<ReadyQueue>,
+    ready: u64,
+    pending: u64,
+    /// Earliest pending arrival over every station (`u64::MAX` when
+    /// none pend): no promotion can happen before it.
+    next_arrival: u64,
+}
+
+impl Stations {
+    /// The stations of `clusters` clusters, built from recycled queues
+    /// (cleared here, capacity kept).
+    pub(crate) fn from_queues(clusters: usize, mut queues: Vec<ReadyQueue>) -> Self {
+        let count = clusters * RS_PER_CLUSTER;
+        assert!(count <= 64, "station bitmasks hold at most 64 stations");
+        for q in &mut queues {
+            q.ready.clear();
+            q.pending.clear();
+        }
+        if queues.len() < count {
+            queues.resize_with(count, ReadyQueue::default);
+        }
+        Stations {
+            queues,
+            ready: 0,
+            pending: 0,
+            next_arrival: u64::MAX,
+        }
+    }
+
+    /// Tears the stations down to their queues for arena recycling.
+    pub(crate) fn into_queues(self) -> Vec<ReadyQueue> {
+        self.queues
+    }
+
+    /// True while some station of `cluster` has selectable entries.
+    pub(crate) fn cluster_has_ready(&self, cluster: usize) -> bool {
+        let bits = (1u64 << RS_PER_CLUSTER) - 1;
+        (self.ready >> (cluster * RS_PER_CLUSTER)) & bits != 0
+    }
+
+    /// Files `seq`, whose operands arrive at `ready_at`, in station `s`
+    /// at cycle `now`.
+    pub(crate) fn file(&mut self, s: usize, ready_at: u64, seq: u64, now: u64) {
+        self.queues[s].push_at(ready_at, seq, now);
+        if ready_at <= now {
+            self.ready |= 1 << s;
+        } else {
+            self.pending |= 1 << s;
+            self.next_arrival = self.next_arrival.min(ready_at);
+        }
+    }
+
+    /// Promotes every arrival due by `now`. Costs one comparison on a
+    /// cycle before the earliest pending arrival; otherwise visits only
+    /// the stations with pending entries.
+    pub(crate) fn promote_due(&mut self, now: u64) {
+        if now < self.next_arrival {
+            return;
+        }
+        let mut next = u64::MAX;
+        let mut mask = self.pending;
+        while mask != 0 {
+            let s = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let q = &mut self.queues[s];
+            if q.promote(now) {
+                self.ready |= 1 << s;
+            }
+            match q.next_arrival() {
+                Some(at) => next = next.min(at),
+                None => self.pending &= !(1 << s),
+            }
+        }
+        self.next_arrival = next;
+    }
+
+    /// Stations with selectable entries, one bit each.
+    pub(crate) fn ready_mask(&self) -> u64 {
+        self.ready
+    }
+
+    /// The earliest pending arrival (`u64::MAX` when none pend).
+    pub(crate) fn next_arrival(&self) -> u64 {
+        self.next_arrival
+    }
+
+    /// Lends station `s`'s ready list to select, which hands what is
+    /// left back through [`Stations::put_ready`].
+    pub(crate) fn take_ready(&mut self, s: usize) -> Vec<u64> {
+        std::mem::take(&mut self.queues[s].ready)
+    }
+
+    /// Returns station `s`'s ready list after select.
+    pub(crate) fn put_ready(&mut self, s: usize, ready: Vec<u64>) {
+        if ready.is_empty() {
+            self.ready &= !(1 << s);
+        }
+        self.queues[s].ready = ready;
     }
 }
 
@@ -233,9 +360,57 @@ mod tests {
         q.push_at(5, 13, 0);
         q.push_at(3, 99, 0);
         assert_eq!(q.ready, vec![7]);
-        q.promote(4);
+        assert!(q.promote(4));
         assert_eq!(q.ready, vec![7, 99]);
-        q.promote(5);
+        assert!(!q.promote(4), "nothing more is due at 4");
+        assert!(q.promote(5));
         assert_eq!(q.ready, vec![7, 13, 42, 99]);
+    }
+
+    #[test]
+    fn wheel_names_its_next_completion() {
+        let mut w = CompletionWheel::new();
+        assert_eq!(w.next_due(), None);
+        let far = 9 + WHEEL_SLOTS as u64; // shares cycle 9's slot
+        w.schedule(far, 1);
+        assert_eq!(w.next_due(), Some(far), "later-lap residents are found");
+        w.schedule(9, 2);
+        w.schedule(40, 3);
+        assert_eq!(w.next_due(), Some(9));
+        let mut out = Vec::new();
+        w.drain_into(9, &mut out);
+        assert_eq!(w.next_due(), Some(40));
+        w.drain_into(40, &mut out);
+        assert_eq!(w.next_due(), Some(far));
+    }
+
+    #[test]
+    fn stations_track_ready_and_pending_bits() {
+        let mut st = Stations::from_queues(2, Vec::new());
+        st.file(7, 3, 70, 0); // cluster 1, station 2: pending until 3
+        st.file(1, 0, 10, 0); // cluster 0, station 1: ready now
+        assert_eq!(st.ready_mask(), 1 << 1);
+        assert_eq!(st.next_arrival(), 3);
+        st.promote_due(2);
+        assert_eq!(st.ready_mask(), 1 << 1, "nothing is due before 3");
+        st.promote_due(3);
+        assert_eq!(st.ready_mask(), (1 << 1) | (1 << 7));
+        assert!(st.cluster_has_ready(0) && st.cluster_has_ready(1));
+        assert_eq!(st.next_arrival(), u64::MAX);
+        let mut ready = st.take_ready(7);
+        assert_eq!(ready, vec![70]);
+        ready.clear();
+        st.put_ready(7, ready);
+        assert_eq!(st.ready_mask(), 1 << 1);
+        assert!(!st.cluster_has_ready(1));
+        // Recycled for a narrower machine, every queue is kept (and
+        // emptied) for the next wide one.
+        let narrow = Stations::from_queues(1, st.into_queues());
+        assert_eq!(narrow.ready_mask(), 0);
+        let queues = narrow.into_queues();
+        assert_eq!(queues.len(), 10);
+        assert!(queues
+            .iter()
+            .all(|q| q.ready.is_empty() && q.pending.is_empty()));
     }
 }

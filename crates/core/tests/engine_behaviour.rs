@@ -1,9 +1,14 @@
 //! Behavioural tests of the execution engine: functional-unit blocking,
-//! memory ordering, interconnect shapes, and steering corner cases.
+//! memory ordering, interconnect shapes, steering corner cases, and the
+//! contract behind skipping quiet cycles.
 
-use ctcp_core::{ClusterGeometry, Engine, EngineConfig, FetchedInst, SteeringMode, Topology};
+use ctcp_core::{
+    ClusterGeometry, Engine, EngineConfig, FetchedInst, RetiredInst, SteeringMode, Topology,
+};
 use ctcp_isa::{Instruction, Opcode, Reg};
+use ctcp_telemetry::{Counter, Hist, Recorder, RecorderConfig};
 use ctcp_tracecache::ProfileFields;
+use std::rc::Rc;
 
 fn fetched(seq: u64, inst: Instruction, slot: u8) -> FetchedInst {
     FetchedInst {
@@ -274,4 +279,219 @@ fn wide_dependent_chain_is_execution_serial() {
     }
     let (_, end) = drain(&mut e, now + 1);
     assert!(end >= 32, "chain of 32 finished in {end} cycles");
+}
+
+/// Fetch groups that keep every kind of delay in play: divides that
+/// back up cluster 0's one complex unit until its station fills, stores
+/// whose address waits on a divide with younger loads to other words
+/// parked behind them, stores that retire together and drain over two
+/// cycles, a load forwarding from an older store, cold misses, and
+/// mispredicted branches.
+fn delay_mix() -> Vec<Vec<FetchedInst>> {
+    let div = |d: u8, a: u8| {
+        Instruction::new(
+            Opcode::Div,
+            Some(Reg::int(d)),
+            Some(Reg::int(a)),
+            Some(Reg::R9),
+            0,
+        )
+    };
+    let mut groups = Vec::new();
+    let mut seq = 0u64;
+    for g in 0..48u64 {
+        let mut group = Vec::new();
+        let mut push = |inst: Instruction, slot: u8, addr: Option<u64>, mispredicted: bool| {
+            let mut f = fetched(seq, inst, slot);
+            f.group = g;
+            f.mem_addr = addr;
+            if mispredicted {
+                f.mispredicted = true;
+                f.taken = Some(g % 8 == 3);
+            }
+            group.push(f);
+            seq += 1;
+        };
+        let line = 0x10_0000 + g * 0x1040;
+        match g % 4 {
+            // A divide chain, two deep, and an independent divide, all
+            // on cluster 0: its one complex unit falls behind until its
+            // station fills and dispatch stalls.
+            0 => {
+                push(div(1, 1), 0, None, false);
+                push(div(2, 1), 1, None, false);
+                push(div(13, 9), 2, None, false);
+                push(alu(Reg::R3, Reg::R2, Reg::R9), 3, None, false);
+            }
+            // A store whose address waits on a divide; loads to other
+            // words on three clusters park behind it.
+            1 => {
+                push(div(4, 9), 0, None, false);
+                let st = Instruction::new(Opcode::St, None, Some(Reg::R4), Some(Reg::R5), 0);
+                push(st, 1, Some(line), false);
+                for c in 1..4u8 {
+                    let ld =
+                        Instruction::new(Opcode::Ld, Some(Reg::int(5 + c)), Some(Reg::R9), None, 0);
+                    push(ld, 4 * c, Some(line + 0x100 * u64::from(c)), false);
+                }
+            }
+            // Four stores that retire together and drain over two
+            // cycles, store-to-load forwarding, then a dependent add.
+            2 => {
+                for k in 0..4u8 {
+                    let st = Instruction::new(Opcode::St, None, Some(Reg::R9), Some(Reg::R3), 0);
+                    push(st, 4 + k, Some(0x7000 + 8 * u64::from(k)), false);
+                }
+                let ld = Instruction::new(Opcode::Ld, Some(Reg::R10), Some(Reg::R9), None, 0);
+                push(ld, 8, Some(0x7000), false);
+                push(alu(Reg::R11, Reg::R10, Reg::R10), 9, None, false);
+            }
+            // A cold miss feeding a mispredicted branch.
+            _ => {
+                let ld = Instruction::new(Opcode::Ld, Some(Reg::R12), Some(Reg::R9), None, 0);
+                push(ld, 12, Some(line + 0x800), false);
+                let br = Instruction::new(Opcode::Bne, None, Some(Reg::R12), Some(Reg::R9), 0);
+                push(br, 13, None, true);
+            }
+        }
+        groups.push(group);
+    }
+    groups
+}
+
+/// What a tick changes when it dispatches, issues, completes, retires
+/// or drains anything: the completions and retirements the recorder
+/// counts, the issues its per-cluster histogram sums, per-cluster
+/// dispatch-queue and station occupancy, the ROB head, the L1D's
+/// accesses (retired stores drain into it), and the engine's counters
+/// (bar the full-station dispatch stalls, which a quiet cycle still
+/// counts).
+fn observable(e: &Engine, rec: &Recorder) -> String {
+    let m = rec.metrics();
+    let mut stats = e.stats();
+    stats.rs_full_stalls = 0;
+    format!(
+        "{} {} {} {:?} {:?} {stats:?}",
+        m.get(Counter::SchedCompletions),
+        m.get(Counter::Retired),
+        m.hist(Hist::ClusterIssueOccupancy).sum,
+        e.diagnostic(0),
+        e.memory().l1_stats(),
+    )
+}
+
+/// Cycles between the arrivals of consecutive [`delay_mix`] groups.
+const ARRIVAL_GAP: u64 = 12;
+
+/// Feeds [`delay_mix`] into an engine, group `g` once cycle
+/// `g * ARRIVAL_GAP` has come and the ROB has room, and runs it dry.
+/// After each tick that names a next event, the cycles up to that event
+/// (or up to the next arrival, whichever is first) form a quiet span.
+/// With `skip`, a span's cycles are not ticked but charged with
+/// [`Engine::skip_quiet`]. Without, every cycle is ticked and checked
+/// against the skip contract: each tick inside a span changes nothing
+/// and counts the same dispatch stalls as the tick that named it.
+/// Returns the retired stream, the final engine counters, how many
+/// cycles the spans covered, and how many cycles the run took.
+fn run_checking_spans(skip: bool) -> (Vec<RetiredInst>, String, u64, u64) {
+    let groups = delay_mix();
+    let rec = Rc::new(Recorder::new(RecorderConfig::metrics_only()));
+    let mut e = Engine::new(EngineConfig::default(), SteeringMode::Slot);
+    e.set_recorder(Rc::clone(&rec));
+    let mut retired = Vec::new();
+    let (mut gi, mut now, mut covered) = (0, 0u64, 0u64);
+    // (end of the span, stalls per cycle, state after the naming tick)
+    let mut span: Option<(u64, u64, String)> = None;
+    while gi < groups.len() || e.in_flight() > 0 {
+        now += 1;
+        assert!(now < 100_000, "the engine did not drain");
+        if span.as_ref().is_some_and(|(end, ..)| now >= *end) {
+            span = None;
+        }
+        let arrival = gi as u64 * ARRIVAL_GAP;
+        if gi < groups.len() && now >= arrival && e.can_accept(groups[gi].len()) {
+            assert!(span.is_none(), "an arrival inside a span");
+            e.accept(&groups[gi], now);
+            gi += 1;
+        }
+        let stalls = e.stats().rs_full_stalls;
+        let out = e.tick(now);
+        let stalled = e.stats().rs_full_stalls - stalls;
+        if let Some((end, per_cycle, before)) = &span {
+            covered += 1;
+            assert!(
+                out.retired.is_empty() && out.redirects.is_empty(),
+                "cycle {now} retired or redirected inside the quiet span to {end}"
+            );
+            assert_eq!(
+                &observable(&e, &rec),
+                before,
+                "cycle {now} changed state inside the quiet span to {end}"
+            );
+            assert_eq!(stalled, *per_cycle, "cycle {now} stalled differently");
+            assert!(e.next_event().is_some(), "cycle {now}'s tick was not quiet");
+            continue;
+        }
+        retired.extend(out.retired);
+        let Some(next) = e.next_event() else {
+            continue;
+        };
+        assert!(next > now, "cycle {now} named the past ({next})");
+        // The feeder is an event source of its own, like a front end: a
+        // group that has arrived waits only for ROB room, which only a
+        // retirement makes.
+        let mut end = next;
+        if gi < groups.len() {
+            let arrival = gi as u64 * ARRIVAL_GAP;
+            if arrival > now {
+                end = end.min(arrival);
+            } else if e.can_accept(groups[gi].len()) {
+                end = now + 1;
+            }
+        }
+        if end > now + 1 {
+            if skip {
+                let land = end.min(100_000) - 1;
+                covered += land - now;
+                e.skip_quiet(land - now);
+                now = land;
+            } else {
+                span = Some((end, stalled, observable(&e, &rec)));
+            }
+        }
+    }
+    let counters = format!("{:?} {:?}", e.stats(), e.metrics());
+    (retired, counters, covered, now)
+}
+
+#[test]
+fn ticks_before_a_named_next_event_are_quiet() {
+    let (ticked, ticked_counters, covered, cycles) = run_checking_spans(false);
+    assert_eq!(ticked.len(), 48 / 4 * (4 + 5 + 6 + 2));
+    assert!(
+        !ticked_counters.contains("rs_full_stalls: 0,"),
+        "dispatch never stalled on a full station: {ticked_counters}"
+    );
+    assert!(
+        covered * 4 > cycles,
+        "named spans covered only {covered} of {cycles} cycles: the contract went unexercised"
+    );
+    // Skipping the named spans instead of ticking them retires the same
+    // instructions on the same cycles and ends with the same counters.
+    let (skipped, skipped_counters, skipped_covered, skipped_cycles) = run_checking_spans(true);
+    assert_eq!((skipped_covered, skipped_cycles), (covered, cycles));
+    assert_eq!(format!("{skipped:?}"), format!("{ticked:?}"));
+    assert_eq!(skipped_counters, ticked_counters);
+}
+
+#[test]
+fn the_legacy_scheduler_names_no_next_event() {
+    let mut e = Engine::new(EngineConfig::default(), SteeringMode::Slot);
+    e.set_legacy_scheduler(true);
+    let div = Instruction::new(Opcode::Div, Some(Reg::R1), Some(Reg::R2), Some(Reg::R3), 0);
+    e.accept(&[fetched(0, div, 0)], 0);
+    for now in 1..40 {
+        e.tick(now);
+        assert_eq!(e.next_event(), None, "cycle {now}");
+    }
 }

@@ -229,15 +229,17 @@ impl DataMemory {
         }
     }
 
-    /// Applies retired-store drains to the cache hierarchy (write
-    /// allocate, no timing effect on the pipeline).
-    pub fn drain_stores(&mut self, max: usize) {
+    /// Applies up to `max` retired-store drains to the cache hierarchy
+    /// (write allocate, no timing effect on the pipeline) and returns
+    /// how many stores drained.
+    pub fn drain_stores(&mut self, max: usize) -> usize {
         self.store_buffer.drain_retired_into(max, &mut self.drained);
         for &a in &self.drained {
             if !self.l1.access(a) {
                 self.l2.access(a);
             }
         }
+        self.drained.len()
     }
 }
 
@@ -323,7 +325,8 @@ mod tests {
         let mut dm = DataMemory::default();
         dm.store_buffer().insert(1, 0x8_0000);
         dm.store_buffer().mark_retired(1);
-        dm.drain_stores(4);
+        assert_eq!(dm.drain_stores(4), 1);
+        assert_eq!(dm.drain_stores(4), 0, "nothing left to drain");
         // The drained line is now resident.
         dm.access(AccessKind::Load, 0x8_0000, 100);
         let r = dm.access(AccessKind::Load, 0x8_0000, 200);

@@ -1,4 +1,11 @@
 //! The cycle loop: fetch → deliver → execute → retire → fill.
+//!
+//! A cycle on which neither the front end nor the engine changes any
+//! state is *quiet*. After one, the loop jumps straight to the cycle
+//! before the next event either can produce (see
+//! [`Simulation::next_event`]) and charges the skipped cycles what a
+//! quiet cycle counts, so reports are byte-identical to ticking every
+//! cycle.
 
 use crate::builder::SimBuilder;
 use crate::report::{MetricsSnapshot, SimReport};
@@ -242,17 +249,38 @@ impl<'p> Simulation<'p> {
                 .saturating_add(2_000_000)
         });
         let stall_limit = self.watchdog_stall;
+        // A recorder samples its histograms on every cycle, so a run
+        // with one attached never skips (nor does the legacy scan
+        // scheduler, whose engine names no next event).
+        let skipping = self.recorder.is_none();
         let mut last_progress = 0u64;
         let mut last_retired = 0u64;
         while self.retired < self.cfg.max_insts && self.now < cycle_cap {
-            self.step();
+            let front_end_quiet = self.step();
             if self.pipeline_empty() {
                 break;
             }
             if self.retired > last_retired {
                 last_retired = self.retired;
                 last_progress = self.now;
-            } else if stall_limit > 0 && self.now - last_progress >= stall_limit {
+                continue;
+            }
+            if skipping && front_end_quiet {
+                if let Some(next) = self.next_event() {
+                    // Land on the last quiet cycle, but never past the
+                    // cycle budget or the cycle the watchdog trips on:
+                    // both abort exactly where ticking would.
+                    let trip = match stall_limit {
+                        0 => u64::MAX,
+                        limit => last_progress + limit,
+                    };
+                    let land = (next - 1).min(cycle_cap).min(trip);
+                    if land > self.now {
+                        self.skip_to(land);
+                    }
+                }
+            }
+            if stall_limit > 0 && self.now - last_progress >= stall_limit {
                 if let Some(rec) = &self.recorder {
                     rec.counter(Counter::WatchdogTrips, 1);
                 }
@@ -279,22 +307,73 @@ impl<'p> Simulation<'p> {
         self.stream.is_exhausted() && self.delivery.is_empty() && self.engine.in_flight() == 0
     }
 
-    fn step(&mut self) {
+    /// True while fetch is free to run once `fetch_resume` comes: no
+    /// mispredicted branch awaited, room in the delivery queue, and
+    /// instructions left to fetch.
+    fn fetch_unblocked(&mut self) -> bool {
+        self.waiting_redirect.is_none()
+            && self.delivery.len() < DELIVERY_DEPTH
+            && !self.stream.is_exhausted()
+    }
+
+    /// After a cycle on which nothing changed, the earliest cycle on
+    /// which something can: the engine's next event
+    /// ([`Engine::next_event`]), the next trace install, the next
+    /// fetch group's delivery, or fetch resuming. `None` when the
+    /// engine's last tick did something.
+    fn next_event(&mut self) -> Option<u64> {
+        let now = self.now;
+        let mut next = self.engine.next_event()?;
+        if let Some(&(at, _)) = self.installs.front() {
+            next = next.min(at);
+        }
+        // A due group that is still queued waits for ROB room, which
+        // only a retirement (an engine event) makes.
+        if let Some(&(at, _)) = self.delivery.front() {
+            if at > now {
+                next = next.min(at);
+            }
+        }
+        if self.fetch_unblocked() {
+            next = next.min(self.fetch_resume);
+        }
+        Some(next)
+    }
+
+    /// Jumps from a quiet cycle to the quiet cycle `land`, charging each
+    /// skipped cycle what ticking it would have counted: the engine's
+    /// stalled dispatches and, under attribution, a retire-slot stack
+    /// entry blaming whatever the quiet cycle blamed (it cannot change
+    /// before the next event).
+    fn skip_to(&mut self, land: u64) {
+        let cycles = land - self.now;
+        self.engine.skip_quiet(cycles);
+        if let Some(attrib) = &mut self.attrib {
+            let stall = stall_kind(&self.engine, self.now, self.waiting_redirect.is_some());
+            let width = self.cfg.engine.retire_width as u64;
+            attrib.stack.charge_idle(cycles, width, stall);
+        }
+        self.now = land;
+    }
+
+    /// Simulates one cycle. Returns `true` when the front end changed
+    /// nothing: no trace installed, no group fetched or delivered.
+    fn step(&mut self) -> bool {
         self.now += 1;
         let now = self.now;
+        let mut quiet = true;
 
         // 1. Trace installs that have cleared the fill-unit latency.
         while self.installs.front().is_some_and(|(at, _)| *at <= now) {
             let (_, line) = self.installs.pop_front().expect("checked front");
             self.tc.install(line);
+            quiet = false;
         }
 
         // 2. Fetch one group.
-        if self.waiting_redirect.is_none()
-            && now >= self.fetch_resume
-            && self.delivery.len() < DELIVERY_DEPTH
-        {
+        if now >= self.fetch_resume && self.fetch_unblocked() {
             self.fetch(now);
+            quiet = false;
         }
 
         // 3. Deliver the oldest group to rename if the engine has room.
@@ -304,6 +383,7 @@ impl<'p> Simulation<'p> {
                 self.engine.accept(&group, now);
                 group.clear();
                 self.group_pool.push(group);
+                quiet = false;
             }
         }
 
@@ -315,9 +395,7 @@ impl<'p> Simulation<'p> {
         self.engine.tick_into(now, &mut result);
 
         // Cycle accounting: every retire slot this cycle is either used
-        // or charged to one blame bucket — the engine classifies a
-        // non-empty ROB by what its head waits on; an empty ROB is the
-        // front end's fault (squash refetch vs fetch starvation).
+        // or charged to one blame bucket.
         if let Some(attrib) = &mut self.attrib {
             let width = self.cfg.engine.retire_width as u64;
             let used = result.retired.len() as u64;
@@ -325,11 +403,7 @@ impl<'p> Simulation<'p> {
             let stall = if stalled == 0 {
                 RetireSlotKind::Base
             } else {
-                self.engine.head_blame(now).unwrap_or(if awaiting_redirect {
-                    RetireSlotKind::BranchMispredict
-                } else {
-                    RetireSlotKind::FetchMiss
-                })
+                stall_kind(&self.engine, now, awaiting_redirect)
             };
             attrib.stack.charge(used, stalled, stall);
         }
@@ -390,6 +464,7 @@ impl<'p> Simulation<'p> {
         // The drain clears the buffer (even on a budget-truncated break)
         // while its capacity survives for the next cycle.
         self.tick_buf = result;
+        quiet
     }
 
     /// Runs retire-time assignment on a finalised trace and schedules its
@@ -643,6 +718,17 @@ impl<'p> Simulation<'p> {
     }
 }
 
+/// The blame bucket for a cycle's unused retire slots: what the ROB
+/// head waits on, or, with an empty ROB, the front end's fault (squash
+/// refetch vs fetch starvation).
+fn stall_kind(engine: &Engine, now: u64, awaiting_redirect: bool) -> RetireSlotKind {
+    engine.head_blame(now).unwrap_or(if awaiting_redirect {
+        RetireSlotKind::BranchMispredict
+    } else {
+        RetireSlotKind::FetchMiss
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,6 +800,49 @@ mod tests {
                 assert!(diagnostic.in_flight > 0);
             }
             other => panic!("expected CycleBudget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cycle_budget_aborts_on_the_same_cycle_under_both_schedulers() {
+        // Pointer chasing through cold lines: each load's address
+        // depends on the previous load, so most cycles wait on a miss
+        // and the event scheduler skips them. Budgets that run out in
+        // the middle of such a stall must abort exactly where ticking
+        // every cycle does.
+        let mut b = ProgramBuilder::new();
+        b.movi(Reg::R1, 0x10_0000);
+        b.movi(Reg::R2, 0);
+        b.movi(Reg::R5, 1_000_000);
+        let top = b.here();
+        b.ld(Reg::R3, Reg::R1, 0);
+        b.add(Reg::R1, Reg::R1, Reg::R3);
+        b.addi(Reg::R1, Reg::R1, 4160);
+        b.addi(Reg::R2, Reg::R2, 1);
+        b.blt(Reg::R2, Reg::R5, top);
+        b.halt();
+        let p = b.build();
+        for budget in [100, 250, 333, 1_000, 2_017] {
+            let abort = |legacy: bool| {
+                let err = Simulation::builder(&p)
+                    .max_insts(1_000_000)
+                    .cycle_budget(budget)
+                    .legacy_scheduler(legacy)
+                    .build()
+                    .unwrap()
+                    .try_run()
+                    .expect_err("the budget runs out first");
+                match err {
+                    crate::SimError::CycleBudget { diagnostic, .. } => diagnostic,
+                    other => panic!("expected CycleBudget, got {other:?}"),
+                }
+            };
+            let scan = abort(true);
+            let event = abort(false);
+            assert_eq!(scan.cycle, budget);
+            assert!(scan.retired > 0, "budget {budget}");
+            // The same cycle, ROB head and occupancy.
+            assert_eq!(event, scan, "budget {budget}");
         }
     }
 

@@ -47,6 +47,68 @@ fn loop_program(iters: i64) -> Program {
     b.build()
 }
 
+/// Pointer chasing: each load's address depends on the value the
+/// previous one returned (memory reads as zero, so the chain strides to
+/// a new line and page every iteration), so every iteration waits out
+/// a cold miss and retirement stalls for most of its cycles.
+fn memory_bound_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.movi(Reg::R1, 0x10_0000);
+    b.movi(Reg::R2, 0);
+    b.movi(Reg::R5, 1_000_000);
+    let top = b.here();
+    b.ld(Reg::R3, Reg::R1, 0);
+    b.add(Reg::R1, Reg::R1, Reg::R3);
+    b.addi(Reg::R1, Reg::R1, 4160);
+    b.addi(Reg::R2, Reg::R2, 1);
+    b.blt(Reg::R2, Reg::R5, top);
+    b.halt();
+    b.build()
+}
+
+#[test]
+fn a_memory_stall_trips_the_watchdog_on_the_same_cycle_under_both_schedulers() {
+    let _x = exclusive();
+    let p = memory_bound_program();
+    // Shorter than one iteration's miss: the watchdog trips in the
+    // middle of a stall, which the event scheduler skips as quiet
+    // instead of ticking through it like the scan oracle.
+    for limit in [60, 90] {
+        let trip = |legacy: bool| {
+            let err = Simulation::builder(&p)
+                .max_insts(100_000)
+                .watchdog_stall_limit(limit)
+                .legacy_scheduler(legacy)
+                .build()
+                .unwrap()
+                .try_run()
+                .expect_err("a cold miss outlasts the stall limit");
+            match err {
+                SimError::Livelock {
+                    stalled_for,
+                    diagnostic,
+                } => (stalled_for, diagnostic),
+                other => panic!("expected Livelock, got {other:?}"),
+            }
+        };
+        let (scan_stalled, scan) = trip(true);
+        let (event_stalled, event) = trip(false);
+        assert_eq!(event_stalled, scan_stalled, "limit {limit}");
+        // The same cycle, ROB head and occupancy.
+        assert_eq!(event, scan, "limit {limit}");
+        assert!(
+            scan.retired > 0,
+            "limit {limit}: tripped before any progress"
+        );
+        assert!(
+            scan.head_stage
+                .as_deref()
+                .is_some_and(|s| s.starts_with("Executing")),
+            "limit {limit}: the head should be waiting on its miss"
+        );
+    }
+}
+
 #[test]
 fn stalled_retire_returns_livelock_with_diagnostic() {
     let _x = exclusive();

@@ -174,6 +174,14 @@ impl CpiStack {
         self.cycles += 1;
     }
 
+    /// Accounts `cycles` cycles that retired nothing, charging all
+    /// `width` slots of each to `stall`: the same as that many
+    /// [`charge`](CpiStack::charge)`(0, width, stall)` calls.
+    pub fn charge_idle(&mut self, cycles: u64, width: u64, stall: RetireSlotKind) {
+        self.slots[stall.index()] += cycles * width;
+        self.cycles += cycles;
+    }
+
     /// Sum of every slot — must equal `cycles * retire_width`.
     pub fn total(&self) -> u64 {
         self.slots.iter().sum()
@@ -462,6 +470,17 @@ mod tests {
         assert_eq!(s.get(RetireSlotKind::InterCluster), 13);
         assert_eq!(s.get(RetireSlotKind::Memory), 16);
         assert!((s.fraction(RetireSlotKind::Memory) - 16.0 / 48.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn idle_charge_equals_repeated_stalled_cycles() {
+        let mut one_by_one = CpiStack::default();
+        for _ in 0..5 {
+            one_by_one.charge(0, 16, RetireSlotKind::Memory);
+        }
+        let mut at_once = CpiStack::default();
+        at_once.charge_idle(5, 16, RetireSlotKind::Memory);
+        assert_eq!(at_once, one_by_one);
     }
 
     #[test]

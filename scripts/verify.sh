@@ -14,9 +14,9 @@
 #   4. telemetry smoke: `ctcp trace --check` validates the Chrome trace
 #      and reconciles its counters against the report
 #   5. attribution smoke: `ctcp analyze --json` must emit non-empty CPI
-#      stacks, `ctcp analyze --top 12 --json` must match its golden file
-#      (tests/golden/) byte for byte, and `ctcp sweep --attrib` must
-#      append the attribution table
+#      stacks, `ctcp analyze --top 12 --json` on gzip and on mcf must
+#      match their golden files (tests/golden/) byte for byte, and
+#      `ctcp sweep --attrib` must append the attribution table
 #   6. perf smoke: wall-time of a fixed sweep (recorded into
 #      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
@@ -107,14 +107,18 @@ if grep -q '"cycles":0,"slots"' "$smoke_dir/analyze.json"; then
     echo "FAIL: analyze emitted an empty CPI stack" >&2
     exit 1
 fi
-# A top-N wider than the default the harness uses, against a golden
-# capture: the stacks, the walk and the edge order must not drift.
-./target/release/ctcp analyze gzip --strategies base,friendly,fdrt --insts 50000 \
-    --top 12 --json > "$smoke_dir/analyze-top12.json"
-if ! cmp tests/golden/analyze-gzip-top12.json "$smoke_dir/analyze-top12.json"; then
-    echo "FAIL: ctcp analyze --top 12 differs from tests/golden/analyze-gzip-top12.json" >&2
-    exit 1
-fi
+# A top-N wider than the default the harness uses, against golden
+# captures: the stacks, the walk and the edge order must not drift.
+# mcf is the memory-bound preset whose cycles are mostly skipped as
+# quiet, so its stack pins the charges a skipped span gets.
+for bench in gzip mcf; do
+    ./target/release/ctcp analyze "$bench" --strategies base,friendly,fdrt --insts 50000 \
+        --top 12 --json > "$smoke_dir/analyze-$bench-top12.json"
+    if ! cmp "tests/golden/analyze-$bench-top12.json" "$smoke_dir/analyze-$bench-top12.json"; then
+        echo "FAIL: ctcp analyze $bench --top 12 differs from tests/golden/analyze-$bench-top12.json" >&2
+        exit 1
+    fi
+done
 ./target/release/ctcp sweep --benches gzip --strategies baseline,fdrt \
     --insts 20000 --jobs 1 --attrib > "$smoke_dir/sweep-attrib.out"
 grep -q "attribution (fraction of retire slots" "$smoke_dir/sweep-attrib.out"
