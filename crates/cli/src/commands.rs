@@ -17,8 +17,8 @@ use ctcp_serve::{
 use ctcp_sim::{SimBuilder, SimConfig, SimReport, Simulation, Strategy};
 use ctcp_telemetry::json::Value;
 use ctcp_telemetry::{
-    chrome_trace_with_flows, metrics_line, validate_chrome_trace, Counter, Metrics, PipeStage,
-    Recorder, RecorderConfig, RetireSlotKind,
+    chrome_trace_with_flows, metrics_line, validate_chrome_trace, PipeStage, Recorder,
+    RecorderConfig, RetireSlotKind,
 };
 use ctcp_workload::Benchmark;
 use std::collections::{HashMap, HashSet};
@@ -289,7 +289,7 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
     if args.check {
         let summary = validate_chrome_trace(&chrome)
             .map_err(|e| CliError(format!("invalid chrome trace: {e}")))?;
-        reconcile(&metrics, &r).map_err(CliError)?;
+        r.reconcile(&metrics).map_err(CliError)?;
         out.push_str(&format!(
             "check: valid trace ({} spans, {} lanes, {} flows), counters reconcile with the report
 ",
@@ -430,54 +430,6 @@ fn analyze_prose(name: &str, args: &AnalyzeArgs, results: &[SimReport]) -> Strin
         }
     }
     out
-}
-
-/// Cross-checks the live telemetry counters against the report's own
-/// bookkeeping: both observe the same simulation through independent
-/// paths, so any divergence is a bug.
-fn reconcile(m: &Metrics, r: &SimReport) -> Result<(), String> {
-    let checks = [
-        ("cycles", m.get(Counter::Cycles), r.cycles),
-        ("retired", m.get(Counter::Retired), r.metrics.engine.retired),
-        (
-            "insts_from_tc",
-            m.get(Counter::InstsFromTc),
-            r.metrics.insts_from_tc,
-        ),
-        (
-            "insts_from_icache",
-            m.get(Counter::InstsFromIcache),
-            r.metrics.insts_from_icache,
-        ),
-        (
-            "traces_built",
-            m.get(Counter::TracesBuilt),
-            r.metrics.traces_built,
-        ),
-        (
-            "insts_in_traces",
-            m.get(Counter::InstsInTraces),
-            r.metrics.insts_in_traces,
-        ),
-        (
-            "cond_branches",
-            m.get(Counter::CondBranches),
-            r.metrics.cond_branches,
-        ),
-        (
-            "cond_mispredicts",
-            m.get(Counter::CondMispredicts),
-            r.metrics.cond_mispredicts,
-        ),
-    ];
-    for (name, counter, report) in checks {
-        if counter != report {
-            return Err(format!(
-                "counter {name} = {counter} but the report says {report}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Resolves `--benches` values: suite keywords or explicit names.

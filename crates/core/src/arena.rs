@@ -129,7 +129,6 @@ pub struct EngineArena {
     pub(crate) wakes: Vec<(u64, u8)>,
     pub(crate) steer_counts: Vec<u32>,
     pub(crate) dispatch_qs: Vec<VecDeque<(u64, u64)>>,
-    pub(crate) seq_lists: Vec<Vec<u64>>,
     pub(crate) queues: Vec<ReadyQueue>,
     pub(crate) parked: Vec<u64>,
     pub(crate) links: Vec<CritLink>,

@@ -6,11 +6,7 @@
 //! queues keyed by their operand-arrival cycle, loads behind an
 //! unresolved store address are parked until it resolves, and a tick
 //! that changes nothing names the next cycle that can
-//! ([`Engine::next_event`]) so the caller may skip the quiet ones. The
-//! original scan-per-cycle scheduler is retained as the determinism
-//! oracle that differential tests select with
-//! [`Engine::set_legacy_scheduler`]; both paths produce cycle-for-cycle
-//! identical results.
+//! ([`Engine::next_event`]) so the caller may skip the quiet ones.
 
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
@@ -189,13 +185,10 @@ struct ClusterState {
     /// `(dispatch_at, seq)` in program order, so a head that is not yet
     /// due is recognised without a ROB lookup.
     dispatch_q: VecDeque<(u64, u64)>,
-    /// Legacy scheduler only: flat per-RS candidate lists.
-    rs: [Vec<u64>; 5],
-    /// Station residency, maintained identically by both schedulers
-    /// (incremented at dispatch, decremented at issue): the single
-    /// source every occupancy read — dispatch back-pressure, routing,
-    /// diagnostics, and the `rs_occupancy` histogram — samples, so the
-    /// telemetry cannot diverge between scheduler implementations.
+    /// Station residency (incremented at dispatch, decremented at
+    /// issue): the single source every occupancy read — dispatch
+    /// back-pressure, routing, diagnostics, and the `rs_occupancy`
+    /// histogram — samples.
     station_occ: [usize; 5],
     fus: FuPool,
 }
@@ -205,16 +198,10 @@ impl ClusterState {
     /// arena's pools run dry harmlessly — missing pieces are allocated
     /// fresh.
     fn from_arena(arena: &mut EngineArena) -> Self {
-        let take_seq = |arena: &mut EngineArena| arena.seq_lists.pop().unwrap_or_default();
         let mut dispatch_q = arena.dispatch_qs.pop().unwrap_or_default();
         dispatch_q.clear();
-        let mut rs: [Vec<u64>; 5] = std::array::from_fn(|_| take_seq(arena));
-        for list in &mut rs {
-            list.clear();
-        }
         ClusterState {
             dispatch_q,
-            rs,
             station_occ: [0; 5],
             fus: FuPool::new(),
         }
@@ -223,9 +210,6 @@ impl ClusterState {
     /// Returns the cluster's queue storage to the arena's pools.
     fn into_arena(self, arena: &mut EngineArena) {
         arena.dispatch_qs.push(self.dispatch_q);
-        for list in self.rs {
-            arena.seq_lists.push(list);
-        }
     }
 }
 
@@ -250,18 +234,15 @@ pub struct Engine {
     /// The attached telemetry sink, if any: without one every hook
     /// site is a single `None` check.
     recorder: Option<Rc<Recorder>>,
-    /// Event-driven scheduling (the default). `false` selects the
-    /// legacy scan-per-cycle path, kept as a determinism oracle.
-    event_driven: bool,
     /// Calendar queue of `(complete_cycle, seq)` execution completions.
     wheel: CompletionWheel,
-    /// Event scheduler only: every reservation station's ready/pending
-    /// queues behind their bitmasks.
+    /// Every reservation station's ready/pending queues behind their
+    /// bitmasks.
     stations: Stations,
-    /// Event scheduler only: station residents (ascending seq) that are
-    /// loads behind an older store whose address is unknown. They leave
-    /// their ready lists until that store executes instead of failing
-    /// an issue attempt every cycle.
+    /// Station residents (ascending seq) that are loads behind an older
+    /// store whose address is unknown. They leave their ready lists
+    /// until that store executes instead of failing an issue attempt
+    /// every cycle.
     parked: Vec<u64>,
     /// The cycle of the last tick if it changed no state.
     quiet_at: Option<u64>,
@@ -285,8 +266,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine with the event-driven scheduler; call
-    /// [`Engine::set_legacy_scheduler`] to select the scan oracle.
+    /// Creates an empty engine.
     pub fn new(cfg: EngineConfig, mode: SteeringMode) -> Self {
         Engine::with_arena(cfg, mode, EngineArena::default())
     }
@@ -332,7 +312,6 @@ impl Engine {
             fwd: ForwardingStats::default(),
             history: ProducerHistory::default(),
             recorder: None,
-            event_driven: true,
             wheel: CompletionWheel::from_slots(wheel_slots),
             stations: Stations::from_queues(n, queues),
             parked,
@@ -367,23 +346,6 @@ impl Engine {
             c.into_arena(&mut arena);
         }
         arena
-    }
-
-    /// Selects the legacy scan-per-cycle scheduler (`legacy = true`) or
-    /// the event-driven one. The scan path is the determinism oracle:
-    /// differential tests run both and require byte-identical reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if instructions have already been accepted — the two
-    /// schedulers keep different bookkeeping and cannot be swapped
-    /// mid-flight.
-    pub fn set_legacy_scheduler(&mut self, legacy: bool) {
-        assert!(
-            self.rob.is_empty() && self.stats.retired == 0,
-            "scheduler must be selected before the first fetch group"
-        );
-        self.event_driven = !legacy;
     }
 
     /// Attaches a telemetry [`Recorder`]. Without one (the default)
@@ -508,19 +470,17 @@ impl Engine {
             let expected = self.rob.next_seq();
             assert_eq!(f.seq, expected, "sequence numbers must be dense");
             let srcs = self.resolve_sources(&f.inst, f.group, now);
-            if self.event_driven {
-                // Register this consumer on each still-executing
-                // producer's wakeup list; completion resolves exactly
-                // these sources instead of broadcasting over the ROB.
-                for (i, s) in srcs.iter().enumerate() {
-                    if let SrcState::Waiting { producer_seq } = *s {
-                        let p = self
-                            .rob
-                            .get_mut(producer_seq)
-                            .expect("RAT points at in-ROB producer");
-                        self.consumers
-                            .append(&mut p.cons_head, &mut p.cons_tail, f.seq, i as u8);
-                    }
+            // Register this consumer on each still-executing producer's
+            // wakeup list; completion resolves exactly these sources
+            // instead of broadcasting over the ROB.
+            for (i, s) in srcs.iter().enumerate() {
+                if let SrcState::Waiting { producer_seq } = *s {
+                    let p = self
+                        .rob
+                        .get_mut(producer_seq)
+                        .expect("RAT points at in-ROB producer");
+                    self.consumers
+                        .append(&mut p.cons_head, &mut p.cons_tail, f.seq, i as u8);
                 }
             }
             let cluster = match self.mode {
@@ -676,9 +636,8 @@ impl Engine {
         c
     }
 
-    /// Occupancy of one reservation station. Reads the shared residency
-    /// counter both schedulers maintain at the same points (dispatch,
-    /// issue), so every consumer samples scheduler-independent state.
+    /// Occupancy of one reservation station: the residency counter kept
+    /// at dispatch and issue.
     #[inline]
     fn station_len(&self, ci: usize, rsi: usize) -> usize {
         self.clusters[ci].station_occ[rsi]
@@ -710,13 +669,8 @@ impl Engine {
         // Complete (and wake consumers) before select so that a result
         // produced at cycle `now` can be consumed intra-cluster at `now` —
         // the paper's "same cycle as instruction dispatch" forwarding.
-        let (completed, issued) = if self.event_driven {
-            let completed = self.complete_event(now, &mut out.redirects);
-            (completed, self.select_event(now))
-        } else {
-            let completed = self.complete_scan(now, &mut out.redirects);
-            (completed, self.select_scan(now))
-        };
+        let completed = self.complete(now, &mut out.redirects);
+        let issued = self.select(now);
         self.retire_into(now, &mut out.retired);
         let drained = self.mem.drain_stores(2);
         let changed = dispatched + completed + issued + out.retired.len() + drained;
@@ -745,11 +699,10 @@ impl Engine {
     /// that cycle would be just as quiet, so a caller may skip those
     /// cycles and charge them with [`Engine::skip_quiet`].
     ///
-    /// `None` after a tick that did something, after
-    /// [`Engine::accept`], and always under the legacy scan scheduler,
-    /// which is kept ticking every cycle as the oracle.
+    /// `None` after a tick that did something and after
+    /// [`Engine::accept`].
     pub fn next_event(&self) -> Option<u64> {
-        let now = self.quiet_at.filter(|_| self.event_driven)?;
+        let now = self.quiet_at?;
         let mut next = self.stations.next_arrival();
         if let Some(at) = self.wheel.next_due() {
             next = next.min(at);
@@ -804,10 +757,11 @@ impl Engine {
                     self.stats.rs_full_stalls += 1;
                     break;
                 }
-                if is_load && !self.mem.load_queue().has_room() {
-                    break;
-                }
                 if is_load {
+                    let oldest = self.is_oldest(seq);
+                    if !self.mem.load_queue().admits(oldest) {
+                        break;
+                    }
                     self.mem.load_queue().insert(seq);
                 }
                 port_use[rs.index()] += 1;
@@ -818,15 +772,11 @@ impl Engine {
                 e.stage = Stage::InRs;
                 e.dispatched_at = now;
                 self.clusters[ci].station_occ[rs.index()] += 1;
-                if self.event_driven {
-                    // If every operand is already resolved, the ready
-                    // cycle is final: file it now. Otherwise the last
-                    // producer's wakeup will file it.
-                    if let Some(at) = self.settle_readiness(seq) {
-                        self.stations.file(station(ci, rs), at, seq, now);
-                    }
-                } else {
-                    self.clusters[ci].rs[rs.index()].push(seq);
+                // If every operand is already resolved, the ready cycle
+                // is final: file it now. Otherwise the last producer's
+                // wakeup will file it.
+                if let Some(at) = self.settle_readiness(seq) {
+                    self.stations.file(station(ci, rs), at, seq, now);
                 }
                 dispatched += 1;
             }
@@ -888,10 +838,10 @@ impl Engine {
     }
 
     /// Fixes `seq`'s readiness once its last source has resolved: the
-    /// ready cycle and critical source cannot change after that, so the
-    /// event scheduler computes them here once and issue reads the cached
-    /// pair. Returns the ready cycle, or `None` while a source still
-    /// waits on its producer.
+    /// ready cycle and critical source cannot change after that, so they
+    /// are computed here once and issue reads the cached pair. Returns
+    /// the ready cycle, or `None` while a source still waits on its
+    /// producer.
     fn settle_readiness(&mut self, seq: u64) -> Option<u64> {
         let e = self.entry(seq).expect("in ROB");
         if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
@@ -902,21 +852,18 @@ impl Engine {
         Some(ready.0)
     }
 
-    /// Issue checks shared by both schedulers. `seq` must sit in a
-    /// reservation station of cluster `ci`.
+    /// True when `seq` is the oldest instruction in flight.
+    #[inline]
+    fn is_oldest(&self, seq: u64) -> bool {
+        self.rob.front().is_some_and(|e| e.seq == seq)
+    }
+
+    /// Issue checks for `seq`, which must sit in a reservation station
+    /// of cluster `ci` with its readiness settled.
     fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> Issue {
         let e = self.entry(seq).expect("RS entries are in ROB");
         debug_assert!(matches!(e.stage, Stage::InRs));
-        // The event scheduler only visits entries whose readiness it
-        // already fixed; the scan oracle re-derives it every cycle.
-        let readiness = if self.event_driven {
-            e.ready
-        } else {
-            self.readiness(e)
-        };
-        let Some((ready, critical)) = readiness else {
-            return Issue::Wait;
-        };
+        let (ready, critical) = e.ready.expect("filed entries have settled");
         if ready > now {
             return Issue::Wait;
         }
@@ -926,8 +873,11 @@ impl Engine {
         if op.is_load() && min_unresolved.is_some_and(|ms| ms < seq) {
             return Issue::BehindStore;
         }
-        if op.is_store() && !self.mem.store_buffer().has_room() {
-            return Issue::Wait;
+        if op.is_store() {
+            let oldest = self.is_oldest(seq);
+            if !self.mem.store_buffer().admits(oldest) {
+                return Issue::Wait;
+            }
         }
         let lat = EngineConfig::opcode_latency(op);
         if !self.clusters[ci]
@@ -940,33 +890,13 @@ impl Engine {
         Issue::Began
     }
 
-    /// Legacy select: poll `readiness()` on every station resident.
-    /// Returns how many issued.
-    fn select_scan(&mut self, now: u64) -> usize {
-        let min_unresolved = self.unresolved_stores.front().copied();
-        let mut issued = [0u32; 8];
-        for ci in 0..self.clusters.len() {
-            for rsi in 0..5 {
-                let candidates: Vec<u64> = self.clusters[ci].rs[rsi].clone();
-                for seq in candidates {
-                    if let Issue::Began = self.try_issue(seq, now, min_unresolved, ci) {
-                        issued[ci.min(7)] += 1;
-                        self.clusters[ci].rs[rsi].retain(|&s| s != seq);
-                        self.clusters[ci].station_occ[rsi] -= 1;
-                    }
-                }
-            }
-        }
-        self.observe_issue(&issued)
-    }
-
-    /// Event-driven select: refiles the parked loads a store's address
-    /// freed, promotes due arrivals, and visits only the stations whose
-    /// ready bit is set. Non-issuers stay via in-place compaction
-    /// instead of O(n) `retain` removals, except a load behind an
-    /// unresolved older store address, which is parked. Returns how
-    /// many issued.
-    fn select_event(&mut self, now: u64) -> usize {
+    /// Select: refiles the parked loads a store's address freed,
+    /// promotes due arrivals, and visits only the stations whose ready
+    /// bit is set, in cluster-then-station order and each station in
+    /// program order. Non-issuers stay via in-place compaction instead
+    /// of O(n) `retain` removals, except a load behind an unresolved
+    /// older store address, which is parked. Returns how many issued.
+    fn select(&mut self, now: u64) -> usize {
         let min_unresolved = self.unresolved_stores.front().copied();
         self.refile_parked(min_unresolved, now);
         self.stations.promote_due(now);
@@ -1061,12 +991,10 @@ impl Engine {
         } else {
             now + exec_lat
         };
-        if self.event_driven {
-            // Every completion cycle the memory system can produce is
-            // strictly in the future, so the wheel never misses one.
-            debug_assert!(complete > now);
-            self.wheel.schedule(complete, seq);
-        }
+        // Every completion cycle the memory system can produce is
+        // strictly in the future, so the wheel never misses one.
+        debug_assert!(complete > now);
+        self.wheel.schedule(complete, seq);
         let e = self.entry_mut(seq).expect("in ROB");
         e.stage = Stage::Executing { complete };
         e.exec_start = now;
@@ -1159,51 +1087,10 @@ impl Engine {
         };
     }
 
-    /// Legacy complete: scan the ROB for finishers, then broadcast each
-    /// finisher against every entry's sources. Returns how many
-    /// completed.
-    fn complete_scan(&mut self, now: u64, redirects: &mut Vec<u64>) -> usize {
-        let mut completed: Vec<(u64, u64, u8, u64)> = Vec::new(); // (seq, cycle, cluster, group)
-        for e in self.rob.iter_mut() {
-            if let Stage::Executing { complete } = e.stage {
-                if complete <= now {
-                    e.stage = Stage::Complete { at: complete };
-                    completed.push((e.seq, complete, e.cluster, e.group));
-                    if e.mispredicted {
-                        redirects.push(e.seq);
-                        self.stats.redirects += 1;
-                    }
-                }
-            }
-        }
-        // Wakeup broadcast: resolve waiting consumers.
-        let n = completed.len();
-        let mut woken = 0u64;
-        for (pseq, cycle, cluster, pgroup) in completed {
-            for e in self.rob.iter_mut() {
-                for s in e.srcs.iter_mut() {
-                    if let SrcState::Waiting { producer_seq } = *s {
-                        if producer_seq == pseq {
-                            *s = SrcState::Forwarded {
-                                producer_seq: pseq,
-                                complete: cycle,
-                                cluster,
-                                same_trace: e.group == pgroup,
-                            };
-                            woken += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.note_completions(n as u64, woken);
-        n
-    }
-
-    /// Event-driven complete: pop exactly the instructions finishing in
+    /// Complete: pop exactly the instructions finishing in
     /// `(last_tick, now]` from the wheel and wake only their registered
     /// consumers. Returns how many completed.
-    fn complete_event(&mut self, now: u64, redirects: &mut Vec<u64>) -> usize {
+    fn complete(&mut self, now: u64, redirects: &mut Vec<u64>) -> usize {
         let mut events = std::mem::take(&mut self.scratch_events);
         let mut wakes = std::mem::take(&mut self.scratch_wakes);
         events.clear();
@@ -1237,9 +1124,8 @@ impl Engine {
             }
             woken += wakes.len() as u64;
         }
-        // The wheel surfaces one cycle's completions in issue order; the
-        // legacy scan reported them in program order. Sort so the two
-        // paths stay observably identical.
+        // The wheel surfaces one cycle's completions in issue order;
+        // redirects are reported in program order.
         redirects.sort_unstable();
         let completed = events.len();
         self.note_completions(completed as u64, woken);
@@ -1370,8 +1256,7 @@ impl Engine {
     /// a head executing a load is memory; a head with arrived operands
     /// that has not issued is RS/dispatch (structural) pressure;
     /// everything else is base in-order drain. A station resident's
-    /// readiness is read from the entry once the event scheduler has
-    /// settled it, and derived afresh otherwise.
+    /// readiness is the pair settled when its last operand resolved.
     pub fn head_blame(&self, now: u64) -> Option<RetireSlotKind> {
         let head = self.rob.front()?;
         Some(match head.stage {
@@ -1384,7 +1269,7 @@ impl Engine {
                     RetireSlotKind::Base
                 }
             }
-            Stage::InRs => match head.ready.or_else(|| self.readiness(head)) {
+            Stage::InRs => match head.ready {
                 Some((ready, critical)) if ready > now => {
                     let in_transit = critical.map(|c| head.srcs[c]).is_some_and(|s| {
                         matches!(s, SrcState::Forwarded { cluster, .. }
@@ -1499,55 +1384,45 @@ mod tests {
         (retired, now)
     }
 
-    /// Runs the same fetch groups through a legacy-scan engine and an
-    /// event-driven engine in lockstep, asserting identical per-cycle
-    /// results and identical final statistics. Returns the retired
-    /// stream (from the event engine).
-    fn assert_schedulers_agree(
+    /// Runs the fetch groups through an engine, accepting each as soon
+    /// as it fits, until it drains, and checks an FNV-1a digest of every
+    /// cycle's `TickResult` and the final `stats()` and
+    /// `forwarding_stats()` against `want`. The digests were recorded
+    /// while a second, scan-per-cycle scheduler still cross-checked this
+    /// one cycle for cycle. Returns the retired stream.
+    fn assert_schedule(
         cfg: EngineConfig,
         mode: SteeringMode,
         groups: &[Vec<FetchedInst>],
+        want: u64,
     ) -> Vec<RetiredInst> {
-        let mut legacy = Engine::new(cfg, mode);
-        legacy.set_legacy_scheduler(true);
-        let mut event = Engine::new(cfg, mode);
-        event.set_legacy_scheduler(false);
+        let fnv = |h: u64, text: String| {
+            text.bytes().fold(h, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut engine = Engine::new(cfg, mode);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut gi = 0;
         let mut retired = Vec::new();
         for now in 0..50_000u64 {
-            assert_eq!(
-                legacy.in_flight(),
-                event.in_flight(),
-                "in-flight diverged at cycle {now}"
-            );
-            if gi < groups.len() && legacy.can_accept(groups[gi].len()) {
-                legacy.accept(&groups[gi], now);
-                event.accept(&groups[gi], now);
+            if gi < groups.len() && engine.can_accept(groups[gi].len()) {
+                engine.accept(&groups[gi], now);
                 gi += 1;
             }
-            let rl = legacy.tick(now);
-            let re = event.tick(now);
-            assert_eq!(
-                format!("{rl:?}"),
-                format!("{re:?}"),
-                "tick result diverged at cycle {now}"
-            );
-            retired.extend(re.retired);
-            if gi == groups.len() && event.in_flight() == 0 {
+            let r = engine.tick(now);
+            digest = fnv(digest, format!("{r:?}"));
+            retired.extend(r.retired);
+            if gi == groups.len() && engine.in_flight() == 0 {
                 break;
             }
         }
-        assert_eq!(legacy.in_flight(), 0, "legacy engine did not drain");
-        assert_eq!(event.in_flight(), 0, "event engine did not drain");
+        assert_eq!(engine.in_flight(), 0, "engine did not drain");
+        digest = fnv(digest, format!("{:?}", engine.stats()));
+        digest = fnv(digest, format!("{:?}", engine.forwarding_stats()));
         assert_eq!(
-            format!("{:?}", legacy.stats()),
-            format!("{:?}", event.stats()),
-            "engine stats diverged"
-        );
-        assert_eq!(
-            format!("{:?}", legacy.forwarding_stats()),
-            format!("{:?}", event.forwarding_stats()),
-            "forwarding stats diverged"
+            digest, want,
+            "schedule digest {digest:#018x} differs from the recorded one"
         );
         retired
     }
@@ -1709,9 +1584,7 @@ mod tests {
         // The store's address is produced late (div) on cluster 0;
         // younger loads sit on clusters 1..3 with their own (disjoint)
         // addresses. Without speculative disambiguation none of them may
-        // begin execution until the store's address resolves — and the
-        // ready-queue scheduler must reproduce the scan scheduler's
-        // behaviour cycle for cycle while they wait.
+        // begin execution until the store's address resolves.
         let div = Instruction::new(Opcode::Div, Some(Reg::R1), Some(Reg::R2), Some(Reg::R3), 0);
         let st = Instruction::new(Opcode::St, None, Some(Reg::R1), Some(Reg::R4), 0);
         let mut s = fetched(1, st, 1);
@@ -1729,7 +1602,7 @@ mod tests {
             l.mem_addr = Some(0x6000 + 0x100 * i);
             group.push(l);
         }
-        let retired = assert_schedulers_agree(cfg(), SteeringMode::Slot, &[group]);
+        let retired = assert_schedule(cfg(), SteeringMode::Slot, &[group], 0x1b76_8c3f_1916_6979);
         assert_eq!(retired.len(), 5);
         // The div (latency 20) gates the store; every load must retire
         // after the store's address resolved, despite disjoint addresses
@@ -1784,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_agree_on_cross_cluster_chains() {
+    fn cross_cluster_chains_keep_their_schedule() {
         // Mixed-latency dependency chains spanning clusters, several
         // groups deep, under slot steering.
         let mut groups = Vec::new();
@@ -1821,16 +1694,21 @@ mod tests {
             }
             groups.push(group);
         }
-        assert_schedulers_agree(cfg(), SteeringMode::Slot, &groups);
-        assert_schedulers_agree(cfg(), SteeringMode::IssueTime, &groups);
+        assert_schedule(cfg(), SteeringMode::Slot, &groups, 0x4350_f74e_3af8_ad6a);
+        assert_schedule(
+            cfg(),
+            SteeringMode::IssueTime,
+            &groups,
+            0x4031_d04e_d0fd_5ba4,
+        );
     }
 
     #[test]
-    fn schedulers_agree_on_random_mix() {
+    fn random_mix_keeps_its_schedule() {
         // Deterministic LCG-generated soup of ALU ops, loads, stores and
         // branches across many fetch groups, run under both steering
-        // modes. This is the broadest engine-level differential net; the
-        // sim-level test covers full benchmarks.
+        // modes. This is the broadest engine-level schedule net; the
+        // root package's oracle suite covers full benchmarks.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rnd = move || {
             state = state
@@ -1895,8 +1773,13 @@ mod tests {
             }
             groups.push(group);
         }
-        assert_schedulers_agree(cfg(), SteeringMode::Slot, &groups);
-        assert_schedulers_agree(cfg(), SteeringMode::IssueTime, &groups);
+        assert_schedule(cfg(), SteeringMode::Slot, &groups, 0xb5b8_16c6_145c_470a);
+        assert_schedule(
+            cfg(),
+            SteeringMode::IssueTime,
+            &groups,
+            0x864d_a729_359d_5022,
+        );
     }
 
     #[test]
@@ -1971,25 +1854,37 @@ mod tests {
     }
 
     #[test]
-    fn latency_overrides_agree_across_schedulers() {
+    fn latency_overrides_keep_their_schedule() {
         use crate::LatencyOverrides;
-        for ov in [
-            LatencyOverrides {
-                no_forward_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_intra_trace_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_inter_trace_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_critical_forward_latency: true,
-                ..Default::default()
-            },
+        for (ov, want) in [
+            (
+                LatencyOverrides {
+                    no_forward_latency: true,
+                    ..Default::default()
+                },
+                0x4edc_b507_cc38_2ebb,
+            ),
+            (
+                LatencyOverrides {
+                    no_intra_trace_latency: true,
+                    ..Default::default()
+                },
+                0x3942_a940_2c9d_d764,
+            ),
+            (
+                LatencyOverrides {
+                    no_inter_trace_latency: true,
+                    ..Default::default()
+                },
+                0xb159_0b89_3ac8_7dc5,
+            ),
+            (
+                LatencyOverrides {
+                    no_critical_forward_latency: true,
+                    ..Default::default()
+                },
+                0x0c9f_4cd8_592b_1642,
+            ),
         ] {
             let mut c = cfg();
             c.overrides = ov;
@@ -2013,7 +1908,7 @@ mod tests {
                     .collect();
                 groups.push(group);
             }
-            assert_schedulers_agree(c, SteeringMode::Slot, &groups);
+            assert_schedule(c, SteeringMode::Slot, &groups, want);
         }
     }
 }

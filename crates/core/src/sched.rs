@@ -144,9 +144,8 @@ impl CompletionWheel {
 
 /// Instructions in one reservation station, partitioned by whether
 /// their operands have arrived. `ready` is kept in ascending sequence
-/// order so selection visits candidates in the same (program) order the
-/// legacy scan did; `pending` is ordered by `(ready_at, seq)` so
-/// promotion is a prefix drain.
+/// order so selection visits candidates in program order; `pending` is
+/// ordered by `(ready_at, seq)` so promotion is a prefix drain.
 #[derive(Debug, Default)]
 pub(crate) struct ReadyQueue {
     /// Selectable now (operands arrived), ascending seq.
@@ -158,8 +157,8 @@ pub(crate) struct ReadyQueue {
 impl ReadyQueue {
     /// Files `seq`, whose operands arrive at `ready_at`, under the
     /// current cycle `now`. Station residency is tracked separately by
-    /// the engine's shared per-station counters, which both schedulers
-    /// maintain — this queue only orders selectable work.
+    /// the engine's per-station counters — this queue only orders
+    /// selectable work.
     pub(crate) fn push_at(&mut self, ready_at: u64, seq: u64, now: u64) {
         if ready_at <= now {
             let i = self.ready.partition_point(|&s| s < seq);
@@ -196,9 +195,9 @@ pub(crate) const RS_PER_CLUSTER: usize = 5;
 /// Every reservation station's [`ReadyQueue`], station `s` being
 /// `cluster * RS_PER_CLUSTER + class`. Bit `s` of `ready` is set while
 /// station `s` has selectable entries and bit `s` of `pending` while it
-/// has entries waiting for an arrival; ascending bit order is the
-/// legacy scan's cluster-then-station order, so select keeps its
-/// program-order tie-breaks while skipping idle stations.
+/// has entries waiting for an arrival. Ascending bit order is
+/// cluster-then-station order, so select visits stations in that order
+/// (and each station in program order) while skipping idle ones.
 pub(crate) struct Stations {
     /// At least one queue per station; a recycled vector may hold more,
     /// which stay empty and keep their capacity for a wider machine.

@@ -484,14 +484,44 @@ fn ticks_before_a_named_next_event_are_quiet() {
     assert_eq!(skipped_counters, ticked_counters);
 }
 
+/// Two `op` memory operations, the older on cluster 1 and the younger on
+/// cluster 0: both dispatch and become ready together, and dispatch and
+/// select visit cluster 0 first, so the younger one claims its memory
+/// structure ahead of the older.
+fn older_on_cluster_1(op: Opcode) -> [FetchedInst; 2] {
+    let dest = op.is_load().then_some(Reg::R3);
+    let inst = Instruction::new(op, dest, Some(Reg::R1), Some(Reg::R2), 0);
+    let mut older = fetched(0, inst, 4);
+    older.mem_addr = Some(0x1000);
+    let mut younger = fetched(1, inst, 0);
+    younger.mem_addr = Some(0x2000);
+    [older, younger]
+}
+
 #[test]
-fn the_legacy_scheduler_names_no_next_event() {
-    let mut e = Engine::new(EngineConfig::default(), SteeringMode::Slot);
-    e.set_legacy_scheduler(true);
-    let div = Instruction::new(Opcode::Div, Some(Reg::R1), Some(Reg::R2), Some(Reg::R3), 0);
-    e.accept(&[fetched(0, div, 0)], 0);
-    for now in 1..40 {
-        e.tick(now);
-        assert_eq!(e.next_event(), None, "cycle {now}");
-    }
+fn a_full_store_buffer_admits_the_oldest_store() {
+    // The younger store takes the only store-buffer entry; it can
+    // neither retire nor drain before the older one, which finds the
+    // buffer full.
+    let mut cfg = EngineConfig::default();
+    cfg.memory.store_buffer_entries = 1;
+    let mut e = Engine::new(cfg, SteeringMode::Slot);
+    e.accept(&older_on_cluster_1(Opcode::St), 0);
+    let (retired, _) = drain(&mut e, 1);
+    assert_eq!(e.in_flight(), 0, "wedged on the full store buffer");
+    assert_eq!(retired.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
+}
+
+#[test]
+fn a_full_load_queue_admits_the_oldest_load() {
+    // The younger load takes the only load-queue entry at dispatch and
+    // holds it until it retires, which it cannot do before the older
+    // load, which finds the queue full.
+    let mut cfg = EngineConfig::default();
+    cfg.memory.load_queue_entries = 1;
+    let mut e = Engine::new(cfg, SteeringMode::Slot);
+    e.accept(&older_on_cluster_1(Opcode::Ld), 0);
+    let (retired, _) = drain(&mut e, 1);
+    assert_eq!(e.in_flight(), 0, "wedged on the full load queue");
+    assert_eq!(retired.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
 }

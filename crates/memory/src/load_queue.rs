@@ -29,9 +29,18 @@ impl LoadQueue {
         }
     }
 
-    /// True if a new load can be inserted.
+    /// True while the queue holds fewer loads than its capacity.
     pub fn has_room(&self) -> bool {
         self.loads.len() < self.capacity
+    }
+
+    /// True if a load may be inserted now: while there is room, and
+    /// always for the oldest load in flight. Every queued load is in
+    /// flight and so younger than that one, and none frees its entry
+    /// before it retires, so refusing the oldest would wedge the
+    /// pipeline for good.
+    pub fn admits(&self, oldest_in_flight: bool) -> bool {
+        oldest_in_flight || self.has_room()
     }
 
     /// Current occupancy.
@@ -46,13 +55,9 @@ impl LoadQueue {
 
     /// Inserts a load by sequence number (allocated at dispatch; clusters
     /// dispatch independently, so insertion order may not be sequence
-    /// order). Returns `false` when full.
-    pub fn insert(&mut self, seq: u64) -> bool {
-        if !self.has_room() {
-            return false;
-        }
+    /// order). The caller checks [`admits`](Self::admits) first.
+    pub fn insert(&mut self, seq: u64) {
         self.loads.push_back(seq);
-        true
     }
 
     /// Removes a completed or retired load.
@@ -60,11 +65,6 @@ impl LoadQueue {
         if let Some(pos) = self.loads.iter().position(|&s| s == seq) {
             self.loads.remove(pos);
         }
-    }
-
-    /// Removes all loads with sequence ≥ `seq` (pipeline flush).
-    pub fn squash_younger(&mut self, seq: u64) {
-        self.loads.retain(|&s| s < seq);
     }
 }
 
@@ -75,10 +75,14 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut lq = LoadQueue::new(2);
-        assert!(lq.insert(1));
-        assert!(lq.insert(2));
-        assert!(!lq.insert(3));
+        lq.insert(1);
+        lq.insert(2);
+        assert!(!lq.admits(false));
         assert_eq!(lq.len(), 2);
+        // The oldest load in flight is admitted past capacity.
+        assert!(lq.admits(true));
+        lq.insert(0);
+        assert_eq!(lq.len(), 3);
     }
 
     #[test]
@@ -89,15 +93,5 @@ mod tests {
         lq.remove(7);
         assert!(lq.has_room());
         assert!(lq.is_empty());
-    }
-
-    #[test]
-    fn squash_younger_keeps_older() {
-        let mut lq = LoadQueue::new(8);
-        for s in [1, 3, 5, 7] {
-            lq.insert(s);
-        }
-        lq.squash_younger(5);
-        assert_eq!(lq.len(), 2);
     }
 }

@@ -23,14 +23,14 @@ struct StoreEntry {
 }
 
 /// A FIFO store buffer (default 32 entries, per Table 7) holding stores
-/// from dispatch until they drain to the data cache after retirement.
-/// Loads probe it for store-to-load forwarding from *older* stores to the
-/// same 8-byte word.
+/// from execute until they drain to the data cache after retirement.
+/// Stores enter as they execute, which is out of program order, and
+/// drain from the front once retired. Loads probe it for store-to-load
+/// forwarding from *older* stores to the same 8-byte word.
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
     capacity: usize,
     entries: VecDeque<StoreEntry>,
-    forwards: u64,
 }
 
 impl StoreBuffer {
@@ -44,13 +44,21 @@ impl StoreBuffer {
         StoreBuffer {
             capacity,
             entries: VecDeque::new(),
-            forwards: 0,
         }
     }
 
-    /// True if a new store can be inserted.
+    /// True while the buffer holds fewer stores than its capacity.
     pub fn has_room(&self) -> bool {
         self.entries.len() < self.capacity
+    }
+
+    /// True if a store may be inserted now: while there is room, and on
+    /// a full buffer for the oldest store in flight when the front entry
+    /// has not retired. That front entry drains first and belongs to a
+    /// younger store, which cannot retire before the oldest one does, so
+    /// refusing the oldest would wedge the pipeline for good.
+    pub fn admits(&self, oldest_in_flight: bool) -> bool {
+        self.has_room() || (oldest_in_flight && self.entries.front().is_some_and(|e| !e.retired))
     }
 
     /// Current occupancy.
@@ -64,17 +72,13 @@ impl StoreBuffer {
     }
 
     /// Inserts a store (identified by its global sequence number) once its
-    /// address is known. Returns `false` if the buffer is full.
-    pub fn insert(&mut self, seq: u64, addr: u64) -> bool {
-        if !self.has_room() {
-            return false;
-        }
+    /// address is known. The caller checks [`admits`](Self::admits) first.
+    pub fn insert(&mut self, seq: u64, addr: u64) {
         self.entries.push_back(StoreEntry {
             seq,
             addr: addr & !7,
             retired: false,
         });
-        true
     }
 
     /// Checks whether a load with sequence `load_seq` to `addr` can forward
@@ -82,20 +86,15 @@ impl StoreBuffer {
     /// store wins. (Stores enter the buffer at execute time, which is out
     /// of order, so age must be compared by sequence number rather than
     /// buffer position.)
-    pub fn check_load(&mut self, load_seq: u64, addr: u64) -> StoreForward {
+    pub fn check_load(&self, load_seq: u64, addr: u64) -> StoreForward {
         let addr = addr & !7;
-        let hit = self
-            .entries
+        self.entries
             .iter()
             .filter(|e| e.seq < load_seq && e.addr == addr)
-            .max_by_key(|e| e.seq);
-        match hit {
-            Some(e) => {
-                self.forwards += 1;
-                StoreForward::Forwarded { store_seq: e.seq }
-            }
-            None => StoreForward::None,
-        }
+            .max_by_key(|e| e.seq)
+            .map_or(StoreForward::None, |e| StoreForward::Forwarded {
+                store_seq: e.seq,
+            })
     }
 
     /// Marks the store with sequence `seq` as retired (eligible to drain).
@@ -105,17 +104,9 @@ impl StoreBuffer {
         }
     }
 
-    /// Drains up to `max` retired stores from the head of the buffer,
-    /// returning their addresses (the caller writes them to the cache).
-    pub fn drain_retired(&mut self, max: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.drain_retired_into(max, &mut out);
-        out
-    }
-
-    /// [`drain_retired`](Self::drain_retired) into the caller's `out`
-    /// (cleared first), so a caller that keeps one buffer never
-    /// allocates.
+    /// Drains up to `max` retired stores from the head of the buffer into
+    /// `out` (cleared first) as their addresses, which the caller writes
+    /// to the cache. A caller that keeps one `out` never allocates.
     pub fn drain_retired_into(&mut self, max: usize, out: &mut Vec<u64>) {
         out.clear();
         while out.len() < max {
@@ -127,16 +118,6 @@ impl StoreBuffer {
                 _ => break,
             }
         }
-    }
-
-    /// Removes all stores younger than or equal to `seq` (pipeline flush).
-    pub fn squash_younger(&mut self, seq: u64) {
-        self.entries.retain(|e| e.retired || e.seq < seq);
-    }
-
-    /// Number of successful store-to-load forwards observed.
-    pub fn forwards(&self) -> u64 {
-        self.forwards
     }
 }
 
@@ -152,7 +133,6 @@ mod tests {
             sb.check_load(20, 0x1000),
             StoreForward::Forwarded { store_seq: 10 }
         );
-        assert_eq!(sb.forwards(), 1);
     }
 
     #[test]
@@ -189,10 +169,28 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let mut sb = StoreBuffer::new(2);
-        assert!(sb.insert(1, 0));
-        assert!(sb.insert(2, 8));
-        assert!(!sb.insert(3, 16));
+        assert!(sb.admits(false));
+        sb.insert(1, 0);
+        sb.insert(2, 8);
         assert!(!sb.has_room());
+        assert!(!sb.admits(false));
+    }
+
+    #[test]
+    fn a_full_buffer_admits_the_oldest_store_only_behind_an_unretired_front() {
+        let mut sb = StoreBuffer::new(2);
+        // Stores 9 and 8 executed ahead of the oldest in flight, 5.
+        sb.insert(9, 0);
+        sb.insert(8, 8);
+        assert!(sb.admits(true), "nothing can drain before store 5 retires");
+        assert!(!sb.admits(false), "a younger store waits");
+        sb.insert(5, 16);
+        assert_eq!(sb.len(), 3);
+        // A retired front drains on its own: everyone waits for it.
+        let mut sb = StoreBuffer::new(1);
+        sb.insert(1, 0);
+        sb.mark_retired(1);
+        assert!(!sb.admits(true));
     }
 
     #[test]
@@ -203,25 +201,15 @@ mod tests {
         sb.insert(3, 0x30);
         sb.mark_retired(1);
         sb.mark_retired(3);
+        let mut out = vec![0xdead];
         // Only the head run of retired stores drains.
-        assert_eq!(sb.drain_retired(4), vec![0x10]);
+        sb.drain_retired_into(4, &mut out);
+        assert_eq!(out, vec![0x10]);
         sb.mark_retired(2);
-        assert_eq!(sb.drain_retired(1), vec![0x20]);
-        assert_eq!(sb.drain_retired(4), vec![0x30]);
+        sb.drain_retired_into(1, &mut out);
+        assert_eq!(out, vec![0x20]);
+        sb.drain_retired_into(4, &mut out);
+        assert_eq!(out, vec![0x30]);
         assert!(sb.is_empty());
-    }
-
-    #[test]
-    fn squash_removes_speculative_stores() {
-        let mut sb = StoreBuffer::new(4);
-        sb.insert(1, 0x10);
-        sb.insert(5, 0x20);
-        sb.squash_younger(5);
-        assert_eq!(sb.len(), 1);
-        assert_eq!(sb.check_load(9, 0x20), StoreForward::None);
-        assert!(matches!(
-            sb.check_load(9, 0x10),
-            StoreForward::Forwarded { .. }
-        ));
     }
 }

@@ -121,7 +121,6 @@ impl<'p> Simulation<'p> {
             cfg.strategy.steering_mode(),
             b.arena.unwrap_or_default(),
         );
-        engine.set_legacy_scheduler(b.legacy_scheduler);
         if let Some(rec) = &b.recorder {
             engine.set_recorder(Rc::clone(rec));
         }
@@ -250,8 +249,7 @@ impl<'p> Simulation<'p> {
         });
         let stall_limit = self.watchdog_stall;
         // A recorder samples its histograms on every cycle, so a run
-        // with one attached never skips (nor does the legacy scan
-        // scheduler, whose engine names no next event).
+        // with one attached never skips.
         let skipping = self.recorder.is_none();
         let mut last_progress = 0u64;
         let mut last_retired = 0u64;
@@ -734,6 +732,7 @@ mod tests {
     use super::*;
     use crate::Strategy;
     use ctcp_isa::{ProgramBuilder, Reg};
+    use ctcp_telemetry::RecorderConfig;
 
     fn loop_program(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
@@ -804,12 +803,12 @@ mod tests {
     }
 
     #[test]
-    fn cycle_budget_aborts_on_the_same_cycle_under_both_schedulers() {
+    fn cycle_budget_aborts_on_the_same_cycle_skipping_or_ticking() {
         // Pointer chasing through cold lines: each load's address
         // depends on the previous load, so most cycles wait on a miss
-        // and the event scheduler skips them. Budgets that run out in
-        // the middle of such a stall must abort exactly where ticking
-        // every cycle does.
+        // and a bare run skips them. Budgets that run out in the middle
+        // of such a stall must abort exactly where ticking every cycle,
+        // as a run with a recorder attached does, aborts.
         let mut b = ProgramBuilder::new();
         b.movi(Reg::R1, 0x10_0000);
         b.movi(Reg::R2, 0);
@@ -823,11 +822,10 @@ mod tests {
         b.halt();
         let p = b.build();
         for budget in [100, 250, 333, 1_000, 2_017] {
-            let abort = |legacy: bool| {
-                let err = Simulation::builder(&p)
+            let abort = |sim: SimBuilder<'_>| {
+                let err = sim
                     .max_insts(1_000_000)
                     .cycle_budget(budget)
-                    .legacy_scheduler(legacy)
                     .build()
                     .unwrap()
                     .try_run()
@@ -837,12 +835,13 @@ mod tests {
                     other => panic!("expected CycleBudget, got {other:?}"),
                 }
             };
-            let scan = abort(true);
-            let event = abort(false);
-            assert_eq!(scan.cycle, budget);
-            assert!(scan.retired > 0, "budget {budget}");
+            let recorder = Rc::new(Recorder::new(RecorderConfig::metrics_only()));
+            let ticked = abort(Simulation::builder(&p).recorder(recorder));
+            let skipped = abort(Simulation::builder(&p));
+            assert_eq!(ticked.cycle, budget);
+            assert!(ticked.retired > 0, "budget {budget}");
             // The same cycle, ROB head and occupancy.
-            assert_eq!(event, scan, "budget {budget}");
+            assert_eq!(skipped, ticked, "budget {budget}");
         }
     }
 

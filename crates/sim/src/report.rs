@@ -11,7 +11,7 @@
 use ctcp_core::assign::FdrtStats;
 use ctcp_core::{EngineStats, ForwardingStats};
 use ctcp_memory::CacheStats;
-use ctcp_telemetry::AttribReport;
+use ctcp_telemetry::{AttribReport, Counter, Metrics};
 use ctcp_tracecache::TraceCacheStats;
 
 /// Every counter a finished simulation accumulated — the superset of
@@ -128,6 +128,56 @@ impl SimReport {
             return 0.0;
         }
         base.cycles as f64 / self.cycles as f64
+    }
+
+    /// Cross-checks a recorder's live counters against the report's own
+    /// bookkeeping (`ctcp trace --check`): both observe the same
+    /// simulation through independent paths, so any divergence is a
+    /// bug.
+    pub fn reconcile(&self, m: &Metrics) -> Result<(), String> {
+        let checks = [
+            ("cycles", Counter::Cycles, self.cycles),
+            ("retired", Counter::Retired, self.metrics.engine.retired),
+            (
+                "insts_from_tc",
+                Counter::InstsFromTc,
+                self.metrics.insts_from_tc,
+            ),
+            (
+                "insts_from_icache",
+                Counter::InstsFromIcache,
+                self.metrics.insts_from_icache,
+            ),
+            (
+                "traces_built",
+                Counter::TracesBuilt,
+                self.metrics.traces_built,
+            ),
+            (
+                "insts_in_traces",
+                Counter::InstsInTraces,
+                self.metrics.insts_in_traces,
+            ),
+            (
+                "cond_branches",
+                Counter::CondBranches,
+                self.metrics.cond_branches,
+            ),
+            (
+                "cond_mispredicts",
+                Counter::CondMispredicts,
+                self.metrics.cond_mispredicts,
+            ),
+        ];
+        for (name, counter, report) in checks {
+            let counted = m.get(counter);
+            if counted != report {
+                return Err(format!(
+                    "counter {name} = {counted} but the report says {report}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@
 //! neighbour's build.
 
 use ctcp_isa::{Program, ProgramBuilder, Reg};
-use ctcp_sim::{SimError, Simulation};
+use ctcp_sim::{SimBuilder, SimError, Simulation};
 use ctcp_telemetry::{failpoint, Counter, Recorder, RecorderConfig};
 use std::rc::Rc;
 use std::sync::{Mutex, MutexGuard};
@@ -67,18 +67,17 @@ fn memory_bound_program() -> Program {
 }
 
 #[test]
-fn a_memory_stall_trips_the_watchdog_on_the_same_cycle_under_both_schedulers() {
+fn a_memory_stall_trips_the_watchdog_on_the_same_cycle_skipping_or_ticking() {
     let _x = exclusive();
     let p = memory_bound_program();
     // Shorter than one iteration's miss: the watchdog trips in the
-    // middle of a stall, which the event scheduler skips as quiet
-    // instead of ticking through it like the scan oracle.
+    // middle of a stall, which a bare run skips as quiet instead of
+    // ticking through it like a run with a recorder attached.
     for limit in [60, 90] {
-        let trip = |legacy: bool| {
-            let err = Simulation::builder(&p)
+        let trip = |sim: SimBuilder<'_>| {
+            let err = sim
                 .max_insts(100_000)
                 .watchdog_stall_limit(limit)
-                .legacy_scheduler(legacy)
                 .build()
                 .unwrap()
                 .try_run()
@@ -91,17 +90,19 @@ fn a_memory_stall_trips_the_watchdog_on_the_same_cycle_under_both_schedulers() {
                 other => panic!("expected Livelock, got {other:?}"),
             }
         };
-        let (scan_stalled, scan) = trip(true);
-        let (event_stalled, event) = trip(false);
-        assert_eq!(event_stalled, scan_stalled, "limit {limit}");
+        let recorder = Rc::new(Recorder::new(RecorderConfig::metrics_only()));
+        let (ticked_stalled, ticked) = trip(Simulation::builder(&p).recorder(recorder));
+        let (skipped_stalled, skipped) = trip(Simulation::builder(&p));
+        assert_eq!(skipped_stalled, ticked_stalled, "limit {limit}");
         // The same cycle, ROB head and occupancy.
-        assert_eq!(event, scan, "limit {limit}");
+        assert_eq!(skipped, ticked, "limit {limit}");
         assert!(
-            scan.retired > 0,
+            ticked.retired > 0,
             "limit {limit}: tripped before any progress"
         );
         assert!(
-            scan.head_stage
+            ticked
+                .head_stage
                 .as_deref()
                 .is_some_and(|s| s.starts_with("Executing")),
             "limit {limit}: the head should be waiting on its miss"

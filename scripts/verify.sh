@@ -52,6 +52,10 @@
 #      run of each in-process workload (detailed, warmup_grid, attrib);
 #      each run completes at least one full pass and exits 0 only if
 #      every cell matched its committed report digest and none failed
+#  15. wide-machine smoke: an 8-cluster fdrt sweep (rasta,mcf x
+#      linear,ring at 30k instructions, plus the baseline cells its
+#      speedups need) must finish every cell, i.e. no full store buffer
+#      or load queue may wedge the pipeline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -581,5 +585,14 @@ for workload in detailed warmup_grid attrib; do
     echo "$workload: $(grep -o '^{"correct":[a-z]*,"attempted":[0-9]*,"failed":[0-9]*' \
         "$smoke_dir/bench-$workload.out")"
 done
+
+echo "==> wide-machine smoke (8-cluster sweep finishes every cell)"
+# Sweep-scaled 8-cluster machines have a 256-entry window in front of
+# the 32-entry store buffer and load queue, which fill out of program
+# order; the engine must admit the oldest store or load past a full
+# one (DESIGN.md §7c, oldest-entry admission) or these cells livelock.
+./target/release/ctcp sweep --benches rasta,mcf --clusters 8 --topology linear,ring \
+    --strategies fdrt --insts 30000 > "$smoke_dir/wide.out"
+echo "wide-machine smoke: $(grep -c '^ *\(rasta\|mcf\) ' "$smoke_dir/wide.out" || true) rows"
 
 echo "==> verify OK"

@@ -8,7 +8,7 @@
 
 use ctcp::frontend::{BranchPredictor, HybridConfig, HybridPredictor};
 use ctcp::isa::{Executor, WordMemory};
-use ctcp::memory::{CacheConfig, SetAssocCache, StoreBuffer, StoreForward};
+use ctcp::memory::{CacheConfig, CacheStats, SetAssocCache, StoreBuffer, StoreForward};
 use ctcp::workload::{generate, Pcg32, WorkloadParams};
 use std::collections::HashMap;
 
@@ -75,6 +75,124 @@ fn back_to_back_accesses_hit() {
     }
 }
 
+/// A reference model of a true-LRU set-associative cache: one recency
+/// list of resident line numbers per set, most recent first.
+struct LruModel {
+    sets: Vec<Vec<u64>>,
+    assoc: usize,
+    line_bytes: u64,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn new(c: &CacheConfig) -> Self {
+        LruModel {
+            sets: vec![Vec::new(); c.num_sets()],
+            assoc: c.assoc,
+            line_bytes: c.line_bytes,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// The set holding `addr`'s line, and the line number.
+    fn locate(&mut self, addr: u64) -> (&mut Vec<u64>, u64) {
+        let line = addr / self.line_bytes;
+        let n = self.sets.len() as u64;
+        (&mut self.sets[(line % n) as usize], line)
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let assoc = self.assoc;
+        let (set, line) = self.locate(addr);
+        let hit = match set.iter().position(|&l| l == line) {
+            Some(i) => {
+                set.remove(i);
+                true
+            }
+            None => {
+                if set.len() == assoc {
+                    set.pop();
+                }
+                false
+            }
+        };
+        set.insert(0, line);
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
+    }
+
+    fn probe(&mut self, addr: u64) -> bool {
+        let (set, line) = self.locate(addr);
+        set.contains(&line)
+    }
+
+    fn invalidate(&mut self, addr: u64) -> bool {
+        let (set, line) = self.locate(addr);
+        let found = set.iter().position(|&l| l == line);
+        if let Some(i) = found {
+            set.remove(i);
+        }
+        found.is_some()
+    }
+}
+
+/// Every access's hit or miss, every probe, every invalidation and the
+/// final statistics of `SetAssocCache` match the LRU reference model,
+/// over several geometries (direct-mapped to fully associative) and
+/// random address streams about four times the capacity wide, with
+/// invalidations mixed in.
+#[test]
+fn cache_matches_an_lru_reference_model() {
+    let geometries = [
+        (512, 1, 64),
+        (1024, 2, 64),
+        (2048, 4, 32),
+        (4096, 8, 64),
+        (512, 8, 64),
+        (256, 4, 16),
+    ];
+    for case in 0..CASES {
+        let (size_bytes, assoc, line_bytes) = geometries[case as usize % geometries.len()];
+        let config = CacheConfig {
+            size_bytes,
+            assoc,
+            line_bytes,
+            hit_latency: 1,
+        };
+        let mut r = Pcg32::seed_from_u64(0x77EE ^ case);
+        let mut cache = SetAssocCache::new(config);
+        let mut model = LruModel::new(&config);
+        let span = 4 * size_bytes;
+        for step in 0..r.range(1, 600) {
+            let addr = r.next_u64() % span;
+            if r.chance(0.1) {
+                assert_eq!(
+                    cache.invalidate(addr),
+                    model.invalidate(addr),
+                    "case {case} step {step}: invalidate {addr:#x}"
+                );
+            } else {
+                assert_eq!(
+                    cache.access(addr),
+                    model.access(addr),
+                    "case {case} step {step}: access {addr:#x}"
+                );
+            }
+            let other = r.next_u64() % span;
+            assert_eq!(
+                cache.probe(other),
+                model.probe(other),
+                "case {case} step {step}: probe {other:#x}"
+            );
+        }
+        assert_eq!(cache.stats(), model.stats, "case {case}");
+    }
+}
+
 /// The store buffer forwards exactly the youngest older store to the
 /// same word, matching a brute-force model.
 #[test]
@@ -86,9 +204,8 @@ fn store_buffer_matches_a_model() {
         for _ in 0..r.range(0, 20) {
             let seq = r.range(0, 64) as u64;
             let addr = r.range(0, 8) as u64 * 8;
-            if sb.insert(seq, addr) {
-                model.push((seq, addr));
-            }
+            sb.insert(seq, addr);
+            model.push((seq, addr));
         }
         let load_seq = r.range(30, 100) as u64;
         let load_addr = r.range(0, 8) as u64 * 8;
