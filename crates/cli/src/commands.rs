@@ -25,7 +25,6 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -722,36 +721,24 @@ fn store_cmd(args: &StoreArgs) -> Result<CliOutcome, CliError> {
 }
 
 /// Adapts the harness's [`ProgressSink`] to the sweep service's wire
-/// events: every simulated cell becomes one NDJSON `progress` chunk on
-/// the requesting client's response stream. The emit callback reports
-/// whether the client is still listening; the first `false` trips the
-/// cancel token, so the shared scheduler drops this request's queued
-/// cells (running cells finish and memoize).
+/// events: every simulated cell becomes one NDJSON `progress` event in
+/// the batch's replayable stream.
 struct EventSink<'a> {
-    emit: &'a mut dyn FnMut(&Value) -> bool,
-    cancel: &'a AtomicBool,
+    emit: &'a mut dyn FnMut(&Value),
     total: usize,
-}
-
-impl EventSink<'_> {
-    fn send(&mut self, event: &Value) {
-        if !(self.emit)(event) {
-            self.cancel.store(true, Ordering::Relaxed);
-        }
-    }
 }
 
 impl ProgressSink for EventSink<'_> {
     fn batch_start(&mut self, total: usize) {
         self.total = total;
-        self.send(&Value::Obj(vec![
+        (self.emit)(&Value::Obj(vec![
             ("event".into(), Value::str("batch_start")),
             ("total".into(), Value::u64(total as u64)),
         ]));
     }
 
     fn cell_done(&mut self, done: usize, workload: &str, took: Duration) {
-        self.send(&Value::Obj(vec![
+        (self.emit)(&Value::Obj(vec![
             ("event".into(), Value::str("progress")),
             ("done".into(), Value::u64(done as u64)),
             ("total".into(), Value::u64(self.total as u64)),
@@ -764,7 +751,7 @@ impl ProgressSink for EventSink<'_> {
         // The harness names the pool worker that ran the cell; stamping
         // it into the wire event is what lets the daemon draw per-worker
         // span lanes in `GET /trace/<token>`.
-        self.send(&Value::Obj(vec![
+        (self.emit)(&Value::Obj(vec![
             ("event".into(), Value::str("progress")),
             ("done".into(), Value::u64(done as u64)),
             ("total".into(), Value::u64(self.total as u64)),
@@ -786,7 +773,6 @@ fn error_result(e: CliError) -> RunResult {
         exit_code: 2,
         cache_hits: 0,
         simulated: 0,
-        cancelled: 0,
     }
 }
 
@@ -795,7 +781,7 @@ fn error_result(e: CliError) -> RunResult {
 /// interleave on, fairly), one shared, sharded [`ResultStore`] (the
 /// warm cache), and one shared [`Journal`] (the crash-recovery WAL).
 /// All are cheap `Clone` handles, so each request builds a throwaway
-/// [`Harness`] around them on its own connection thread — `run` takes
+/// [`Harness`] around them on its own batch thread — `run` takes
 /// `&self` and requests execute concurrently.
 struct CliHandler {
     store: ResultStore,
@@ -810,7 +796,7 @@ impl CliHandler {
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value) -> bool,
+        progress: &mut dyn FnMut(&Value),
     ) -> Result<RunResult, HandlerError> {
         match kind {
             RequestKind::Sweep => {
@@ -825,16 +811,13 @@ impl CliHandler {
                 // memoized cell is also marked in the journal under
                 // this request's token, so a crash mid-batch resumes
                 // with the finished cells answered from the store.
-                let cancel = Arc::new(AtomicBool::new(false));
                 let mut harness = Harness::new()
                     .attrib(args.attrib)
                     .with_store(self.store.clone())
                     .with_scheduler(self.sched.clone())
-                    .with_journal(self.journal.clone(), token)
-                    .cancel_token(Arc::clone(&cancel));
+                    .with_journal(self.journal.clone(), token);
                 let mut sink = EventSink {
                     emit: progress,
-                    cancel: &cancel,
                     total: 0,
                 };
                 match run_sweep(&args, &mut harness, &mut sink) {
@@ -845,7 +828,6 @@ impl CliHandler {
                             exit_code: outcome.exit_code,
                             cache_hits: stats.store_hits as u64,
                             simulated: stats.simulated as u64,
-                            cancelled: stats.cancelled as u64,
                         })
                     }
                     Err(SweepError::Saturated(s)) => Err(HandlerError::Saturated {
@@ -861,11 +843,12 @@ impl CliHandler {
                     Ok(a) => a,
                     Err(e) => return Ok(error_result(e)),
                 };
-                // Analyses run inline on this connection's thread —
-                // they never queue behind sweep cells, which is the
-                // fairness guarantee for small interactive requests.
+                // Analyses run on the batch's own thread, outside the
+                // cell scheduler — they never queue behind sweep cells,
+                // which is the fairness guarantee for small interactive
+                // requests.
                 let mut emit = |done: usize, total: usize, strategy: &str| {
-                    let _ = progress(&Value::Obj(vec![
+                    progress(&Value::Obj(vec![
                         ("event".into(), Value::str("progress")),
                         ("done".into(), Value::u64(done as u64)),
                         ("total".into(), Value::u64(total as u64)),
@@ -878,7 +861,6 @@ impl CliHandler {
                         exit_code: 0,
                         cache_hits: 0,
                         simulated: args.strategies.len() as u64,
-                        cancelled: 0,
                     }),
                     Err(e) => Ok(error_result(e)),
                 }
@@ -893,7 +875,7 @@ impl Handler for CliHandler {
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value) -> bool,
+        progress: &mut dyn FnMut(&Value),
     ) -> Result<RunResult, HandlerError> {
         // Degraded store: new batches would run without memoizing (and
         // without durable cell marks), so refuse them with a retry
@@ -928,7 +910,6 @@ impl Handler for CliHandler {
             workers: s.workers,
             queued_cells: s.queued,
             running_cells: s.running,
-            cancelled_cells: s.cancelled,
             respawns: s.respawns,
             poisoned: s.poisoned,
             read_only: self.store.read_only(),
@@ -1038,21 +1019,20 @@ fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
     println!("ctcp serve: listening on {}", service.local_addr());
     let _ = std::io::stdout().flush();
     // Service::run quiesces the handler — and through it the shared
-    // pool — after the last connection thread is joined, so every
-    // admitted cell has run and memoized by the time this returns.
+    // pool — after the last connection and batch threads are joined, so
+    // every admitted cell has run and memoized by the time this returns.
     let last = service
         .run()
         .map_err(|e| CliError(format!("serve failed: {e}")))?;
     let n = |name: &str| last.count(&format!("counters.serve_{name}"));
     Ok(CliOutcome::ok(format!(
         "ctcp serve: drained after {} requests ({} concurrent, {} cache hits, \
-         {} rejected, {} cells cancelled, {} journal-replayed, {} streams resumed, \
+         {} rejected, {} journal-replayed, {} streams resumed, \
          {} worker respawns, {} cells poisoned)\n",
         n("requests"),
         n("queued"),
         n("cache_hits"),
         n("rejected"),
-        n("cancelled_cells"),
         n("journal_replayed"),
         n("resumed_streams"),
         n("worker_respawns"),

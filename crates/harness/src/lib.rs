@@ -93,7 +93,7 @@ mod spec;
 mod store;
 
 pub use journal::{Journal, PendingRequest, JOURNAL_FORMAT_VERSION};
-pub use progress::{NullProgress, ProgressSink, StderrProgress};
+pub use progress::{ProgressSink, StderrProgress};
 pub use sched::{CellScheduler, Saturated, SchedStats};
 pub use spec::{SpecError, SweepCell, SweepPlan, SweepSpec};
 pub use store::{
@@ -111,7 +111,6 @@ use std::io::Write;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -238,10 +237,9 @@ pub enum JobError {
     /// boundary so it cannot take the worker (or the batch) down.
     /// Treated as transient and retried.
     Panic(String),
-    /// The job's queued cell was dropped because the requesting client
-    /// disconnected before a shared-pool worker picked it up. The
-    /// result had no recipient; nothing was simulated. Never retried.
-    Cancelled,
+    /// The scheduler's pool died before the cell's result came back,
+    /// so the batch lost it. Never retried.
+    Lost,
     /// The batch was refused admission by a shared scheduler's queue
     /// bound before any of its cells ran. Never retried — the caller
     /// is expected to surface the rejection (the sweep service answers
@@ -273,7 +271,7 @@ impl std::fmt::Display for JobError {
             JobError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             JobError::Sim(e) => write!(f, "simulation aborted: {e}"),
             JobError::Panic(msg) => write!(f, "panic: {msg}"),
-            JobError::Cancelled => write!(f, "cancelled: client disconnected before the cell ran"),
+            JobError::Lost => write!(f, "lost: the worker pool died before the cell finished"),
             JobError::Saturated(s) => write!(f, "rejected: {s}"),
             JobError::CellPoisoned { panics } => {
                 write!(f, "poisoned: cell quarantined after {panics} worker panics")
@@ -432,10 +430,6 @@ pub struct BatchStats {
     pub simulated: usize,
     /// Jobs that failed after exhausting their retries.
     pub failed: usize,
-    /// Jobs dropped from the shared scheduler's queue because the
-    /// requesting client disconnected before they ran (a subset of
-    /// `failed`; their cells were never simulated).
-    pub cancelled: usize,
     /// Jobs never attempted because the identical job they coalesced
     /// onto failed.
     pub skipped: usize,
@@ -450,7 +444,6 @@ pub struct Harness {
     store: Option<ResultStore>,
     pool: Option<Pool>,
     journal: Option<(Journal, String)>,
-    cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
     progress: Option<bool>,
     metrics_out: Option<PathBuf>,
     metrics_file: Option<std::fs::File>,
@@ -489,7 +482,6 @@ impl Harness {
             store: None,
             pool: None,
             journal: None,
-            cancel: None,
             progress: None,
             metrics_out: None,
             metrics_file: None,
@@ -535,16 +527,6 @@ impl Harness {
     /// is the authority; a lost mark only costs a redundant store hit).
     pub fn with_journal(mut self, journal: Journal, token: impl Into<String>) -> Harness {
         self.journal = Some((journal, token.into()));
-        self
-    }
-
-    /// Attaches a cancellation token checked between cell completions
-    /// of a batch: once it reads `true`, the batch's still-queued cells
-    /// are dropped (running cells finish and are memoized) and their
-    /// outcomes come back as [`JobError::Cancelled`]. The sweep service
-    /// sets the token when a client's connection breaks mid-stream.
-    pub fn cancel_token(mut self, token: Arc<std::sync::atomic::AtomicBool>) -> Harness {
-        self.cancel = Some(token);
         self
     }
 
@@ -761,7 +743,7 @@ impl Harness {
         // nothing; a fully memoized batch never touches (or starts) a
         // pool. Results are collected here on the submitting thread, so
         // store writes, metrics lines and progress stay single-threaded.
-        let handle = if pending.is_empty() {
+        let results_rx = if pending.is_empty() {
             None
         } else {
             let cells = pending
@@ -777,48 +759,31 @@ impl Harness {
             Some(self.scheduler().submit(cells)?)
         };
         sink.batch_start(pending.len());
-        if let Some(handle) = handle {
-            let mut outstanding = pending.len();
-            let mut done = 0usize;
-            let mut cancel_sent = false;
-            while outstanding > 0 {
-                // The cancel token is set by the progress sink when the
-                // client's stream breaks, so check it between
-                // completions: queued cells are dropped, running cells
-                // finish (and memoize) normally.
-                if !cancel_sent
-                    && self
-                        .cancel
-                        .as_ref()
-                        .is_some_and(|c| c.load(Ordering::Relaxed))
-                {
-                    handle.cancel();
-                    cancel_sent = true;
-                }
-                match handle.recv() {
-                    Some(sched::CellDone::Finished {
-                        index,
-                        result,
-                        retries: used,
-                        took,
-                        worker,
-                    }) => {
-                        done += 1;
-                        sink.cell_done_on(done, &jobs[index].workload, took, worker);
-                        results[index] =
-                            Some(self.collect(&jobs[index], keys[index], *result, used));
-                        outstanding -= 1;
-                    }
-                    Some(sched::CellDone::Cancelled { count }) => outstanding -= count,
-                    None => break, // pool died; fail the remainder below
-                }
+        let mut simulated = 0;
+        if let Some(rx) = results_rx {
+            while simulated < pending.len() {
+                // A closed channel means the pool died; the remainder
+                // fails as lost below.
+                let Ok(sched::CellDone {
+                    index,
+                    result,
+                    retries,
+                    took,
+                    worker,
+                }) = rx.recv()
+                else {
+                    break;
+                };
+                simulated += 1;
+                sink.cell_done_on(simulated, &jobs[index].workload, took, worker);
+                results[index] = Some(self.collect(&jobs[index], keys[index], *result, retries));
             }
             for &i in &pending {
                 if results[i].is_none() {
                     results[i] = Some(JobOutcome::Failed(JobFailure {
                         workload: jobs[i].workload.clone(),
                         strategy: jobs[i].config.strategy.name(),
-                        error: JobError::Cancelled,
+                        error: JobError::Lost,
                         retries: 0,
                     }));
                 }
@@ -841,22 +806,15 @@ impl Harness {
             .into_iter()
             .map(|r| r.expect("every slot filled"))
             .collect();
-        let cancelled = outcomes
-            .iter()
-            .filter(
-                |o| matches!(o, JobOutcome::Failed(f) if matches!(f.error, JobError::Cancelled)),
-            )
-            .count();
         self.last = BatchStats {
             total: jobs.len(),
             store_hits,
             deduped,
-            simulated: pending.len() - cancelled,
+            simulated,
             failed: outcomes
                 .iter()
                 .filter(|o| matches!(o, JobOutcome::Failed(_)))
                 .count(),
-            cancelled,
             skipped: outcomes
                 .iter()
                 .filter(|o| matches!(o, JobOutcome::Skipped { .. }))
@@ -1409,7 +1367,7 @@ mod tests {
         let mut h = Harness::new().progress(false).with_scheduler(sched.clone());
         let jobs = grid(&[1_000, 2_000]);
         let err = h
-            .try_run_admitted(&jobs, &mut NullProgress)
+            .try_run_admitted(&jobs, &mut StderrProgress::new(Some(false)))
             .expect_err("6 cells > bound of 1");
         assert_eq!((err.limit, err.wanted), (1, jobs.len()));
         // The infallible wrappers fold the same rejection into typed
@@ -1445,7 +1403,7 @@ mod tests {
             .with_store(ResultStore::open(&dir).unwrap())
             .with_scheduler(sched.clone());
         let outcomes = h
-            .try_run_admitted(&jobs, &mut NullProgress)
+            .try_run_admitted(&jobs, &mut StderrProgress::new(Some(false)))
             .expect("warm batch needs no admission");
         assert!(outcomes.iter().all(|o| o.report().is_some()));
         assert_eq!(h.last_batch().store_hits, jobs.len());

@@ -6,7 +6,7 @@
 //! requesting client instead of landing on the daemon's own stderr.
 //! [`ProgressSink`] is that seam; [`StderrProgress`] is the default
 //! implementation and preserves the historical CLI output byte for
-//! byte, and [`NullProgress`] discards everything.
+//! byte; forced off, it discards everything.
 
 use std::io::{IsTerminal, Write};
 use std::time::{Duration, Instant};
@@ -37,16 +37,6 @@ pub trait ProgressSink {
     }
     /// The batch finished; flush any partial output.
     fn batch_end(&mut self);
-}
-
-/// A sink that discards every report.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProgress;
-
-impl ProgressSink for NullProgress {
-    fn batch_start(&mut self, _total: usize) {}
-    fn cell_done(&mut self, _done: usize, _workload: &str, _took: Duration) {}
-    fn batch_end(&mut self) {}
 }
 
 /// Live batch progress on stderr — the historical harness behaviour.

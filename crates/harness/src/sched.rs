@@ -13,9 +13,9 @@
 //! for at most one cell per request ahead of it in the ring.
 //!
 //! Results are routed back to the submitting request over a private
-//! channel (one per [`RequestHandle`]), so every request collects its
-//! own cells — store writes, metrics lines and progress events stay on
-//! the submitting thread, and final outputs remain byte-identical to
+//! channel (one per submission), so every request collects its own
+//! cells — store writes, metrics lines and progress events stay on the
+//! submitting thread, and final outputs remain byte-identical to
 //! building each simulation directly.
 //!
 //! Workers recycle engine storage across cells: each keeps one
@@ -27,10 +27,9 @@
 //! Admission control is a bound on the *queued* (not running) cell
 //! count: [`CellScheduler::submit`] atomically rejects a request whose
 //! cells would push the queue past the limit, returning [`Saturated`]
-//! so the service can answer 503 before streaming anything.
-//! Cancellation drops a request's still-queued cells (running cells
-//! finish and memoize); [`CellScheduler::shutdown`] stops admissions,
-//! lets workers drain every queued cell, and joins them.
+//! so the service can answer 503 before streaming anything. An
+//! admitted cell always runs: [`CellScheduler::shutdown`] stops
+//! admissions, lets workers drain every queued cell, and joins them.
 
 use crate::{run_cell, Job, JobError};
 use ctcp_isa::Program;
@@ -54,7 +53,7 @@ pub(crate) const POISON_PANICS: u32 = 2;
 /// scope.
 pub(crate) struct Cell {
     /// The cell's position in the submitter's job list, echoed back in
-    /// [`CellDone::Finished`] so results land in the right slot.
+    /// [`CellDone`] so results land in the right slot.
     pub index: usize,
     /// The job to run.
     pub job: Job,
@@ -66,29 +65,22 @@ pub(crate) struct Cell {
     pub retries: u32,
 }
 
-/// A worker's (or the scheduler's) report back to the submitter.
-pub(crate) enum CellDone {
-    /// One cell ran to completion (success or typed failure).
-    Finished {
-        /// `Cell::index` of the finished cell.
-        index: usize,
-        /// The run's outcome. Boxed: a `SimReport` is large and
-        /// `Cancelled` is tiny.
-        result: Box<Result<(ctcp_sim::SimReport, Option<String>), JobError>>,
-        /// Retries actually performed.
-        retries: u32,
-        /// Wall time of the final attempt, for progress display.
-        took: Duration,
-        /// Index of the pool worker that ran the cell (`0..workers`),
-        /// threaded into progress events so the service can lay
-        /// request spans out on per-worker lanes.
-        worker: usize,
-    },
-    /// `count` still-queued cells were dropped by a cancel.
-    Cancelled {
-        /// How many queued cells were discarded.
-        count: usize,
-    },
+/// A worker's report back to the submitter: one cell ran to completion
+/// (success or typed failure).
+pub(crate) struct CellDone {
+    /// `Cell::index` of the finished cell.
+    pub index: usize,
+    /// The run's outcome. Boxed: a `SimReport` is large, and the
+    /// channel stores its messages inline.
+    pub result: Box<Result<(ctcp_sim::SimReport, Option<String>), JobError>>,
+    /// Retries actually performed.
+    pub retries: u32,
+    /// Wall time of the final attempt, for progress display.
+    pub took: Duration,
+    /// Index of the pool worker that ran the cell (`0..workers`),
+    /// threaded into progress events so the service can lay request
+    /// spans out on per-worker lanes.
+    pub worker: usize,
 }
 
 /// Admission was refused: the shared queue is at its configured bound.
@@ -124,10 +116,6 @@ pub struct SchedStats {
     pub queued: usize,
     /// Cells currently executing on a worker.
     pub running: usize,
-    /// Queued cells dropped by request cancellation, cumulative.
-    pub cancelled: u64,
-    /// The admission bound on the queued-cell count (`0` = unbounded).
-    pub max_queue: usize,
     /// Fresh-arena worker respawns after panics, cumulative (each
     /// caught panic discards the torn runner state and rebuilds).
     pub respawns: u64,
@@ -159,7 +147,6 @@ struct SchedInner {
     max_queue: usize,
     queued: AtomicUsize,
     running: AtomicUsize,
-    cancelled: AtomicU64,
     respawns: AtomicU64,
     poisoned: AtomicU64,
     /// Cumulative worker panics per cell key — the quarantine ledger.
@@ -254,7 +241,6 @@ impl CellScheduler {
             max_queue,
             queued: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
-            cancelled: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
             panics: Mutex::new(HashMap::new()),
@@ -285,12 +271,17 @@ impl CellScheduler {
         CellScheduler { inner }
     }
 
-    /// Atomically admits one request's cells (all or nothing). With an
-    /// admission limit configured, a request whose cells would push the
-    /// queued count past it is rejected with [`Saturated`] — nothing is
+    /// Atomically admits one request's cells (all or nothing) and
+    /// returns the channel their results arrive on. With an admission
+    /// limit configured, a request whose cells would push the queued
+    /// count past it is rejected with [`Saturated`] — nothing is
     /// enqueued. A scheduler that is shutting down rejects everything
     /// (reported as saturated with the current queue numbers).
-    pub(crate) fn submit(&self, cells: Vec<Cell>) -> Result<RequestHandle, Saturated> {
+    ///
+    /// The receiver yields one [`CellDone`] per cell; a `recv` error
+    /// before that means every worker-side sender is gone, i.e. the
+    /// pool died.
+    pub(crate) fn submit(&self, cells: Vec<Cell>) -> Result<mpsc::Receiver<CellDone>, Saturated> {
         let wanted = cells.len();
         let (tx, rx) = mpsc::channel();
         {
@@ -320,30 +311,8 @@ impl CellScheduler {
                 st.ring.push_back(id);
                 self.inner.work.notify_all();
             }
-            Ok(RequestHandle {
-                sched: self.clone(),
-                id,
-                rx,
-            })
+            Ok(rx)
         }
-    }
-
-    /// Drops request `id`'s still-queued cells (running cells finish
-    /// normally) and tells the submitter how many were discarded via a
-    /// [`CellDone::Cancelled`] message. A request with nothing queued
-    /// is a no-op.
-    fn cancel(&self, id: u64) {
-        let mut st = self.inner.lock();
-        let Some(rq) = st.requests.remove(&id) else {
-            return;
-        };
-        st.ring.retain(|&r| r != id);
-        let count = rq.cells.len();
-        self.inner.queued.fetch_sub(count, Ordering::Relaxed);
-        self.inner
-            .cancelled
-            .fetch_add(count as u64, Ordering::Relaxed);
-        let _ = rq.tx.send(CellDone::Cancelled { count });
     }
 
     /// Current load numbers.
@@ -352,8 +321,6 @@ impl CellScheduler {
             workers: self.inner.workers,
             queued: self.inner.queued.load(Ordering::Relaxed),
             running: self.inner.running.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-            max_queue: self.inner.max_queue,
             respawns: self.inner.respawns.load(Ordering::Relaxed),
             poisoned: self.inner.poisoned.load(Ordering::Relaxed),
         }
@@ -378,29 +345,6 @@ impl CellScheduler {
         for h in handles {
             let _ = h.join();
         }
-    }
-}
-
-/// A submitted request's end of the scheduler: the channel its results
-/// arrive on, plus the id needed to cancel its queued remainder.
-pub(crate) struct RequestHandle {
-    sched: CellScheduler,
-    id: u64,
-    rx: mpsc::Receiver<CellDone>,
-}
-
-impl RequestHandle {
-    /// Blocks for the next finished (or cancelled) cell. `None` once
-    /// every worker-side sender is gone — which cannot happen before
-    /// the request's cells are all accounted for, so a `None` here
-    /// means the pool died.
-    pub fn recv(&self) -> Option<CellDone> {
-        self.rx.recv().ok()
-    }
-
-    /// Cancels this request's still-queued cells.
-    pub fn cancel(&self) {
-        self.sched.cancel(self.id);
     }
 }
 
@@ -486,7 +430,7 @@ fn run_picked<'p>(
             );
         }
     }
-    let _ = tx.send(CellDone::Finished {
+    let _ = tx.send(CellDone {
         index: cell.index,
         result: Box::new(result),
         retries,
@@ -515,32 +459,25 @@ mod tests {
         }
     }
 
-    fn drain(handle: &RequestHandle, expect: usize) -> (usize, usize) {
-        let (mut finished, mut cancelled) = (0, 0);
-        while finished + cancelled < expect {
-            match handle.recv().expect("pool alive") {
-                CellDone::Finished { result, .. } => {
-                    assert!(result.is_ok());
-                    finished += 1;
-                }
-                CellDone::Cancelled { count } => cancelled += count,
-            }
+    /// Receives `expect` cells, asserting each succeeded.
+    fn drain(rx: &mpsc::Receiver<CellDone>, expect: usize) {
+        for _ in 0..expect {
+            assert!(rx.recv().expect("pool alive").result.is_ok());
         }
-        (finished, cancelled)
     }
 
     #[test]
     fn concurrent_requests_all_complete() {
         let sched = CellScheduler::start(2, 0);
-        let handles: Vec<RequestHandle> = (0..3)
+        let receivers: Vec<_> = (0..3)
             .map(|_| {
                 sched
                     .submit((0..4).map(|i| cell(i, 500 + i as u64)).collect())
                     .expect("unbounded queue admits")
             })
             .collect();
-        for h in &handles {
-            assert_eq!(drain(h, 4), (4, 0));
+        for rx in &receivers {
+            drain(rx, 4);
         }
         let stats = sched.stats();
         assert_eq!((stats.queued, stats.running), (0, 0));
@@ -564,48 +501,24 @@ mod tests {
             }
             Ok(_) => panic!("second request must be refused while queue is full"),
         }
-        assert_eq!(drain(&first, 4), (4, 0));
+        drain(&first, 4);
         // Queue drained: the same request is now admissible.
         let retry = sched
             .submit(vec![cell(0, 500), cell(1, 500)])
             .expect("drained queue admits");
-        assert_eq!(drain(&retry, 2), (2, 0));
-        sched.shutdown();
-    }
-
-    #[test]
-    fn cancel_drops_only_queued_cells() {
-        let sched = CellScheduler::start(1, 0);
-        // Park a long request so the victim's cells stay queued.
-        let long = sched
-            .submit((0..2).map(|i| cell(i, 80_000)).collect())
-            .unwrap();
-        let victim = sched
-            .submit((0..5).map(|i| cell(i, 500)).collect())
-            .unwrap();
-        victim.cancel();
-        let (finished, cancelled) = drain(&victim, 5);
-        // Depending on interleaving a cell or two may already have run,
-        // but cancelled + finished always accounts for all five, and at
-        // least one must have been dropped while the long request held
-        // the single worker.
-        assert_eq!(finished + cancelled, 5);
-        assert!(cancelled >= 1, "queued cells must be droppable");
-        assert_eq!(sched.stats().cancelled, cancelled as u64);
-        assert_eq!(drain(&long, 2), (2, 0));
-        assert_eq!(sched.stats().queued, 0);
+        drain(&retry, 2);
         sched.shutdown();
     }
 
     #[test]
     fn shutdown_drains_queued_cells_then_refuses() {
         let sched = CellScheduler::start(1, 0);
-        let h = sched
+        let rx = sched
             .submit((0..6).map(|i| cell(i, 2_000)).collect())
             .unwrap();
         sched.shutdown();
         // Every queued cell still completed — drain means no lost work.
-        assert_eq!(drain(&h, 6), (6, 0));
+        drain(&rx, 6);
         assert!(sched.submit(vec![cell(0, 500)]).is_err());
     }
 
@@ -628,30 +541,23 @@ mod tests {
             with_attrib: false,
             retries: 1, // two panics total: exactly the poison budget
         };
-        let h = sched
+        let rx = sched
             .submit(vec![cell(0, 500), cell(1, 500), crasher()])
             .unwrap();
         let (mut ok, mut panicked) = (0, 0);
         for _ in 0..3 {
-            match h.recv().expect("pool alive") {
-                CellDone::Finished {
-                    index,
-                    result,
-                    retries,
-                    ..
-                } => match *result {
-                    Ok(_) => ok += 1,
-                    // The request that ran the attempts sees the panic
-                    // itself, not the quarantine it tripped.
-                    Err(JobError::Panic(msg)) => {
-                        assert_eq!(index, 2, "only the crasher panics");
-                        assert!(msg.contains("fail point job-panic"), "{msg}");
-                        assert_eq!(retries, 1);
-                        panicked += 1;
-                    }
-                    Err(e) => panic!("unexpected outcome: {e}"),
-                },
-                CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
+            let done = rx.recv().expect("pool alive");
+            match *done.result {
+                Ok(_) => ok += 1,
+                // The request that ran the attempts sees the panic
+                // itself, not the quarantine it tripped.
+                Err(JobError::Panic(msg)) => {
+                    assert_eq!(done.index, 2, "only the crasher panics");
+                    assert!(msg.contains("fail point job-panic"), "{msg}");
+                    assert_eq!(done.retries, 1);
+                    panicked += 1;
+                }
+                Err(e) => panic!("unexpected outcome: {e}"),
             }
         }
         assert_eq!((ok, panicked), (2, 1));
@@ -659,13 +565,10 @@ mod tests {
         assert!(stats.respawns >= 2, "each caught panic respawns the arena");
         assert_eq!(stats.poisoned, 0, "nothing was refused yet");
         // The quarantined key now short-circuits without running.
-        let h2 = sched.submit(vec![crasher()]).unwrap();
-        match h2.recv().expect("pool alive") {
-            CellDone::Finished { result, .. } => match *result {
-                Err(JobError::CellPoisoned { panics }) => assert!(panics >= POISON_PANICS),
-                other => panic!("expected a refused pickup, got {other:?}"),
-            },
-            CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
+        let rx = sched.submit(vec![crasher()]).unwrap();
+        match *rx.recv().expect("pool alive").result {
+            Err(JobError::CellPoisoned { panics }) => assert!(panics >= POISON_PANICS),
+            other => panic!("expected a refused pickup, got {other:?}"),
         }
         assert_eq!(sched.stats().poisoned, 1);
         ctcp_telemetry::failpoint::set(None);
@@ -687,10 +590,10 @@ mod tests {
         let mut small_done = 0usize;
         // Poll both receivers without blocking on the big one.
         while small_done < 2 {
-            if let Ok(CellDone::Finished { .. }) = small.rx.try_recv() {
+            if small.try_recv().is_ok() {
                 small_done += 1;
             }
-            if let Ok(CellDone::Finished { .. }) = big.rx.try_recv() {
+            if big.try_recv().is_ok() {
                 big_done += 1;
             }
             std::thread::yield_now();
@@ -699,7 +602,7 @@ mod tests {
             big_done < 12,
             "small request must complete before the big one drains"
         );
-        assert_eq!(drain(&big, 12 - big_done), (12 - big_done, 0));
+        drain(&big, 12 - big_done);
         sched.shutdown();
     }
 }

@@ -28,7 +28,6 @@ pub(crate) enum Slot {
     Queued,
     CacheHits,
     Rejected,
-    CancelledCells,
     JournalReplayed,
     ResumedStreams,
 }
@@ -67,7 +66,7 @@ pub(crate) struct Row {
 }
 
 /// Every number the service reports about itself, in document order.
-pub(crate) static ROWS: [Row; 23] = [
+pub(crate) static ROWS: [Row; 21] = [
     Row {
         kind: GAUGE,
         family: Some("ctcp_in_flight_requests"),
@@ -108,13 +107,6 @@ pub(crate) static ROWS: [Row; 23] = [
                 h.running_cells as f64 / h.workers as f64
             })
         }),
-    },
-    Row {
-        kind: COUNTER,
-        family: None,
-        key: "cancelled_cells",
-        help: "Queued cells the pool dropped before they ran.",
-        source: Source::Handler(|h| Value::u64(h.cancelled_cells)),
     },
     Row {
         kind: GAUGE,
@@ -199,13 +191,6 @@ pub(crate) static ROWS: [Row; 23] = [
         key: "counters.serve_rejected",
         help: "Batch requests refused with a 503.",
         source: Source::Slot(Slot::Rejected),
-    },
-    Row {
-        kind: COUNTER,
-        family: Some("ctcp_serve_cancelled_cells_total"),
-        key: "counters.serve_cancelled_cells",
-        help: "Queued cells dropped before they ran, as batch results report them.",
-        source: Source::Slot(Slot::CancelledCells),
     },
     Row {
         kind: COUNTER,

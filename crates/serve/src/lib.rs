@@ -9,11 +9,13 @@
 //! progress back as chunked NDJSON, and lets every connected client
 //! share the same warm result cache backed by the sharded result
 //! store in `ctcp-harness`. Requests are served *concurrently*: each
-//! connection gets a thread, the handler is `&self + Sync`, and the
-//! CLI backend interleaves all in-flight batches cell-by-cell on one
-//! fair scheduler — so a two-cell analyze never waits behind a
-//! ninety-six-cell sweep, and a fully-memoized request is answered
-//! from the store while the pool is busy.
+//! admitted batch runs headless on a thread of its own, recording its
+//! events into a registry that every client stream reads, the handler
+//! is `&self + Sync`, and the CLI backend interleaves all in-flight
+//! batches cell-by-cell on one fair scheduler — so a two-cell analyze
+//! never waits behind a ninety-six-cell sweep, a fully-memoized request
+//! is answered from the store while the pool is busy, and a client
+//! that reads slowly (or not at all) slows only its own stream.
 //!
 //! The crate deliberately depends on nothing but `std::net` and
 //! `ctcp-telemetry` (for the JSON value, logs, spans and the rolling

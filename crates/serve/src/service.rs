@@ -15,12 +15,12 @@
 //! | `GET /status`     | in-flight work, pool utilization, latency, counters|
 //! | `POST /shutdown`  | begins a graceful drain                            |
 //!
-//! Batches run *concurrently*: every connection gets its own thread,
-//! and the handler is shared by reference (`&self`, `Send + Sync`)
-//! rather than serialised behind a mutex. Interleaving is the
-//! handler's business — the CLI handler feeds all requests into one
-//! fair cell scheduler — while the service handles the wire side of
-//! concurrency and of *crash safety*:
+//! Batches run *concurrently*: every admitted batch runs headless on a
+//! thread of its own, and the handler is shared by reference (`&self`,
+//! `Send + Sync`) rather than serialised behind a mutex. Interleaving
+//! is the handler's business — the CLI handler feeds all requests into
+//! one fair cell scheduler — while the service handles the wire side
+//! of concurrency and of *crash safety*:
 //!
 //! * **admission**: a handler may refuse a batch before streaming
 //!   anything ([`HandlerError::Saturated`] when the queue is over its
@@ -28,25 +28,25 @@
 //!   degraded to read-only); the service answers with a clean `503`, a
 //!   typed JSON body, and a `Retry-After` header so clients can tell
 //!   "try later" from a failed run.
-//! * **idempotency and resume**: every batch is keyed by a *resume
-//!   token* — a hash of the raw wire body ([`resume_token`]) — and its
-//!   full event stream is kept in an in-memory registry. The first
-//!   chunk of every stream is an `accepted` handshake carrying the
-//!   token and the daemon's run id; a client that loses its connection
-//!   re-attaches with `POST /resume {"token","have","run"}` and
-//!   receives only the events it has not yet seen (all of them when
-//!   the run id changed — i.e. the daemon restarted). An identical
-//!   `POST /sweep` while the original is still running attaches to the
-//!   live batch instead of running it twice.
-//! * **disconnects detach, not cancel**: a broken client stream no
-//!   longer abandons the batch — it keeps running headless, every
-//!   finished cell memoizes, and the registry retains the stream for
-//!   the client's reconnect.
+//! * **one delivery path**: every batch is keyed by a *resume token* —
+//!   a hash of the raw wire body ([`resume_token`]) — and records its
+//!   full event stream into an in-memory registry entry. Every stream
+//!   reads that entry: the admitting `POST`, an identical `POST` that
+//!   attaches while the batch runs (it is never run twice), and
+//!   `POST /resume {"token","have","run"}`, which skips the events the
+//!   client already has (none when the run id changed — i.e. the
+//!   daemon restarted). The first chunk of every stream is an
+//!   `accepted` handshake carrying the token and the daemon's run id.
+//! * **disconnects detach**: no client sits on the batch's thread, so a
+//!   reader that stalls or leaves paces only its own stream — the
+//!   batch finishes, every cell memoizes, and the entry keeps the
+//!   stream for the client's reconnect.
 //! * **replay**: after a crash, the CLI re-submits journaled
-//!   unfinished requests through [`Service::replay`], which runs them
-//!   headless — by the time clients reconnect, their tokens resolve.
-//! * **drain**: `/shutdown` stops the accept loop, every in-flight
-//!   connection thread and replay thread is joined, and then the
+//!   unfinished requests through [`Service::replay`], which starts them
+//!   before any client connects — by the time clients reconnect, their
+//!   tokens resolve.
+//! * **drain**: `/shutdown` stops the accept loop, every connection
+//!   thread and then every batch thread is joined, and then the
 //!   handler is [quiesced](Handler::quiesce) so its worker pool runs
 //!   every admitted cell to completion before the daemon exits.
 
@@ -125,8 +125,6 @@ pub struct RunResult {
     pub cache_hits: u64,
     /// Cells actually simulated.
     pub simulated: u64,
-    /// Queued cells dropped before they ran (drain).
-    pub cancelled: u64,
 }
 
 /// Why a handler refused to run a batch at all.
@@ -203,8 +201,6 @@ pub struct HandlerStats {
     pub queued_cells: usize,
     /// Cells currently executing on a worker.
     pub running_cells: usize,
-    /// Queued cells dropped before running, cumulative.
-    pub cancelled_cells: u64,
     /// Worker threads respawned after a panic, cumulative.
     pub respawns: u64,
     /// Cells quarantined after repeated worker panics, cumulative.
@@ -217,7 +213,7 @@ pub struct HandlerStats {
 /// around the shared cell scheduler, mocked in tests.
 ///
 /// `run` takes `&self` and the trait requires `Send + Sync`: the
-/// service calls it from many connection threads at once, so
+/// service calls it from many batch threads at once, so
 /// implementations own their interior synchronisation (the CLI handler
 /// builds a fresh per-request harness around shared `Clone` handles).
 pub trait Handler: Send + Sync {
@@ -226,10 +222,9 @@ pub trait Handler: Send + Sync {
     /// `token` is the batch's resume token — a journaling handler
     /// records it so the request can be replayed after a crash.
     ///
-    /// The callback's return value reports whether a client is still
-    /// attached; the service keeps detached batches running (their
-    /// events are retained for resume), so handlers should treat
-    /// `false` as advisory, not as a cancellation order.
+    /// The callback only records the event in the batch's registry
+    /// entry: no client sits on the batch's thread, so it never blocks
+    /// on a socket and has nothing to report back.
     /// A malformed body should come back as an `Ok` result with a
     /// non-zero `exit_code` and the parse error as `output`; `Err` is
     /// reserved for refusing to run at all.
@@ -245,7 +240,7 @@ pub trait Handler: Send + Sync {
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value) -> bool,
+        progress: &mut dyn FnMut(&Value),
     ) -> Result<RunResult, HandlerError>;
 
     /// A live snapshot of the execution backend for `/status`.
@@ -264,14 +259,15 @@ pub trait Handler: Send + Sync {
 
     /// Quiesces the backend at the end of a drain: stop admitting,
     /// run every already-admitted cell to completion, release workers.
-    /// Called once, after all connection threads have been joined.
+    /// Called once, after all connection and batch threads have been
+    /// joined.
     fn quiesce(&self) {}
 }
 
 /// One admitted batch's replayable state: every event line it has
 /// emitted (progress and the final result), and whether it finished.
-/// Readers — the owning connection, `/resume` attachments, duplicate
-/// `POST`s — stream the log and park on the condvar for more.
+/// Readers — the admitting `POST`, duplicate `POST`s, `/resume`
+/// attachments — stream the log and park on the condvar for more.
 struct RequestEntry {
     state: Mutex<EntryState>,
     grew: Condvar,
@@ -286,6 +282,9 @@ struct EntryState {
     events: Vec<String>,
     /// Set once, after the final `result` (or `error`) line.
     done: bool,
+    /// Set, before the terminal `error` line, when the handler refused
+    /// the batch; the admitting `POST` answers it with a `503`.
+    refusal: Option<HandlerError>,
     /// Progress watermark parsed off the batch's progress events, for
     /// the `/status` request table (`0/0` until the first event).
     cells_done: u64,
@@ -298,6 +297,7 @@ impl RequestEntry {
             state: Mutex::new(EntryState {
                 events: Vec::new(),
                 done: false,
+                refusal: None,
                 cells_done: 0,
                 cells_total: 0,
             }),
@@ -318,8 +318,13 @@ impl RequestEntry {
         st.cells_total = st.cells_total.max(total);
     }
 
-    fn finish(&self) {
-        relock(&self.state).done = true;
+    /// Records the terminal `result` or `error` line and marks the
+    /// entry done, waking its readers once.
+    fn finish(&self, line: String) {
+        let mut st = relock(&self.state);
+        st.events.push(line);
+        st.done = true;
+        drop(st);
         self.grew.notify_all();
     }
 
@@ -328,19 +333,21 @@ impl RequestEntry {
     }
 
     /// Blocks until there are events past index `from` (or the entry
+    /// is done), then returns the locked state.
+    fn settled(&self, from: usize) -> MutexGuard<'_, EntryState> {
+        self.grew
+            .wait_while(relock(&self.state), |st| {
+                st.events.len() <= from && !st.done
+            })
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Blocks until there are events past index `from` (or the entry
     /// is done), then returns them along with the done flag.
     fn wait_past(&self, from: usize) -> (Vec<String>, bool) {
-        let mut st = relock(&self.state);
-        loop {
-            if st.events.len() > from || st.done {
-                let at = from.min(st.events.len());
-                return (st.events[at..].to_vec(), st.done);
-            }
-            st = self
-                .grew
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        let st = self.settled(from);
+        let at = from.min(st.events.len());
+        (st.events[at..].to_vec(), st.done)
     }
 }
 
@@ -402,9 +409,10 @@ struct Inner {
     /// that reconnects after its batch completed still gets the full
     /// stream; the map is bounded by requests-per-daemon-lifetime.
     registry: Mutex<HashMap<String, Arc<RequestEntry>>>,
-    /// Headless replay threads started by [`Service::replay`], joined
-    /// during the drain so no journaled batch is ever abandoned twice.
-    replays: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Unjoined batch threads, live `POST`s and journal replays alike;
+    /// finished ones are reaped as batches start, and the drain joins
+    /// the rest so no admitted batch is abandoned.
+    batches: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Set by `/shutdown`; the accept loop stops taking connections.
     draining: AtomicBool,
     addr: SocketAddr,
@@ -469,18 +477,19 @@ impl Inner {
     }
 }
 
-/// How long reading a request may wait for the client's next bytes. A
-/// client that connects and then goes silent is dropped after this
-/// long, so it can pin a connection thread — and hold up a graceful
-/// drain, which joins that thread — no longer.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a socket read or write may wait on the client. A client
+/// that connects and goes silent, or stops reading a streamed
+/// response, is dropped after this long, so it can pin a connection
+/// thread — and hold up a graceful drain, which joins that thread — no
+/// longer.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A bound, not-yet-running sweep service.
 pub struct Service {
     listener: TcpListener,
     inner: Arc<Inner>,
-    /// [`READ_TIMEOUT`]; unit tests shorten it.
-    read_timeout: Duration,
+    /// [`IO_TIMEOUT`]; unit tests shorten it.
+    io_timeout: Duration,
 }
 
 impl Service {
@@ -509,11 +518,11 @@ impl Service {
                     .ok()
                     .and_then(|s| s.parse().ok()),
                 registry: Mutex::new(HashMap::new()),
-                replays: Mutex::new(Vec::new()),
+                batches: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
                 addr,
             }),
-            read_timeout: READ_TIMEOUT,
+            io_timeout: IO_TIMEOUT,
         })
     }
 
@@ -522,13 +531,12 @@ impl Service {
         self.inner.addr
     }
 
-    /// Re-runs a journaled request headless — no socket, events into
-    /// the registry — so a client that reconnects after a daemon crash
-    /// finds its token live (or finished) instead of unknown. Called
-    /// by the CLI before [`run`](Service::run) for every unfinished
-    /// request the journal replays. Returns `false` (and does nothing)
-    /// when the body no longer parses or the token is already
-    /// registered.
+    /// Re-runs a journaled request before any client asks for it, so a
+    /// client that reconnects after a daemon crash finds its token live
+    /// (or finished) instead of unknown. Called by the CLI before
+    /// [`run`](Service::run) for every unfinished request the journal
+    /// replays. Returns `false` (and does nothing) when the body no
+    /// longer parses or the token is already registered.
     pub fn replay(&self, kind: RequestKind, raw_body: &str) -> bool {
         let Ok(body) = Value::parse(raw_body) else {
             return false;
@@ -543,16 +551,12 @@ impl Service {
             reg.insert(token.clone(), Arc::clone(&entry));
         }
         self.inner.metrics.add(Slot::JournalReplayed, 1);
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::spawn(move || {
-            let _ = execute_entry(&inner, kind, &body, &token, &entry, None);
-        });
-        relock(&self.inner.replays).push(handle);
+        start_entry(&self.inner, kind, body, token, entry);
         true
     }
 
     /// Serves until a `/shutdown` request, then drains: the accept
-    /// loop stops, every in-flight connection thread and replay thread
+    /// loop stops, every connection thread and then every batch thread
     /// is joined (their batches run to completion), the handler is
     /// quiesced, and the final snapshot of the metrics registry is
     /// returned.
@@ -584,9 +588,9 @@ impl Service {
                 }
             }
             let inner = Arc::clone(&self.inner);
-            let read_timeout = self.read_timeout;
+            let io_timeout = self.io_timeout;
             workers.push(std::thread::spawn(move || {
-                let _ = handle_connection(stream, read_timeout, &inner);
+                let _ = handle_connection(stream, io_timeout, &inner);
             }));
             // Reap finished threads so a long-lived daemon does not
             // accumulate one handle per connection ever served.
@@ -598,12 +602,15 @@ impl Service {
         }
         // Graceful drain: in-flight batches finish (and memoize) even
         // though no new connections are accepted — then the handler's
-        // own pool is quiesced, so no admitted cell is ever lost.
+        // own pool is quiesced, so no admitted cell is ever lost. Once
+        // `run` is serving, only connection threads start batches, so
+        // after they are joined the batch list is final.
         for w in workers {
             let _ = w.join();
         }
-        for r in std::mem::take(&mut *relock(&self.inner.replays)) {
-            let _ = r.join();
+        let batches = std::mem::take(&mut *relock(&self.inner.batches));
+        for b in batches {
+            let _ = b.join();
         }
         let last = self.inner.snapshot();
         self.inner.handler.quiesce();
@@ -611,8 +618,13 @@ impl Service {
     }
 }
 
-fn handle_connection(stream: TcpStream, read_timeout: Duration, inner: &Inner) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
+fn handle_connection(
+    stream: TcpStream,
+    io_timeout: Duration,
+    inner: &Arc<Inner>,
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let req = match http::read_request(&mut reader) {
@@ -640,7 +652,7 @@ fn handle_connection(stream: TcpStream, read_timeout: Duration, inner: &Inner) -
 }
 
 /// Decrements the in-flight gauge however the batch ends (result,
-/// rejection, panic in the handler, broken pipe).
+/// refusal, panic in the handler).
 struct InFlight<'a>(&'a Registry);
 
 impl Drop for InFlight<'_> {
@@ -649,50 +661,76 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// The first chunk of every batch stream: the resume handshake. Not
-/// recorded in the entry log — each attachment gets its own, and
-/// clients count delivered events from the line after it.
-fn accepted_line(token: &str) -> String {
-    let mut line = Value::Obj(vec![
-        ("event".into(), Value::str("accepted")),
-        ("token".into(), Value::str(token)),
-        ("run".into(), Value::u64(run_id())),
-    ])
-    .render();
+/// One NDJSON event line, `\n`-terminated.
+fn event_line(event: &Value) -> String {
+    let mut line = event.render();
     line.push('\n');
     line
 }
 
-/// Runs the batch through the handler on the current thread, recording
-/// every event line (and the final `result` line) in `entry`, and
-/// mirroring each to `sink` while it keeps accepting them — `sink`
-/// returning `false` detaches the stream but never stops the batch.
-/// Refusals remove the entry from the registry (a later retry runs
-/// fresh) and mark it done with a terminal `error` line so attached
-/// streams end instead of hanging; a panicking handler yields a
-/// terminal `result` line with exit code 70 and the daemon survives.
+/// The first chunk of every batch stream: the resume handshake. Not
+/// recorded in the entry log — each attachment gets its own, and
+/// clients count delivered events from the line after it.
+fn accepted_line(token: &str) -> String {
+    event_line(&Value::Obj(vec![
+        ("event".into(), Value::str("accepted")),
+        ("token".into(), Value::str(token)),
+        ("run".into(), Value::u64(run_id())),
+    ]))
+}
+
+/// Starts `entry`'s batch on a thread of its own. No client sits on
+/// that thread, so a reader that stalls or leaves never holds the
+/// batch up. Finished batch threads are reaped here, the way the
+/// accept loop reaps connection threads: an unjoined thread keeps its
+/// stack resident.
+fn start_entry(
+    inner: &Arc<Inner>,
+    kind: RequestKind,
+    body: Value,
+    token: String,
+    entry: Arc<RequestEntry>,
+) {
+    let batch = {
+        let inner = Arc::clone(inner);
+        std::thread::spawn(move || execute_entry(&inner, kind, &body, &token, &entry))
+    };
+    let finished: Vec<_> = {
+        let mut batches = relock(&inner.batches);
+        let (finished, running) = std::mem::take(&mut *batches)
+            .into_iter()
+            .partition(|b| b.is_finished());
+        *batches = running;
+        batches.push(batch);
+        finished
+    };
+    for b in finished {
+        let _ = b.join();
+    }
+}
+
+/// Runs the batch through the handler, recording every event line (and
+/// the final `result` line) in `entry`. The in-flight gauge covers the
+/// run and drops before the terminal line, so a client that has read
+/// its result never sees the batch still in flight. A refusal removes
+/// the entry from the registry (a later retry runs fresh) and ends it
+/// with the refusal and a terminal `error` line, so the admitting
+/// `POST` can answer `503` and attached streams end instead of
+/// hanging; a panicking handler yields a terminal `result` line with
+/// exit code 70 and the daemon survives.
 fn execute_entry(
     inner: &Inner,
     kind: RequestKind,
     body: &Value,
     token: &str,
     entry: &RequestEntry,
-    mut sink: Option<&mut dyn FnMut(&str) -> bool>,
-) -> Result<(), HandlerError> {
-    fn emit(
-        entry: &RequestEntry,
-        line: String,
-        sink: &mut Option<&mut dyn FnMut(&str) -> bool>,
-        attached: &mut bool,
-    ) {
-        entry.push(line.clone());
-        if *attached {
-            if let Some(s) = sink.as_mut() {
-                *attached = s(&line);
-            }
-        }
+) {
+    if inner.metrics.add(Slot::InFlight, 1) > 0 {
+        // Another batch is already running: this one rides the shared
+        // pool concurrently instead of waiting its turn.
+        inner.metrics.add(Slot::Queued, 1);
     }
-
+    let gauge = InFlight(&inner.metrics);
     let started = Instant::now();
     let started_us = inner.now_us();
     log::info(
@@ -717,17 +755,13 @@ fn execute_entry(
             ],
         },
     );
-    let mut attached = true;
     let mut first_event_us: Option<u64> = None;
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         inner.handler.run(kind, body, token, &mut |event| {
             let now_us = inner.now_us();
             first_event_us.get_or_insert(now_us);
             observe_progress_event(inner, token, entry, event, now_us);
-            let mut line = event.render();
-            line.push('\n');
-            emit(entry, line, &mut sink, &mut attached);
-            true
+            entry.push(event_line(event));
         })
     }));
     let result = match outcome {
@@ -744,16 +778,14 @@ fn execute_entry(
                     ("message", Value::str(&refusal.to_string())),
                 ],
             );
-            let mut line = Value::Obj(vec![
+            drop(gauge);
+            relock(&entry.state).refusal = Some(refusal);
+            entry.finish(event_line(&Value::Obj(vec![
                 ("event".into(), Value::str("error")),
                 ("error".into(), Value::str(refusal.name())),
                 ("message".into(), Value::str(&refusal.to_string())),
-            ])
-            .render();
-            line.push('\n');
-            entry.push(line);
-            entry.finish();
-            return Err(refusal);
+            ])));
+            return;
         }
         Err(_) => {
             // The handler panicked mid-batch. The daemon survives; the
@@ -768,13 +800,11 @@ fn execute_entry(
                 exit_code: 70,
                 cache_hits: 0,
                 simulated: 0,
-                cancelled: 0,
             }
         }
     };
 
     inner.metrics.add(Slot::CacheHits, result.cache_hits);
-    inner.metrics.add(Slot::CancelledCells, result.cancelled);
     let ms = started.elapsed().as_millis() as u64;
     inner.metrics.observe_latency(ms);
     relock(&inner.series).record_request(inner.now_sec(), ms);
@@ -826,11 +856,11 @@ fn execute_entry(
             ),
             ("cache_hits", Value::u64(result.cache_hits)),
             ("simulated", Value::u64(result.simulated)),
-            ("cancelled", Value::u64(result.cancelled)),
         ],
     );
 
-    let mut line = Value::Obj(vec![
+    drop(gauge);
+    entry.finish(event_line(&Value::Obj(vec![
         ("event".into(), Value::str("result")),
         (
             "exit_code".into(),
@@ -838,17 +868,11 @@ fn execute_entry(
         ),
         ("cache_hits".into(), Value::u64(result.cache_hits)),
         ("simulated".into(), Value::u64(result.simulated)),
-        ("cancelled".into(), Value::u64(result.cancelled)),
         ("output".into(), Value::str(&result.output)),
-    ])
-    .render();
-    line.push('\n');
-    emit(entry, line, &mut sink, &mut attached);
-    entry.finish();
-    Ok(())
+    ])));
 }
 
-/// Observes one handler progress event before it is streamed: updates
+/// Observes one handler progress event before it is recorded: updates
 /// the entry's progress watermark for the `/status` request table,
 /// records a per-worker cell span, feeds the series ring, and logs a
 /// structured record when the cell exceeded the slow-cell threshold.
@@ -930,7 +954,7 @@ fn run_batch(
     kind: RequestKind,
     req: &http::Request,
     out: &mut TcpStream,
-    inner: &Inner,
+    inner: &Arc<Inner>,
 ) -> io::Result<()> {
     let Some(raw) = req.body_str() else {
         return http::write_response(out, 400, "text/plain", b"body is not valid JSON");
@@ -960,50 +984,12 @@ fn run_batch(
             }
         }
     };
+    start_entry(inner, kind, body, token.clone(), Arc::clone(&entry));
 
-    if inner.metrics.add(Slot::InFlight, 1) > 0 {
-        // Another batch is already running: this one rides the shared
-        // pool concurrently instead of waiting its turn.
-        inner.metrics.add(Slot::Queued, 1);
-    }
-    let _gauge = InFlight(&inner.metrics);
-
-    // The chunked stream starts lazily, on the first event: a batch
-    // refused by admission control streams nothing, so it can still
-    // be answered with a clean fixed-length 503. The first chunk of a
-    // started stream is the `accepted` resume handshake.
-    let mut writer: Option<http::ChunkedWriter<TcpStream>> = None;
-    let mut stream_started_us: Option<u64> = None;
-    let mut sent = 0usize;
-    let refusal = {
-        let mut sink = |line: &str| -> bool {
-            let w = match writer.as_mut() {
-                Some(w) => w,
-                None => match out
-                    .try_clone()
-                    .and_then(|s| http::ChunkedWriter::start(s, 200, "application/x-ndjson"))
-                {
-                    Ok(mut w) => {
-                        stream_started_us = Some(inner.now_us());
-                        if w.chunk(accepted_line(&token).as_bytes()).is_err() {
-                            return false;
-                        }
-                        writer.insert(w)
-                    }
-                    Err(_) => return false,
-                },
-            };
-            // A failed write detaches this client; the batch keeps
-            // running and the registry keeps its stream for a resume.
-            let ok = w.chunk(line.as_bytes()).is_ok();
-            sent += usize::from(ok);
-            ok
-        };
-        execute_entry(inner, kind, &body, &token, &entry, Some(&mut sink))
-    };
-
-    if let Err(e) = refusal {
-        debug_assert!(writer.is_none(), "admission precedes streaming");
+    // Admission precedes the batch's first event, so a refused batch
+    // has streamed nothing and gets a clean fixed-length 503.
+    let refusal = entry.settled(0).refusal;
+    if let Some(e) = refusal {
         let retry_after = e.retry_after_secs().to_string();
         let mut fields = vec![
             ("error".into(), Value::str(e.name())),
@@ -1028,38 +1014,14 @@ fn run_batch(
             body.as_bytes(),
         );
     }
-    match writer {
-        Some(w) => {
-            // The live client's stream gets the same span the
-            // attach/resume path records, so every delivered stream —
-            // original or re-attached — shows on the streams lane.
-            let ts_us = stream_started_us.unwrap_or_else(|| inner.now_us());
-            inner.record_span(
-                &token,
-                ReqSpan {
-                    name: "stream".into(),
-                    lane: LANE_STREAM,
-                    lane_name: "streams".into(),
-                    ts_us,
-                    dur_us: inner.now_us().saturating_sub(ts_us),
-                    args: vec![
-                        ("token".into(), Value::str(&token)),
-                        ("from".into(), Value::u64(0)),
-                        ("events".into(), Value::u64(sent as u64)),
-                    ],
-                },
-            );
-            w.finish()
-        }
-        // The client detached before the stream ever started (or the
-        // start itself failed); nothing left to say on this socket.
-        None => Ok(()),
-    }
+    stream_entry(out, &entry, &token, 0, inner)
 }
 
 /// Streams `entry` to `out` from event index `from`: the `accepted`
 /// handshake, every already-recorded event past `from`, then live
-/// events as the batch emits them, until the entry is done.
+/// events as the batch records them, until the entry is done. Every
+/// attempt records a `stream` span on the streams lane, one the client
+/// cut short included.
 fn stream_entry(
     out: &mut TcpStream,
     entry: &RequestEntry,
@@ -1068,20 +1030,21 @@ fn stream_entry(
     inner: &Inner,
 ) -> io::Result<()> {
     let stream_start_us = inner.now_us();
-    let mut w = http::ChunkedWriter::start(out.try_clone()?, 200, "application/x-ndjson")?;
-    w.chunk(accepted_line(token).as_bytes())?;
     let mut at = from;
-    loop {
-        let (events, done) = entry.wait_past(at);
-        for line in &events {
-            w.chunk(line.as_bytes())?;
+    let delivered = (|| -> io::Result<()> {
+        let mut w = http::ChunkedWriter::start(out.try_clone()?, 200, "application/x-ndjson")?;
+        w.chunk(accepted_line(token).as_bytes())?;
+        loop {
+            let (events, done) = entry.wait_past(at);
+            for line in &events {
+                w.chunk(line.as_bytes())?;
+                at += 1;
+            }
+            if done {
+                return w.finish();
+            }
         }
-        at += events.len();
-        if done {
-            break;
-        }
-    }
-    let sent = at - from;
+    })();
     inner.record_span(
         token,
         ReqSpan {
@@ -1093,11 +1056,11 @@ fn stream_entry(
             args: vec![
                 ("token".into(), Value::str(token)),
                 ("from".into(), Value::u64(from as u64)),
-                ("events".into(), Value::u64(sent as u64)),
+                ("events".into(), Value::u64((at - from) as u64)),
             ],
         },
     );
-    w.finish()
+    delivered
 }
 
 /// `POST /resume {"token": "...", "have": N, "run": R}` — re-attaches
@@ -1248,7 +1211,7 @@ mod tests {
             kind: RequestKind,
             body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value) -> bool,
+            progress: &mut dyn FnMut(&Value),
         ) -> Result<RunResult, HandlerError> {
             let rendered = body.render();
             let hits = {
@@ -1269,7 +1232,6 @@ mod tests {
                 exit_code: 0,
                 cache_hits: hits * 2,
                 simulated: 2 - hits.min(2),
-                cancelled: 0,
             })
         }
 
@@ -1427,7 +1389,7 @@ mod tests {
         let timeout = Duration::from_millis(300);
         let (handler, quiesced) = MockHandler::new();
         let mut svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
-        svc.read_timeout = timeout;
+        svc.io_timeout = timeout;
         let addr = svc.local_addr().to_string();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
@@ -1455,6 +1417,81 @@ mod tests {
         );
         assert!(quiesced.load(Ordering::SeqCst));
         drop(silent);
+    }
+
+    /// 256 progress events of 64 KiB each: far more than a loopback
+    /// peer that never reads can absorb (a few MB).
+    struct FloodHandler;
+
+    impl Handler for FloodHandler {
+        fn run(
+            &self,
+            _kind: RequestKind,
+            _body: &Value,
+            _token: &str,
+            progress: &mut dyn FnMut(&Value),
+        ) -> Result<RunResult, HandlerError> {
+            let pad = "x".repeat(64 << 10);
+            for done in 1..=256u64 {
+                progress(&Value::Obj(vec![
+                    ("event".into(), Value::str("progress")),
+                    ("done".into(), Value::u64(done)),
+                    ("total".into(), Value::u64(256)),
+                    ("pad".into(), Value::str(&pad)),
+                ]));
+            }
+            Ok(RunResult {
+                output: "flooded".into(),
+                exit_code: 0,
+                cache_hits: 0,
+                simulated: 256,
+            })
+        }
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_holds_up_neither_its_batch_nor_the_drain() {
+        let _g = crate::testutil::fail_points_held();
+        use std::io::Write;
+        let timeout = Duration::from_millis(300);
+        let mut svc = Service::bind("127.0.0.1:0", Box::new(FloodHandler)).unwrap();
+        svc.io_timeout = timeout;
+        let addr = svc.local_addr().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done_tx.send(svc.run().expect("service run"));
+        });
+        // Posts, then never reads and never closes.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        write!(
+            stalled,
+            "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{{}}"
+        )
+        .unwrap();
+        stalled.flush().unwrap();
+        // The batch still finishes: its latency sample lands.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
+            let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let samples = v.get("latency_ms").unwrap().get("samples").unwrap();
+            if samples.as_u64() == Some(1) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the stalled reader held up its batch"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // And the drain only waits out the write timeout.
+        let resp = http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        assert_eq!(resp.status, 200);
+        done_rx
+            .recv_timeout(timeout + Duration::from_secs(5))
+            .expect("the stalled reader held up the drain");
+        worker.join().unwrap();
+        drop(stalled);
     }
 
     #[test]
@@ -1485,7 +1522,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            _progress: &mut dyn FnMut(&Value) -> bool,
+            _progress: &mut dyn FnMut(&Value),
         ) -> Result<RunResult, HandlerError> {
             let mut inside = self.inside.lock().unwrap();
             *inside += 1;
@@ -1509,7 +1546,6 @@ mod tests {
                 exit_code: 0,
                 cache_hits: 0,
                 simulated: 1,
-                cancelled: 0,
             })
         }
     }
@@ -1568,7 +1604,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            _progress: &mut dyn FnMut(&Value) -> bool,
+            _progress: &mut dyn FnMut(&Value),
         ) -> Result<RunResult, HandlerError> {
             Err(self.0)
         }
@@ -1652,7 +1688,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value) -> bool,
+            progress: &mut dyn FnMut(&Value),
         ) -> Result<RunResult, HandlerError> {
             for done in 1..=self.total {
                 progress(&Value::Obj(vec![
@@ -1667,7 +1703,6 @@ mod tests {
                 exit_code: 0,
                 cache_hits: 0,
                 simulated: self.total,
-                cancelled: 0,
             })
         }
     }
@@ -1733,11 +1768,6 @@ mod tests {
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         let summary = worker.join().unwrap();
         assert_eq!(summary.count("counters.serve_resumed_streams"), 2);
-        assert_eq!(
-            summary.count("counters.serve_cancelled_cells"),
-            0,
-            "detach is not cancellation"
-        );
     }
 
     #[test]
@@ -1906,7 +1936,7 @@ mod tests {
                 counters += 1;
             }
         }
-        assert_eq!(counters, 9, "the nine serve_* counters");
+        assert_eq!(counters, 8, "the eight serve_* counters");
         assert_eq!(prom_get(&samples, "ctcp_workers"), 2.0);
         assert_eq!(prom_get(&samples, "ctcp_store_read_only"), 0.0);
         assert_eq!(prom_get(&samples, "ctcp_journal_bytes"), 2048.0);
@@ -2112,7 +2142,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value) -> bool,
+            progress: &mut dyn FnMut(&Value),
         ) -> Result<RunResult, HandlerError> {
             progress(&Value::Obj(vec![
                 ("event".into(), Value::str("progress")),
@@ -2127,7 +2157,6 @@ mod tests {
                 exit_code: 0,
                 cache_hits: 0,
                 simulated: 1,
-                cancelled: 0,
             })
         }
     }

@@ -1,5 +1,5 @@
-//! Randomised property tests of the substrate components: caches, store
-//! buffer, memory, executor, and workload generation.
+//! Randomised property tests of the substrate components: caches, the
+//! trace cache, store buffer, memory, executor, and workload generation.
 //!
 //! These were proptest suites in earlier revisions; the workspace now
 //! builds offline, so each property runs a fixed number of cases drawn
@@ -7,8 +7,12 @@
 //! which reproduces the exact inputs.
 
 use ctcp::frontend::{BranchPredictor, HybridConfig, HybridPredictor};
-use ctcp::isa::{Executor, WordMemory};
+use ctcp::isa::{Executor, Instruction, Opcode, Reg, WordMemory};
 use ctcp::memory::{CacheConfig, CacheStats, SetAssocCache, StoreBuffer, StoreForward};
+use ctcp::tracecache::{
+    ExecFeedback, PendingInst, ProfileFields, RawTrace, TraceCache, TraceCacheConfig,
+    TraceCacheStats, TraceLine,
+};
 use ctcp::workload::{generate, Pcg32, WorkloadParams};
 use std::collections::HashMap;
 
@@ -190,6 +194,178 @@ fn cache_matches_an_lru_reference_model() {
             );
         }
         assert_eq!(cache.stats(), model.stats, "case {case}");
+    }
+}
+
+/// One resident line of the trace-cache model: its tag, its recorded
+/// conditional path and the id the cache gave it.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelLine {
+    start_pc: u64,
+    path: Vec<(u64, bool)>,
+    id: u64,
+}
+
+/// A reference model of the trace cache: one recency list of lines per
+/// set, most recent first, keyed by start PC and conditional path, with
+/// global hit and miss counts.
+struct TraceCacheModel {
+    sets: Vec<Vec<ModelLine>>,
+    assoc: usize,
+    next_id: u64,
+    stats: TraceCacheStats,
+}
+
+impl TraceCacheModel {
+    fn new(c: &TraceCacheConfig) -> Self {
+        TraceCacheModel {
+            sets: vec![Vec::new(); c.entries / c.assoc],
+            assoc: c.assoc,
+            next_id: 1,
+            stats: TraceCacheStats::default(),
+        }
+    }
+
+    fn set(&mut self, pc: u64) -> &mut Vec<ModelLine> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[((pc >> 2) % n) as usize]
+    }
+
+    /// The line a fetch at `pc` predicting `dirs` (one per conditional
+    /// branch, in order) would hit, made most recent.
+    fn lookup(&mut self, pc: u64, dirs: &[bool]) -> Option<ModelLine> {
+        let set = self.set(pc);
+        let found = set.iter().position(|l| {
+            l.start_pc == pc && l.path.iter().map(|&(_, d)| d).eq(dirs.iter().copied())
+        });
+        let line = found.map(|i| set.remove(i));
+        if let Some(l) = &line {
+            set.insert(0, l.clone());
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        line
+    }
+
+    /// Installs a line, returning its id: kept when a line of the same
+    /// tag and path is resident, else fresh, evicting the least recent
+    /// line of a full set.
+    fn install(&mut self, start_pc: u64, path: Vec<(u64, bool)>) -> u64 {
+        self.stats.installs += 1;
+        let assoc = self.assoc;
+        let fresh = self.next_id;
+        let set = self.set(start_pc);
+        let id = match set
+            .iter()
+            .position(|l| l.start_pc == start_pc && l.path == path)
+        {
+            Some(i) => set.remove(i).id,
+            None => {
+                if set.len() == assoc {
+                    set.pop();
+                    self.stats.evictions += 1;
+                }
+                self.next_id += 1;
+                fresh
+            }
+        };
+        self.set(start_pc)
+            .insert(0, ModelLine { start_pc, path, id });
+        id
+    }
+
+    fn resident_lines(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// How many conditional branches every line starting at `pc` holds
+/// (0-3). Lines of one start PC share their branch PCs, so at most one
+/// resident line matches any prediction.
+fn branches_at(pc: u64) -> usize {
+    ((pc >> 2) % 4) as usize
+}
+
+/// A line starting at `pc`: one conditional branch per direction in
+/// `dirs`, then an add, so no line is empty.
+fn trace_line(pc: u64, dirs: &[bool]) -> TraceLine {
+    let slot = |i: usize, inst, taken| PendingInst {
+        seq: i as u64,
+        index: i as u32,
+        pc: pc + 4 * i as u64,
+        inst,
+        profile: ProfileFields::default(),
+        tc_loc: None,
+        feedback: ExecFeedback::default(),
+        taken,
+    };
+    let mut insts: Vec<PendingInst> = dirs
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            let bne = Instruction::new(Opcode::Bne, None, Some(Reg::R1), Some(Reg::R2), 0);
+            slot(i, bne, Some(d))
+        })
+        .collect();
+    let add = Instruction::new(Opcode::Add, Some(Reg::R3), Some(Reg::R1), Some(Reg::R2), 0);
+    insts.push(slot(dirs.len(), add, None));
+    let raw = RawTrace::analyze(insts);
+    TraceLine::from_raw(&raw, &TraceLine::identity_placement(raw.len()), 16)
+}
+
+/// Every lookup's hit or miss and matched line (start PC, path and id),
+/// every install's kept-or-fresh id, the resident line count after
+/// every step and the final statistics of `TraceCache` match the
+/// reference model, over several geometries (direct-mapped to fully
+/// associative) and random install/lookup sequences over small PC pools
+/// about twice the capacity wide.
+#[test]
+fn trace_cache_matches_a_reference_model() {
+    let geometries = [(4, 1), (8, 2), (16, 4), (8, 8), (64, 2), (32, 4)];
+    for case in 0..CASES {
+        let (entries, assoc) = geometries[case as usize % geometries.len()];
+        let config = TraceCacheConfig {
+            entries,
+            assoc,
+            ..TraceCacheConfig::default()
+        };
+        let mut r = Pcg32::seed_from_u64(0x88FF ^ case);
+        let mut tc = TraceCache::new(config);
+        let mut model = TraceCacheModel::new(&config);
+        let pool = 2 * entries as u64;
+        for step in 0..r.range(1, 400) {
+            let pc = 0x1000 + 4 * (r.next_u64() % pool);
+            let dirs: Vec<bool> = (0..branches_at(pc)).map(|_| r.chance(0.5)).collect();
+            if r.chance(0.4) {
+                let line = trace_line(pc, &dirs);
+                let path: Vec<(u64, bool)> = line.branch_path().collect();
+                assert_eq!(
+                    tc.install(line),
+                    model.install(pc, path),
+                    "case {case} step {step}: install {pc:#x} {dirs:?}"
+                );
+            } else {
+                let got = tc
+                    .lookup(pc, |bpc| dirs[((bpc - pc) / 4) as usize])
+                    .map(|l| ModelLine {
+                        start_pc: l.start_pc,
+                        path: l.branch_path().collect(),
+                        id: l.id,
+                    });
+                assert_eq!(
+                    got,
+                    model.lookup(pc, &dirs),
+                    "case {case} step {step}: lookup {pc:#x} {dirs:?}"
+                );
+            }
+            assert_eq!(
+                tc.resident_lines(),
+                model.resident_lines(),
+                "case {case} step {step}"
+            );
+        }
+        assert_eq!(tc.stats(), model.stats, "case {case}");
     }
 }
 
