@@ -25,7 +25,7 @@
 
 use crate::entry::Entry;
 use crate::sched::ReadyQueue;
-use ctcp_telemetry::CritLink;
+use ctcp_telemetry::CritWalker;
 use std::collections::VecDeque;
 
 /// Null handle for [`ConsumerArena`] chains.
@@ -113,8 +113,8 @@ impl ConsumerArena {
 /// ROB ring, the consumer slab, the completion wheel's slot vectors,
 /// scratch buffers, per-cluster and per-station queue storage, the list of
 /// loads parked behind unresolved store addresses, and the
-/// critical-link buffer that attribution runs fill. Obtain a fresh one
-/// with `EngineArena::default()`, pass it to
+/// critical-path walker's link buffer and scratch that attribution runs
+/// fill. Obtain a fresh one with `EngineArena::default()`, pass it to
 /// [`Engine::with_arena`](crate::Engine::with_arena), and harvest it
 /// back with [`Engine::into_arena`](crate::Engine::into_arena) to reuse
 /// across consecutive simulations. Contents are cleared (capacity kept)
@@ -131,7 +131,7 @@ pub struct EngineArena {
     pub(crate) dispatch_qs: Vec<VecDeque<(u64, u64)>>,
     pub(crate) queues: Vec<ReadyQueue>,
     pub(crate) parked: Vec<u64>,
-    pub(crate) links: Vec<CritLink>,
+    pub(crate) walker: CritWalker,
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@ use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
 use ctcp_isa::Instruction;
 use ctcp_memory::{AccessKind, CacheStats, DataMemory, StoreForward};
 use ctcp_telemetry::{
-    Counter, CritLink, Hist, InstAttrib, Recorder, RetireSlotKind, SrcAttrib, SrcKind,
+    Counter, CritLink, CritWalker, CriticalSummary, Hist, InstAttrib, Recorder, RetireSlotKind,
+    SrcAttrib, SrcKind,
 };
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 use std::collections::VecDeque;
@@ -259,9 +260,10 @@ pub struct Engine {
     scratch_wakes: Vec<(u64, u8)>,
     /// Scratch for issue-time steering's per-group cluster counts.
     steer_counts: Vec<u32>,
-    /// One [`CritLink`] per retired instruction, in retirement order,
-    /// while `record_links` is set (see [`Engine::record_links`]).
-    links: Vec<CritLink>,
+    /// The critical-path walk, fed one [`CritLink`] per retired
+    /// instruction while `record_links` is set (see
+    /// [`Engine::record_links`]).
+    walker: CritWalker,
     record_links: bool,
 }
 
@@ -290,7 +292,7 @@ impl Engine {
             mut steer_counts,
             queues,
             mut parked,
-            mut links,
+            walker,
             ..
         } = arena;
         consumers.clear();
@@ -298,7 +300,6 @@ impl Engine {
         events.clear();
         wakes.clear();
         steer_counts.clear();
-        links.clear();
         Engine {
             mem: DataMemory::new(cfg.memory),
             cfg,
@@ -321,7 +322,7 @@ impl Engine {
             consumers,
             scratch_wakes: wakes,
             steer_counts,
-            links,
+            walker: CritWalker::new(cfg.rob_entries, walker),
             record_links: false,
         }
     }
@@ -339,7 +340,7 @@ impl Engine {
             steer_counts: self.steer_counts,
             queues: self.stations.into_queues(),
             parked: self.parked,
-            links: self.links,
+            walker: self.walker,
             ..EngineArena::default()
         };
         for c in self.clusters {
@@ -355,22 +356,22 @@ impl Engine {
     }
 
     /// Turns on critical-link recording for cycle attribution: from now
-    /// on every retired instruction appends one 16-byte [`CritLink`]
-    /// (its PC, the distance back to the producer of its last-arriving
-    /// operand, and the hops that value crossed) to a buffer that
-    /// [`Engine::links`] exposes and the arena recycles. `expected`
-    /// retirements are reserved up front, so a run that stays within
-    /// them grows the buffer once, to exactly that size.
-    pub fn record_links(&mut self, expected: usize) {
+    /// on every retired instruction hands one 16-byte [`CritLink`] (its
+    /// PC, the distance back to the producer of its last-arriving
+    /// operand, and the hops that value crossed) to a streaming
+    /// [`CritWalker`] whose window is the ROB size. The walker holds
+    /// only the links a later walk can still need, in storage the arena
+    /// recycles, so attribution's memory does not grow with the run.
+    pub fn record_links(&mut self) {
         self.record_links = true;
-        self.links.reserve_exact(expected);
     }
 
-    /// The critical links recorded so far, one per retired instruction
-    /// in retirement order (empty unless [`Engine::record_links`] was
-    /// called).
-    pub fn links(&self) -> &[CritLink] {
-        &self.links
+    /// Finishes the critical-path walk over every instruction retired
+    /// since [`Engine::record_links`], keeping the `top_n` hottest
+    /// edges (an empty summary if it was never called). The walker
+    /// starts over afterwards.
+    pub fn critical_summary(&mut self, top_n: usize) -> CriticalSummary {
+        self.walker.finish(top_n)
     }
 
     /// The configuration in use.
@@ -1237,7 +1238,8 @@ impl Engine {
             } = e.srcs[usize::from(c)]
             {
                 // Producers are in flight when their consumer renames,
-                // so the distance is bounded by the ROB size.
+                // so the distance stays below the ROB size: the
+                // critical-path walker's window.
                 link.back = u32::try_from(e.seq - producer_seq).expect("producer within the ROB");
                 link.hops = self.cfg.geometry.distance(cluster, e.cluster);
             }
@@ -1307,7 +1309,7 @@ impl Engine {
             }
             if self.record_links {
                 let link = self.link_of(&e);
-                self.links.push(link);
+                self.walker.push(link);
             }
             if let Some(d) = e.inst.dest {
                 if self.rat[d.index()] == Some(e.seq) {

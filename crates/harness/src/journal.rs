@@ -36,11 +36,11 @@
 //! The `journal-truncate` fail point tears one append in half (then
 //! disarms itself), simulating a crash mid-write for tests.
 
-use crate::store::{atomic_rewrite, crc32, split_crc};
+use crate::store::{atomic_rewrite, crc32, raw_lines, split_crc};
 use ctcp_sim::json::Value;
 use ctcp_telemetry::failpoint;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -132,8 +132,9 @@ impl Journal {
         let mut live: Vec<ReqState> = Vec::new();
         let mut skipped = 0u64;
         if let Ok(existing) = File::open(&path) {
-            for line in BufReader::new(existing).lines() {
-                match Record::decode(&line?) {
+            for line in raw_lines(existing) {
+                // A line that is not UTF-8 is as unreadable as a torn one.
+                match std::str::from_utf8(&line?).ok().and_then(Record::decode) {
                     Some(Record::Admit { token, kind, body }) => {
                         if !live.iter().any(|r| r.token == token) {
                             live.push(ReqState {
@@ -502,6 +503,32 @@ mod tests {
         let pending = j.take_pending();
         assert_eq!(pending.len(), 1, "intact record survives the torn one");
         assert_eq!(pending[0].token, "tok1");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_invalid_utf8_byte_is_skipped_not_fatal() {
+        let _g = fail_points_held();
+        let dir = temp_dir("journal-utf8");
+        let path = {
+            let j = Journal::open(&dir).unwrap();
+            j.admit("tok1", "sweep", "{}").unwrap();
+            j.admit("tok2", "sweep", "{}").unwrap();
+            j.mark_cell("tok1", 7).unwrap();
+            j.path().to_path_buf()
+        };
+        // Flip the high bit of one ASCII byte in tok2's admit line.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[start + 4] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let j = Journal::open(&dir).unwrap();
+        assert_eq!(j.skipped_lines(), 1);
+        let pending = j.take_pending();
+        assert_eq!(pending.len(), 1, "the intact records still replay");
+        assert_eq!(pending[0].token, "tok1");
+        assert_eq!(pending[0].cells_done, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -520,11 +520,11 @@ fn truncate_armed_for(shard: usize) -> bool {
 /// Reads one shard file, folding valid reports into the index
 /// partition their *key* routes to (newest line wins) and returning
 /// its `(clean, corrupt)` lines. A missing shard scans as empty.
-fn scan_shard(path: &Path, maps: &mut [KeyIndex]) -> std::io::Result<(Vec<String>, Vec<String>)> {
-    let mut clean: Vec<String> = Vec::new();
-    let mut corrupt: Vec<String> = Vec::new();
+fn scan_shard(path: &Path, maps: &mut [KeyIndex]) -> std::io::Result<(Vec<RawLine>, Vec<RawLine>)> {
+    let mut clean = Vec::new();
+    let mut corrupt = Vec::new();
     if let Ok(existing) = File::open(path) {
-        for line in BufReader::new(existing).lines() {
+        for line in raw_lines(existing) {
             let line = line?;
             match classify_line(&line) {
                 Line::Valid { key, report } => {
@@ -601,26 +601,45 @@ fn pid_alive(pid: u32) -> bool {
 }
 
 /// Appends `lines` to `path` in one write.
-fn append_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
+fn append_lines(path: &Path, lines: &[RawLine]) -> std::io::Result<()> {
     let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut buf = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    let mut buf = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
     for line in lines {
-        buf.push_str(line);
-        buf.push('\n');
+        buf.extend_from_slice(line);
+        buf.push(b'\n');
     }
-    f.write_all(buf.as_bytes())?;
+    f.write_all(&buf)?;
     f.flush()
+}
+
+/// One line of a store or journal file as written, without its line
+/// ending: bytes, not text, so a line that is not UTF-8 can be judged
+/// corrupt on its own and quarantined byte for byte.
+pub(crate) type RawLine = Vec<u8>;
+
+/// The lines of `file`, split as [`BufRead::lines`] splits them (at
+/// `\n`, dropping a `\r` before it) but left undecoded: one invalid
+/// UTF-8 byte spoils its own line instead of failing the whole read.
+pub(crate) fn raw_lines(file: File) -> impl Iterator<Item = std::io::Result<RawLine>> {
+    BufReader::new(file).split(b'\n').map(|line| {
+        line.map(|mut line| {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            line
+        })
+    })
 }
 
 /// Atomically replaces `path` with `lines` via a temp file + rename,
 /// so a crash mid-rewrite leaves either the old file or the new one —
 /// never a half-written store.
-pub(crate) fn atomic_rewrite(path: &Path, lines: &[String]) -> std::io::Result<()> {
+pub(crate) fn atomic_rewrite(path: &Path, lines: &[impl AsRef<[u8]>]) -> std::io::Result<()> {
     let tmp = path.with_extension("jsonl.tmp");
     {
         let mut f = File::create(&tmp)?;
         for line in lines {
-            f.write_all(line.as_bytes())?;
+            f.write_all(line.as_ref())?;
             f.write_all(b"\n")?;
         }
         f.flush()?;
@@ -679,7 +698,10 @@ pub(crate) fn split_crc(line: &str) -> Option<(&str, u32)> {
     Some((&tail[..idx], u32::from_str_radix(hex, 16).ok()?))
 }
 
-fn classify_line(line: &str) -> Line {
+fn classify_line(raw: &[u8]) -> Line {
+    let Ok(line) = std::str::from_utf8(raw) else {
+        return Line::Corrupt;
+    };
     if line.trim().is_empty() {
         return Line::Blank;
     }
@@ -745,7 +767,7 @@ pub fn verify(dir: impl AsRef<Path>) -> std::io::Result<VerifyReport> {
         let Ok(existing) = File::open(shard_path(dir, shard)) else {
             continue;
         };
-        for line in BufReader::new(existing).lines() {
+        for line in raw_lines(existing) {
             match classify_line(&line?) {
                 Line::Valid { key, .. } => {
                     rep.lines += 1;
@@ -830,10 +852,10 @@ fn compact_shard_locked(
         return Ok(());
     };
     // (key, raw line) per valid line, in file order; last wins.
-    let mut valid: Vec<(u64, String)> = Vec::new();
-    let mut corrupt: Vec<String> = Vec::new();
+    let mut valid: Vec<(u64, RawLine)> = Vec::new();
+    let mut corrupt: Vec<RawLine> = Vec::new();
     let mut stale = 0usize;
-    for line in BufReader::new(existing).lines() {
+    for line in raw_lines(existing) {
         let line = line?;
         match classify_line(&line) {
             Line::Valid { key, .. } => valid.push((key, line)),
@@ -852,7 +874,7 @@ fn compact_shard_locked(
     for (i, (key, _)) in valid.iter().enumerate() {
         last.insert(*key, i);
     }
-    let kept: Vec<String> = valid
+    let kept: Vec<RawLine> = valid
         .iter()
         .enumerate()
         .filter(|(i, (key, _))| last[key] == *i)
@@ -951,7 +973,7 @@ mod tests {
         );
         let crc = crc32(body.as_bytes());
         body.push_str(&format!(",\"crc\":\"{crc:08x}\"}}"));
-        assert!(matches!(classify_line(&body), Line::Stale));
+        assert!(matches!(classify_line(body.as_bytes()), Line::Stale));
     }
 
     #[test]
@@ -978,7 +1000,7 @@ mod tests {
         let (covered, stored) = split_crc(&line).expect("crc field present");
         assert_eq!(crc32(covered.as_bytes()), stored);
         assert!(matches!(
-            classify_line(&line),
+            classify_line(line.as_bytes()),
             Line::Valid { key: 0xabcd, .. }
         ));
     }
@@ -1114,18 +1136,68 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_utf8_byte_spoils_only_its_own_line() {
+        let _g = fail_points_held();
+        let dir = temp_dir("store-utf8");
+        // Three keys in one shard, one line each.
+        let keys: Vec<u64> = (0..).filter(|&k| shard_of(k) == 0).take(3).collect();
+        {
+            let s = ResultStore::open(&dir).unwrap();
+            for &k in &keys {
+                s.put(k, "unit", &sample_report()).unwrap();
+            }
+        }
+        // Flip the high bit of one ASCII byte in the middle line.
+        let shard = shard_path(&dir, 0);
+        let flip = |dir: &Path| {
+            let mut bytes = std::fs::read(shard_path(dir, 0)).unwrap();
+            let start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+            let len = bytes[start..].iter().position(|&b| b == b'\n').unwrap();
+            bytes[start + len / 2] ^= 0x80;
+            std::fs::write(shard_path(dir, 0), &bytes).unwrap();
+            bytes[start..start + len].to_vec()
+        };
+        let bad = flip(&dir);
+        assert!(std::str::from_utf8(&bad).is_err());
+
+        let rep = verify(&dir).unwrap();
+        assert_eq!((rep.valid, rep.corrupt), (2, 1));
+        let s = ResultStore::open(&dir).unwrap();
+        assert_eq!(s.stats().quarantined, 1);
+        assert!(s.get(keys[0]).is_some() && s.get(keys[2]).is_some());
+        assert!(s.get(keys[1]).is_none(), "the flipped line must miss");
+        drop(s);
+        // Quarantined byte for byte; the shard is clean again.
+        let q = std::fs::read(shard_quarantine_path(&dir, 0)).unwrap();
+        assert_eq!(q, [bad.as_slice(), b"\n"].concat());
+        assert_eq!(verify(&dir).unwrap().corrupt, 0);
+
+        // Compaction quarantines such a line too, and keeps the rest.
+        let bad = flip(&dir);
+        let rep = compact(&dir).unwrap();
+        assert_eq!((rep.kept, rep.quarantined), (1, 1));
+        let q = std::fs::read(shard_quarantine_path(&dir, 0)).unwrap();
+        assert!(q.ends_with(&[bad.as_slice(), b"\n"].concat()));
+        assert!(std::fs::read(&shard).unwrap().is_ascii());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bad_hex_key_and_crc_mismatch_are_corrupt() {
         // A non-hex key behind a *valid* checksum: the key rule itself
         // must reject it.
         assert!(matches!(
-            classify_line(&forged_line("zzzzzzzzzzzzzzzz")),
+            classify_line(forged_line("zzzzzzzzzzzzzzzz").as_bytes()),
             Line::Corrupt
         ));
         // Wrong-length key, also behind a valid checksum.
-        assert!(matches!(classify_line(&forged_line("00ff")), Line::Corrupt));
+        assert!(matches!(
+            classify_line(forged_line("00ff").as_bytes()),
+            Line::Corrupt
+        ));
         // A single flipped byte in an otherwise perfect line.
         let line = encode_line(7, "unit", &sample_report()).replace("\"workload\"", "\"workloaD\"");
-        assert!(matches!(classify_line(&line), Line::Corrupt));
+        assert!(matches!(classify_line(line.as_bytes()), Line::Corrupt));
     }
 
     #[test]
@@ -1163,7 +1235,7 @@ mod tests {
         );
         let crc = crc32(body.as_bytes());
         body.push_str(&format!(",\"crc\":\"{crc:08x}\"}}"));
-        assert!(matches!(classify_line(&body), Line::Stale));
+        assert!(matches!(classify_line(body.as_bytes()), Line::Stale));
     }
 
     #[test]

@@ -220,9 +220,10 @@ impl<'p> SimBuilder<'p> {
     /// [`SimReport::attrib`](crate::SimReport) set — the CPI stack
     /// (every retire slot of every cycle charged to one blame bucket)
     /// and the critical-path summary, keeping its `top_edges` hottest
-    /// edges. The simulation keeps one 16-byte critical link per retired
-    /// instruction for the walk, in storage a
-    /// [`BatchRunner`](crate::BatchRunner) recycles. Like
+    /// edges. The walk runs as instructions retire and holds only the
+    /// critical links a later walk can still need, so its memory does
+    /// not grow with the run; a [`BatchRunner`](crate::BatchRunner)
+    /// recycles that storage. Like
     /// [`recorder`](Self::recorder), outside [`SimConfig`]: attribution
     /// cannot change what the simulation computes, only what it reports.
     pub fn attrib(mut self, top_edges: usize) -> Self {

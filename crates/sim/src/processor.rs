@@ -15,9 +15,7 @@ use ctcp_core::assign::RetireTimeStrategy;
 use ctcp_core::{Engine, EngineArena, FetchedInst, TickResult};
 use ctcp_frontend::{BranchPredictor, Btb, HybridPredictor, ICache, ReturnAddressStack};
 use ctcp_isa::{DynInst, Executor, Opcode, Program};
-use ctcp_telemetry::{
-    AttribReport, Counter, CpiStack, CriticalSummary, Hist, Recorder, RetireSlotKind,
-};
+use ctcp_telemetry::{AttribReport, Counter, CpiStack, Hist, Recorder, RetireSlotKind};
 use ctcp_tracecache::{
     FillUnit, PendingInst, RawTrace, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
 };
@@ -35,11 +33,6 @@ const DELIVERY_DEPTH: usize = 8;
 /// so five orders of magnitude of headroom keeps false trips impossible
 /// while still aborting a wedged pipeline in well under a second.
 pub const DEFAULT_WATCHDOG_STALL_LIMIT: u64 = 100_000;
-
-/// Links reserved up front for an attribution run: its instruction
-/// budget plus the last cycle's overshoot, up to this many (64 MiB).
-/// Longer runs grow the buffer beyond it.
-const MAX_RESERVED_LINKS: u64 = 1 << 22;
 
 /// Cycle attribution state of a run built with
 /// [`SimBuilder::attrib`].
@@ -125,11 +118,7 @@ impl<'p> Simulation<'p> {
             engine.set_recorder(Rc::clone(rec));
         }
         let attrib = b.attrib_top_edges.map(|top_edges| {
-            let expected = cfg
-                .max_insts
-                .saturating_add(cfg.engine.retire_width as u64)
-                .min(MAX_RESERVED_LINKS);
-            engine.record_links(expected as usize);
+            engine.record_links();
             Attribution {
                 top_edges,
                 stack: CpiStack::default(),
@@ -686,7 +675,7 @@ impl<'p> Simulation<'p> {
         let cycles = self.now.max(1);
         let attrib = self.attrib.take().map(|a| AttribReport {
             stack: a.stack,
-            critical: CriticalSummary::walk(self.engine.links(), a.top_edges),
+            critical: self.engine.critical_summary(a.top_edges),
         });
         let report = SimReport {
             strategy: self.cfg.strategy.name(),

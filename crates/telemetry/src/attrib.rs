@@ -13,11 +13,14 @@
 //!   stalled slots are charged to exactly one of five blame buckets
 //!   keyed by what the ROB head was waiting for.
 //! * [`CritLink`] — the 16-byte record an attribution-enabled engine
-//!   keeps per retired instruction: its PC and how far back its
+//!   makes per retired instruction: its PC and how far back its
 //!   last-arriving producer sits.
-//! * [`CriticalSummary::walk`] — a last-arriving-operand walker over
-//!   those links that reports how many critical dependence edges
-//!   crossed a cluster boundary, the paper's core mechanism.
+//! * [`CritWalker`] — a last-arriving-operand walker fed those links as
+//!   instructions retire. It reports how many critical dependence
+//!   edges crossed a cluster boundary, the paper's core mechanism, and
+//!   holds only the links a later walk can still need, so its memory
+//!   does not grow with the run. [`CriticalSummary::walk`] streams a
+//!   slice through it.
 //!
 //! [`Recorder::retire_attrib`]: crate::Recorder::retire_attrib
 
@@ -241,8 +244,8 @@ impl CpiStack {
 pub const DEFAULT_TOP_EDGES: usize = 8;
 
 /// One retired instruction's step on the last-arriving-operand path:
-/// what an attribution-enabled engine keeps per retired instruction,
-/// in retirement order, for [`CriticalSummary::walk`]. 16 bytes.
+/// what an attribution-enabled engine hands a [`CritWalker`] per
+/// retired instruction, in retirement order. 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CritLink {
     /// Program counter.
@@ -283,65 +286,16 @@ pub struct CriticalSummary {
 
 impl CriticalSummary {
     /// Walks the last-arriving-operand critical path backwards through
-    /// `links`, one per retired instruction in retirement order.
-    ///
-    /// Starting from the last retired instruction, the walker steps
-    /// `back` links to the critical producer whenever the instruction
-    /// has one, counting one dependence edge per step. When the chain
-    /// breaks — the head of a dependence chain reads the register file,
-    /// or has no critical source — the walk restarts from the
-    /// instruction preceding the break point, so the whole run
-    /// decomposes into chain segments. Every step moves strictly
-    /// backwards, so the walk is O(n). The `top_n` hottest static edges
-    /// are kept, by dynamic count (descending), ties broken by producer
-    /// PC, consumer PC, then hops.
+    /// `links`, one per retired instruction in retirement order, by
+    /// streaming them through a [`CritWalker`] whose window is the
+    /// largest `back` plus one.
     pub fn walk(links: &[CritLink], top_n: usize) -> CriticalSummary {
-        let mut edge_counts: HashMap<(u64, u64, u8), u64> = HashMap::new();
-        let mut edges = 0u64;
-        let mut cross_cluster = 0u64;
-        let mut idx = links.len();
-        while idx > 0 {
-            let cur = links[idx - 1];
-            let back = cur.back as usize;
-            if back == 0 || back >= idx {
-                // Chain head (or a producer before the first link):
-                // resume from the instruction just before it.
-                idx -= 1;
-                continue;
-            }
-            idx -= back;
-            edges += 1;
-            if cur.hops > 0 {
-                cross_cluster += 1;
-            }
-            let producer = links[idx - 1];
-            *edge_counts
-                .entry((producer.pc, cur.pc, cur.hops))
-                .or_insert(0) += 1;
+        let window = links.iter().map(|l| l.back as usize + 1).max();
+        let mut walker = CritWalker::new(window.unwrap_or(1), CritWalker::default());
+        for &link in links {
+            walker.push(link);
         }
-
-        let mut top: Vec<CritEdge> = edge_counts
-            .into_iter()
-            .map(|((from_pc, to_pc, hops), count)| CritEdge {
-                from_pc,
-                to_pc,
-                hops,
-                count,
-            })
-            .collect();
-        top.sort_unstable_by(|a, b| {
-            b.count
-                .cmp(&a.count)
-                .then(a.from_pc.cmp(&b.from_pc))
-                .then(a.to_pc.cmp(&b.to_pc))
-                .then(a.hops.cmp(&b.hops))
-        });
-        top.truncate(top_n);
-        CriticalSummary {
-            edges,
-            cross_cluster,
-            top,
-        }
+        walker.finish(top_n)
     }
 
     /// Fraction of critical edges that crossed clusters (0.0 when the
@@ -412,6 +366,232 @@ impl CriticalSummary {
             cross_cluster,
             top,
         })
+    }
+}
+
+/// Pushes between meeting searches, in windows: searches sweep the held
+/// links, so this keeps their cost to a few steps per link while the
+/// walker holds only a few windows.
+const SEARCH_WINDOWS: usize = 4;
+
+/// The last-arriving-operand critical-path walker, fed one
+/// [`CritLink`] per retired instruction as the instructions retire.
+///
+/// The walk it reports starts from the last retired instruction and
+/// steps `back` links to the critical producer whenever the
+/// instruction has one, counting one dependence edge per step. When
+/// the chain breaks — the head of a dependence chain reads the
+/// register file, has no critical source, or names a producer before
+/// the first link — the walk resumes from the instruction just before
+/// it, so the whole run decomposes into chain segments. The `top_n`
+/// hottest static edges are kept, by dynamic count (descending), ties
+/// broken by producer PC, consumer PC, then hops.
+///
+/// The walker does not wait for the last instruction. Every link fixes
+/// its walk successor (`p - back` or `p - 1`), and `back < window`, so
+/// a walk that starts at or after position `n` passes through one of
+/// the last `window` links before `n`. Every `4 × window` pushes (or
+/// once the held links have doubled, whichever is later) the walker
+/// sweeps a bitmap from the newest link down to find the newest
+/// position `m` that the walks from the last `window` links all pass
+/// through. Every later walk, the final one included, passes through
+/// `m` too: the walker counts the edges from `m` down, drops the links
+/// below it, and [`finish`](CritWalker::finish) only walks from the
+/// last link down to the last such meeting point. The counted edges
+/// are the same multiset the whole walk finds, so the summary is too.
+/// Walks that never meet (say two interleaved chains that never read
+/// the register file) commit nothing, and the walker then holds every
+/// link, as a whole-run walk would; the schedule keeps the searches'
+/// cost linear in the run.
+#[derive(Debug, Default)]
+pub struct CritWalker {
+    /// Every pushed link's `back` is below this.
+    window: usize,
+    /// The held links, at positions `first..first + links.len()`.
+    links: Vec<CritLink>,
+    /// Position of `links[0]`. Every walk from a held link passes
+    /// through it, and the walk below it, with the edge it starts, is
+    /// already counted. Position 0 qualifies: every walk ends there,
+    /// and it starts no edge.
+    first: u64,
+    /// Pushes left before the next meeting search.
+    until_search: usize,
+    /// Scratch for the meeting search: one bit per held link.
+    marks: Vec<u64>,
+    /// Dynamic count per static edge `(from_pc, to_pc, hops)`.
+    counts: HashMap<(u64, u64, u8), u64>,
+    edges: u64,
+    cross_cluster: u64,
+}
+
+impl CritWalker {
+    /// An empty walker for links whose `back` stays below `window`,
+    /// built in `recycled`'s storage: its contents are cleared and its
+    /// capacity kept, so a walker handed from run to run stops
+    /// allocating once it has grown.
+    pub fn new(window: usize, recycled: CritWalker) -> CritWalker {
+        let CritWalker {
+            mut links,
+            mut marks,
+            mut counts,
+            ..
+        } = recycled;
+        links.clear();
+        marks.clear();
+        counts.clear();
+        CritWalker {
+            window,
+            links,
+            first: 0,
+            until_search: window.saturating_mul(SEARCH_WINDOWS),
+            marks,
+            counts,
+            edges: 0,
+            cross_cluster: 0,
+        }
+    }
+
+    /// Appends the next retired instruction's link.
+    ///
+    /// # Panics
+    ///
+    /// If `link.back` is not below the window: the walk's successors
+    /// would no longer stay within it, and neither would the meeting
+    /// points the walker commits.
+    #[inline]
+    pub fn push(&mut self, link: CritLink) {
+        assert!(
+            (link.back as usize) < self.window,
+            "critical link reaches {} back, beyond the walker's window of {}",
+            link.back,
+            self.window
+        );
+        self.links.push(link);
+        self.until_search -= 1;
+        if self.until_search == 0 {
+            self.advance();
+        }
+    }
+
+    /// Commits the walk below the newest meeting point and schedules
+    /// the next search. Kept out of line so that `push` stays small
+    /// enough to inline into the engine's retire loop. With the search
+    /// inside it, `push` was a cross-crate call per retired
+    /// instruction, and the `attrib` benchmark workload simulated
+    /// about 3% slower.
+    #[inline(never)]
+    fn advance(&mut self) {
+        let m = self.meeting_point();
+        if m > 0 {
+            self.count_walk(m);
+            self.links.drain(..m);
+            self.first += m as u64;
+        }
+        self.until_search = self
+            .window
+            .saturating_mul(SEARCH_WINDOWS)
+            .max(self.links.len());
+    }
+
+    /// The summary of every link pushed since the walker was built or
+    /// last finished, keeping the `top_n` hottest edges. The walker is
+    /// empty again afterwards, storage kept.
+    pub fn finish(&mut self, top_n: usize) -> CriticalSummary {
+        if let Some(last) = self.links.len().checked_sub(1) {
+            self.count_walk(last);
+        }
+        let mut top: Vec<CritEdge> = self
+            .counts
+            .drain()
+            .map(|((from_pc, to_pc, hops), count)| CritEdge {
+                from_pc,
+                to_pc,
+                hops,
+                count,
+            })
+            .collect();
+        top.sort_unstable_by(|a, b| {
+            b.count
+                .cmp(&a.count)
+                .then(a.from_pc.cmp(&b.from_pc))
+                .then(a.to_pc.cmp(&b.to_pc))
+                .then(a.hops.cmp(&b.hops))
+        });
+        top.truncate(top_n);
+        let summary = CriticalSummary {
+            edges: self.edges,
+            cross_cluster: self.cross_cluster,
+            top,
+        };
+        *self = CritWalker::new(self.window, std::mem::take(self));
+        summary
+    }
+
+    /// Where the walk goes from held link `i`, and whether that step is
+    /// a dependence edge. Only called on links whose walk passes
+    /// through `links[0]`, so the successor is held.
+    fn step(&self, i: usize) -> (usize, bool) {
+        let back = self.links[i].back as usize;
+        if back > 0 && back as u64 <= self.first + i as u64 {
+            (i - back, true)
+        } else {
+            (i - 1, false)
+        }
+    }
+
+    /// The newest held link that the walks from the last `window` held
+    /// links all pass through. A sweep from the newest link down moves
+    /// each marked walk front to its successor, and the first front
+    /// reached while it is the only one is the meeting point. The
+    /// sweep stops at `links[0]` at the latest, which every walk from
+    /// a held link passes through.
+    fn meeting_point(&mut self) -> usize {
+        let n = self.links.len();
+        self.marks.clear();
+        self.marks.resize(n.div_ceil(64), 0);
+        let lo = n.saturating_sub(self.window);
+        for i in lo..n {
+            self.marks[i / 64] |= 1 << (i % 64);
+        }
+        let mut fronts = n - lo;
+        let mut i = n;
+        loop {
+            i -= 1;
+            if self.marks[i / 64] & (1 << (i % 64)) == 0 {
+                continue;
+            }
+            if fronts == 1 {
+                return i;
+            }
+            let (next, _) = self.step(i);
+            let word = &mut self.marks[next / 64];
+            let bit = 1 << (next % 64);
+            if *word & bit == 0 {
+                *word |= bit;
+            } else {
+                fronts -= 1;
+            }
+        }
+    }
+
+    /// Counts the edges of the walk from held link `i` down to
+    /// `links[0]`, whose own edge is already counted.
+    fn count_walk(&mut self, mut i: usize) {
+        while i > 0 {
+            let (next, edge) = self.step(i);
+            if edge {
+                let (producer, consumer) = (self.links[next], self.links[i]);
+                self.edges += 1;
+                if consumer.hops > 0 {
+                    self.cross_cluster += 1;
+                }
+                *self
+                    .counts
+                    .entry((producer.pc, consumer.pc, consumer.hops))
+                    .or_insert(0) += 1;
+            }
+            i = next;
+        }
     }
 }
 

@@ -17,8 +17,8 @@
 //!   [`SpanEvent`]s, fed from per-instruction [`InstAttrib`] records
 //!   with an interval-sampling mode for long runs.
 //! - [`attrib`]: per-instruction lifecycle records ([`InstAttrib`]),
-//!   the retirement-driven [`CpiStack`], and the critical-path walker
-//!   over [`CritLink`]s behind `ctcp analyze`.
+//!   the retirement-driven [`CpiStack`], and the streaming critical-path
+//!   walker over [`CritLink`]s ([`CritWalker`]) behind `ctcp analyze`.
 //! - Exporters: [`chrome_trace`] renders `about://tracing`-loadable
 //!   JSON (checked by [`validate_chrome_trace`]), [`metrics_line`]
 //!   renders one JSONL metrics record per job.
@@ -50,8 +50,8 @@ pub mod recorder;
 pub mod series;
 
 pub use attrib::{
-    AttribReport, CpiStack, CritEdge, CritLink, CriticalSummary, InstAttrib, RetireSlotKind,
-    SrcAttrib, SrcKind, DEFAULT_TOP_EDGES,
+    AttribReport, CpiStack, CritEdge, CritLink, CritWalker, CriticalSummary, InstAttrib,
+    RetireSlotKind, SrcAttrib, SrcKind, DEFAULT_TOP_EDGES,
 };
 pub use chrome::{
     chrome_trace, chrome_trace_with_flows, request_trace, validate_chrome_trace,

@@ -15,8 +15,12 @@
 #      and reconciles its counters against the report
 #   5. attribution smoke: `ctcp analyze --json` must emit non-empty CPI
 #      stacks, `ctcp analyze --top 12 --json` on gzip and on mcf must
-#      match their golden files (tests/golden/) byte for byte, and
-#      `ctcp sweep --attrib` must append the attribution table
+#      match their golden files (tests/golden/) byte for byte,
+#      `ctcp sweep --attrib` must append the attribution table, and a
+#      3M-instruction `ctcp analyze` must exit 0 with its peak RSS
+#      (VmHWM, polled from /proc/<pid>/status) under 16 MB: the
+#      streaming critical-path walk's memory must not grow with the
+#      run, where one 16-byte link per instruction would need 48 MB
 #   6. perf smoke: wall-time of a fixed sweep (recorded into
 #      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
@@ -126,6 +130,29 @@ done
 ./target/release/ctcp sweep --benches gzip --strategies baseline,fdrt \
     --insts 20000 --jobs 1 --attrib > "$smoke_dir/sweep-attrib.out"
 grep -q "attribution (fraction of retire slots" "$smoke_dir/sweep-attrib.out"
+# Attribution in bounded memory: a run 60x longer than the goldens'
+# must peak well below the 48 MB a whole-run link buffer would hold.
+./target/release/ctcp analyze gzip --strategies fdrt --insts 3000000 --top 12 --json \
+    > "$smoke_dir/analyze-3m.json" &
+analyze_pid=$!
+hwm_kb=0
+while kill -0 "$analyze_pid" 2>/dev/null; do
+    kb=$(awk '/^VmHWM:/ { print $2 }' "/proc/$analyze_pid/status" 2>/dev/null || true)
+    if [ -n "$kb" ] && [ "$kb" -gt "$hwm_kb" ]; then
+        hwm_kb=$kb
+    fi
+    sleep 0.02
+done
+if ! wait "$analyze_pid"; then
+    echo "FAIL: ctcp analyze gzip --insts 3000000 exited non-zero" >&2
+    exit 1
+fi
+grep -q '"critical":{"edges":' "$smoke_dir/analyze-3m.json"
+echo "analyze --insts 3000000: VmHWM ${hwm_kb} kB"
+if [ "$hwm_kb" -eq 0 ] || [ "$hwm_kb" -ge $((16 * 1024)) ]; then
+    echo "FAIL: ctcp analyze --insts 3000000 peaked at ${hwm_kb} kB (bound 16384 kB)" >&2
+    exit 1
+fi
 
 echo "==> perf smoke (fixed sweep wall-time)"
 # Fixed workload: recorder-off sweep, single-threaded so the number tracks
