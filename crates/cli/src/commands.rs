@@ -912,6 +912,9 @@ impl Handler for CliHandler {
             running_cells: s.running,
             respawns: s.respawns,
             poisoned: s.poisoned,
+            checkpoint_captures: s.checkpoint_captures,
+            checkpoint_hits: s.checkpoint_hits,
+            checkpoint_bytes: s.checkpoint_bytes,
             read_only: self.store.read_only(),
         }
     }

@@ -34,10 +34,11 @@
 //! cells to simulate, reused across batches and shut down on drop. At
 //! `--jobs 1` the single worker runs a batch's cells in job order.
 //! Workers are resident [`BatchRunner`]s: consecutive cells on one
-//! worker recycle a single engine arena and, while they share a
-//! program, reuse its fast-forward warmup checkpoint, so a sweep pays
-//! for allocation and warmup once per worker rather than once per cell.
-//! Reports are byte-identical to building each simulation directly.
+//! worker recycle a single engine arena, and the pool's one
+//! [`CheckpointCache`] captures each `(program, warmup)` fast-forward
+//! once, so a sweep pays for allocation once per worker and for warmup
+//! once per pool rather than once per cell. Reports are byte-identical
+//! to building each simulation directly.
 //!
 //! ## Fault tolerance
 //!
@@ -102,7 +103,9 @@ pub use store::{
 };
 
 use ctcp_isa::Program;
-use ctcp_sim::{BatchError, BatchRunner, SimConfig, SimError, SimReport, Simulation};
+use ctcp_sim::{
+    BatchError, BatchRunner, CheckpointCache, SimConfig, SimError, SimReport, Simulation,
+};
 use ctcp_telemetry::{
     failpoint, metrics_line, Counter, Metrics, Recorder, RecorderConfig, DEFAULT_TOP_EDGES,
 };
@@ -157,22 +160,21 @@ impl Job {
     }
 
     /// Runs the cell through a worker's resident [`BatchRunner`], so the
-    /// engine arena is recycled across cells and the fast-forward
-    /// checkpoint for `(program, warmup)` is captured once and reused.
-    /// `program` is this job's program, borrowed apart from the job so
-    /// that the runner and its checkpoint can outlive the cell. Every
-    /// way the cell can fail surfaces as a typed [`JobError`] — an
-    /// invalid configuration is a *job* defect, never grounds to panic a
-    /// shared worker thread. With `with_metrics` set, a metrics-only
-    /// [`Recorder`] rides along and the second element is the rendered
-    /// JSONL metrics line for this run. With `with_attrib` set, the
+    /// engine arena is recycled across cells. A warmed cell resumes from
+    /// the pool's checkpoint for `(program, warmup)`, which `checkpoints`
+    /// captures once and shares. Every way the cell can fail surfaces
+    /// as a typed [`JobError`] — an invalid configuration is a *job*
+    /// defect, never grounds to panic a shared worker thread. With
+    /// `with_metrics` set, a metrics-only [`Recorder`] rides along and
+    /// the second element is the rendered JSONL metrics line for this
+    /// run. With `with_attrib` set, the
     /// simulation attributes its cycles itself
     /// ([`SimBuilder::attrib`](ctcp_sim::SimBuilder::attrib)) and the
     /// report comes back with `attrib` attached.
-    fn try_simulate_with<'p>(
+    fn try_simulate_with(
         &self,
-        program: &'p Program,
-        runner: &mut BatchRunner<'p>,
+        runner: &mut BatchRunner,
+        checkpoints: &CheckpointCache,
         with_metrics: bool,
         with_attrib: bool,
     ) -> Result<(SimReport, Option<String>), JobError> {
@@ -188,7 +190,11 @@ impl Job {
                 self.config.strategy.name()
             );
         }
-        let mut builder = Simulation::builder(program).config(self.config);
+        let mut builder = Simulation::builder(&self.program).config(self.config);
+        if self.config.warmup_insts > 0 {
+            let checkpoint = checkpoints.get_or_capture(&self.program, self.config.warmup_insts);
+            builder = builder.resume_from(&checkpoint);
+        }
         if with_attrib {
             builder = builder.attrib(DEFAULT_TOP_EDGES);
         }
@@ -372,12 +378,13 @@ pub fn failure_table(outcomes: &[JobOutcome]) -> Option<String> {
 /// policy: a panic is caught at this `catch_unwind` boundary and
 /// re-attempted up to `max_retries` times with linear backoff;
 /// deterministic failures return immediately. A panic also resets the
-/// runner — its arena and checkpoint may have been torn mid-flight — so
-/// the retry (and every later cell on this worker) starts from clean
-/// state. The second element is the number of retries performed.
-fn run_cell<'p>(
-    runner: &mut BatchRunner<'p>,
-    program: &'p Program,
+/// runner — its arena may have been torn mid-flight — so the retry (and
+/// every later cell on this worker) starts from clean state. Shared
+/// checkpoints need no reset: a cell only ever reads a clone of one.
+/// The second element is the number of retries performed.
+fn run_cell(
+    runner: &mut BatchRunner,
+    checkpoints: &CheckpointCache,
     job: &Job,
     with_metrics: bool,
     with_attrib: bool,
@@ -387,7 +394,7 @@ fn run_cell<'p>(
     loop {
         let reborrow = &mut *runner;
         let result = match std::panic::catch_unwind(AssertUnwindSafe(move || {
-            job.try_simulate_with(program, reborrow, with_metrics, with_attrib)
+            job.try_simulate_with(reborrow, checkpoints, with_metrics, with_attrib)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -752,6 +759,7 @@ impl Harness {
                 .map(|&i| sched::Cell {
                     index: i,
                     job: jobs[i].clone(),
+                    key: keys[i],
                     with_metrics,
                     with_attrib,
                     retries: DEFAULT_RETRIES,
@@ -993,9 +1001,10 @@ mod tests {
     #[test]
     fn batched_results_match_direct_simulation() {
         // Harness workers batch by default: one resident BatchRunner
-        // per worker recycles the engine arena across cells and shares
-        // fast-forward checkpoints. The reports must be byte-identical
-        // to building each simulation directly, warmup cells included.
+        // per worker recycles the engine arena across cells, and the
+        // pool shares fast-forward checkpoints. The reports must be
+        // byte-identical to building each simulation directly, warmup
+        // cells included.
         let program = tiny_program();
         let other = {
             let mut b = ctcp_isa::ProgramBuilder::new();
@@ -1014,8 +1023,8 @@ mod tests {
         ];
         for (name, prog, warmup, max_insts) in warmed {
             // Three cells share (program, warmup) around a cell of
-            // another program, so the worker captures a checkpoint,
-            // reuses it, switches runners and captures again.
+            // another program: three keys, so three captures, and the
+            // cells after the switch hit the first capture again.
             let config = SimConfig {
                 max_insts,
                 warmup_insts: warmup,
@@ -1357,6 +1366,10 @@ mod tests {
         let sched = CellScheduler::start(2, 0);
         let mut shared = Harness::new().progress(false).with_scheduler(sched.clone());
         let got = shared.run(&jobs);
+        // Both workers asked for the one key; one of them captured it.
+        let stats = sched.stats();
+        assert_eq!(stats.checkpoint_captures, 1);
+        assert_eq!(stats.checkpoint_hits, jobs.len() as u64 - 1);
         sched.shutdown();
         assert_eq!(shared.last_batch().simulated, jobs.len());
         assert_eq!(render(&expected), render(&got));

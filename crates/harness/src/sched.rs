@@ -19,10 +19,11 @@
 //! building each simulation directly.
 //!
 //! Workers recycle engine storage across cells: each keeps one
-//! [`BatchRunner`] for as long as the cells it picks share a program,
-//! so warmed cells of one workload fast-forward once per worker, and
-//! hands the runner's [`EngineArena`] on to a fresh runner when the
-//! program changes.
+//! [`BatchRunner`] for its whole life, whatever programs its cells
+//! run. Warmup checkpoints belong to the pool: one [`CheckpointCache`]
+//! serves every worker, request and batch, so each `(program, warmup)`
+//! is fast-forwarded once per pool, however the fair ring interleaves
+//! requests over different programs.
 //!
 //! Admission control is a bound on the *queued* (not running) cell
 //! count: [`CellScheduler::submit`] atomically rejects a request whose
@@ -32,8 +33,7 @@
 //! admissions, lets workers drain every queued cell, and joins them.
 
 use crate::{run_cell, Job, JobError};
-use ctcp_isa::Program;
-use ctcp_sim::{BatchRunner, EngineArena};
+use ctcp_sim::{BatchRunner, CheckpointCache};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +57,8 @@ pub(crate) struct Cell {
     pub index: usize,
     /// The job to run.
     pub job: Job,
+    /// The job's content key, computed once by the submitter.
+    pub key: u64,
     /// Whether a metrics recorder rides along.
     pub with_metrics: bool,
     /// Whether attribution is collected.
@@ -121,6 +123,13 @@ pub struct SchedStats {
     pub respawns: u64,
     /// Pickups refused with [`JobError::CellPoisoned`], cumulative.
     pub poisoned: u64,
+    /// Warmup checkpoints the pool captured, cumulative.
+    pub checkpoint_captures: u64,
+    /// Warmed cells that found their checkpoint already captured,
+    /// cumulative.
+    pub checkpoint_hits: u64,
+    /// Bytes of warmup checkpoints the pool holds now.
+    pub checkpoint_bytes: u64,
 }
 
 /// One request's slice of the shared queue.
@@ -151,6 +160,8 @@ struct SchedInner {
     poisoned: AtomicU64,
     /// Cumulative worker panics per cell key — the quarantine ledger.
     panics: Mutex<HashMap<u64, u32>>,
+    /// The pool's warmup checkpoints, shared by every worker.
+    checkpoints: CheckpointCache,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -244,6 +255,7 @@ impl CellScheduler {
             respawns: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
             panics: Mutex::new(HashMap::new()),
+            checkpoints: CheckpointCache::new(),
             handles: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -323,6 +335,9 @@ impl CellScheduler {
             running: self.inner.running.load(Ordering::Relaxed),
             respawns: self.inner.respawns.load(Ordering::Relaxed),
             poisoned: self.inner.poisoned.load(Ordering::Relaxed),
+            checkpoint_captures: self.inner.checkpoints.captures(),
+            checkpoint_hits: self.inner.checkpoints.hits(),
+            checkpoint_bytes: self.inner.checkpoints.resident_bytes() as u64,
         }
     }
 
@@ -348,42 +363,26 @@ impl CellScheduler {
     }
 }
 
-/// The resident worker body: run cells from the fair queue, routing
-/// each result home, until shutdown *and* the queue is dry. The worker
-/// keeps one [`BatchRunner`] for as long as consecutive pickups share a
-/// program — the runner's memoized warmup checkpoint borrows the
-/// worker's own clone of that program — and starts a fresh runner, with
-/// the old one's arena, when a cell of another program comes up.
+/// The resident worker body: run cells from the fair queue on one
+/// [`BatchRunner`], routing each result home, until shutdown *and* the
+/// queue is dry.
 fn worker_loop(inner: &SchedInner, worker: usize) {
-    let mut arena: Option<EngineArena> = None;
-    let mut picked = inner.next_cell();
-    while let Some(mut cell) = picked {
-        let program = Arc::clone(&cell.0.job.program);
-        let mut runner = arena
-            .take()
-            .map_or_else(BatchRunner::new, BatchRunner::with_arena);
-        picked = loop {
-            run_picked(inner, worker, &mut runner, &program, cell);
-            match inner.next_cell() {
-                Some(next) if Arc::ptr_eq(&next.0.job.program, &program) => cell = next,
-                other => break other,
-            }
-        };
-        arena = runner.take_arena();
+    let mut runner = BatchRunner::new();
+    while let Some(picked) = inner.next_cell() {
+        run_picked(inner, worker, &mut runner, picked);
     }
 }
 
 /// Runs one picked cell on `runner` and sends its outcome home. A key
 /// the panic ledger has quarantined is refused without running; the
 /// request whose attempts trip the quarantine still gets its panic.
-fn run_picked<'p>(
+fn run_picked(
     inner: &SchedInner,
     worker: usize,
-    runner: &mut BatchRunner<'p>,
-    program: &'p Program,
+    runner: &mut BatchRunner,
     (cell, tx): (Cell, mpsc::Sender<CellDone>),
 ) {
-    let key = cell.job.key();
+    let key = cell.key;
     let t = Instant::now();
     let (result, retries) = if let Some(panics) = inner.poison_of(key) {
         inner.poisoned.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +391,7 @@ fn run_picked<'p>(
         inner.running.fetch_add(1, Ordering::Relaxed);
         let ran = run_cell(
             runner,
-            program,
+            &inner.checkpoints,
             &cell.job,
             cell.with_metrics,
             cell.with_attrib,
@@ -402,9 +401,9 @@ fn run_picked<'p>(
         ran
     };
     // Supervision bookkeeping. Panics are the only transient failure,
-    // so `retries` counts retried panics; each one tore the runner down
-    // and rebuilt it with a fresh arena — that rebuild is the "respawn"
-    // the counter reports.
+    // so `retries` counts retried panics; each one replaced the runner
+    // with a fresh arena — that rebuild is the "respawn" the counter
+    // reports.
     let panics = retries + u32::from(matches!(result, Err(JobError::Panic(_))));
     if panics > 0 {
         inner
@@ -450,9 +449,11 @@ mod tests {
             max_insts: budget,
             ..SimConfig::default()
         };
+        let job = Job::new("spin", tiny_program(), config);
         Cell {
             index,
-            job: Job::new("spin", tiny_program(), config),
+            key: job.key(),
+            job,
             with_metrics: false,
             with_attrib: false,
             retries: 0,
@@ -527,19 +528,23 @@ mod tests {
         let _g = crate::testutil::fail_points_held();
         ctcp_telemetry::failpoint::set(Some("job-panic=crasher"));
         let sched = CellScheduler::start(1, 0);
-        let crasher = || Cell {
-            index: 2,
-            job: Job::new(
+        let crasher = || {
+            let job = Job::new(
                 "crasher",
                 tiny_program(),
                 SimConfig {
                     max_insts: 500,
                     ..SimConfig::default()
                 },
-            ),
-            with_metrics: false,
-            with_attrib: false,
-            retries: 1, // two panics total: exactly the poison budget
+            );
+            Cell {
+                index: 2,
+                key: job.key(),
+                job,
+                with_metrics: false,
+                with_attrib: false,
+                retries: 1, // two panics total: exactly the poison budget
+            }
         };
         let rx = sched
             .submit(vec![cell(0, 500), cell(1, 500), crasher()])

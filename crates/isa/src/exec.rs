@@ -23,6 +23,30 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// The functional executor's whole architectural state, owned apart
+/// from the program it runs: pc, sequence number, the halt and error
+/// flags, registers and data memory. [`Executor::into_state`] takes it
+/// out and [`Executor::resume`] continues from it over a borrowed
+/// program, so the state can be kept, cloned and shared after that
+/// borrow ends; a warmup checkpoint holds one.
+#[derive(Debug, Clone)]
+pub struct ExecState {
+    pc: u64,
+    seq: u64,
+    halted: bool,
+    error: Option<ExecError>,
+    iregs: [i64; Reg::NUM_INT],
+    fregs: [f64; Reg::NUM_FP],
+    mem: WordMemory,
+}
+
+impl ExecState {
+    /// The data memory image.
+    pub fn memory(&self) -> &WordMemory {
+        &self.mem
+    }
+}
+
 /// Functional executor: runs a [`Program`] architecturally and yields the
 /// correct-path dynamic instruction stream as an iterator of [`DynInst`].
 ///
@@ -74,6 +98,72 @@ impl<'p> Executor<'p> {
         };
         ex.iregs[Reg::SP.index()] = 0x4000_0000;
         ex
+    }
+
+    /// Continues executing `program` from `state`, as if the executor
+    /// that [`into_state`](Self::into_state) consumed had never
+    /// stopped: the next record is the one it would have yielded. The
+    /// state must come from an executor of an equal program.
+    ///
+    /// ```
+    /// use ctcp_isa::{Executor, ProgramBuilder, Reg};
+    ///
+    /// let mut b = ProgramBuilder::new();
+    /// b.movi(Reg::R1, 2);
+    /// b.addi(Reg::R1, Reg::R1, 3);
+    /// b.halt();
+    /// let p = b.build();
+    /// let mut ex = Executor::new(&p);
+    /// ex.fast_forward(2);
+    /// let state = ex.into_state();
+    /// let mut resumed = Executor::resume(&p, state.clone());
+    /// assert_eq!(resumed.reg(Reg::R1), 5);
+    /// assert_eq!(resumed.next().map(|d| d.seq), Some(2)); // the halt
+    /// ```
+    pub fn resume(program: &'p Program, state: ExecState) -> Self {
+        let ExecState {
+            pc,
+            seq,
+            halted,
+            error,
+            iregs,
+            fregs,
+            mem,
+        } = state;
+        Executor {
+            program,
+            pc,
+            seq,
+            halted,
+            error,
+            iregs,
+            fregs,
+            mem,
+        }
+    }
+
+    /// Ends the run and hands back its architectural state, for
+    /// [`resume`](Self::resume).
+    pub fn into_state(self) -> ExecState {
+        let Executor {
+            program: _,
+            pc,
+            seq,
+            halted,
+            error,
+            iregs,
+            fregs,
+            mem,
+        } = self;
+        ExecState {
+            pc,
+            seq,
+            halted,
+            error,
+            iregs,
+            fregs,
+            mem,
+        }
     }
 
     /// Current architectural value of `reg`.
@@ -539,6 +629,33 @@ mod tests {
         assert!(ex.next().is_some());
         assert!(ex.next().is_none());
         assert!(matches!(ex.error(), Some(ExecError::PcOutOfRange { .. })));
+    }
+
+    #[test]
+    fn a_resumed_state_continues_the_uninterrupted_stream() {
+        let mut b = ProgramBuilder::new();
+        b.movi(Reg::R1, 0x100);
+        b.movi(Reg::R2, 0);
+        b.movi(Reg::R5, 60);
+        let top = b.here();
+        b.addi(Reg::R2, Reg::R2, 3);
+        b.st(Reg::R2, Reg::R1, 0);
+        b.ld(Reg::R3, Reg::R1, 0);
+        b.blt(Reg::R2, Reg::R5, top);
+        b.halt();
+        let p = b.build();
+        let (whole, _) = run(&p, 1000);
+        for split in [0, 1, 7, whole.len() - 1, whole.len(), whole.len() + 5] {
+            let mut ex = Executor::new(&p);
+            let skipped = ex.fast_forward(split as u64) as usize;
+            let state = ex.into_state();
+            // Resuming a clone leaves the state intact for the next one.
+            for _ in 0..2 {
+                let rest: Vec<DynInst> = Executor::resume(&p, state.clone()).collect();
+                assert_eq!(rest, whole[skipped..], "split at {split}");
+            }
+            assert_eq!(state.memory().read(0x100) != 0, skipped > 4);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod program;
 mod reg;
 
 pub use dyninst::{BranchOutcome, DynInst};
-pub use exec::{ExecError, Executor};
+pub use exec::{ExecError, ExecState, Executor};
 pub use inst::Instruction;
 pub use mem::WordMemory;
 pub use op::{FuType, OpClass, Opcode};

@@ -66,7 +66,7 @@ pub(crate) struct Row {
 }
 
 /// Every number the service reports about itself, in document order.
-pub(crate) static ROWS: [Row; 21] = [
+pub(crate) static ROWS: [Row; 24] = [
     Row {
         kind: GAUGE,
         family: Some("ctcp_in_flight_requests"),
@@ -114,6 +114,13 @@ pub(crate) static ROWS: [Row; 21] = [
         key: "store_read_only",
         help: "1 while the result store is degraded to read-only.",
         source: Source::Handler(|h| Value::Bool(h.read_only)),
+    },
+    Row {
+        kind: GAUGE,
+        family: Some("ctcp_checkpoint_cache_bytes"),
+        key: "checkpoint_cache_bytes",
+        help: "Bytes of warmup checkpoints the pool holds.",
+        source: Source::Handler(|h| Value::u64(h.checkpoint_bytes)),
     },
     Row {
         kind: GAUGE,
@@ -219,6 +226,20 @@ pub(crate) static ROWS: [Row; 21] = [
         key: "counters.serve_cells_poisoned",
         help: "Cells quarantined after repeated worker panics.",
         source: Source::Handler(|h| Value::u64(h.poisoned)),
+    },
+    Row {
+        kind: COUNTER,
+        family: Some("ctcp_serve_checkpoint_captures_total"),
+        key: "counters.serve_checkpoint_captures",
+        help: "Warmup checkpoints captured by the pool.",
+        source: Source::Handler(|h| Value::u64(h.checkpoint_captures)),
+    },
+    Row {
+        kind: COUNTER,
+        family: Some("ctcp_serve_checkpoint_hits_total"),
+        key: "counters.serve_checkpoint_hits",
+        help: "Warmed cells that reused a captured checkpoint.",
+        source: Source::Handler(|h| Value::u64(h.checkpoint_hits)),
     },
 ];
 

@@ -297,15 +297,34 @@ impl Response {
     }
 }
 
+/// Reads the `len` bytes a peer announced, into a buffer that grows
+/// only with the bytes that actually arrive: a size line or a
+/// `Content-Length` is a claim, not an allocation request.
+fn read_announced(r: &mut impl Read, len: u64) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    r.by_ref().take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "response ended before its announced length",
+        ));
+    }
+    Ok(buf)
+}
+
 /// Performs one blocking request against `addr` and decodes the
 /// response. For chunked responses, `on_chunk` observes each chunk as
 /// it arrives (the service sends one NDJSON event per chunk), before
-/// the same bytes are appended to the returned body.
+/// the same bytes are appended to the returned body. A response is
+/// held to the bounds a request is: at most `MAX_HEADERS` headers of
+/// at most `MAX_LINE` bytes each, and a body buffered only as it
+/// arrives, whatever length the peer announces.
 ///
 /// # Errors
 ///
 /// Connection failures, I/O errors, and malformed responses (as
-/// [`io::ErrorKind::InvalidData`]).
+/// [`io::ErrorKind::InvalidData`]); a body that ends before its
+/// announced length is [`io::ErrorKind::UnexpectedEof`].
 pub fn request(
     addr: &str,
     method: &str,
@@ -332,12 +351,15 @@ pub fn request(
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("malformed status line"))?;
     let mut chunked = false;
-    let mut content_length: Option<usize> = None;
+    let mut content_length: Option<u64> = None;
     let mut headers = Vec::new();
     loop {
         let line = read_line(&mut r)?.ok_or_else(|| bad("eof inside headers"))?;
         if line.is_empty() {
             break;
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(bad("too many headers"));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(bad("malformed header"));
@@ -357,7 +379,7 @@ pub fn request(
         loop {
             let size_line = read_line(&mut r)?.ok_or_else(|| bad("eof inside chunks"))?;
             let size_hex = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_hex, 16).map_err(|_| bad("bad chunk size"))?;
+            let size = u64::from_str_radix(size_hex, 16).map_err(|_| bad("bad chunk size"))?;
             if size == 0 {
                 // Trailer section: skip to the blank line.
                 while !read_line(&mut r)?
@@ -366,16 +388,14 @@ pub fn request(
                 {}
                 break;
             }
-            let mut chunk = vec![0u8; size];
-            r.read_exact(&mut chunk)?;
+            let chunk = read_announced(&mut r, size)?;
             let mut crlf = [0u8; 2];
             r.read_exact(&mut crlf)?;
             on_chunk(&chunk);
             full.extend_from_slice(&chunk);
         }
     } else if let Some(len) = content_length {
-        full = vec![0u8; len];
-        r.read_exact(&mut full)?;
+        full = read_announced(&mut r, len)?;
     } else {
         r.read_to_end(&mut full)?;
     }
@@ -448,6 +468,45 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A loopback peer that reads one request head, answers it with
+    /// `response` and closes.
+    fn peer_answering(response: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut r = BufReader::new(s.try_clone().unwrap());
+            while read_line(&mut r).unwrap().is_some_and(|l| !l.is_empty()) {}
+            s.write_all(&response).unwrap();
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_hostile_response_is_an_error_not_an_abort() {
+        // 2^48 - 1 bytes announced, three sent: allocating the claim
+        // would abort the whole process.
+        for response in [
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffff\r\nabc",
+            "HTTP/1.1 200 OK\r\nContent-Length: 281474976710655\r\n\r\nabc",
+        ] {
+            let (addr, peer) = peer_answering(response.as_bytes().to_vec());
+            let mut chunks = 0;
+            let err = request(&addr, "GET", "/status", b"", &mut |_| chunks += 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{response:?}");
+            assert_eq!(chunks, 0, "no chunk completed");
+            peer.join().unwrap();
+        }
+        let flood = format!(
+            "HTTP/1.1 200 OK\r\n{}\r\n",
+            "X-Pad: 1\r\n".repeat(MAX_HEADERS + 1)
+        );
+        let (addr, peer) = peer_answering(flood.into_bytes());
+        let err = request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        peer.join().unwrap();
     }
 
     #[test]

@@ -205,6 +205,13 @@ pub struct HandlerStats {
     pub respawns: u64,
     /// Cells quarantined after repeated worker panics, cumulative.
     pub poisoned: u64,
+    /// Warmup checkpoints the pool captured, cumulative.
+    pub checkpoint_captures: u64,
+    /// Warmed cells that found their checkpoint already captured,
+    /// cumulative.
+    pub checkpoint_hits: u64,
+    /// Bytes of warmup checkpoints the pool holds now.
+    pub checkpoint_bytes: u64,
     /// True while the result store is degraded to read-only.
     pub read_only: bool,
 }
@@ -1936,7 +1943,7 @@ mod tests {
                 counters += 1;
             }
         }
-        assert_eq!(counters, 8, "the eight serve_* counters");
+        assert_eq!(counters, 10, "the ten serve_* counters");
         assert_eq!(prom_get(&samples, "ctcp_workers"), 2.0);
         assert_eq!(prom_get(&samples, "ctcp_store_read_only"), 0.0);
         assert_eq!(prom_get(&samples, "ctcp_journal_bytes"), 2048.0);

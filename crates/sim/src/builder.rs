@@ -113,7 +113,7 @@ pub struct SimBuilder<'p> {
     pub(crate) watchdog_stall: Option<u64>,
     pub(crate) cycle_budget: Option<u64>,
     pub(crate) arena: Option<EngineArena>,
-    pub(crate) resume: Option<Checkpoint<'p>>,
+    pub(crate) resume: Option<Checkpoint>,
 }
 
 impl<'p> SimBuilder<'p> {
@@ -168,8 +168,9 @@ impl<'p> SimBuilder<'p> {
     /// [`warmup_instructions`](Self::warmup_instructions) with the same
     /// count — the checkpoint is purely an execution shortcut. A
     /// checkpoint of another program makes [`build`](Self::build) fail
-    /// with [`ConfigError::ForeignCheckpoint`].
-    pub fn resume_from(mut self, checkpoint: &Checkpoint<'p>) -> Self {
+    /// with [`ConfigError::ForeignCheckpoint`]. The checkpoint itself is
+    /// left as it was: the simulation runs on a clone of its state.
+    pub fn resume_from(mut self, checkpoint: &Checkpoint) -> Self {
         self.cfg.warmup_insts = checkpoint.requested;
         self.resume = Some(checkpoint.clone());
         self
@@ -289,9 +290,9 @@ impl<'p> SimBuilder<'p> {
             });
         }
         if let Some(ck) = &self.resume {
-            // Batched cells resume from checkpoints of their own program
-            // object, so the full comparison almost never runs.
-            if !std::ptr::eq(ck.program, self.program) && ck.program != self.program {
+            // Cells mostly resume from checkpoints of their own program
+            // object, so the full comparison rarely runs.
+            if !std::ptr::eq(&*ck.program, self.program) && *ck.program != *self.program {
                 return Err(ConfigError::ForeignCheckpoint);
             }
         }
@@ -303,12 +304,13 @@ impl<'p> SimBuilder<'p> {
 mod tests {
     use super::*;
     use ctcp_isa::{ProgramBuilder, Reg};
+    use std::sync::Arc;
 
-    fn tiny() -> Program {
+    fn tiny() -> Arc<Program> {
         let mut b = ProgramBuilder::new();
         b.movi(Reg::R1, 3);
         b.halt();
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]
@@ -396,7 +398,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.movi(Reg::R1, 4);
         b.halt();
-        let other = b.build();
+        let other = Arc::new(b.build());
         let err = Simulation::builder(&p)
             .resume_from(&Checkpoint::capture(&other, 1))
             .build()

@@ -44,12 +44,8 @@ mod stream;
 
 pub use batch::{BatchError, BatchRunner};
 pub use builder::{ConfigError, SimBuilder, MAX_CLUSTERS};
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, CheckpointCache};
 pub use config::{SimConfig, Strategy};
-/// Recyclable engine storage, re-exported so resident workers (e.g. the
-/// harness's shared cell scheduler) can thread one arena through
-/// consecutive [`BatchRunner`]s without a `ctcp-core` dependency.
-pub use ctcp_core::EngineArena;
 /// Interconnect topology, re-exported so sweep descriptions (e.g. the
 /// harness's `SweepSpec`) can name it without a `ctcp-core` dependency.
 pub use ctcp_core::Topology;

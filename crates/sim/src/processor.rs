@@ -104,9 +104,9 @@ impl<'p> Simulation<'p> {
     ///
     /// The warmup phase runs here: either by fast-forwarding the fresh
     /// stream (pure functional execution, no timing state touched) or by
-    /// adopting a pre-captured [`Checkpoint`](crate::Checkpoint) clone,
-    /// which is bit-identical because fast-forward is deterministic in
-    /// the program and the instruction count.
+    /// resuming from a clone of a [`Checkpoint`](crate::Checkpoint)'s
+    /// state, which is bit-identical because fast-forward is
+    /// deterministic in the program and the instruction count.
     pub(crate) fn from_builder(b: SimBuilder<'p>) -> Self {
         let cfg = b.cfg.normalized();
         let mut engine = Engine::with_arena(
@@ -130,7 +130,8 @@ impl<'p> Simulation<'p> {
                     ck.requested, cfg.warmup_insts,
                     "resume_from keeps the config and checkpoint in lockstep"
                 );
-                (ck.stream, ck.skipped)
+                let exec = Executor::resume(b.program, ck.state);
+                (InstStream::new(exec), ck.skipped)
             }
             None => {
                 let mut stream = InstStream::new(Executor::new(b.program));

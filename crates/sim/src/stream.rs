@@ -6,12 +6,6 @@ use std::collections::VecDeque;
 /// A lookahead window over the correct-path dynamic instruction stream.
 /// The fetch stage peeks ahead to match trace-cache lines against the
 /// upcoming path, then consumes what it fetched.
-///
-/// `Clone` snapshots the full functional state (architectural registers,
-/// data memory image, lookahead buffer), which is what makes warmup
-/// checkpoints cheap: cloning a fast-forwarded stream resumes from the
-/// warmup boundary without re-executing it.
-#[derive(Clone)]
 pub(crate) struct InstStream<'p> {
     exec: Executor<'p>,
     buf: VecDeque<DynInst>,

@@ -1,6 +1,7 @@
 //! Batched-execution oracle: a `BatchRunner` that recycles arena
-//! storage and memoizes warmup checkpoints across cells must be
-//! observably identical to building and running every cell on its own.
+//! storage across cells, resuming warmed cells from checkpoints a
+//! `CheckpointCache` shares, must be observably identical to building
+//! and running every cell on its own.
 //! For every steering strategy — with and without a warmup budget — the
 //! serialized `SimReport` has to match byte for byte, so the result
 //! store, repro experiments, and rendered tables cannot tell how a cell
@@ -9,8 +10,11 @@
 //! report covers only the timed phase.
 
 use ctcp_isa::{Program, ProgramBuilder, Reg};
-use ctcp_sim::{BatchRunner, Checkpoint, SimConfig, Simulation, Strategy, Topology};
+use ctcp_sim::{
+    BatchRunner, Checkpoint, CheckpointCache, SimConfig, Simulation, Strategy, Topology,
+};
 use ctcp_workload::Benchmark;
+use std::sync::Arc;
 
 const ALL_STRATEGIES: [Strategy; 7] = [
     Strategy::Baseline,
@@ -33,18 +37,24 @@ fn cell(strategy: Strategy, insts: u64, warmup: u64) -> SimConfig {
 
 #[test]
 fn batched_reports_match_one_at_a_time_byte_for_byte() {
+    // One runner and one cache across both programs, as a pool worker
+    // has them.
+    let mut runner = BatchRunner::new();
+    let checkpoints = CheckpointCache::new();
     for bench in ["gzip", "twolf"] {
-        let program = Benchmark::by_name(bench).unwrap().program();
+        let program = Arc::new(Benchmark::by_name(bench).unwrap().program());
         // Cold cells for every strategy, then warmed-up cells sharing
-        // one (program, warmup) pair — so the runner's checkpoint is
-        // captured once and reused, and both paths are compared.
+        // one (program, warmup) pair — so its checkpoint is captured
+        // once and reused, and both paths are compared.
         let mut cells: Vec<SimConfig> = ALL_STRATEGIES.iter().map(|&s| cell(s, 8_000, 0)).collect();
         cells.extend(ALL_STRATEGIES.iter().map(|&s| cell(s, 8_000, 2_000)));
-        let mut runner = BatchRunner::new();
         for cfg in cells {
-            let batched = runner
-                .try_run(Simulation::builder(&program).config(cfg))
-                .unwrap();
+            let mut builder = Simulation::builder(&program).config(cfg);
+            if cfg.warmup_insts > 0 {
+                builder =
+                    builder.resume_from(&checkpoints.get_or_capture(&program, cfg.warmup_insts));
+            }
+            let batched = runner.try_run(builder).unwrap();
             let direct = Simulation::builder(&program)
                 .config(cfg)
                 .build()
@@ -59,11 +69,12 @@ fn batched_reports_match_one_at_a_time_byte_for_byte() {
             );
         }
     }
+    assert_eq!(checkpoints.captures(), 2, "one capture per program");
 }
 
 #[test]
 fn checkpoint_resume_is_deterministic_and_matches_self_forwarding() {
-    let program = Benchmark::by_name("gzip").unwrap().program();
+    let program = Arc::new(Benchmark::by_name("gzip").unwrap().program());
     let warmup = 3_000;
     let ck = Checkpoint::capture(&program, warmup);
     assert_eq!(ck.warmup_instructions(), warmup);
@@ -138,7 +149,7 @@ fn explicit_zero_warmup_is_byte_identical_to_untouched() {
 /// A short counted loop with a real end — the synthetic benchmarks
 /// never halt (they are always bounded by `max_insts`), so the
 /// end-of-program warmup cases need a finite program.
-fn counted_loop(iters: i64) -> Program {
+fn counted_loop(iters: i64) -> Arc<Program> {
     let mut b = ProgramBuilder::new();
     b.movi(Reg::R1, 0);
     b.movi(Reg::R2, iters);
@@ -147,7 +158,7 @@ fn counted_loop(iters: i64) -> Program {
     b.addi(Reg::R1, Reg::R1, 1);
     b.blt(Reg::R1, Reg::R2, top);
     b.halt();
-    b.build()
+    Arc::new(b.build())
 }
 
 #[test]

@@ -60,6 +60,13 @@
 #      linear,ring at 30k instructions, plus the baseline cells its
 #      speedups need) must finish every cell, i.e. no full store buffer
 #      or load queue may wedge the pipeline
+#  16. checkpoint sharing gate: three overlapping client sweeps on a
+#      one-worker daemon (gzip and twolf warmed 200k instructions, and
+#      gzip again at another timed budget) must each match the one-shot
+#      CLI byte for byte, and /status must count exactly one checkpoint
+#      capture per distinct (preset, warmup) pair, two, with every other
+#      warmed cell a hit, however the fair ring interleaved them. It
+#      checks counts, not timings
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -621,5 +628,62 @@ echo "==> wide-machine smoke (8-cluster sweep finishes every cell)"
 ./target/release/ctcp sweep --benches rasta,mcf --clusters 8 --topology linear,ring \
     --strategies fdrt --insts 30000 > "$smoke_dir/wide.out"
 echo "wide-machine smoke: $(grep -c '^ *\(rasta\|mcf\) ' "$smoke_dir/wide.out" || true) rows"
+
+echo "==> checkpoint sharing gate (one capture per (preset, warmup) per pool)"
+# The fair ring hands the one worker a cell of each request in turn,
+# so the three requests' cells interleave across two programs. Each
+# request builds its programs afresh, and the third asks for the first
+# one's preset and warmup at another timed budget: its cells are new
+# and must reuse the first request's checkpoint, not capture again.
+ck_dir="$smoke_dir/serve-checkpoints"
+mkdir -p "$ck_dir"
+: > "$ck_dir/serve.out"    # exists before the daemon's first write
+./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 1 --dir "$ck_dir/store" \
+    > "$ck_dir/serve.out" 2>/dev/null &
+ck_pid=$!
+ck_addr=""
+for _ in $(seq 1 50); do
+    ck_addr=$(sed -n 's/.*listening on //p' "$ck_dir/serve.out" | head -n1)
+    [ -n "$ck_addr" ] && break
+    sleep 0.1
+done
+if [ -z "$ck_addr" ]; then
+    echo "FAIL: checkpoint-gate daemon never printed its address" >&2
+    kill "$ck_pid" 2>/dev/null || true
+    exit 1
+fi
+ck_grids=(
+    "--benches gzip --strategies friendly,fdrt --clusters 2,4 --warmup 200000 --insts 20000"
+    "--benches twolf --strategies friendly,fdrt --clusters 2,4 --warmup 200000 --insts 20000"
+    "--benches gzip --strategies friendly,fdrt --clusters 2,4 --warmup 200000 --insts 25000"
+)
+ck_cells=18    # 3 requests x (2 strategies + baseline) x 2 cluster counts
+ck_pids=()
+for i in 0 1 2; do
+    # shellcheck disable=SC2086
+    ./target/release/ctcp client sweep --addr "$ck_addr" ${ck_grids[$i]} --csv \
+        > "$ck_dir/served$i.csv" 2>/dev/null &
+    ck_pids+=($!)
+done
+wait "${ck_pids[@]}"
+for i in 0 1 2; do
+    # shellcheck disable=SC2086
+    ./target/release/ctcp sweep ${ck_grids[$i]} --csv > "$ck_dir/oneshot$i.csv"
+    cmp "$ck_dir/served$i.csv" "$ck_dir/oneshot$i.csv"
+done
+./target/release/ctcp client status --addr "$ck_addr" > "$ck_dir/status.json"
+./target/release/ctcp client shutdown --addr "$ck_addr" >/dev/null
+if ! wait "$ck_pid"; then
+    echo "FAIL: checkpoint-gate daemon did not exit cleanly" >&2
+    exit 1
+fi
+ck_captures=$(sed -n 's/.*"serve_checkpoint_captures":\([0-9]*\).*/\1/p' "$ck_dir/status.json")
+ck_hits=$(sed -n 's/.*"serve_checkpoint_hits":\([0-9]*\).*/\1/p' "$ck_dir/status.json")
+if [ "$ck_captures" != 2 ] || [ "$ck_hits" != $((ck_cells - 2)) ]; then
+    echo "FAIL: expected 2 checkpoint captures and $((ck_cells - 2)) hits," \
+         "got '$ck_captures' and '$ck_hits'" >&2
+    exit 1
+fi
+echo "checkpoint sharing gate: $ck_captures captures, $ck_hits hits over $ck_cells cells"
 
 echo "==> verify OK"

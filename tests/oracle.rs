@@ -11,8 +11,8 @@
 //!   every-cycle reference for skipping);
 //! - with attribution off: the same bytes as with it on, `attrib` aside;
 //! - on one [`BatchRunner`] carried through all of a test's cells, which
-//!   recycles engine storage and memoizes warmup checkpoints: the same
-//!   bytes as a direct run;
+//!   recycles engine storage, resuming a warmup cell from the test's
+//!   shared [`CheckpointCache`]: the same bytes as a direct run;
 //! - for a warmup cell, resumed from a [`Checkpoint::capture`]: the same
 //!   bytes as fast-forwarding on its own.
 //!
@@ -37,11 +37,15 @@
 use ctcp::core::{LatencyOverrides, Topology};
 use ctcp::harness::SweepSpec;
 use ctcp::isa::Program;
-use ctcp::sim::{BatchRunner, Checkpoint, SimBuilder, SimConfig, SimReport, Simulation, Strategy};
+use ctcp::sim::{
+    BatchRunner, Checkpoint, CheckpointCache, SimBuilder, SimConfig, SimReport, Simulation,
+    Strategy,
+};
 use ctcp::telemetry::{Recorder, RecorderConfig, DEFAULT_TOP_EDGES};
 use ctcp::workload::{generate, Benchmark, Pcg32, WorkloadParams};
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 const STRATEGIES: [Strategy; 8] = [
     Strategy::Baseline,
@@ -87,7 +91,7 @@ fn machine(
 /// One cell: `cfg` simulated over `program`.
 struct Cell<'p> {
     name: String,
-    program: &'p Program,
+    program: &'p Arc<Program>,
     cfg: SimConfig,
 }
 
@@ -106,7 +110,7 @@ impl<'p> Cell<'p> {
 
     /// Runs every check on the cell and returns the digest of its
     /// report with attribution on.
-    fn check(&self, runner: &mut BatchRunner<'p>) -> u64 {
+    fn check(&self, runner: &mut BatchRunner, checkpoints: &CheckpointCache) -> u64 {
         let name = &self.name;
         let recorder = Rc::new(Recorder::new(RecorderConfig::default()));
         let ticked = self.run(
@@ -140,8 +144,13 @@ impl<'p> Cell<'p> {
         );
         assert!(attrib.critical.edges > 0, "{name}: no critical edges");
 
+        let mut batched = self.builder().attrib(DEFAULT_TOP_EDGES);
+        if self.cfg.warmup_insts > 0 {
+            batched = batched
+                .resume_from(&checkpoints.get_or_capture(self.program, self.cfg.warmup_insts));
+        }
         let batched = runner
-            .try_run(self.builder().attrib(DEFAULT_TOP_EDGES))
+            .try_run(batched)
             .unwrap_or_else(|e| panic!("{name} (batched): {e}"));
         assert_eq!(batched.to_json(), json, "{name}: batched report diverged");
 
@@ -175,9 +184,10 @@ impl<'p> Cell<'p> {
 /// the replacement table `const {label}` on a mismatch.
 fn check_all(label: &str, cells: &[Cell<'_>], table: &[(&str, u64)]) {
     let mut runner = BatchRunner::new();
+    let checkpoints = CheckpointCache::new();
     let got: Vec<(String, u64)> = cells
         .iter()
-        .map(|c| (c.name.clone(), c.check(&mut runner)))
+        .map(|c| (c.name.clone(), c.check(&mut runner, &checkpoints)))
         .collect();
     let matches = got.len() == table.len()
         && got
@@ -285,7 +295,7 @@ fn generated_cells_pass_every_check() {
             name.push(' ');
             name.push_str(tag);
         }
-        draws.push((name, generate(&params), cfg));
+        draws.push((name, Arc::new(generate(&params)), cfg));
     }
     let cells: Vec<Cell<'_>> = draws
         .iter()
@@ -301,7 +311,7 @@ fn generated_cells_pass_every_check() {
 #[test]
 fn every_preset_under_every_strategy_passes_every_check() {
     let presets = presets();
-    let programs: Vec<Program> = presets.iter().map(Benchmark::program).collect();
+    let programs: Vec<Arc<Program>> = presets.iter().map(|b| Arc::new(b.program())).collect();
     let mut cells = Vec::new();
     for (b, program) in presets.iter().zip(&programs) {
         for strategy in STRATEGIES {
@@ -321,7 +331,7 @@ fn every_preset_under_every_strategy_passes_every_check() {
 
 #[test]
 fn fixed_cells_pass_every_check() {
-    let program = |bench: &str| Benchmark::by_name(bench).unwrap().program();
+    let program = |bench: &str| Arc::new(Benchmark::by_name(bench).unwrap().program());
     let (mcf, vortex, gzip, rasta) = (
         program("mcf"),
         program("vortex"),
