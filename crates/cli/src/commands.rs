@@ -778,8 +778,8 @@ fn error_result(e: CliError) -> RunResult {
 
 /// The execution backend behind `ctcp serve`: one shared
 /// [`CellScheduler`] (the resident worker pool every client's cells
-/// interleave on, fairly), one shared, sharded [`ResultStore`] (the
-/// warm cache), and one shared [`Journal`] (the crash-recovery WAL).
+/// interleave on, fairly), one shared [`ResultStore`] (the warm
+/// cache), and one shared [`Journal`] (the crash-recovery WAL).
 /// All are cheap `Clone` handles, so each request builds a throwaway
 /// [`Harness`] around them on its own batch thread — `run` takes
 /// `&self` and requests execute concurrently.
@@ -916,38 +916,15 @@ impl Handler for CliHandler {
             checkpoint_hits: s.checkpoint_hits,
             checkpoint_bytes: s.checkpoint_bytes,
             read_only: self.store.read_only(),
+            journal_bytes: self.journal.size_bytes(),
+            journal_compactions: self.journal.compactions(),
+            journal_live_requests: self.journal.live_requests() as u64,
+            store_entries: self.store.stats().entries as u64,
         }
     }
 
     fn quiesce(&self) {
         self.sched.shutdown();
-    }
-
-    fn gauges(&self) -> Value {
-        // Backend depth the scheduler snapshot cannot see: WAL bulk and
-        // churn, plus how the warm cache spreads over its shards. All
-        // cheap reads — a scrape never touches a batch.
-        let shards: Vec<Value> = self
-            .store
-            .shard_entries()
-            .into_iter()
-            .map(|n| Value::u64(n as u64))
-            .collect();
-        Value::Obj(vec![
-            (
-                "journal_bytes".into(),
-                Value::u64(self.journal.size_bytes()),
-            ),
-            (
-                "journal_compactions".into(),
-                Value::u64(self.journal.compactions()),
-            ),
-            (
-                "journal_live_requests".into(),
-                Value::u64(self.journal.live_requests() as u64),
-            ),
-            ("store_shard_entries".into(), Value::Arr(shards)),
-        ])
     }
 }
 
@@ -975,7 +952,7 @@ fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
         .unwrap_or_else(ResultStore::default_dir);
     let store = ResultStore::open(&dir)
         .map_err(|e| CliError(format!("cannot open result store {}: {e}", dir.display())))?;
-    // The request WAL lives next to the store shards: opening it
+    // The request WAL lives next to the store file: opening it
     // replays any journal left by a crashed predecessor and hands back
     // the admitted-but-unfinished requests.
     let journal = Journal::open(&dir)
@@ -1212,20 +1189,9 @@ fn render_top_frame(addr: &str, status: &Value) -> String {
         total("serve_cells_poisoned"),
     ));
     if let Some(gauges) = status.get("gauges") {
-        let shards = match gauges.get("store_shard_entries") {
-            Some(Value::Arr(items)) => {
-                let counts: Vec<u64> = items.iter().filter_map(Value::as_u64).collect();
-                format!(
-                    "{} shards, {} entries",
-                    counts.len(),
-                    counts.iter().sum::<u64>()
-                )
-            }
-            _ => "no shard data".into(),
-        };
         out.push_str(&format!(
-            "store   {}   journal {} B, {} compaction(s), {} live\n",
-            shards,
+            "store   {} entries   journal {} B, {} compaction(s), {} live\n",
+            g_u64(gauges, "store_entries"),
             g_u64(gauges, "journal_bytes"),
             g_u64(gauges, "journal_compactions"),
             g_u64(gauges, "journal_live_requests"),
@@ -1577,8 +1543,7 @@ mod tests {
                 "requests":[{"token":"a25bb65a15349da7","kind":"sweep",
                              "age_s":12,"cells_done":34,"cells_total":80}],
                 "gauges":{"journal_bytes":2048,"journal_compactions":2,
-                          "journal_live_requests":1,
-                          "store_shard_entries":[10,11,12,9]},
+                          "journal_live_requests":1,"store_entries":42},
                 "recent_logs":[{"level":"warn","msg":"slow cell","token":"a25bb65a15349da7"}],
                 "counters":{"serve_requests":120,"serve_cache_hits":40,"serve_rejected":0,
                             "serve_worker_respawns":0,"serve_cells_poisoned":0}}"#,
@@ -1591,7 +1556,7 @@ mod tests {
              workers [##########----------] 2/4 busy   queued 6   in-flight 1\n\
              rolling 2.0 cells/s over 60s   req p95 31 ms   cell p95 15 ms   3 request(s)\n\
              totals  120 requests   40 cache hits   0 rejected   0 respawns   0 poisoned\n\
-             store   4 shards, 42 entries   journal 2048 B, 2 compaction(s), 1 live\n\n\
+             store   42 entries   journal 2048 B, 2 compaction(s), 1 live\n\n\
              live requests (1)\n  \
              TOKEN             KIND     AGE   PROGRESS\n  \
              a25bb65a15349da7  sweep      12s [#####-----] 34/80\n\n\
@@ -1865,14 +1830,11 @@ mod tests {
                 h.try_run(&[mk(Strategy::Baseline), mk(Strategy::Fdrt { pinning: true })]);
             assert!(outcomes.iter().all(|o| o.report().is_some()));
         }
-        // Tear a shard file the way a crash mid-append would.
-        let shard = (0..ctcp_harness::STORE_SHARDS)
-            .map(|i| dir.join(format!("shard-{i}.jsonl")))
-            .find(|p| p.exists())
-            .expect("the seeded store has at least one shard file");
-        let mut text = std::fs::read_to_string(&shard).unwrap();
+        // Tear the store file the way a crash mid-append would.
+        let file = dir.join("results.jsonl");
+        let mut text = std::fs::read_to_string(&file).unwrap();
         text.push_str("{\"v\":2,\"key\":\"torn");
-        std::fs::write(&shard, text).unwrap();
+        std::fs::write(&file, text).unwrap();
 
         let verify = run_outcome(&["store", "verify", "--dir", d]);
         assert_eq!(verify.exit_code, 1, "{}", verify.output);
@@ -1898,9 +1860,7 @@ mod tests {
         let gc = run_outcome(&["store", "gc", "--dir", d]);
         assert_eq!(gc.exit_code, 0);
         assert!(gc.output.contains("quarantine cleared"), "{}", gc.output);
-        for i in 0..ctcp_harness::STORE_SHARDS {
-            assert!(!dir.join(format!("shard-{i}.quarantine.jsonl")).exists());
-        }
+        assert!(!dir.join("results.quarantine.jsonl").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -76,8 +76,8 @@ pub fn sweep_to_json(a: &SweepArgs) -> Value {
         ("csv".into(), Value::Bool(a.csv)),
         ("attrib".into(), Value::Bool(a.attrib)),
     ];
-    // Warmup post-dates the v1 body: emit only when set so a warmup-free
-    // request renders byte-identically to what older daemons expect.
+    // Warmup post-dates the v1 body: emit only when set (see
+    // `warmup_field`).
     if a.spec.warmup != 0 {
         fields.push(("warmup".into(), Value::u64(a.spec.warmup)));
     }
@@ -115,6 +115,18 @@ fn bool_field(v: &Value, key: &str) -> Result<bool, CliError> {
     }
 }
 
+/// The optional `warmup` field. Absent means zero: warmup-free bodies
+/// predate the field, and encoders emit it only when set, so their
+/// bytes (and resume tokens) stay what older daemons expect.
+fn warmup_field(v: &Value) -> Result<u64, CliError> {
+    match v.get("warmup") {
+        None => Ok(0),
+        Some(w) => w
+            .as_u64()
+            .ok_or_else(|| CliError("\"warmup\" must be an unsigned integer".into())),
+    }
+}
+
 /// Decodes a sweep request body, validating every field with the same
 /// rules as the command line.
 pub fn sweep_from_json(v: &Value) -> Result<SweepArgs, CliError> {
@@ -137,13 +149,7 @@ pub fn sweep_from_json(v: &Value) -> Result<SweepArgs, CliError> {
                 .ok_or_else(|| CliError(format!("bad cluster count {} (1..=8)", c.render())))
         })
         .collect::<Result<_, _>>()?;
-    // Absent means zero: warmup-free bodies predate the field.
-    let warmup = match v.get("warmup") {
-        None => 0,
-        Some(w) => w
-            .as_u64()
-            .ok_or_else(|| CliError("\"warmup\" must be an unsigned integer".into()))?,
-    };
+    let warmup = warmup_field(v)?;
     Ok(SweepArgs {
         spec: SweepSpec {
             benches: str_list(v, "benches")?,
@@ -174,7 +180,7 @@ pub fn analyze_to_json(a: &AnalyzeArgs) -> Result<Value, CliError> {
             "client analyze needs --bench (the daemon cannot read local --asm files)".into(),
         ));
     };
-    Ok(Value::Obj(vec![
+    let mut fields = vec![
         ("bench".into(), Value::str(bench)),
         (
             "strategies".into(),
@@ -190,7 +196,11 @@ pub fn analyze_to_json(a: &AnalyzeArgs) -> Result<Value, CliError> {
         ("top".into(), Value::u64(a.top as u64)),
         ("json".into(), Value::Bool(a.json)),
         ("csv".into(), Value::Bool(a.run.csv)),
-    ]))
+    ];
+    if a.run.warmup != 0 {
+        fields.push(("warmup".into(), Value::u64(a.run.warmup)));
+    }
+    Ok(Value::Obj(fields))
 }
 
 /// Decodes an analyze request body.
@@ -219,6 +229,7 @@ pub fn analyze_from_json(v: &Value) -> Result<AnalyzeArgs, CliError> {
         usize::try_from(u64_field(v, "top")?).map_err(|_| CliError("bad \"top\" value".into()))?;
     out.json = bool_field(v, "json")?;
     out.run.csv = bool_field(v, "csv")?;
+    out.run.warmup = warmup_field(v)?;
     Ok(out)
 }
 
@@ -309,6 +320,12 @@ mod tests {
         args.strategies = vec![Strategy::Baseline, Strategy::Fdrt { pinning: true }];
         args.top = 3;
         args.json = true;
+        let rendered = analyze_to_json(&args).unwrap().render();
+        assert!(!rendered.contains("warmup"), "{rendered}");
+        let decoded = analyze_from_json(&Value::parse(&rendered).unwrap()).unwrap();
+        assert_eq!(decoded, args);
+        // A warmed analysis keeps its warmup across the wire.
+        args.run.warmup = 40_000;
         let rendered = analyze_to_json(&args).unwrap().render();
         let decoded = analyze_from_json(&Value::parse(&rendered).unwrap()).unwrap();
         assert_eq!(decoded, args);

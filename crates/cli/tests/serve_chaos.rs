@@ -172,7 +172,7 @@ fn sigkill_mid_sweep_is_resumed_by_the_restarted_daemon() {
 
     // Zero recomputation: every one of the 6 cells was memoized exactly
     // once across both incarnations. (A line torn by the kill itself
-    // may sit quarantined in a shard, but a *finished* cell is never
+    // may sit in the quarantine file, but a *finished* cell is never
     // simulated — and therefore never appended — twice.)
     let verify = ctcp_harness::verify(&store_dir).expect("verify the store");
     assert_eq!(verify.entries, 6, "all cells memoized");

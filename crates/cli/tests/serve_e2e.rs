@@ -12,7 +12,7 @@
 //!    never starved behind a long warmup-heavy sweep;
 //! 4. shutdown drains cleanly — even racing in-flight clients, no
 //!    admitted cell is lost, the daemon exits zero, prints its
-//!    summary, leaves a populated sharded store with no lock tokens,
+//!    summary, leaves a populated store file with no lock token,
 //!    and stops listening.
 
 use std::io::{BufRead, BufReader, Read};
@@ -147,7 +147,7 @@ fn daemon_round_trips_sweeps_shares_its_cache_and_drains() {
     );
 
     // 3. Shutdown drains: daemon exits zero with its summary printed,
-    //    the sharded store is populated, no lock tokens remain, and
+    //    the store file is populated, no lock token remains, and
     //    the port is closed.
     stdout_of(&run(&["client", "shutdown", "--addr", &addr]));
     let code = daemon.wait().expect("daemon exit");
@@ -156,12 +156,12 @@ fn daemon_round_trips_sweeps_shares_its_cache_and_drains() {
     daemon_out.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("drained after"), "{rest}");
 
-    let shard_lines: usize = (0..ctcp_harness::STORE_SHARDS)
-        .filter_map(|i| std::fs::read_to_string(store_dir.join(format!("shard-{i}.jsonl"))).ok())
-        .map(|text| text.lines().count())
-        .sum();
+    let store_lines = std::fs::read_to_string(store_dir.join("results.jsonl"))
+        .unwrap()
+        .lines()
+        .count();
     assert_eq!(
-        shard_lines, 4,
+        store_lines, 4,
         "gzip and twolf, baseline and fdrt, memoized exactly once each"
     );
     let leftover_locks: Vec<_> = std::fs::read_dir(&store_dir)
@@ -192,11 +192,11 @@ fn counter(status_json: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("counter {name} in {status_json}"))
 }
 
-/// Three clients of different shapes — a CSV sweep, an attribution
-/// sweep, and an analyze — hammer the daemon *simultaneously*. Every
-/// one must render byte-identically to its one-shot equivalent, and a
-/// repeat of the first grid must then be answered entirely from the
-/// shared warm cache.
+/// Four clients of different shapes — a CSV sweep, an attribution
+/// sweep, an analyze and a warmed analyze — hammer the daemon
+/// *simultaneously*. Every one must render byte-identically to its
+/// one-shot equivalent, and a repeat of the first grid must then be
+/// answered entirely from the shared warm cache.
 #[test]
 fn concurrent_clients_render_identically_and_share_the_cache() {
     let dir = std::env::temp_dir().join(format!("ctcp-serve-conc-{}", std::process::id()));
@@ -229,8 +229,12 @@ fn concurrent_clients_render_identically_and_share_the_cache() {
         "--attrib",
     ];
     let analyze = ["analyze", "--bench", "gzip", "--insts", "2000"];
+    let warmed_analyze = [
+        "analyze", "--bench", "twolf", "--insts", "2000", "--warmup", "30000",
+    ];
 
-    let shapes: Vec<Vec<String>> = [&sweep_grid[..], &attrib_grid[..], &analyze[..]]
+    let argvs: [&[&str]; 4] = [&sweep_grid, &attrib_grid, &analyze, &warmed_analyze];
+    let shapes: Vec<Vec<String>> = argvs
         .iter()
         .map(|argv| argv.iter().map(|s| s.to_string()).collect())
         .collect();
@@ -421,11 +425,11 @@ fn shutdown_racing_two_clients_loses_no_cells() {
     assert_eq!(a_rows, 25, "header + 24 non-baseline cells");
     assert!(daemon.wait().unwrap().success());
 
-    let shard_lines: usize = (0..ctcp_harness::STORE_SHARDS)
-        .filter_map(|i| std::fs::read_to_string(store_dir.join(format!("shard-{i}.jsonl"))).ok())
-        .map(|text| text.lines().count())
-        .sum();
-    assert_eq!(shard_lines, 32, "every admitted cell memoized exactly once");
+    let store_lines = std::fs::read_to_string(store_dir.join("results.jsonl"))
+        .unwrap()
+        .lines()
+        .count();
+    assert_eq!(store_lines, 32, "every admitted cell memoized exactly once");
     std::fs::remove_dir_all(&dir).ok();
 }
 

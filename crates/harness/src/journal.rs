@@ -2,8 +2,8 @@
 //! serve` crash-safe.
 //!
 //! The journal is one append-only JSON-lines file, `journal.jsonl`,
-//! living next to the result-store shards. It records the lifecycle of
-//! every admitted service request:
+//! living next to the result store's `results.jsonl`. It records the
+//! lifecycle of every admitted service request:
 //!
 //! ```text
 //! {"v":1,"t":"admit","req":"<token>","kind":"sweep","body":"{...}","crc":"<8 hex>"}

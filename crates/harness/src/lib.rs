@@ -98,8 +98,8 @@ pub use progress::{ProgressSink, StderrProgress};
 pub use sched::{CellScheduler, Saturated, SchedStats};
 pub use spec::{SpecError, SweepCell, SweepPlan, SweepSpec};
 pub use store::{
-    compact, crc32, gc, job_key, shard_of, verify, CompactReport, GcReport, ResultStore,
-    StoreStats, VerifyReport, STORE_FORMAT_VERSION, STORE_SHARDS,
+    compact, crc32, gc, job_key, verify, CompactReport, GcReport, ResultStore, StoreStats,
+    VerifyReport, STORE_FORMAT_VERSION,
 };
 
 use ctcp_isa::Program;

@@ -1,4 +1,4 @@
-//! Content-addressed, append-only, self-healing, *sharded* result store.
+//! Content-addressed, append-only, self-healing result store.
 //!
 //! Each finished job is recorded as one JSON line under a 64-bit
 //! content key derived from the workload name and the full simulator
@@ -9,10 +9,8 @@
 //! ## On-disk layout
 //!
 //! The store is a directory (by default `target/ctcp-results/`) holding
-//! [`STORE_SHARDS`] hash-partitioned JSON-lines files, `shard-0.jsonl`
-//! … `shard-7.jsonl`; a key's envelope lives in the shard [`shard_of`]
-//! names. Every line is an envelope whose last field is a CRC-32 of
-//! everything before it:
+//! one JSON-lines file, `results.jsonl`. Every line is an envelope
+//! whose last field is a CRC-32 of everything before it:
 //!
 //! ```text
 //! {"v":4,"key":"<16 hex digits>","workload":"gzip","report":{...},"crc":"<8 hex>"}
@@ -25,23 +23,27 @@
 //! never an authority — but it is a *self-healing* cache:
 //!
 //! * **corrupt** lines (unparseable JSON, CRC mismatch, malformed key,
-//!   undecodable report) are moved to that shard's
-//!   `shard-N.quarantine.jsonl` at open time and the shard is
-//!   atomically rewritten without them, so one torn write from a killed
-//!   run never degrades every later load, and the evidence survives
-//!   for inspection;
+//!   undecodable report) are moved to `results.quarantine.jsonl` at
+//!   open time and the file is atomically rewritten without them, so
+//!   one torn write from a killed run never degrades every later load,
+//!   and the evidence survives for inspection;
 //! * **stale** lines (older format versions) are kept in place and
 //!   simply miss — their keys changed with the version salt anyway;
-//! * appends take that shard's **advisory lock** (`shard-N.lock`) just
-//!   long enough for one single-`write` append, so concurrent writers
-//!   — harness worker pools, multiple service clients — only contend
-//!   when they land on the same shard. Lock files are pure tokens and
-//!   are removed best-effort when the last handle drops.
+//! * appends take the store's **advisory lock** (`results.lock`) just
+//!   long enough for one single-`write` append, so writers in other
+//!   processes never interleave bytes within a line. The lock file is
+//!   a pure token and is removed best-effort when the last handle
+//!   drops;
+//! * an append handle **follows the files**: compaction and a heal
+//!   replace `results.jsonl` (temp file + rename) under the same lock,
+//!   and the next append, seeing another file at the path, reopens it
+//!   rather than write into the replaced one; a lock taken on a token
+//!   that was removed meanwhile is retaken on a reopened token.
 //!
 //! Offline maintenance lives in [`verify`], [`compact`] and [`gc`],
-//! surfaced as `ctcp store` subcommands. `compact` and `gc` work one
-//! shard at a time under that shard's lock only, so a concurrent
-//! reader or writer on another shard is never blocked.
+//! surfaced as `ctcp store` subcommands. `compact` and `gc` hold the
+//! lock across the read and the rewrite, so an append waits for them
+//! instead of falling between the two.
 
 use ctcp_sim::json::Value;
 use ctcp_sim::{SimConfig, SimReport};
@@ -69,29 +71,11 @@ const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 /// [`Line::Stale`] and simply miss.
 pub const STORE_FORMAT_VERSION: u32 = 4;
 
-/// Number of hash-partitioned shard files in a store directory. Eight
-/// keeps per-shard lock contention negligible at the harness's worker
-/// counts while leaving the directory human-inspectable.
-pub const STORE_SHARDS: usize = 8;
-
-/// The shard holding `key`'s envelope. Folds the high half into the
-/// low so all 64 key bits participate, then reduces modulo
-/// [`STORE_SHARDS`].
-pub fn shard_of(key: u64) -> usize {
-    ((key ^ (key >> 32)) % STORE_SHARDS as u64) as usize
-}
-
-fn shard_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.jsonl"))
-}
-
-fn shard_quarantine_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.quarantine.jsonl"))
-}
-
-fn shard_lock_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.lock"))
-}
+/// The store's report file, its quarantine and its lock token, each
+/// directly inside the store directory.
+const RESULTS: &str = "results.jsonl";
+const QUARANTINE: &str = "results.quarantine.jsonl";
+const LOCK: &str = "results.lock";
 
 struct Fnv(u64);
 
@@ -191,37 +175,23 @@ pub struct StoreStats {
     pub misses: u64,
     /// Reports written this session.
     pub puts: u64,
-    /// Corrupt lines moved to quarantine files when this handle
+    /// Corrupt lines moved to the quarantine file when this handle
     /// opened the store.
     pub quarantined: u64,
-    /// Stale shard lock tokens (stamped by a now-dead owner, lock
-    /// free) reclaimed when this handle opened the store.
+    /// Stale lock tokens (stamped by a now-dead owner, lock free)
+    /// reclaimed when this handle opened the store: 0 or 1.
     pub reclaimed: u64,
 }
 
-/// One open shard: its slice of the in-memory index behind a
-/// reader-writer lock, the append handle behind a mutex, and the
-/// on-disk advisory lock token. The index partition matches the
-/// on-disk partitioning ([`shard_of`]), so concurrent probes of
-/// different shards never touch the same lock, and a probe of any
-/// shard never waits on an in-flight append (appends only take the
-/// index's write lock for the brief in-memory insert).
-struct ShardState {
-    index: RwLock<KeyIndex>,
-    append: Mutex<File>,
-    lock: File,
-    lock_path: PathBuf,
-}
-
-/// A memoizing report store backed by hash-partitioned JSON-lines
-/// shard files with a sharded in-memory key index.
+/// A memoizing report store backed by one JSON-lines file and an
+/// in-memory key index.
 ///
 /// The handle is cheaply cloneable — clones share one open store
 /// (`Arc` inside), so a daemon can hand every worker and every request
 /// the same warm index. `get` and `put` take `&self`: readers probe
-/// the key's shard under a shared read lock (the cache fast path),
-/// writers briefly take that one shard's write lock plus its append
-/// mutex, and traffic on different shards proceeds in parallel.
+/// the index under a shared read lock (the cache fast path), and a
+/// writer takes the write lock only for the in-memory insert, then
+/// appends under the append mutex and the on-disk advisory lock.
 pub struct ResultStore {
     inner: Arc<StoreInner>,
 }
@@ -236,7 +206,11 @@ impl Clone for ResultStore {
 
 struct StoreInner {
     dir: PathBuf,
-    shards: Vec<ShardState>,
+    /// Content key → newest decoded report. A probe never waits on an
+    /// in-flight append: appends hold the write lock only for the
+    /// insert.
+    index: RwLock<KeyIndex>,
+    append: Mutex<Appender>,
     hits: AtomicU64,
     misses: AtomicU64,
     puts: AtomicU64,
@@ -252,6 +226,15 @@ struct StoreInner {
     probe_at: Mutex<Option<Instant>>,
 }
 
+/// The append side of an open store: the handle to `results.jsonl` and
+/// the advisory lock token, `results.lock`. Each is reopened when its
+/// path no longer names the file it holds ([`follow_replacement`],
+/// [`lock_token`]).
+struct Appender {
+    file: File,
+    lock: File,
+}
+
 impl ResultStore {
     /// The conventional store location, `target/ctcp-results`, relative
     /// to the current directory.
@@ -261,8 +244,8 @@ impl ResultStore {
 
     /// Opens (creating if needed) the store in `dir`, loads every
     /// decodable line into the in-memory index, and self-heals:
-    /// corrupt lines are appended to that shard's quarantine file and
-    /// the shard is atomically rewritten without them.
+    /// corrupt lines are appended to the quarantine file and the store
+    /// file is atomically rewritten without them.
     ///
     /// # Errors
     ///
@@ -271,58 +254,46 @@ impl ResultStore {
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ResultStore> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
+        let path = dir.join(RESULTS);
+        let lock_path = dir.join(LOCK);
+        let (mut lock, was_stale) = open_lock(&lock_path)?;
+        let mut index = KeyIndex::default();
         let mut quarantined = 0u64;
-        let mut reclaimed = 0u64;
-        let mut maps: Vec<KeyIndex> = (0..STORE_SHARDS).map(|_| KeyIndex::default()).collect();
-        let mut shards = Vec::with_capacity(STORE_SHARDS);
-        for i in 0..STORE_SHARDS {
-            let path = shard_path(dir, i);
-            let lock_path = shard_lock_path(dir, i);
-            let (lock, was_stale) = open_lock(&lock_path)?;
-            reclaimed += u64::from(was_stale);
-            // First pass, lock-free: the common case is a clean shard,
-            // and a clean open must never block behind maintenance or
-            // another handle's append on this shard.
-            if !scan_shard(&path, &mut maps)?.1.is_empty() {
-                // Damage found. Re-scan *under the shard lock* so the
-                // heal rewrite cannot race a concurrent append (a line
-                // landing between a lock-free scan and the rewrite
-                // would otherwise be silently dropped).
-                lock.lock()?;
-                let healed = (|| {
-                    let (clean, corrupt) = scan_shard(&path, &mut maps)?;
-                    quarantined += corrupt.len() as u64;
-                    append_lines(&shard_quarantine_path(dir, i), &corrupt)?;
-                    atomic_rewrite(&path, &clean)
-                })();
-                let _ = lock.unlock();
-                healed?;
-            }
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
-            shards.push((file, lock, lock_path));
+        // First pass, lock-free: the common case is a clean file, and a
+        // clean open must never block behind maintenance or another
+        // handle's append.
+        if !scan(&path, &mut index)?.1.is_empty() {
+            // Damage found. Re-scan *under the lock* so the heal
+            // rewrite cannot race a concurrent append (a line landing
+            // between a lock-free scan and the rewrite would otherwise
+            // be silently dropped). Another handle may have healed it
+            // in between; then there is nothing to rewrite.
+            lock_token(&lock_path, &mut lock)?;
+            let healed = (|| {
+                let (clean, corrupt) = scan(&path, &mut index)?;
+                if corrupt.is_empty() {
+                    return Ok(());
+                }
+                quarantined = corrupt.len() as u64;
+                append_lines(&dir.join(QUARANTINE), &corrupt)?;
+                atomic_rewrite(&path, &clean)
+            })();
+            let _ = lock.unlock();
+            healed?;
         }
-        // Index partitions are assembled after every file is scanned:
-        // a line whose key routes elsewhere (hand-edited or moved
-        // shard file) still lands in the partition `get` will probe.
-        let shards = shards
-            .into_iter()
-            .zip(maps)
-            .map(|((file, lock, lock_path), map)| ShardState {
-                index: RwLock::new(map),
-                append: Mutex::new(file),
-                lock,
-                lock_path,
-            })
-            .collect();
         Ok(ResultStore {
             inner: Arc::new(StoreInner {
                 dir: dir.to_path_buf(),
-                shards,
+                index: RwLock::new(index),
+                append: Mutex::new(Appender {
+                    file: open_append(&path)?,
+                    lock,
+                }),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 puts: AtomicU64::new(0),
                 quarantined,
-                reclaimed,
+                reclaimed: u64::from(was_stale),
                 read_only: AtomicBool::new(false),
                 probe_at: Mutex::new(None),
             }),
@@ -335,12 +306,12 @@ impl ResultStore {
     }
 
     /// Looks up `key` in the in-memory index, counting the outcome.
-    /// Readers only take the key's shard-index read lock — never the
-    /// append path — so concurrent cache probes proceed in parallel
-    /// with each other and with writers on other shards.
+    /// Readers only take the index's read lock — never the append
+    /// path — so concurrent cache probes proceed in parallel with each
+    /// other and wait on a writer only for its in-memory insert.
     pub fn get(&self, key: u64) -> Option<SimReport> {
-        let shard = &self.inner.shards[shard_of(key)];
-        let found = shard
+        let found = self
+            .inner
             .index
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -358,10 +329,10 @@ impl ResultStore {
         }
     }
 
-    /// Records `report` under `key`: the in-memory insert under that
-    /// shard's index write lock, then one line appended to the key's
-    /// shard file in a single write under its append mutex and on-disk
-    /// advisory lock, then flushed — so a killed run loses at most the
+    /// Records `report` under `key`: the in-memory insert under the
+    /// index write lock, then one line appended to `results.jsonl` in
+    /// a single write under the append mutex and the on-disk advisory
+    /// lock, then flushed — so a killed run loses at most the
     /// in-flight report and concurrent writers (in this process or
     /// another) never interleave bytes within a line.
     ///
@@ -375,8 +346,7 @@ impl ResultStore {
     /// the disk — degraded, not crashed.
     pub fn put(&self, key: u64, workload: &str, report: &SimReport) -> std::io::Result<()> {
         self.inner.puts.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.inner.shards[shard_of(key)];
-        shard
+        self.inner
             .index
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -388,15 +358,18 @@ impl ResultStore {
         }
         let mut line = encode_line(key, workload, report);
         line.push('\n');
-        let mut file = shard.append.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self
+            .inner
+            .append
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let app = &mut *guard;
         // Fault injection: the `store-truncate` fail point models a
-        // crash mid-append — half the bytes land, no newline. An
-        // argument restricts the tear to that one shard index, so a
-        // test can wound a single shard while the others stay clean.
-        // The next open must quarantine the torn line, not choke on it.
-        if truncate_armed_for(shard_of(key)) {
-            file.write_all(&line.as_bytes()[..line.len() / 2])?;
-            return file.flush();
+        // crash mid-append — half the bytes land, no newline. The next
+        // open must quarantine the torn line, not choke on it.
+        if failpoint::is_active("store-truncate") {
+            app.file.write_all(&line.as_bytes()[..line.len() / 2])?;
+            return app.file.flush();
         }
         // The `disk-full` fail point makes every append fail the way a
         // full filesystem would, exercising the degradation ladder.
@@ -405,9 +378,11 @@ impl ResultStore {
                 "no space left on device (fail point)",
             ))
         } else {
-            shard.lock.lock()?;
-            let r = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-            let _ = shard.lock.unlock();
+            lock_token(&self.inner.dir.join(LOCK), &mut app.lock)?;
+            let r = follow_replacement(&self.inner.dir.join(RESULTS), &mut app.file)
+                .and_then(|()| app.file.write_all(line.as_bytes()))
+                .and_then(|()| app.file.flush());
+            let _ = app.lock.unlock();
             r
         };
         match appended {
@@ -462,14 +437,13 @@ impl ResultStore {
     /// Counters for this shared store (cumulative across every clone
     /// of the handle). `entries` is computed from the live index.
     pub fn stats(&self) -> StoreStats {
-        let entries = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.index.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum();
         StoreStats {
-            entries,
+            entries: self
+                .inner
+                .index
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
             puts: self.inner.puts.load(Ordering::Relaxed),
@@ -477,50 +451,87 @@ impl ResultStore {
             reclaimed: self.inner.reclaimed,
         }
     }
-
-    /// Live index size of every shard, in shard order — the per-shard
-    /// breakdown of [`StoreStats::entries`], exposed as operator
-    /// gauges so a skewed shard is visible without reading files.
-    pub fn shard_entries(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.index.read().unwrap_or_else(PoisonError::into_inner).len())
-            .collect()
-    }
 }
 
 impl Drop for StoreInner {
     /// Best-effort lock-file cleanup, run when the last clone of the
-    /// handle drops. A shard lock file is a pure token, so the last
-    /// handle out removes it; `try_lock` skips the window where
-    /// another process's handle is mid-append (that handle's own drop
-    /// will collect the file instead).
+    /// handle drops: the lock file is a pure token, so the last handle
+    /// out removes it.
     fn drop(&mut self) {
-        for s in &self.shards {
-            if s.lock.try_lock().is_ok() {
-                let _ = std::fs::remove_file(&s.lock_path);
-                let _ = s.lock.unlock();
-            }
+        let app = self
+            .append
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        remove_token_if_free(&self.dir.join(LOCK), &app.lock);
+    }
+}
+
+/// Opens `path` for appending, creating it if needed.
+fn open_append(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new().create(true).append(true).open(path)
+}
+
+/// Whether `path` names the file `held` has open; a missing path names
+/// nothing. Without unix file identities the answer is always yes.
+#[cfg(unix)]
+fn names(path: &Path, held: &File) -> std::io::Result<bool> {
+    use std::os::unix::fs::MetadataExt;
+    let held = held.metadata()?;
+    match std::fs::metadata(path) {
+        Ok(now) => Ok((now.dev(), now.ino()) == (held.dev(), held.ino())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+#[cfg(not(unix))]
+fn names(_path: &Path, _held: &File) -> std::io::Result<bool> {
+    Ok(true)
+}
+
+/// Reopens `file` when `path` no longer names it: compaction, or
+/// another handle's heal, replaced it by a rename, and an append to the
+/// replaced file would vanish with it. Called under the advisory lock,
+/// which every replacement holds too.
+fn follow_replacement(path: &Path, file: &mut File) -> std::io::Result<()> {
+    if !names(path, file)? {
+        *file = open_append(path)?;
+    }
+    Ok(())
+}
+
+/// Takes the advisory lock on the token at `path`. The last handle out
+/// and a finished compaction remove a free token, and a lock on a
+/// removed token excludes nobody, so a lock taken on a file `path` no
+/// longer names is dropped and taken again on a reopened token.
+fn lock_token(path: &Path, lock: &mut File) -> std::io::Result<()> {
+    loop {
+        lock.lock()?;
+        if names(path, lock)? {
+            return Ok(());
         }
+        let _ = lock.unlock();
+        *lock = open_lock(path)?.0;
     }
 }
 
-/// True when the `store-truncate` fail point should tear writes to
-/// `shard`: armed bare it tears every shard, armed with a numeric
-/// argument it tears only that shard index.
-fn truncate_armed_for(shard: usize) -> bool {
-    match failpoint::arg("store-truncate") {
-        None => false,
-        Some(a) if a.is_empty() => true,
-        Some(a) => a.parse::<usize>().ok() == Some(shard),
+/// Removes the token at `path` when nobody holds its lock and `path`
+/// still names the file `lock` has open. `try_lock` skips the window
+/// where another handle is mid-append (that handle's own drop will
+/// collect the file instead).
+fn remove_token_if_free(path: &Path, lock: &File) {
+    if lock.try_lock().is_ok() {
+        if names(path, lock).unwrap_or(false) {
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = lock.unlock();
     }
 }
 
-/// Reads one shard file, folding valid reports into the index
-/// partition their *key* routes to (newest line wins) and returning
-/// its `(clean, corrupt)` lines. A missing shard scans as empty.
-fn scan_shard(path: &Path, maps: &mut [KeyIndex]) -> std::io::Result<(Vec<RawLine>, Vec<RawLine>)> {
+/// Reads the store file, folding valid reports into `index` (newest
+/// line wins) and returning its `(clean, corrupt)` lines. A missing
+/// file scans as empty.
+fn scan(path: &Path, index: &mut KeyIndex) -> std::io::Result<(Vec<RawLine>, Vec<RawLine>)> {
     let mut clean = Vec::new();
     let mut corrupt = Vec::new();
     if let Ok(existing) = File::open(path) {
@@ -528,7 +539,7 @@ fn scan_shard(path: &Path, maps: &mut [KeyIndex]) -> std::io::Result<(Vec<RawLin
             let line = line?;
             match classify_line(&line) {
                 Line::Valid { key, report } => {
-                    maps[shard_of(key)].insert(key, *report);
+                    index.insert(key, *report);
                     clean.push(line);
                 }
                 Line::Stale => clean.push(line),
@@ -752,37 +763,34 @@ pub struct VerifyReport {
     pub entries: usize,
 }
 
-/// Read-only integrity scan of every shard file of the store in `dir`.
-/// Touches nothing — no quarantine, no healing, no locks — so it is
-/// safe to run concurrently with a sweep.
+/// Read-only integrity scan of the store file in `dir`. Touches
+/// nothing — no quarantine, no healing, no locks — so it is safe to
+/// run concurrently with a sweep.
 ///
 /// # Errors
 ///
 /// Propagates real I/O errors; a missing store verifies as empty.
 pub fn verify(dir: impl AsRef<Path>) -> std::io::Result<VerifyReport> {
-    let dir = dir.as_ref();
     let mut rep = VerifyReport::default();
+    let Ok(existing) = File::open(dir.as_ref().join(RESULTS)) else {
+        return Ok(rep);
+    };
     let mut keys = std::collections::HashSet::new();
-    for shard in 0..STORE_SHARDS {
-        let Ok(existing) = File::open(shard_path(dir, shard)) else {
-            continue;
-        };
-        for line in raw_lines(existing) {
-            match classify_line(&line?) {
-                Line::Valid { key, .. } => {
-                    rep.lines += 1;
-                    rep.valid += 1;
-                    keys.insert(key);
-                }
-                Line::Stale => {
-                    rep.lines += 1;
-                    rep.stale += 1;
-                }
-                Line::Blank => {}
-                Line::Corrupt => {
-                    rep.lines += 1;
-                    rep.corrupt += 1;
-                }
+    for line in raw_lines(existing) {
+        match classify_line(&line?) {
+            Line::Valid { key, .. } => {
+                rep.lines += 1;
+                rep.valid += 1;
+                keys.insert(key);
+            }
+            Line::Stale => {
+                rep.lines += 1;
+                rep.stale += 1;
+            }
+            Line::Blank => {}
+            Line::Corrupt => {
+                rep.lines += 1;
+                rep.corrupt += 1;
             }
         }
     }
@@ -799,75 +807,56 @@ pub struct CompactReport {
     pub superseded: usize,
     /// Old-format lines dropped (their keys can never hit again).
     pub stale: usize,
-    /// Corrupt lines moved to quarantine files.
+    /// Corrupt lines moved to the quarantine file.
     pub quarantined: usize,
 }
 
 /// Rewrites the store in `dir` down to one line per key — the newest —
-/// dropping stale-version lines and quarantining corrupt ones. Each
-/// shard is processed independently under its own advisory lock, so a
-/// concurrent reader or writer on another shard is never blocked. Each rewrite is atomic (temp file + rename); surviving
-/// lines keep their original bytes and relative order.
+/// dropping stale-version lines and quarantining corrupt ones. The
+/// advisory lock is held across the read and the rewrite, so a
+/// concurrent append cannot fall between them; the lock file is
+/// removed afterwards if no other handle holds it. The rewrite is
+/// atomic (temp file + rename); surviving lines keep their original
+/// bytes and relative order.
 ///
 /// # Errors
 ///
 /// Propagates real I/O errors; a missing store compacts to empty.
 pub fn compact(dir: impl AsRef<Path>) -> std::io::Result<CompactReport> {
     let dir = dir.as_ref();
+    let path = dir.join(RESULTS);
     let mut rep = CompactReport::default();
-    for i in 0..STORE_SHARDS {
-        compact_shard(dir, i, &mut rep)?;
-    }
-    Ok(rep)
-}
-
-/// Compacts one shard under its own lock (held across the read and the
-/// rewrite, so a concurrent append cannot fall between them). The lock
-/// file is removed afterwards if no other handle holds it.
-fn compact_shard(dir: &Path, shard: usize, rep: &mut CompactReport) -> std::io::Result<()> {
-    let path = shard_path(dir, shard);
     if !path.exists() {
-        return Ok(());
+        return Ok(rep);
     }
-    let lock_path = shard_lock_path(dir, shard);
-    let (lock, _) = open_lock(&lock_path)?;
-    lock.lock()?;
-    let compacted = compact_shard_locked(dir, shard, &path, rep);
+    let lock_path = dir.join(LOCK);
+    let (mut lock, _) = open_lock(&lock_path)?;
+    lock_token(&lock_path, &mut lock)?;
+    let compacted = compact_locked(dir, &path, &mut rep);
     let _ = lock.unlock();
-    // Token cleanup, same protocol as `ResultStore::drop`.
-    if lock.try_lock().is_ok() {
-        let _ = std::fs::remove_file(&lock_path);
-        let _ = lock.unlock();
-    }
-    compacted
+    remove_token_if_free(&lock_path, &lock);
+    compacted.map(|()| rep)
 }
 
-fn compact_shard_locked(
-    dir: &Path,
-    shard: usize,
-    path: &Path,
-    rep: &mut CompactReport,
-) -> std::io::Result<()> {
+fn compact_locked(dir: &Path, path: &Path, rep: &mut CompactReport) -> std::io::Result<()> {
     let Ok(existing) = File::open(path) else {
         return Ok(());
     };
     // (key, raw line) per valid line, in file order; last wins.
     let mut valid: Vec<(u64, RawLine)> = Vec::new();
     let mut corrupt: Vec<RawLine> = Vec::new();
-    let mut stale = 0usize;
     for line in raw_lines(existing) {
         let line = line?;
         match classify_line(&line) {
             Line::Valid { key, .. } => valid.push((key, line)),
-            Line::Stale => stale += 1,
+            Line::Stale => rep.stale += 1,
             Line::Blank => {}
             Line::Corrupt => corrupt.push(line),
         }
     }
-    rep.stale += stale;
     rep.quarantined += corrupt.len();
     if !corrupt.is_empty() {
-        append_lines(&shard_quarantine_path(dir, shard), &corrupt)?;
+        append_lines(&dir.join(QUARANTINE), &corrupt)?;
     }
     // Keep only each key's final occurrence, preserving its position.
     let mut last: HashMap<u64, usize> = HashMap::new();
@@ -894,9 +883,9 @@ pub struct GcReport {
     pub quarantine_bytes: u64,
 }
 
-/// Full garbage collection: [`compact`], then delete every shard's
-/// quarantine file — use once quarantined lines have been
-/// inspected (or given up on).
+/// Full garbage collection: [`compact`], then delete the quarantine
+/// file — use once quarantined lines have been inspected (or given up
+/// on).
 ///
 /// # Errors
 ///
@@ -904,12 +893,11 @@ pub struct GcReport {
 pub fn gc(dir: impl AsRef<Path>) -> std::io::Result<GcReport> {
     let dir = dir.as_ref();
     let compact = compact(dir)?;
+    let qpath = dir.join(QUARANTINE);
     let mut quarantine_bytes = 0u64;
-    for qpath in (0..STORE_SHARDS).map(|i| shard_quarantine_path(dir, i)) {
-        if let Ok(m) = std::fs::metadata(&qpath) {
-            std::fs::remove_file(&qpath)?;
-            quarantine_bytes += m.len();
-        }
+    if let Ok(m) = std::fs::metadata(&qpath) {
+        std::fs::remove_file(&qpath)?;
+        quarantine_bytes = m.len();
     }
     Ok(GcReport {
         compact,
@@ -950,7 +938,7 @@ mod tests {
     fn keys_separate_warmup_from_measurement_budget() {
         // A warmed-up run and an all-timed run of the same total budget
         // are different cells: the key (via the config's Debug form)
-        // and the shard routing must both see the split.
+        // must see the split.
         let cold = SimConfig {
             max_insts: 10_000,
             ..SimConfig::default()
@@ -959,9 +947,7 @@ mod tests {
             warmup_insts: 5_000,
             ..cold
         };
-        let (ka, kb) = (job_key("gzip", &cold), job_key("gzip", &warmed));
-        assert_ne!(ka, kb);
-        assert!(shard_of(ka) < STORE_SHARDS && shard_of(kb) < STORE_SHARDS);
+        assert_ne!(job_key("gzip", &cold), job_key("gzip", &warmed));
     }
 
     #[test]
@@ -981,16 +967,6 @@ mod tests {
         // The canonical IEEE check value: crc32(b"123456789).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn shard_of_is_total_and_uses_the_high_half() {
-        for key in 0..256u64 {
-            assert!(shard_of(key) < STORE_SHARDS);
-        }
-        // Two keys differing only above bit 32 must be able to land in
-        // different shards — the fold makes the high half matter.
-        assert_ne!(shard_of(0), shard_of(1 << 32));
     }
 
     #[test]
@@ -1035,12 +1011,10 @@ mod tests {
             let s = ResultStore::open(&dir).unwrap();
             s.put(7, "unit", &sample_report()).unwrap();
         }
-        for i in 0..STORE_SHARDS {
-            assert!(
-                !shard_lock_path(&dir, i).exists(),
-                "lock token {i} must be cleaned up on drop"
-            );
-        }
+        assert!(
+            !dir.join(LOCK).exists(),
+            "the lock token must be cleaned up on drop"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1048,15 +1022,13 @@ mod tests {
     fn stale_lock_tokens_from_a_dead_owner_are_reclaimed() {
         let _g = fail_points_held();
         let dir = temp_dir("store-stale-locks");
-        // A SIGKILLed daemon leaves its stamped lock tokens behind; the
-        // OS released the advisory locks with the process, so the next
-        // open must reclaim (restamp) them rather than wedge.
-        for i in 0..STORE_SHARDS {
-            std::fs::write(shard_lock_path(&dir, i), "999999999 0\n").unwrap();
-        }
+        // A SIGKILLed daemon leaves its stamped lock token behind; the
+        // OS released the advisory lock with the process, so the next
+        // open must reclaim (restamp) it rather than wedge.
+        std::fs::write(dir.join(LOCK), "999999999 0\n").unwrap();
         let s = ResultStore::open(&dir).unwrap();
-        assert_eq!(s.stats().reclaimed, STORE_SHARDS as u64);
-        let stamp = std::fs::read_to_string(shard_lock_path(&dir, 0)).unwrap();
+        assert_eq!(s.stats().reclaimed, 1);
+        let stamp = std::fs::read_to_string(dir.join(LOCK)).unwrap();
         assert!(
             stamp.starts_with(&format!("{} ", std::process::id())),
             "token restamped with the live owner: {stamp:?}"
@@ -1064,9 +1036,7 @@ mod tests {
         // The store is fully functional behind reclaimed tokens.
         s.put(7, "unit", &sample_report()).unwrap();
         drop(s);
-        for i in 0..STORE_SHARDS {
-            assert!(!shard_lock_path(&dir, i).exists(), "token {i} cleaned up");
-        }
+        assert!(!dir.join(LOCK).exists(), "token cleaned up");
         // A healthy reopen (our own fresh tokens) reclaims nothing.
         let s = ResultStore::open(&dir).unwrap();
         drop(s);
@@ -1109,16 +1079,16 @@ mod tests {
             let s = ResultStore::open(&dir).unwrap();
             s.put(key, "unit", &sample_report()).unwrap();
         }
-        // Crash mid-append: the last line of key 99's shard stops half
-        // way, no newline.
+        // Crash mid-append: the last line (key 99's) stops half way, no
+        // newline.
         let torn = {
             let full = encode_line(99, "unit", &sample_report());
             full[..full.len() / 2].to_string()
         };
-        let shard = shard_path(&dir, shard_of(99));
-        let mut text = std::fs::read_to_string(&shard).unwrap_or_default();
+        let file = dir.join(RESULTS);
+        let mut text = std::fs::read_to_string(&file).unwrap_or_default();
         text.push_str(&torn);
-        std::fs::write(&shard, &text).unwrap();
+        std::fs::write(&file, &text).unwrap();
 
         let s = ResultStore::open(&dir).unwrap();
         assert_eq!(s.stats().entries, 1, "good line survives");
@@ -1126,9 +1096,9 @@ mod tests {
         assert!(s.get(key).is_some());
         assert!(s.get(99).is_none(), "torn line must miss");
         drop(s);
-        // Healing: the torn line moved to its shard's quarantine, and
-        // the shard itself is clean again.
-        let q = std::fs::read_to_string(shard_quarantine_path(&dir, shard_of(99))).unwrap();
+        // Healing: the torn line moved to the quarantine, and the store
+        // file itself is clean again.
+        let q = std::fs::read_to_string(dir.join(QUARANTINE)).unwrap();
         assert_eq!(q, format!("{torn}\n"));
         let healed = verify(&dir).unwrap();
         assert_eq!((healed.valid, healed.corrupt), (1, 0));
@@ -1139,8 +1109,8 @@ mod tests {
     fn an_invalid_utf8_byte_spoils_only_its_own_line() {
         let _g = fail_points_held();
         let dir = temp_dir("store-utf8");
-        // Three keys in one shard, one line each.
-        let keys: Vec<u64> = (0..).filter(|&k| shard_of(k) == 0).take(3).collect();
+        // Three keys, one line each.
+        let keys = [0u64, 1, 2];
         {
             let s = ResultStore::open(&dir).unwrap();
             for &k in &keys {
@@ -1148,16 +1118,16 @@ mod tests {
             }
         }
         // Flip the high bit of one ASCII byte in the middle line.
-        let shard = shard_path(&dir, 0);
-        let flip = |dir: &Path| {
-            let mut bytes = std::fs::read(shard_path(dir, 0)).unwrap();
+        let file = dir.join(RESULTS);
+        let flip = |file: &Path| {
+            let mut bytes = std::fs::read(file).unwrap();
             let start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
             let len = bytes[start..].iter().position(|&b| b == b'\n').unwrap();
             bytes[start + len / 2] ^= 0x80;
-            std::fs::write(shard_path(dir, 0), &bytes).unwrap();
+            std::fs::write(file, &bytes).unwrap();
             bytes[start..start + len].to_vec()
         };
-        let bad = flip(&dir);
+        let bad = flip(&file);
         assert!(std::str::from_utf8(&bad).is_err());
 
         let rep = verify(&dir).unwrap();
@@ -1167,18 +1137,18 @@ mod tests {
         assert!(s.get(keys[0]).is_some() && s.get(keys[2]).is_some());
         assert!(s.get(keys[1]).is_none(), "the flipped line must miss");
         drop(s);
-        // Quarantined byte for byte; the shard is clean again.
-        let q = std::fs::read(shard_quarantine_path(&dir, 0)).unwrap();
+        // Quarantined byte for byte; the store file is clean again.
+        let q = std::fs::read(dir.join(QUARANTINE)).unwrap();
         assert_eq!(q, [bad.as_slice(), b"\n"].concat());
         assert_eq!(verify(&dir).unwrap().corrupt, 0);
 
         // Compaction quarantines such a line too, and keeps the rest.
-        let bad = flip(&dir);
+        let bad = flip(&file);
         let rep = compact(&dir).unwrap();
         assert_eq!((rep.kept, rep.quarantined), (1, 1));
-        let q = std::fs::read(shard_quarantine_path(&dir, 0)).unwrap();
+        let q = std::fs::read(dir.join(QUARANTINE)).unwrap();
         assert!(q.ends_with(&[bad.as_slice(), b"\n"].concat()));
-        assert!(std::fs::read(&shard).unwrap().is_ascii());
+        assert!(std::fs::read(&file).unwrap().is_ascii());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1205,12 +1175,11 @@ mod tests {
         let _g = fail_points_held();
         let dir = temp_dir("store-mixed");
         let key = job_key("unit", &SimConfig::default());
-        // A v1-era line (no CRC) in the shard its key routes to:
-        // well-formed, just old.
+        // A v1-era line (no CRC): well-formed, just old.
         let old = "{\"v\":1,\"key\":\"000000000000002a\",\"workload\":\"unit\",\"report\":{}}";
-        let shard = shard_path(&dir, shard_of(0x2a));
+        let file = dir.join(RESULTS);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&shard, format!("{old}\n")).unwrap();
+        std::fs::write(&file, format!("{old}\n")).unwrap();
         {
             let s = ResultStore::open(&dir).unwrap();
             assert_eq!(s.stats().entries, 0, "stale line must miss");
@@ -1219,7 +1188,7 @@ mod tests {
             s.put(key, "unit", &sample_report()).unwrap();
         }
         // The stale line is preserved in place.
-        let text = std::fs::read_to_string(&shard).unwrap();
+        let text = std::fs::read_to_string(&file).unwrap();
         assert!(text.starts_with(old));
         let rep = verify(&dir).unwrap();
         assert_eq!((rep.valid, rep.stale, rep.corrupt), (1, 1, 0));
@@ -1256,6 +1225,69 @@ mod tests {
     }
 
     #[test]
+    fn appends_after_the_file_is_replaced_survive_a_reopen() {
+        let _g = fail_points_held();
+        let dir = temp_dir("store-follow");
+        let live = ResultStore::open(&dir).unwrap();
+        live.put(1, "unit", &sample_report()).unwrap();
+        // Compaction replaces the file under the live handle…
+        compact(&dir).unwrap();
+        live.put(2, "unit", &sample_report()).unwrap();
+        // …and so does another handle's heal of a torn line.
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(dir.join(RESULTS))
+            .unwrap();
+        file.write_all(b"{\"v\":4,\"key\":\"torn").unwrap();
+        drop(file);
+        assert_eq!(ResultStore::open(&dir).unwrap().stats().quarantined, 1);
+        live.put(3, "unit", &sample_report()).unwrap();
+        drop(live);
+        let s = ResultStore::open(&dir).unwrap();
+        for key in 1..=3 {
+            assert!(s.get(key).is_some(), "the append of key {key} was lost");
+        }
+        assert_eq!(s.stats().quarantined, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_retakes_a_removed_lock_token() {
+        let _g = fail_points_held();
+        let dir = temp_dir("store-token");
+        let live = ResultStore::open(&dir).unwrap();
+        // Compaction removes the free token the live handle holds open…
+        compact(&dir).unwrap();
+        assert!(!dir.join(LOCK).exists());
+        live.put(1, "unit", &sample_report()).unwrap();
+        // …so an append must lock the token now at the path, which a
+        // compaction or heal in another handle locks too.
+        let held = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK))
+            .unwrap();
+        held.lock().unwrap();
+        let (done, appended) = std::sync::mpsc::channel();
+        let writer = live.clone();
+        let writer = std::thread::spawn(move || {
+            writer.put(2, "unit", &sample_report()).unwrap();
+            done.send(()).unwrap();
+        });
+        assert!(
+            appended.recv_timeout(Duration::from_millis(150)).is_err(),
+            "the append ran while another handle held the token"
+        );
+        held.unlock().unwrap();
+        appended.recv_timeout(Duration::from_secs(10)).unwrap();
+        writer.join().unwrap();
+        drop(live);
+        assert!(!dir.join(LOCK).exists(), "the last handle out removes it");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn compact_keeps_newest_per_key_and_round_trips() {
         let _g = fail_points_held();
         let dir = temp_dir("store-compact");
@@ -1267,13 +1299,12 @@ mod tests {
             r.cycles = 777;
             s.put(1, "unit", &r).unwrap();
         }
-        // Add one stale and one corrupt line (to key 1's shard) for
-        // compact to dispose of.
-        let shard = shard_path(&dir, shard_of(1));
-        let mut text = std::fs::read_to_string(&shard).unwrap();
+        // Add one stale and one corrupt line for compact to dispose of.
+        let file = dir.join(RESULTS);
+        let mut text = std::fs::read_to_string(&file).unwrap();
         text.push_str("{\"v\":1,\"key\":\"0000000000000001\",\"workload\":\"u\",\"report\":{}}\n");
         text.push_str("{\"v\":2,\"key\":\"00\n");
-        std::fs::write(&shard, &text).unwrap();
+        std::fs::write(&file, &text).unwrap();
 
         let rep = compact(&dir).unwrap();
         assert_eq!(rep.kept, 2);
@@ -1296,10 +1327,8 @@ mod tests {
                 ..CompactReport::default()
             }
         );
-        // compact's transient shard locks are cleaned up behind it.
-        for i in 0..STORE_SHARDS {
-            assert!(!shard_lock_path(&dir, i).exists());
-        }
+        // compact's transient lock token is cleaned up behind it.
+        assert!(!dir.join(LOCK).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1308,13 +1337,11 @@ mod tests {
         let _g = fail_points_held();
         let dir = temp_dir("store-gc");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(shard_path(&dir, 0), "{\"v\":2,\"key\":\"00\n").unwrap();
+        std::fs::write(dir.join(RESULTS), "{\"v\":2,\"key\":\"00\n").unwrap();
         let rep = gc(&dir).unwrap();
         assert_eq!(rep.compact.quarantined, 1);
         assert!(rep.quarantine_bytes > 0);
-        for i in 0..STORE_SHARDS {
-            assert!(!shard_quarantine_path(&dir, i).exists());
-        }
+        assert!(!dir.join(QUARANTINE).exists());
         assert_eq!(verify(&dir).unwrap(), VerifyReport::default());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1325,12 +1352,12 @@ mod tests {
         let dir = temp_dir("store-verify-ro");
         std::fs::create_dir_all(&dir).unwrap();
         let text = "{\"v\":2,\"key\":\"00\n";
-        std::fs::write(shard_path(&dir, 0), text).unwrap();
+        std::fs::write(dir.join(RESULTS), text).unwrap();
         let rep = verify(&dir).unwrap();
         assert_eq!((rep.lines, rep.corrupt), (1, 1));
         // No quarantine, no healing: bytes untouched.
-        assert_eq!(std::fs::read_to_string(shard_path(&dir, 0)).unwrap(), text);
-        assert!(!shard_quarantine_path(&dir, 0).exists());
+        assert_eq!(std::fs::read_to_string(dir.join(RESULTS)).unwrap(), text);
+        assert!(!dir.join(QUARANTINE).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

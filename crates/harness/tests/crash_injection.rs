@@ -12,7 +12,7 @@
 //! Fail-point state is process-global, so every test serialises on one
 //! mutex and disarms on entry and exit.
 
-use ctcp_harness::{failure_table, shard_of, Harness, Job, JobError, JobOutcome, ResultStore};
+use ctcp_harness::{failure_table, Harness, Job, JobError, JobOutcome, ResultStore};
 use ctcp_isa::{Program, ProgramBuilder, Reg};
 use ctcp_sim::{SimConfig, Strategy};
 use ctcp_telemetry::{failpoint, Counter};
@@ -158,60 +158,7 @@ fn truncated_store_write_is_quarantined_on_reopen() {
     assert_eq!(h.last_batch().store_hits, 1, "healthy entry still hits");
     assert_eq!(h.last_batch().simulated, 1, "torn entry re-simulates");
     assert!(outcomes.iter().all(|o| matches!(o, JobOutcome::Ok(_))));
-    // The torn line was quarantined next to the shard it wounded.
-    let torn_key = job("steady", Strategy::Fdrt { pinning: true }, &program).key();
-    let quarantine = dir.join(format!("shard-{}.quarantine.jsonl", shard_of(torn_key)));
-    assert!(quarantine.exists());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn shard_targeted_truncation_wounds_only_that_shard() {
-    let _x = exclusive();
-    let program = spin_program();
-    let dir = temp_dir("torn-shard");
-    let cells = [
-        job("steady", Strategy::Baseline, &program),
-        job("steady", Strategy::Fdrt { pinning: true }, &program),
-        job(
-            "steady",
-            Strategy::Friendly { middle_bias: false },
-            &program,
-        ),
-    ];
-    let keys: Vec<u64> = cells.iter().map(Job::key).collect();
-    // Tear writes to the first cell's shard only. The grid is tiny, so
-    // the other cells may well share that shard — the assertions below
-    // work off the actual shard routing, not off luck.
-    let torn_shard = shard_of(keys[0]);
-    failpoint::set(Some(&format!("store-truncate={torn_shard}")));
-    {
-        let mut h = Harness::new()
-            .jobs(1)
-            .progress(false)
-            .with_store(ResultStore::open(&dir).unwrap());
-        let outcomes = h.try_run(&cells);
-        assert!(outcomes.iter().all(|o| o.report().is_some()));
-    }
-    failpoint::set(None);
-
-    // Reopen: exactly the entries routed to the torn shard were lost
-    // and quarantined; every other shard's entries survived intact.
-    let torn: Vec<&u64> = keys
-        .iter()
-        .filter(|&&k| shard_of(k) == torn_shard)
-        .collect();
-    let s = ResultStore::open(&dir).unwrap();
-    assert_eq!(s.stats().quarantined, torn.len() as u64);
-    assert_eq!(s.stats().entries, keys.len() - torn.len());
-    for &&k in &torn {
-        assert!(s.get(k).is_none(), "torn shard's entry {k:#x} must miss");
-    }
-    for &k in keys.iter().filter(|&&k| shard_of(k) != torn_shard) {
-        assert!(s.get(k).is_some(), "clean shard's entry {k:#x} survives");
-    }
-    drop(s);
-    let quarantine = dir.join(format!("shard-{torn_shard}.quarantine.jsonl"));
-    assert!(quarantine.exists(), "evidence lands next to the torn shard");
+    // The torn line was quarantined next to the store file.
+    assert!(dir.join("results.quarantine.jsonl").exists());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,13 +1,11 @@
-//! Concurrency tests for the sharded result store.
+//! Concurrency tests for the result store's file and lock.
 //!
-//! The sharded layout exists so concurrent writers stop serialising on
-//! one whole-store lock. These tests drive it the way the sweep
-//! service does — many handles on one directory, appending at once —
-//! and then hold the store to its durability contract: no torn lines,
-//! an index that matches a cold re-scan, and maintenance on one shard
-//! that never blocks traffic on another.
+//! These tests drive the store with many handles on one directory,
+//! appending at once, and then hold it to its durability contract: no
+//! torn lines, an index that matches a cold re-scan, and maintenance
+//! that waits for the advisory lock while reads never do.
 
-use ctcp_harness::{compact, shard_of, verify, ResultStore, STORE_SHARDS};
+use ctcp_harness::{compact, verify, ResultStore};
 use ctcp_sim::SimReport;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,8 +37,8 @@ fn concurrent_writers_produce_a_clean_consistent_store() {
     const WRITERS: usize = 8;
     const PUTS: u64 = 25;
     let dir = temp_dir("writers");
-    // One handle per writer, all on the same directory — the service's
-    // shape, and the old single-file store's worst case.
+    // One handle per writer, all on the same directory: every append
+    // contends for the one advisory lock.
     let handles: Vec<ResultStore> = (0..WRITERS)
         .map(|_| ResultStore::open(&dir).unwrap())
         .collect();
@@ -76,35 +74,29 @@ fn concurrent_writers_produce_a_clean_consistent_store() {
         }
     }
     drop(cold);
-    for i in 0..STORE_SHARDS {
-        assert!(
-            !dir.join(format!("shard-{i}.lock")).exists(),
-            "no orphaned lock files once every handle is gone"
-        );
-    }
+    assert!(
+        !dir.join("results.lock").exists(),
+        "no orphaned lock file once every handle is gone"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn maintenance_on_one_shard_never_blocks_another() {
-    let dir = temp_dir("shard-isolation");
-    // Two keys on different shards: key 0 lives in shard 0, and the
-    // scan below finds a partner anywhere else.
-    let key_a = 0u64;
-    let key_b = (1..64).find(|&k| shard_of(k) != shard_of(key_a)).unwrap();
+fn compaction_waits_for_the_lock_and_reads_never_do() {
+    let dir = temp_dir("lock-wait");
     let store = ResultStore::open(&dir).unwrap();
-    store.put(key_a, "stress", &marked_report(key_a)).unwrap();
-    store.put(key_b, "stress", &marked_report(key_b)).unwrap();
+    for key in [1, 2, 1] {
+        store.put(key, "stress", &marked_report(key)).unwrap();
+    }
 
-    // Wedge shard A's advisory lock, as a stuck writer would.
-    let lock_path = dir.join(format!("shard-{}.lock", shard_of(key_a)));
+    // Wedge the store's advisory lock, as a stuck writer would.
     let held = std::fs::OpenOptions::new()
         .write(true)
-        .open(&lock_path)
+        .open(dir.join("results.lock"))
         .unwrap();
     held.lock().unwrap();
 
-    // compact processes shards in order and must now block on shard A…
+    // compact must now block on the lock…
     let done = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&done);
     let dir2 = dir.clone();
@@ -116,20 +108,23 @@ fn maintenance_on_one_shard_never_blocks_another() {
     std::thread::sleep(Duration::from_millis(150));
     assert!(
         !done.load(Ordering::Acquire),
-        "compact must wait for shard A's lock, not bypass it"
+        "compact must wait for the lock, not bypass it"
     );
 
-    // …while shard B stays fully available: lock-free reads and writes
-    // on the other shard complete although maintenance is wedged.
+    // …while the read paths stay available: the file scan and the
+    // in-memory index take no lock.
     let rep = verify(&dir).unwrap();
-    assert_eq!(rep.entries, 2, "read path is never locked out");
-    store.put(key_b, "stress", &marked_report(key_b)).unwrap();
-    assert!(store.get(key_b).is_some());
+    assert_eq!(
+        (rep.valid, rep.entries),
+        (3, 2),
+        "read path is never locked out"
+    );
+    assert!(store.get(1).is_some() && store.get(2).is_some());
 
     held.unlock().unwrap();
     let rep = compactor.join().unwrap();
     assert!(done.load(Ordering::Acquire));
-    // The duplicate put of key_b above collapses to one line.
+    // The duplicate put of key 1 collapses to one line.
     assert_eq!((rep.kept, rep.superseded), (2, 1));
     std::fs::remove_dir_all(&dir).ok();
 }

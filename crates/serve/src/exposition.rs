@@ -8,9 +8,8 @@
 //! final [`Snapshot`], so adding a metric is one row here.
 //!
 //! Beside the rows render the request latency histogram (also kept by
-//! [`Registry`]), the handler's own JSON gauges, and — in `/status`
-//! only — the live-request table and the log tail, which the service
-//! builds.
+//! [`Registry`]) and — in `/status` only — the live-request table and
+//! the log tail, which the service builds.
 
 use crate::service::{relock, HandlerStats};
 use ctcp_telemetry::json::Value;
@@ -66,7 +65,7 @@ pub(crate) struct Row {
 }
 
 /// Every number the service reports about itself, in document order.
-pub(crate) static ROWS: [Row; 24] = [
+pub(crate) static ROWS: [Row; 28] = [
     Row {
         kind: GAUGE,
         family: Some("ctcp_in_flight_requests"),
@@ -241,6 +240,34 @@ pub(crate) static ROWS: [Row; 24] = [
         help: "Warmed cells that reused a captured checkpoint.",
         source: Source::Handler(|h| Value::u64(h.checkpoint_hits)),
     },
+    Row {
+        kind: GAUGE,
+        family: Some("ctcp_journal_bytes"),
+        key: "gauges.journal_bytes",
+        help: "Bytes in the request journal.",
+        source: Source::Handler(|h| Value::u64(h.journal_bytes)),
+    },
+    Row {
+        kind: GAUGE,
+        family: Some("ctcp_journal_compactions"),
+        key: "gauges.journal_compactions",
+        help: "Journal compactions since the daemon started.",
+        source: Source::Handler(|h| Value::u64(h.journal_compactions)),
+    },
+    Row {
+        kind: GAUGE,
+        family: Some("ctcp_journal_live_requests"),
+        key: "gauges.journal_live_requests",
+        help: "Journaled requests admitted and not yet finished.",
+        source: Source::Handler(|h| Value::u64(h.journal_live_requests)),
+    },
+    Row {
+        kind: GAUGE,
+        family: Some("ctcp_store_entries"),
+        key: "gauges.store_entries",
+        help: "Reports in the result store's index.",
+        source: Source::Handler(|h| Value::u64(h.store_entries)),
+    },
 ];
 
 /// Every registry row read at one moment — what
@@ -364,31 +391,14 @@ impl Registry {
     }
 
     /// `GET /metrics` in Prometheus text exposition format: every row
-    /// with a family, then the handler's `gauges` (arrays become one
-    /// `{shard="i"}` sample per element), then the request latency
-    /// histogram with cumulative `le` bounds.
-    pub(crate) fn prometheus(&self, snap: &Snapshot, gauges: &Value) -> String {
+    /// with a family, then the request latency histogram with
+    /// cumulative `le` bounds.
+    pub(crate) fn prometheus(&self, snap: &Snapshot) -> String {
         let mut text = String::new();
         for (row, value) in ROWS.iter().zip(&snap.values) {
             if let Some(name) = row.family {
                 let lines = [format!("{name} {}", prom_num(value))];
                 prom_family(&mut text, name, row.kind, row.help, &lines);
-            }
-        }
-
-        if let Value::Obj(fields) = gauges {
-            for (key, val) in fields {
-                let name = format!("ctcp_{key}");
-                let lines: Vec<String> = match val {
-                    Value::Arr(items) => (0..items.len())
-                        .filter(|&i| items[i].as_f64().is_some())
-                        .map(|i| format!("{name}{{shard=\"{i}\"}} {}", prom_num(&items[i])))
-                        .collect(),
-                    v if v.as_f64().is_some() => vec![format!("{name} {}", prom_num(v))],
-                    _ => continue,
-                };
-                let help = format!("Backend gauge {key}.");
-                prom_family(&mut text, &name, GAUGE, &help, &lines);
             }
         }
 

@@ -7,8 +7,8 @@
 //! requests over a hand-rolled, offline-safe HTTP/1.1 + JSON protocol,
 //! runs them through one shared execution backend, streams per-cell
 //! progress back as chunked NDJSON, and lets every connected client
-//! share the same warm result cache backed by the sharded result
-//! store in `ctcp-harness`. Requests are served *concurrently*: each
+//! share the same warm result cache backed by the result store in
+//! `ctcp-harness`. Requests are served *concurrently*: each
 //! admitted batch runs headless on a thread of its own, recording its
 //! events into a registry that every client stream reads, the handler
 //! is `&self + Sync`, and the CLI backend interleaves all in-flight

@@ -214,6 +214,15 @@ pub struct HandlerStats {
     pub checkpoint_bytes: u64,
     /// True while the result store is degraded to read-only.
     pub read_only: bool,
+    /// Bytes in the request journal now.
+    pub journal_bytes: u64,
+    /// Journal compactions since the journal was opened, the open-time
+    /// rewrite included.
+    pub journal_compactions: u64,
+    /// Journaled requests admitted and not yet finished.
+    pub journal_live_requests: u64,
+    /// Reports in the result store's index now.
+    pub store_entries: u64,
 }
 
 /// The execution backend behind the service — implemented by the CLI
@@ -250,18 +259,10 @@ pub trait Handler: Send + Sync {
         progress: &mut dyn FnMut(&Value),
     ) -> Result<RunResult, HandlerError>;
 
-    /// A live snapshot of the execution backend for `/status`.
+    /// A live snapshot of the execution backend for `/status` and
+    /// `/metrics`.
     fn stats(&self) -> HandlerStats {
         HandlerStats::default()
-    }
-
-    /// Backend-specific operator gauges as a flat JSON object —
-    /// numbers, or arrays of numbers for per-shard breakdowns. The CLI
-    /// handler reports journal size/compactions and per-shard store
-    /// entry counts here; the service folds them into `/status` and
-    /// `/metrics` without knowing their names.
-    fn gauges(&self) -> Value {
-        Value::Obj(Vec::new())
     }
 
     /// Quiesces the backend at the end of a drain: stop admitting,
@@ -358,13 +359,10 @@ impl RequestEntry {
     }
 }
 
-/// Spans kept per shard; old spans are overwritten, newest win.
-const SPAN_RING_CAP: usize = 2048;
-
-/// Span-ring shards. Cell spans shard by worker lane, so concurrent
-/// workers rarely contend on one mutex — the "lock-cheap per-worker
-/// ring" the observability layer promises.
-const SPAN_SHARDS: usize = 8;
+/// Spans kept; old spans are overwritten, newest win. A retained span
+/// costs about 450 resident bytes, so the ring stays under 2 MB: the
+/// last thousand or so cached requests, or forty 96-cell sweeps.
+const SPAN_RING_CAP: usize = 4096;
 
 /// The service lane request spans render on (admit / queued / run).
 const LANE_SERVICE: u64 = 0;
@@ -403,13 +401,14 @@ struct Inner {
     /// The last two minutes at one-second resolution, for rolling
     /// rates and windowed percentiles in `/status` and `/metrics`.
     series: Mutex<SeriesRing>,
-    /// Request-scoped spans, sharded by lane; `GET /trace/<token>`
-    /// filters and exports them as a Chrome trace.
-    spans: Vec<Mutex<SpanRing>>,
+    /// Request-scoped spans, recorded by batch and connection threads
+    /// only; `GET /trace/<token>` filters and exports them as a Chrome
+    /// trace.
+    spans: Mutex<SpanRing>,
     /// Time base for span timestamps and series slots.
     epoch: Instant,
-    /// `CTCP_SLOW_CELL_MS` override for the slow-cell log threshold;
-    /// `None` = rolling p99 × 3.
+    /// A fixed slow-cell log threshold; `None` = rolling p99 × 3. Unit
+    /// tests set it.
     slow_cell_ms: Option<u64>,
     /// Every batch this incarnation has admitted, live and finished,
     /// keyed by resume token. Finished entries are kept so a client
@@ -450,26 +449,20 @@ impl Inner {
 
     /// Records one request span under its correlation token.
     fn record_span(&self, token: &str, span: ReqSpan) {
-        let shard = (span.lane as usize) % self.spans.len();
-        relock(&self.spans[shard]).push(token, span);
+        relock(&self.spans).push(token, span);
     }
 
-    /// Every retained span of `token`, in recording order per shard.
+    /// Every retained span of `token`.
     fn spans_for(&self, token: &str) -> Vec<ReqSpan> {
-        let mut out = Vec::new();
-        for shard in &self.spans {
-            let ring = relock(shard);
-            out.extend(
-                ring.buf
-                    .iter()
-                    .filter(|(t, _)| t == token)
-                    .map(|(_, s)| s.clone()),
-            );
-        }
-        out
+        relock(&self.spans)
+            .buf
+            .iter()
+            .filter(|(t, _)| t == token)
+            .map(|(_, s)| s.clone())
+            .collect()
     }
 
-    /// The slow-cell threshold in ms: the configured override, else
+    /// The slow-cell threshold in ms: the fixed one if set, else
     /// rolling p99 × 3 once the last two minutes hold enough samples
     /// to make a percentile meaningful.
     fn slow_cell_threshold_ms(&self, now_sec: u64) -> u64 {
@@ -517,13 +510,9 @@ impl Service {
                 handler,
                 metrics: Registry::new(),
                 series: Mutex::new(SeriesRing::new(SERIES_SECONDS)),
-                spans: (0..SPAN_SHARDS)
-                    .map(|_| Mutex::new(SpanRing::new()))
-                    .collect(),
+                spans: Mutex::new(SpanRing::new()),
                 epoch: Instant::now(),
-                slow_cell_ms: std::env::var("CTCP_SLOW_CELL_MS")
-                    .ok()
-                    .and_then(|s| s.parse().ok()),
+                slow_cell_ms: None,
                 registry: Mutex::new(HashMap::new()),
                 batches: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
@@ -881,8 +870,11 @@ fn execute_entry(
 
 /// Observes one handler progress event before it is recorded: updates
 /// the entry's progress watermark for the `/status` request table,
-/// records a per-worker cell span, feeds the series ring, and logs a
-/// structured record when the cell exceeded the slow-cell threshold.
+/// records a per-worker cell span, and — for an event that carries the
+/// cell's `took_s` — feeds the series ring and logs a structured record
+/// when the cell exceeded the slow-cell threshold. Analyze's
+/// per-strategy events carry no time; counting them as 0 ms cells
+/// would drag the rolling cell percentiles and the threshold down.
 /// Non-`progress` events pass through untouched.
 fn observe_progress_event(
     inner: &Inner,
@@ -901,10 +893,9 @@ fn observe_progress_event(
         .get("workload")
         .and_then(Value::as_str)
         .unwrap_or("cell");
-    let took_s = event.get("took_s").and_then(Value::as_f64).unwrap_or(0.0);
+    let took_s = event.get("took_s").and_then(Value::as_f64);
     let worker = event.get("worker").and_then(Value::as_u64).unwrap_or(0);
-    let took_us = (took_s * 1e6) as u64;
-    let took_ms = (took_s * 1e3) as u64;
+    let took_us = (took_s.unwrap_or(0.0) * 1e6) as u64;
     inner.record_span(
         token,
         ReqSpan {
@@ -921,6 +912,10 @@ fn observe_progress_event(
             ],
         },
     );
+    let Some(took_s) = took_s else {
+        return;
+    };
+    let took_ms = (took_s * 1e3) as u64;
     let now_sec = inner.now_sec();
     relock(&inner.series).record_cell(now_sec, took_ms);
     let threshold = inner.slow_cell_threshold_ms(now_sec);
@@ -1109,8 +1104,8 @@ fn resume(req: &http::Request, out: &mut TcpStream, inner: &Inner) -> io::Result
 }
 
 /// `GET /status`: the registry's rows, the lifetime latency
-/// percentiles, the live-request table, the handler's gauges and the
-/// recent warn/error tail as one JSON document.
+/// percentiles, the live-request table and the recent warn/error tail
+/// as one JSON document.
 fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
     // Nothing here waits on a batch: the registry slots are atomics,
     // the handler snapshot reads its scheduler's atomics, and the
@@ -1119,7 +1114,6 @@ fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
     doc.extend(inner.snapshot().status_fields());
     doc.push(("latency_ms".into(), inner.metrics.latency_status()));
     doc.push(("requests".into(), Value::Arr(live_requests(inner))));
-    doc.push(("gauges".into(), inner.handler.gauges()));
     doc.push(("recent_logs".into(), Value::Arr(log::recent())));
     let body = Value::Obj(doc).render();
     http::write_response(out, 200, "application/json", body.as_bytes())
@@ -1153,7 +1147,7 @@ fn live_requests(inner: &Inner) -> Vec<Value> {
 /// `GET /trace/<token>` — one request's recorded spans as a Chrome
 /// trace-event JSON document (load in `about://tracing` or Perfetto).
 /// Tokens with no retained spans — unknown, or aged out of the span
-/// rings — get a typed `404`.
+/// ring — get a typed `404`.
 fn trace_export(token: &str, out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
     let spans = inner.spans_for(token);
     if spans.is_empty() {
@@ -1168,12 +1162,10 @@ fn trace_export(token: &str, out: &mut TcpStream, inner: &Inner) -> io::Result<(
     http::write_response(out, 200, "application/json", text.as_bytes())
 }
 
-/// `GET /metrics` — the registry, the handler's gauges and the
-/// request latency histogram in Prometheus text exposition format.
+/// `GET /metrics` — the registry and the request latency histogram in
+/// Prometheus text exposition format.
 fn metrics_export(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
-    let text = inner
-        .metrics
-        .prometheus(&inner.snapshot(), &inner.handler.gauges());
+    let text = inner.metrics.prometheus(&inner.snapshot());
     http::write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes())
 }
 
@@ -1245,18 +1237,10 @@ mod tests {
         fn stats(&self) -> HandlerStats {
             HandlerStats {
                 workers: 2,
+                journal_bytes: 2048,
+                store_entries: 7,
                 ..HandlerStats::default()
             }
-        }
-
-        fn gauges(&self) -> Value {
-            Value::Obj(vec![
-                ("journal_bytes".into(), Value::u64(2048)),
-                (
-                    "store_shard_entries".into(),
-                    Value::Arr(vec![Value::u64(3), Value::u64(4)]),
-                ),
-            ])
         }
 
         fn quiesce(&self) {
@@ -1947,19 +1931,15 @@ mod tests {
         assert_eq!(prom_get(&samples, "ctcp_workers"), 2.0);
         assert_eq!(prom_get(&samples, "ctcp_store_read_only"), 0.0);
         assert_eq!(prom_get(&samples, "ctcp_journal_bytes"), 2048.0);
-        assert_eq!(
-            prom_get(&samples, "ctcp_store_shard_entries{shard=\"1\"}"),
-            4.0
-        );
-        // Nothing else is exported: every family is a registry row, a
-        // handler gauge or the latency histogram.
+        assert_eq!(prom_get(&samples, "ctcp_store_entries"), 7.0);
+        // Nothing else is exported: every family is a registry row or
+        // the latency histogram.
         for t in &typed {
             let family = t.split(' ').next().unwrap();
             assert!(
                 crate::exposition::ROWS
                     .iter()
                     .any(|r| r.family == Some(family))
-                    || ["ctcp_journal_bytes", "ctcp_store_shard_entries"].contains(&family)
                     || family == "ctcp_request_latency_ms",
                 "unexpected /metrics family {family}"
             );
@@ -2171,12 +2151,10 @@ mod tests {
     #[test]
     fn slow_cells_trip_the_warn_log_under_the_threshold_override() {
         let _g = crate::testutil::fail_points_held();
-        // The env override is read once, at bind; scoped tightly so
-        // concurrently-binding tests are unaffected (their cells all
-        // report 0ms, which no threshold flags).
-        std::env::set_var("CTCP_SLOW_CELL_MS", "1");
-        let svc = Service::bind("127.0.0.1:0", Box::new(SlowCellHandler)).unwrap();
-        std::env::remove_var("CTCP_SLOW_CELL_MS");
+        let mut svc = Service::bind("127.0.0.1:0", Box::new(SlowCellHandler)).unwrap();
+        Arc::get_mut(&mut svc.inner)
+            .expect("nothing shares the service before it runs")
+            .slow_cell_ms = Some(1);
         let addr = svc.local_addr().to_string();
         let worker = std::thread::spawn(move || svc.run().expect("service run"));
         let resp = http::request(&addr, "POST", "/sweep", b"{}", &mut |_| {}).unwrap();
@@ -2201,6 +2179,36 @@ mod tests {
         assert!(lanes_of(&trace)
             .iter()
             .any(|(tid, spans)| *tid == LANE_WORKERS + 1 && !spans.is_empty()));
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn untimed_progress_events_advance_requests_but_not_the_cell_window() {
+        let _g = crate::testutil::fail_points_held();
+        let (handler, _q) = MockHandler::new();
+        let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
+        // An untimed event still moves its request's progress.
+        let entry = RequestEntry::new(RequestKind::Analyze);
+        let event = Value::Obj(vec![
+            ("event".into(), Value::str("progress")),
+            ("done".into(), Value::u64(1)),
+            ("total".into(), Value::u64(3)),
+        ]);
+        observe_progress_event(&svc.inner, "t", &entry, &event, 0);
+        let st = relock(&entry.state);
+        assert_eq!((st.cells_done, st.cells_total), (1, 3));
+        drop(st);
+        // A batch of them — MockHandler's two events carry no `took_s` —
+        // adds no cells to the rolling window.
+        let addr = svc.local_addr().to_string();
+        let worker = std::thread::spawn(move || svc.run().expect("service run"));
+        http::request(&addr, "POST", "/analyze", b"{}", &mut |_| {}).unwrap();
+        let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
+        let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let rolling = v.get("rolling").unwrap();
+        assert_eq!(rolling.get("cells").unwrap().as_u64(), Some(0));
+        assert_eq!(rolling.get("requests").unwrap().as_u64(), Some(1));
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         worker.join().unwrap();
     }

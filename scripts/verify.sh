@@ -33,8 +33,8 @@
 #      within 125% of the committed reference (BENCH_batch.json)
 #  10. serve smoke: a real daemon on an ephemeral port serves a client
 #      sweep byte-identical to the one-shot CLI, answers /status,
-#      drains on shutdown, and leaves a populated sharded store with
-#      no leftover socket or lock tokens
+#      drains on shutdown, and leaves a populated results.jsonl with
+#      no leftover socket or lock token
 #  11. serve concurrency gate: four overlapping clients (one big sweep
 #      + three memoized grids) against one daemon (BENCH_serve.json);
 #      the aggregate must be <= half the serialized
@@ -285,6 +285,7 @@ echo "batch throughput gate: ${batched_ms} ms (${cells_per_sec} cells/s," \
 
 echo "==> serve smoke (daemon round-trip, status, drain)"
 serve_store="$smoke_dir/serve-store"
+: > "$smoke_dir/serve.out"    # exists before the daemon's first write
 ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 --dir "$serve_store" \
     > "$smoke_dir/serve.out" 2>/dev/null &
 serve_pid=$!
@@ -314,9 +315,9 @@ if ! wait "$serve_pid"; then
     exit 1
 fi
 grep -q "drained after" "$smoke_dir/serve.out"
-# The drained store must hold the sweep's cells, sharded, with no
-# leftover lock tokens; the socket must be closed.
-cat "$serve_store"/shard-*.jsonl | grep -q .
+# The drained store must hold the sweep's cells, with no leftover
+# lock token; the socket must be closed.
+grep -q . "$serve_store/results.jsonl"
 if ls "$serve_store"/*.lock >/dev/null 2>&1; then
     echo "FAIL: orphaned lock tokens left in the serve store" >&2
     exit 1
@@ -355,6 +356,7 @@ concurrent_load() {    # echoes "<total_ms> <worst_cached_client_ms>"
     local dir="$1" pid addr="" req i s e
     rm -rf "$dir"
     mkdir -p "$dir"
+    : > "$dir/serve.out"
     ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 \
         --dir "$dir/store" > "$dir/serve.out" 2>/dev/null &
     pid=$!
@@ -466,6 +468,7 @@ chaos_dir="$smoke_dir/serve-chaos"
 mkdir -p "$chaos_dir"
 chaos_grid="--benches gzip,twolf --strategies fdrt,friendly --insts 1000000"
 chaos_daemon() {    # $1: log file; sets chaos_pid and chaos_addr
+    : > "$1"
     ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 1 \
         --dir "$chaos_dir/store" > "$1" 2>/dev/null &
     chaos_pid=$!
@@ -532,6 +535,7 @@ fi
 echo "==> serve observability gate (/metrics, /trace, logs, ctcp top)"
 obs_dir="$smoke_dir/serve-obs"
 mkdir -p "$obs_dir"
+: > "$obs_dir/serve.out"
 ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 \
     --dir "$obs_dir/store" --log-level debug --log-file "$obs_dir/serve.log" \
     > "$obs_dir/serve.out" 2>/dev/null &
