@@ -1335,9 +1335,11 @@ impl ClientStream {
 /// With a non-zero retry budget the client is self-healing: a broken
 /// connection re-attaches through `POST /resume` using the token from
 /// the daemon's `accepted` handshake (receiving only the events it has
-/// not yet seen), and a `503` sleeps out the daemon's `Retry-After`
-/// hint before asking again — under jittered exponential backoff
-/// either way.
+/// not yet seen), a `/resume` the daemon answers `404 unknown-token`
+/// (it restarted after the batch finished, or has forgotten it)
+/// re-POSTs the original body from a reset cursor, and a `503` sleeps
+/// out the daemon's `Retry-After` hint before asking again — under
+/// jittered exponential backoff every time.
 fn client_batch(
     addr: &str,
     path: &str,
@@ -1388,6 +1390,17 @@ fn client_batch(
                 }
                 None
             }
+            Ok(resp)
+                if p == "/resume"
+                    && payload.is_some()
+                    && attempt < retry.retries
+                    && is_unknown_token(&resp) =>
+            {
+                // The memoized answer is one re-POST away; its stream
+                // starts from the top.
+                st = ClientStream::default();
+                None
+            }
             Ok(resp) if resp.status == 503 => {
                 if attempt >= retry.retries {
                     return Err(CliError(saturated_message(addr, &resp.body)));
@@ -1426,6 +1439,13 @@ fn client_batch(
         std::thread::sleep(delay);
         attempt += 1;
     }
+}
+
+/// True for the daemon's typed `404 {"error":"unknown-token"}`.
+fn is_unknown_token(resp: &http::Response) -> bool {
+    resp.status == 404
+        && Value::parse(String::from_utf8_lossy(&resp.body).trim())
+            .is_ok_and(|v| v.get("error").and_then(Value::as_str) == Some("unknown-token"))
 }
 
 /// Renders the daemon's typed `503` refusal bodies: a clear "busy, try
@@ -1985,6 +2005,91 @@ mod tests {
         let tail = out.split("attribution").nth(1).unwrap();
         assert!(tail.contains("base"), "{out}");
         assert!(tail.contains("fdrt"), "{out}");
+    }
+
+    /// A daemon stand-in that answers each connection in turn with the
+    /// next of `replies`, and hands back each request's path and body.
+    fn fake_daemon(
+        replies: Vec<Box<dyn FnOnce(std::net::TcpStream) + Send>>,
+    ) -> (String, std::thread::JoinHandle<Vec<(String, String)>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for reply in replies {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+                let req = http::read_request(&mut reader).unwrap().unwrap();
+                seen.push((req.path, String::from_utf8(req.body).unwrap()));
+                reply(stream);
+            }
+            seen
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn an_unknown_resume_token_falls_back_to_re_posting_the_request() {
+        let token = "0123456789abcdef";
+        let accepted = format!("{{\"event\":\"accepted\",\"token\":\"{token}\",\"run\":7}}\n");
+        let progress = |done: u64| {
+            format!(
+                "{{\"event\":\"progress\",\"done\":{done},\"total\":2,\"workload\":\"gzip\"}}\n"
+            )
+        };
+        let result = "{\"event\":\"result\",\"exit_code\":0,\"cache_hits\":2,\
+                      \"simulated\":0,\"output\":\"the full result\\n\"}\n";
+        let stream = move |events: Vec<String>, finish: bool| {
+            Box::new(move |out: std::net::TcpStream| {
+                let mut w = http::ChunkedWriter::start(out, 200, "application/x-ndjson").unwrap();
+                for e in &events {
+                    w.chunk(e.as_bytes()).unwrap();
+                }
+                if finish {
+                    w.finish().unwrap();
+                }
+            }) as Box<dyn FnOnce(std::net::TcpStream) + Send>
+        };
+        let unknown = format!("{{\"error\":\"unknown-token\",\"token\":\"{token}\"}}");
+        let (addr, server) = fake_daemon(vec![
+            // The first stream is cut short after one event ...
+            stream(vec![accepted.clone(), progress(1)], false),
+            // ... the daemon restarted after the batch finished, so it
+            // no longer knows the token ...
+            Box::new(move |mut out: std::net::TcpStream| {
+                http::write_response(&mut out, 404, "application/json", unknown.as_bytes())
+                    .unwrap();
+            }),
+            // ... and answers the re-POST in full, from its store.
+            stream(
+                vec![accepted, progress(1), progress(2), result.to_string()],
+                true,
+            ),
+        ]);
+        let body = Value::Obj(vec![("benches".into(), Value::str("gzip"))]);
+        let retry = Reconnect {
+            retries: 3,
+            backoff_ms: 1,
+        };
+        let outcome = client_batch(&addr, "/sweep", Some(&body), None, retry).unwrap();
+        assert_eq!(outcome.output, "the full result\n");
+        assert_eq!(outcome.exit_code, 0);
+        let seen = server.join().unwrap();
+        let paths: Vec<&str> = seen.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["/sweep", "/resume", "/sweep"]);
+        assert_eq!(seen[2].1, body.render(), "the original body, re-POSTed");
+
+        // `client resume TOKEN` holds no body to fall back to.
+        let unknown = format!("{{\"error\":\"unknown-token\",\"token\":\"{token}\"}}");
+        let (addr, server) = fake_daemon(vec![Box::new(move |mut out: std::net::TcpStream| {
+            http::write_response(&mut out, 404, "application/json", unknown.as_bytes()).unwrap();
+        })]);
+        let err = client_batch(&addr, "/resume", None, Some(token.into()), retry).unwrap_err();
+        assert!(
+            err.0.contains("404") && err.0.contains("unknown-token"),
+            "{err}"
+        );
+        server.join().unwrap();
     }
 
     #[test]

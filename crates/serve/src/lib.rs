@@ -32,6 +32,8 @@
 //! and §7h in the repository root document both, and §7i documents
 //! the crash-recovery layer (request journal, worker supervision,
 //! read-only degradation, and the reconnect/resume protocol).
+//! `spans.rs` keeps the request spans `GET /trace/<token>` renders
+//! (§7j).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@
 mod exposition;
 pub mod http;
 pub mod service;
+mod spans;
 
 pub use exposition::Snapshot;
 pub use service::{

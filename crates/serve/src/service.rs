@@ -52,9 +52,10 @@
 
 use crate::exposition::{Registry, Slot, Snapshot, ROLLING_WINDOW_S};
 use crate::http;
+use crate::spans::{SpanKind, SpanRing};
 use ctcp_telemetry::json::Value;
-use ctcp_telemetry::{failpoint, log, request_trace, ReqSpan, SeriesRing, SERIES_SECONDS};
-use std::collections::HashMap;
+use ctcp_telemetry::{failpoint, log, request_trace, SeriesRing, SERIES_SECONDS};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -359,38 +360,46 @@ impl RequestEntry {
     }
 }
 
-/// Spans kept; old spans are overwritten, newest win. A retained span
-/// costs about 450 resident bytes, so the ring stays under 2 MB: the
-/// last thousand or so cached requests, or forty 96-cell sweeps.
-const SPAN_RING_CAP: usize = 4096;
+/// Finished requests the registry keeps for a late reader; beyond
+/// them the oldest finished request is forgotten first.
+const FINISHED_KEPT: usize = 256;
 
-/// The service lane request spans render on (admit / queued / run).
-const LANE_SERVICE: u64 = 0;
-/// The lane client stream/drain spans render on.
-const LANE_STREAM: u64 = 1;
-/// Worker `w`'s cell spans render on `LANE_WORKERS + w`.
-const LANE_WORKERS: u64 = 2;
-
-/// A fixed-capacity overwrite-oldest ring of `(token, span)` pairs.
-struct SpanRing {
-    buf: Vec<(String, ReqSpan)>,
-    next: usize,
+/// The request registry: every live batch and the newest
+/// [`FINISHED_KEPT`] finished ones, keyed by resume token.
+#[derive(Default)]
+struct Requests {
+    by_token: HashMap<String, Arc<RequestEntry>>,
+    /// Finished entries, oldest first.
+    finished: VecDeque<(String, Arc<RequestEntry>)>,
 }
 
-impl SpanRing {
-    fn new() -> SpanRing {
-        SpanRing {
-            buf: Vec::new(),
-            next: 0,
+impl Requests {
+    /// Registers a new run of `token`, replacing its finished one.
+    fn admit(&mut self, token: String, entry: Arc<RequestEntry>) {
+        if let Some(old) = self.by_token.insert(token, entry) {
+            self.finished.retain(|(_, e)| !Arc::ptr_eq(e, &old));
         }
     }
 
-    fn push(&mut self, token: &str, span: ReqSpan) {
-        if self.buf.len() < SPAN_RING_CAP {
-            self.buf.push((token.to_string(), span));
-        } else {
-            self.buf[self.next] = (token.to_string(), span);
-            self.next = (self.next + 1) % SPAN_RING_CAP;
+    /// Forgets `token` if it still names `entry`, not a newer run's.
+    fn forget(&mut self, token: &str, entry: &Arc<RequestEntry>) {
+        if self
+            .by_token
+            .get(token)
+            .is_some_and(|e| Arc::ptr_eq(e, entry))
+        {
+            self.by_token.remove(token);
+        }
+    }
+
+    /// Files a finished entry, forgetting the oldest beyond the bound.
+    fn retire(&mut self, token: &str, entry: &Arc<RequestEntry>) {
+        self.finished
+            .push_back((token.to_string(), Arc::clone(entry)));
+        while self.finished.len() > FINISHED_KEPT {
+            if let Some((token, entry)) = self.finished.pop_front() {
+                self.forget(&token, &entry);
+            }
         }
     }
 }
@@ -402,19 +411,19 @@ struct Inner {
     /// rates and windowed percentiles in `/status` and `/metrics`.
     series: Mutex<SeriesRing>,
     /// Request-scoped spans, recorded by batch and connection threads
-    /// only; `GET /trace/<token>` filters and exports them as a Chrome
-    /// trace.
+    /// only; `GET /trace/<token>` rebuilds one token's as a Chrome trace.
     spans: Mutex<SpanRing>,
     /// Time base for span timestamps and series slots.
     epoch: Instant,
     /// A fixed slow-cell log threshold; `None` = rolling p99 × 3. Unit
     /// tests set it.
     slow_cell_ms: Option<u64>,
-    /// Every batch this incarnation has admitted, live and finished,
-    /// keyed by resume token. Finished entries are kept so a client
-    /// that reconnects after its batch completed still gets the full
-    /// stream; the map is bounded by requests-per-daemon-lifetime.
-    registry: Mutex<HashMap<String, Arc<RequestEntry>>>,
+    /// Every live batch this incarnation has admitted and the newest
+    /// [`FINISHED_KEPT`] finished ones. Finished entries are kept so a
+    /// client that reconnects after its batch completed still gets the
+    /// full stream; one that comes back later gets `404 unknown-token`
+    /// and re-POSTs, and `/status` scans a bounded map.
+    registry: Mutex<Requests>,
     /// Unjoined batch threads, live `POST`s and journal replays alike;
     /// finished ones are reaped as batches start, and the drain joins
     /// the rest so no admitted batch is abandoned.
@@ -448,18 +457,8 @@ impl Inner {
     }
 
     /// Records one request span under its correlation token.
-    fn record_span(&self, token: &str, span: ReqSpan) {
-        relock(&self.spans).push(token, span);
-    }
-
-    /// Every retained span of `token`.
-    fn spans_for(&self, token: &str) -> Vec<ReqSpan> {
-        relock(&self.spans)
-            .buf
-            .iter()
-            .filter(|(t, _)| t == token)
-            .map(|(_, s)| s.clone())
-            .collect()
+    fn record_span(&self, token: &str, ts_us: u64, dur_us: u64, kind: SpanKind<&str>) {
+        relock(&self.spans).push(token, ts_us, dur_us, kind);
     }
 
     /// The slow-cell threshold in ms: the fixed one if set, else
@@ -513,7 +512,7 @@ impl Service {
                 spans: Mutex::new(SpanRing::new()),
                 epoch: Instant::now(),
                 slow_cell_ms: None,
-                registry: Mutex::new(HashMap::new()),
+                registry: Mutex::new(Requests::default()),
                 batches: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
                 addr,
@@ -541,10 +540,10 @@ impl Service {
         let entry = Arc::new(RequestEntry::new(kind));
         {
             let mut reg = relock(&self.inner.registry);
-            if reg.contains_key(&token) {
+            if reg.by_token.contains_key(&token) {
                 return false;
             }
-            reg.insert(token.clone(), Arc::clone(&entry));
+            reg.admit(token.clone(), Arc::clone(&entry));
         }
         self.inner.metrics.add(Slot::JournalReplayed, 1);
         start_entry(&self.inner, kind, body, token, entry);
@@ -719,7 +718,7 @@ fn execute_entry(
     kind: RequestKind,
     body: &Value,
     token: &str,
-    entry: &RequestEntry,
+    entry: &Arc<RequestEntry>,
 ) {
     if inner.metrics.add(Slot::InFlight, 1) > 0 {
         // Another batch is already running: this one rides the shared
@@ -737,20 +736,7 @@ fn execute_entry(
             ("kind", Value::str(kind.as_str())),
         ],
     );
-    inner.record_span(
-        token,
-        ReqSpan {
-            name: "admit".into(),
-            lane: LANE_SERVICE,
-            lane_name: "service".into(),
-            ts_us: started_us,
-            dur_us: 0,
-            args: vec![
-                ("token".into(), Value::str(token)),
-                ("kind".into(), Value::str(kind.as_str())),
-            ],
-        },
-    );
+    inner.record_span(token, started_us, 0, SpanKind::Admit { kind });
     let mut first_event_us: Option<u64> = None;
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         inner.handler.run(kind, body, token, &mut |event| {
@@ -764,7 +750,7 @@ fn execute_entry(
         Ok(Ok(result)) => result,
         Ok(Err(refusal)) => {
             inner.metrics.add(Slot::Rejected, 1);
-            relock(&inner.registry).remove(token);
+            relock(&inner.registry).forget(token, entry);
             log::warn(
                 "serve",
                 "request refused",
@@ -808,37 +794,17 @@ fn execute_entry(
     // best queue-time proxy the wire has: the handler emits nothing
     // until a first cell completes.
     if let Some(first) = first_event_us {
-        inner.record_span(
-            token,
-            ReqSpan {
-                name: "queued".into(),
-                lane: LANE_SERVICE,
-                lane_name: "service".into(),
-                ts_us: started_us,
-                dur_us: first.saturating_sub(started_us),
-                args: vec![("token".into(), Value::str(token))],
-            },
-        );
+        let waited = first.saturating_sub(started_us);
+        inner.record_span(token, started_us, waited, SpanKind::Queued);
     }
-    inner.record_span(
-        token,
-        ReqSpan {
-            name: format!("run {}", kind.as_str()),
-            lane: LANE_SERVICE,
-            lane_name: "service".into(),
-            ts_us: started_us,
-            dur_us: inner.now_us().saturating_sub(started_us),
-            args: vec![
-                ("token".into(), Value::str(token)),
-                (
-                    "exit_code".into(),
-                    Value::u64(result.exit_code.unsigned_abs().into()),
-                ),
-                ("cache_hits".into(), Value::u64(result.cache_hits)),
-                ("simulated".into(), Value::u64(result.simulated)),
-            ],
-        },
-    );
+    let ran = inner.now_us().saturating_sub(started_us);
+    let run = SpanKind::Run {
+        kind,
+        exit_code: result.exit_code.unsigned_abs(),
+        cache_hits: result.cache_hits,
+        simulated: result.simulated,
+    };
+    inner.record_span(token, started_us, ran, run);
     log::info(
         "serve",
         "request finished",
@@ -856,7 +822,7 @@ fn execute_entry(
     );
 
     drop(gauge);
-    entry.finish(event_line(&Value::Obj(vec![
+    let line = event_line(&Value::Obj(vec![
         ("event".into(), Value::str("result")),
         (
             "exit_code".into(),
@@ -865,7 +831,12 @@ fn execute_entry(
         ("cache_hits".into(), Value::u64(result.cache_hits)),
         ("simulated".into(), Value::u64(result.simulated)),
         ("output".into(), Value::str(&result.output)),
-    ])));
+    ]));
+    // Finished and filed under one registry lock, so a client that has
+    // read the result finds the registry already bounded.
+    let mut requests = relock(&inner.registry);
+    entry.finish(line);
+    requests.retire(token, entry);
 }
 
 /// Observes one handler progress event before it is recorded: updates
@@ -896,22 +867,13 @@ fn observe_progress_event(
     let took_s = event.get("took_s").and_then(Value::as_f64);
     let worker = event.get("worker").and_then(Value::as_u64).unwrap_or(0);
     let took_us = (took_s.unwrap_or(0.0) * 1e6) as u64;
-    inner.record_span(
-        token,
-        ReqSpan {
-            name: format!("cell {workload}"),
-            lane: LANE_WORKERS + worker,
-            lane_name: format!("worker {worker}"),
-            ts_us: now_us.saturating_sub(took_us),
-            dur_us: took_us,
-            args: vec![
-                ("token".into(), Value::str(token)),
-                ("workload".into(), Value::str(workload)),
-                ("done".into(), Value::u64(done)),
-                ("total".into(), Value::u64(total)),
-            ],
-        },
-    );
+    let cell = SpanKind::Cell {
+        worker,
+        label: workload,
+        done,
+        total,
+    };
+    inner.record_span(token, now_us.saturating_sub(took_us), took_us, cell);
     let Some(took_s) = took_s else {
         return;
     };
@@ -972,7 +934,7 @@ fn run_batch(
     // question runs fresh (and answers warm from the store anyway).
     let entry = {
         let mut reg = relock(&inner.registry);
-        match reg.get(&token) {
+        match reg.by_token.get(&token) {
             Some(live) if !live.is_done() => {
                 let live = Arc::clone(live);
                 drop(reg);
@@ -981,7 +943,7 @@ fn run_batch(
             }
             _ => {
                 let entry = Arc::new(RequestEntry::new(kind));
-                reg.insert(token.clone(), Arc::clone(&entry));
+                reg.admit(token.clone(), Arc::clone(&entry));
                 entry
             }
         }
@@ -1047,21 +1009,12 @@ fn stream_entry(
             }
         }
     })();
-    inner.record_span(
-        token,
-        ReqSpan {
-            name: "stream".into(),
-            lane: LANE_STREAM,
-            lane_name: "streams".into(),
-            ts_us: stream_start_us,
-            dur_us: inner.now_us().saturating_sub(stream_start_us),
-            args: vec![
-                ("token".into(), Value::str(token)),
-                ("from".into(), Value::u64(from as u64)),
-                ("events".into(), Value::u64((at - from) as u64)),
-            ],
-        },
-    );
+    let streamed = inner.now_us().saturating_sub(stream_start_us);
+    let sent = SpanKind::Stream {
+        from: from as u64,
+        events: (at - from) as u64,
+    };
+    inner.record_span(token, stream_start_us, streamed, sent);
     delivered
 }
 
@@ -1081,7 +1034,7 @@ fn resume(req: &http::Request, out: &mut TcpStream, inner: &Inner) -> io::Result
     };
     let have = body.get("have").and_then(Value::as_u64).unwrap_or(0) as usize;
     let run = body.get("run").and_then(Value::as_u64).unwrap_or(0);
-    let entry = relock(&inner.registry).get(&token).map(Arc::clone);
+    let entry = relock(&inner.registry).by_token.get(&token).map(Arc::clone);
     let Some(entry) = entry else {
         let body = Value::Obj(vec![
             ("error".into(), Value::str("unknown-token")),
@@ -1123,6 +1076,7 @@ fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
 /// `ctcp top`'s table.
 fn live_requests(inner: &Inner) -> Vec<Value> {
     let mut requests: Vec<(u64, Value)> = relock(&inner.registry)
+        .by_token
         .iter()
         .filter(|(_, e)| !e.is_done())
         .map(|(token, e)| {
@@ -1149,7 +1103,7 @@ fn live_requests(inner: &Inner) -> Vec<Value> {
 /// Tokens with no retained spans — unknown, or aged out of the span
 /// ring — get a typed `404`.
 fn trace_export(token: &str, out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
-    let spans = inner.spans_for(token);
+    let spans = relock(&inner.spans).spans_for(token);
     if spans.is_empty() {
         let body = Value::Obj(vec![
             ("error".into(), Value::str("unknown-token")),
@@ -1181,6 +1135,7 @@ fn shutdown(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans::{LANE_SERVICE, LANE_STREAM, LANE_WORKERS};
 
     /// A handler that "runs" a two-cell batch instantly, echoing the
     /// request back and reporting one cache hit per prior run of the
@@ -1762,6 +1717,65 @@ mod tests {
     }
 
     #[test]
+    fn the_registry_forgets_the_oldest_finished_requests_first() {
+        let _g = crate::testutil::fail_points_held();
+        let (handler, _q) = MockHandler::new();
+        let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
+        let inner = Arc::clone(&svc.inner);
+        let addr = svc.local_addr().to_string();
+        let worker = std::thread::spawn(move || svc.run().expect("service run"));
+        let bodies: Vec<String> = (0..FINISHED_KEPT + 8)
+            .map(|i| format!("{{\"grid\":{i}}}"))
+            .collect();
+        for body in &bodies {
+            let resp =
+                http::request(&addr, "POST", "/sweep", body.as_bytes(), &mut |_| {}).unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        {
+            let reg = relock(&inner.registry);
+            assert_eq!(reg.by_token.len(), FINISHED_KEPT);
+            assert_eq!(reg.finished.len(), FINISHED_KEPT);
+        }
+        let resume = |body: &str| {
+            let token = resume_token(RequestKind::Sweep, body);
+            let req = format!("{{\"token\":\"{token}\",\"have\":0,\"run\":0}}");
+            http::request(&addr, "POST", "/resume", req.as_bytes(), &mut |_| {}).unwrap()
+        };
+        let oldest = resume(&bodies[0]);
+        assert_eq!(oldest.status, 404);
+        let v = Value::parse(std::str::from_utf8(&oldest.body).unwrap()).unwrap();
+        assert_eq!(v.get("error").unwrap().as_str(), Some("unknown-token"));
+        let newest = resume(bodies.last().unwrap());
+        assert_eq!(newest.status, 200);
+        let events = parse_events(&newest.body);
+        assert_eq!(events.len(), 4, "handshake + 2 progress + result");
+        assert_eq!(
+            events[3].get("output").unwrap().as_str(),
+            Some(format!("Sweep: {}", bodies.last().unwrap()).as_str())
+        );
+
+        // Re-running a finished request replaces its entry: the kept
+        // entries are still the newest distinct ones, and forgetting
+        // the replaced run leaves the token to the newer one.
+        let newest = bodies.last().unwrap();
+        let token = resume_token(RequestKind::Sweep, newest);
+        let replaced = Arc::clone(&relock(&inner.registry).by_token[&token]);
+        http::request(&addr, "POST", "/sweep", newest.as_bytes(), &mut |_| {}).unwrap();
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        worker.join().unwrap();
+        let mut reg = relock(&inner.registry);
+        reg.forget(&token, &replaced);
+        assert!(!Arc::ptr_eq(&reg.by_token[&token], &replaced));
+        assert_eq!(reg.by_token.len(), FINISHED_KEPT);
+        assert_eq!(reg.finished.len(), FINISHED_KEPT);
+        assert!(reg
+            .finished
+            .iter()
+            .all(|(t, e)| Arc::ptr_eq(e, &reg.by_token[t])));
+    }
+
+    #[test]
     fn identical_live_posts_attach_to_one_run() {
         let _g = crate::testutil::fail_points_held();
         let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 30 })).unwrap();
@@ -2065,6 +2079,39 @@ mod tests {
         let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(v.get("error").unwrap().as_str(), Some("unknown-token"));
 
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn trace_tokens_match_as_strings_not_numbers() {
+        let _g = crate::testutil::fail_points_held();
+        let (addr, worker, _q) = start_service();
+        // A body whose token starts with a zero and holds a letter, so
+        // both misspellings differ from it.
+        let (body, token) = (0..)
+            .map(|i| format!("{{\"grid\":{i}}}"))
+            .map(|b| {
+                let t = resume_token(RequestKind::Sweep, &b);
+                (b, t)
+            })
+            .find(|(_, t)| t.starts_with('0') && t.bytes().any(|c| c.is_ascii_alphabetic()))
+            .unwrap();
+        http::request(&addr, "POST", "/sweep", body.as_bytes(), &mut |_| {}).unwrap();
+        let trace = |t: &str| {
+            http::request(&addr, "GET", &format!("/trace/{t}"), b"", &mut |_| {}).unwrap()
+        };
+        assert_eq!(trace(&token).status, 200);
+        for spelling in [
+            token.trim_start_matches('0').to_string(),
+            token.to_uppercase(),
+        ] {
+            let resp = trace(&spelling);
+            assert_eq!(resp.status, 404, "{spelling}");
+            let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            assert_eq!(v.get("error").unwrap().as_str(), Some("unknown-token"));
+            assert_eq!(v.get("token").unwrap().as_str(), Some(spelling.as_str()));
+        }
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         worker.join().unwrap();
     }

@@ -48,10 +48,12 @@
 #      the grid's cells has exactly one valid store line)
 #  13. serve observability gate: a daemon with debug logging to a file
 #      serves a mixed workload while /metrics is scraped twice (the
-#      exposition must parse and its counters must be monotone),
-#      /trace/<token> must return a non-empty Chrome trace for the
-#      request named in the structured log, every log line must be
-#      JSON, and `ctcp top --once` must render a dashboard frame
+#      exposition must parse and its counters must be monotone), every
+#      log line must be JSON, /trace/<token> of each finished request
+#      named in the log must hold its admit, queued, run <kind> and
+#      stream spans and one cell span per progress event the client
+#      printed, each on its lane (thread_name service, streams,
+#      worker N), and `ctcp top --once` must render a dashboard frame
 #  14. benchmark self-check: ctcp-benchmark's own tests, then a one-second
 #      run of each in-process workload (detailed, warmup_grid, attrib);
 #      each run completes at least one full pass and exits 0 only if
@@ -552,11 +554,12 @@ if [ -z "$obs_addr" ]; then
     exit 1
 fi
 curl -sf "http://$obs_addr/metrics" > "$obs_dir/metrics1.txt"
-# Mixed workload: a sweep and an analyze, like real clients.
+# Mixed workload: a sweep and an analyze, like real clients. Each
+# client prints one `[done/total]` line per progress event to stderr.
 ./target/release/ctcp client sweep --addr "$obs_addr" \
-    --benches gzip --strategies fdrt --insts 20000 --csv >/dev/null 2>&1
+    --benches gzip --strategies fdrt --insts 20000 --csv >/dev/null 2>"$obs_dir/sweep.err"
 ./target/release/ctcp client analyze --addr "$obs_addr" \
-    --bench gzip --insts 10000 >/dev/null 2>&1
+    --bench gzip --insts 10000 >/dev/null 2>"$obs_dir/analyze.err"
 curl -sf "http://$obs_addr/metrics" > "$obs_dir/metrics2.txt"
 # Exposition validity: every sample line is `name[{labels}] value`.
 if grep -vE '^(#|[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})? -?[0-9.e+]+$)' \
@@ -579,30 +582,44 @@ if [ "$obs_after" -lt 2 ]; then
     echo "FAIL: the mixed workload was not counted: $obs_after" >&2
     exit 1
 fi
-# Every structured log line is JSON with the core fields; the finished
-# request's token resolves to a non-empty Chrome trace.
-python3 - "$obs_dir/serve.log" > "$obs_dir/token.txt" <<'EOF'
+# Every structured log line is JSON with the core fields; each finished
+# request's token resolves to a Chrome trace of its whole life.
+python3 - "$obs_dir/serve.log" > "$obs_dir/tokens.txt" <<'EOF'
 import json, sys
-token = None
+finished = []
 for line in open(sys.argv[1]):
     rec = json.loads(line)
     for key in ("ts_ms", "level", "target", "msg"):
         assert key in rec, f"log record missing {key}: {line!r}"
     if rec["msg"] == "request finished":
-        token = rec["token"]
-assert token, "no 'request finished' record in the log"
-print(token)
+        finished.append((rec["token"], rec["kind"]))
+assert {k for _, k in finished} == {"sweep", "analyze"}, f"finished: {finished}"
+for token, kind in finished:
+    print(token, kind)
 EOF
-obs_token=$(cat "$obs_dir/token.txt")
-curl -sf "http://$obs_addr/trace/$obs_token" > "$obs_dir/trace.json"
-python3 - "$obs_dir/trace.json" <<'EOF'
-import json, sys
+while read -r obs_token obs_kind; do
+    curl -sf "http://$obs_addr/trace/$obs_token" > "$obs_dir/trace-$obs_kind.json"
+    python3 - "$obs_dir/trace-$obs_kind.json" "$obs_kind" "$obs_dir/$obs_kind.err" <<'EOF'
+import json, re, sys
 events = json.load(open(sys.argv[1]))
+kind = sys.argv[2]
+progress = sum(1 for line in open(sys.argv[3]) if re.match(r"\[\d+/\d+\] ", line))
+lanes = {e["tid"]: e["args"]["name"] for e in events if e.get("ph") == "M"}
 spans = [e for e in events if e.get("ph") == "X"]
-lanes = {e["tid"] for e in spans}
-assert len(spans) >= 3, f"trace too thin: {len(spans)} spans"
-assert len(lanes) >= 2, f"single-lane trace: {lanes}"
+named = lambda n: sum(1 for e in spans if e["name"] == n)
+for name in ("admit", "queued", f"run {kind}"):
+    assert named(name) == 1, f"{kind}: {named(name)} {name!r} spans"
+assert named("stream") >= 1, f"{kind}: no stream span"
+cells = [e for e in spans if e["name"].startswith("cell ")]
+assert progress > 0 and len(cells) == progress, \
+    f"{kind}: {len(cells)} cell spans for {progress} progress events"
+home = {"admit": "service", "queued": "service", f"run {kind}": "service", "stream": "streams"}
+for e in spans:
+    want = home.get(e["name"], f"worker {e['tid'] - 2}")
+    assert lanes.get(e["tid"]) == want, f"{kind}: {e['name']!r} on lane {lanes.get(e['tid'])!r}, want {want!r}"
+assert {"service", "streams"} <= set(lanes.values()), f"{kind}: lanes {sorted(lanes.values())}"
 EOF
+done < "$obs_dir/tokens.txt"
 ./target/release/ctcp top --addr "$obs_addr" --once > "$obs_dir/top.txt"
 grep -q "ctcp top" "$obs_dir/top.txt"
 grep -q "workers" "$obs_dir/top.txt"
