@@ -172,7 +172,7 @@ pub struct ServeArgs {
     /// `target/ctcp-results`.
     pub dir: Option<String>,
     /// Structured-log threshold (`off|error|warn|info|debug`); `None`
-    /// defers to the `CTCP_LOG` environment variable (default `warn`).
+    /// keeps the default, `warn`.
     pub log_level: Option<String>,
     /// Append structured log lines to this file instead of stderr.
     pub log_file: Option<String>,
@@ -860,8 +860,7 @@ SERVE OPTIONS:
                       queued (503; 0 = unbounded, the default)
   --dir D             result-store directory (default: target/ctcp-results)
   --log-level L       structured-log threshold: off|error|warn|info|debug
-                      (default: the CTCP_LOG env var, else warn); one JSON
-                      object per line on stderr
+                      (default: warn); one JSON object per line on stderr
   --log-file FILE     append structured log lines to FILE instead of stderr
 
 TOP OPTIONS (needs --addr HOST:PORT, as printed by `ctcp serve`):

@@ -26,7 +26,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn load_program(source: &ProgramSource) -> Result<Program, CliError> {
     match source {
@@ -115,22 +115,8 @@ pub fn execute_outcome(cli: &Cli) -> Result<CliOutcome, CliError> {
         Command::Serve(args) => serve_cmd(args),
         Command::Client(args) => client_cmd(args),
         Command::Top(args) => top_cmd(args),
-        _ => plain_text(cli).map(CliOutcome::ok),
-    }
-}
-
-/// The commands whose output carries no exit-code nuance: they either
-/// fully succeed or fail with a [`CliError`].
-fn plain_text(cli: &Cli) -> Result<String, CliError> {
-    match &cli.command {
-        Command::Sweep(_)
-        | Command::Store(_)
-        | Command::Serve(_)
-        | Command::Client(_)
-        | Command::Top(_) => {
-            unreachable!("handled by execute_outcome")
-        }
-        Command::Help => Ok(USAGE.to_string()),
+        // The rest either fully succeed or fail with a `CliError`.
+        Command::Help => Ok(CliOutcome::ok(USAGE.to_string())),
         Command::List => {
             let mut out = String::from("SPECint2000-class presets:\n");
             for b in Benchmark::spec_all() {
@@ -140,20 +126,17 @@ fn plain_text(cli: &Cli) -> Result<String, CliError> {
             for b in Benchmark::mediabench() {
                 out.push_str(&format!("  {}\n", b.name));
             }
-            Ok(out)
+            Ok(CliOutcome::ok(out))
         }
         Command::Disasm(source) => {
             let program = load_program(source)?;
-            Ok(asm::disassemble(&program))
+            Ok(CliOutcome::ok(asm::disassemble(&program)))
         }
         Command::Run(args) => {
             let program = load_program(&args.source)?;
             let r = simulate(&program, args, args.strategy)?;
-            if args.csv {
-                Ok(csv_report(&describe(&args.source), &r))
-            } else {
-                Ok(prose_report(&describe(&args.source), &r))
-            }
+            let report = if args.csv { csv_report } else { prose_report };
+            Ok(CliOutcome::ok(report(&describe(&args.source), &r)))
         }
         Command::Compare(args) => {
             let program = load_program(&args.source)?;
@@ -215,10 +198,10 @@ fn plain_text(cli: &Cli) -> Result<String, CliError> {
                     ));
                 }
             }
-            Ok(out)
+            Ok(CliOutcome::ok(out))
         }
-        Command::Trace(args) => trace(args),
-        Command::Analyze(args) => analyze(args),
+        Command::Trace(args) => trace(args).map(CliOutcome::ok),
+        Command::Analyze(args) => analyze(args, &mut StderrProgress::new(None)).map(CliOutcome::ok),
     }
 }
 
@@ -302,30 +285,30 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
 /// ([`SimBuilder::attrib`]) and renders, per strategy: the
 /// retirement-driven CPI stack, per-cluster utilization, and the top
 /// critical-path edges with the fraction of critical edges that cross
-/// clusters.
-fn analyze(args: &AnalyzeArgs) -> Result<String, CliError> {
-    analyze_with_progress(args, &mut |_, _, _| {})
-}
-
-/// [`analyze`] with a per-strategy completion callback
-/// `(done, total, strategy)` — the sweep service forwards it to the
-/// requesting client as progress events.
-fn analyze_with_progress(
-    args: &AnalyzeArgs,
-    progress: &mut dyn FnMut(usize, usize, &str),
-) -> Result<String, CliError> {
+/// clusters. Each strategy is one cell of a batch reported to
+/// `progress`, timed like a sweep cell; the sweep service streams them
+/// to the requesting client.
+fn analyze(args: &AnalyzeArgs, progress: &mut dyn ProgressSink) -> Result<String, CliError> {
     let program = load_program(&args.run.source)?;
     let name = describe(&args.run.source);
-    let mut results: Vec<SimReport> = Vec::new();
-    for (done, &s) in args.strategies.iter().enumerate() {
-        let r = run_sim(
-            Simulation::builder(&program)
-                .config(config(&args.run, s))
-                .attrib(args.top),
-        )?;
-        progress(done + 1, args.strategies.len(), &r.strategy);
-        results.push(r);
-    }
+    progress.batch_start(args.strategies.len());
+    let results: Result<Vec<SimReport>, CliError> = args
+        .strategies
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            let started = Instant::now();
+            let r = run_sim(
+                Simulation::builder(&program)
+                    .config(config(&args.run, s))
+                    .attrib(args.top),
+            )?;
+            progress.cell_done(i + 1, &r.strategy, started.elapsed());
+            Ok(r)
+        })
+        .collect();
+    progress.batch_end();
+    let results = results?;
     if args.json {
         Ok(analyze_json(&name, args, &results))
     } else if args.run.csv {
@@ -720,50 +703,6 @@ fn store_cmd(args: &StoreArgs) -> Result<CliOutcome, CliError> {
     }
 }
 
-/// Adapts the harness's [`ProgressSink`] to the sweep service's wire
-/// events: every simulated cell becomes one NDJSON `progress` event in
-/// the batch's replayable stream.
-struct EventSink<'a> {
-    emit: &'a mut dyn FnMut(&Value),
-    total: usize,
-}
-
-impl ProgressSink for EventSink<'_> {
-    fn batch_start(&mut self, total: usize) {
-        self.total = total;
-        (self.emit)(&Value::Obj(vec![
-            ("event".into(), Value::str("batch_start")),
-            ("total".into(), Value::u64(total as u64)),
-        ]));
-    }
-
-    fn cell_done(&mut self, done: usize, workload: &str, took: Duration) {
-        (self.emit)(&Value::Obj(vec![
-            ("event".into(), Value::str("progress")),
-            ("done".into(), Value::u64(done as u64)),
-            ("total".into(), Value::u64(self.total as u64)),
-            ("workload".into(), Value::str(workload)),
-            ("took_s".into(), Value::f64(took.as_secs_f64())),
-        ]));
-    }
-
-    fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
-        // The harness names the pool worker that ran the cell; stamping
-        // it into the wire event is what lets the daemon draw per-worker
-        // span lanes in `GET /trace/<token>`.
-        (self.emit)(&Value::Obj(vec![
-            ("event".into(), Value::str("progress")),
-            ("done".into(), Value::u64(done as u64)),
-            ("total".into(), Value::u64(self.total as u64)),
-            ("workload".into(), Value::str(workload)),
-            ("took_s".into(), Value::f64(took.as_secs_f64())),
-            ("worker".into(), Value::u64(worker as u64)),
-        ]));
-    }
-
-    fn batch_end(&mut self) {}
-}
-
 /// A request the daemon could not run (bad body, unknown benchmark):
 /// reported in-band as a failed result, the same exit code the
 /// one-shot CLI uses for argument errors.
@@ -796,7 +735,7 @@ impl CliHandler {
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value),
+        progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError> {
         match kind {
             RequestKind::Sweep => {
@@ -816,11 +755,7 @@ impl CliHandler {
                     .with_store(self.store.clone())
                     .with_scheduler(self.sched.clone())
                     .with_journal(self.journal.clone(), token);
-                let mut sink = EventSink {
-                    emit: progress,
-                    total: 0,
-                };
-                match run_sweep(&args, &mut harness, &mut sink) {
+                match run_sweep(&args, &mut harness, progress) {
                     Ok(outcome) => {
                         let stats = harness.last_batch();
                         Ok(RunResult {
@@ -847,15 +782,7 @@ impl CliHandler {
                 // cell scheduler — they never queue behind sweep cells,
                 // which is the fairness guarantee for small interactive
                 // requests.
-                let mut emit = |done: usize, total: usize, strategy: &str| {
-                    progress(&Value::Obj(vec![
-                        ("event".into(), Value::str("progress")),
-                        ("done".into(), Value::u64(done as u64)),
-                        ("total".into(), Value::u64(total as u64)),
-                        ("workload".into(), Value::str(strategy)),
-                    ]));
-                };
-                match analyze_with_progress(&args, &mut emit) {
+                match analyze(&args, progress) {
                     Ok(output) => Ok(RunResult {
                         output,
                         exit_code: 0,
@@ -875,7 +802,7 @@ impl Handler for CliHandler {
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value),
+        progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError> {
         // Degraded store: new batches would run without memoizing (and
         // without durable cell marks), so refuse them with a retry
@@ -933,8 +860,8 @@ impl Handler for CliHandler {
 /// requests until a client asks for shutdown. The returned output is
 /// the post-drain summary.
 fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
-    // Logging is configured before anything can emit: the flags beat
-    // the CTCP_LOG default, and a bad --log-file is a startup error
+    // Logging is configured before anything can emit (the level
+    // defaults to warn), and a bad --log-file is a startup error
     // rather than a silent fallback to stderr.
     if let Some(level) = &args.log_level {
         let parsed = ctcp_telemetry::log::Level::parse(level)
@@ -1292,10 +1219,8 @@ impl ClientStream {
                 let done = v.get("done").and_then(Value::as_u64).unwrap_or(0);
                 let total = v.get("total").and_then(Value::as_u64).unwrap_or(0);
                 let workload = v.get("workload").and_then(Value::as_str).unwrap_or("?");
-                match v.get("took_s").and_then(Value::as_f64) {
-                    Some(took) => eprintln!("[{done}/{total}] {workload} {took:.2}s"),
-                    None => eprintln!("[{done}/{total}] {workload}"),
-                }
+                let took = v.get("took_s").and_then(Value::as_f64).unwrap_or(0.0);
+                eprintln!("[{done}/{total}] {workload} {took:.2}s");
                 self.have += 1;
             }
             Some("error") => {

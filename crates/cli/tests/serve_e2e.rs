@@ -46,31 +46,7 @@ fn spawn_daemon(
     store_dir: &Path,
     jobs: &str,
 ) -> (Child, String, BufReader<std::process::ChildStdout>) {
-    let mut daemon = Command::new(bin())
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            jobs,
-            "--dir",
-            store_dir.to_str().unwrap(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn daemon");
-    let mut reader = BufReader::new(daemon.stdout.take().expect("piped stdout"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read listening line");
-    assert!(line.contains("listening on "), "{line}");
-    let addr = line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address after 'listening on'")
-        .to_string();
-    (daemon, addr, reader)
+    spawn_daemon_with(store_dir, jobs, &[])
 }
 
 #[test]
@@ -433,37 +409,39 @@ fn shutdown_racing_two_clients_loses_no_cells() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Like [`spawn_daemon`], with extra `serve` flags and environment
-/// overrides — the observability test runs one silent daemon and one
-/// fully instrumented daemon.
+/// Like [`spawn_daemon`], with extra `serve` flags — the
+/// observability test runs one silent daemon and one fully
+/// instrumented daemon.
 fn spawn_daemon_with(
     store_dir: &Path,
     jobs: &str,
     extra: &[&str],
-    envs: &[(&str, &str)],
 ) -> (Child, String, BufReader<std::process::ChildStdout>) {
-    let mut cmd = Command::new(bin());
-    cmd.args([
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--jobs",
-        jobs,
-        "--dir",
-        store_dir.to_str().unwrap(),
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::null());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut daemon = cmd.spawn().expect("spawn daemon");
+    let mut daemon = Command::new(bin())
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--jobs",
+            jobs,
+            "--dir",
+            store_dir.to_str().unwrap(),
+        ])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
     let mut reader = BufReader::new(daemon.stdout.take().expect("piped stdout"));
     let mut line = String::new();
     reader.read_line(&mut line).expect("read listening line");
     assert!(line.contains("listening on "), "{line}");
-    let addr = line.trim().rsplit(' ').next().unwrap().to_string();
+    let addr = line
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address after 'listening on'")
+        .to_string();
     (daemon, addr, reader)
 }
 
@@ -502,7 +480,7 @@ fn observability_never_perturbs_output_and_exports_metrics_logs_traces() {
 
     // Daemon A: logging forced off, nobody watching.
     let (mut quiet, quiet_addr, _out) =
-        spawn_daemon_with(&dir.join("store-a"), "2", &[], &[("CTCP_LOG", "off")]);
+        spawn_daemon_with(&dir.join("store-a"), "2", &["--log-level", "off"]);
     let unobserved = sweep_via(&quiet_addr);
     stdout_of(&run(&["client", "shutdown", "--addr", &quiet_addr]));
     assert!(quiet.wait().unwrap().success());
@@ -519,7 +497,6 @@ fn observability_never_perturbs_output_and_exports_metrics_logs_traces() {
             "--log-file",
             log_file.to_str().unwrap(),
         ],
-        &[],
     );
     let (code, before) = get(&addr, "/metrics");
     assert_eq!(code, 200);

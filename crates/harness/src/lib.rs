@@ -53,9 +53,14 @@
 //!
 //! ## Progress
 //!
-//! When stderr is a terminal (or when forced on), a single rewriting
-//! status line shows completed/total, jobs/sec, the wall time of the
-//! last finished job, and an ETA. Tables on stdout are never touched.
+//! Every batch reports through a [`ProgressSink`], the trait
+//! `ctcp-telemetry` defines and this crate re-exports: `batch_start`
+//! once its cells are submitted, then one `cell_done_on` per simulated
+//! cell, naming the pool worker that ran it. The default sink,
+//! [`StderrProgress`], draws a single rewriting status line when stderr
+//! is a terminal (or when forced on): completed/total, jobs/sec, the
+//! wall time of the last finished job, and an ETA. The sweep service
+//! passes its own sink. Tables on stdout are never touched.
 //!
 //! ## Example
 //!
@@ -93,8 +98,9 @@ mod sched;
 mod spec;
 mod store;
 
+pub use ctcp_telemetry::ProgressSink;
 pub use journal::{Journal, PendingRequest, JOURNAL_FORMAT_VERSION};
-pub use progress::{ProgressSink, StderrProgress};
+pub use progress::StderrProgress;
 pub use sched::{CellScheduler, Saturated, SchedStats};
 pub use spec::{SpecError, SweepCell, SweepPlan, SweepSpec};
 pub use store::{

@@ -1,43 +1,16 @@
-//! Per-cell progress reporting, routed through a sink trait.
+//! The terminal's view of batch progress.
 //!
 //! The harness does not know who is watching a batch: a human at a
 //! terminal wants a rewriting stderr status line, while the sweep
-//! service (`ctcp-serve`) wants each finished cell forwarded to the
-//! requesting client instead of landing on the daemon's own stderr.
-//! [`ProgressSink`] is that seam; [`StderrProgress`] is the default
-//! implementation and preserves the historical CLI output byte for
-//! byte; forced off, it discards everything.
+//! service (`ctcp-serve`) streams each finished cell to the requesting
+//! client instead. [`ProgressSink`] (from `ctcp-telemetry`) is that
+//! seam; [`StderrProgress`] is the default implementation and
+//! preserves the historical CLI output byte for byte; forced off, it
+//! discards everything.
 
+use ctcp_telemetry::ProgressSink;
 use std::io::{IsTerminal, Write};
 use std::time::{Duration, Instant};
-
-/// Observer of one batch's execution, called on the submitting thread
-/// only (never concurrently). A batch is bracketed by
-/// [`batch_start`](ProgressSink::batch_start) and
-/// [`batch_end`](ProgressSink::batch_end); every *simulated* cell (not
-/// store hits, not coalesced duplicates) produces one
-/// [`cell_done_on`](ProgressSink::cell_done_on) in completion order.
-pub trait ProgressSink {
-    /// A batch of `total` to-be-simulated cells is starting.
-    fn batch_start(&mut self, total: usize);
-    /// Cell number `done` (1-based, in completion order) named
-    /// `workload` finished after `took` of wall time.
-    fn cell_done(&mut self, done: usize, workload: &str, took: Duration);
-    /// Like [`cell_done`](ProgressSink::cell_done), but additionally
-    /// names the scheduler pool worker that ran the cell. The harness
-    /// calls only this; the default forwards to `cell_done`, so sinks
-    /// that do not care about lane attribution (the stderr reporter,
-    /// tests) need not override it. The serve
-    /// event sink overrides it to stamp a `worker` field into the
-    /// streamed progress event, which the daemon turns into per-worker
-    /// span lanes for `GET /trace/<token>`.
-    fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
-        let _ = worker;
-        self.cell_done(done, workload, took);
-    }
-    /// The batch finished; flush any partial output.
-    fn batch_end(&mut self);
-}
 
 /// Live batch progress on stderr — the historical harness behaviour.
 ///

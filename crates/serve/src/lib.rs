@@ -18,14 +18,19 @@
 //! that reads slowly (or not at all) slows only its own stream.
 //!
 //! The crate deliberately depends on nothing but `std::net` and
-//! `ctcp-telemetry` (for the JSON value, logs, spans and the rolling
-//! series). Every number the daemon reports about itself is one row of
-//! the metrics registry in `exposition.rs`, which renders `/status`,
-//! `/metrics` and the drained [`Snapshot`]. The
-//! simulator side plugs in through the [`Handler`] trait — the CLI
+//! `ctcp-telemetry` (for the JSON value, logs, spans, the rolling
+//! series and the progress trait). Every number the daemon reports
+//! about itself is one row of the metrics registry in `exposition.rs`,
+//! which renders `/status`, `/metrics` and the drained [`Snapshot`].
+//! The simulator side plugs in through the [`Handler`] trait — the CLI
 //! implements it around a persistent `Harness`, and tests implement it
 //! with mocks — so the wire layer, queueing, counters and drain logic
-//! are all testable without running a single simulation.
+//! are all testable without running a single simulation. A handler
+//! reports its batch through the same `ProgressSink` the harness
+//! reports into, and the service implements that sink once: each call
+//! updates the request's `/status` row and spans and renders the
+//! request's `batch_start` and `progress` lines, so progress takes one
+//! typed path from the worker pool to the wire.
 //!
 //! See [`http`] for the wire protocol and [`service`] for routing,
 //! admission, disconnect and graceful-drain contracts; DESIGN.md §7f

@@ -54,7 +54,7 @@ use crate::exposition::{Registry, Slot, Snapshot, ROLLING_WINDOW_S};
 use crate::http;
 use crate::spans::{SpanKind, SpanRing};
 use ctcp_telemetry::json::Value;
-use ctcp_telemetry::{failpoint, log, request_trace, SeriesRing, SERIES_SECONDS};
+use ctcp_telemetry::{failpoint, log, request_trace, ProgressSink, SeriesRing, SERIES_SECONDS};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -235,13 +235,17 @@ pub struct HandlerStats {
 /// builds a fresh per-request harness around shared `Clone` handles).
 pub trait Handler: Send + Sync {
     /// Runs the batch described by `body` (a parsed JSON object),
-    /// emitting progress events through `progress` as cells finish.
-    /// `token` is the batch's resume token — a journaling handler
-    /// records it so the request can be replayed after a crash.
+    /// reporting through `progress`: `batch_start` once its cells are
+    /// handed to the workers that run them, then one timed
+    /// `cell_done_on` per simulated cell (`cell_done` for a cell no
+    /// pool worker ran). `token` is the batch's resume token — a
+    /// journaling handler records it so the request can be replayed
+    /// after a crash.
     ///
-    /// The callback only records the event in the batch's registry
-    /// entry: no client sits on the batch's thread, so it never blocks
-    /// on a socket and has nothing to report back.
+    /// The sink is the service's own: each call updates the request's
+    /// `/status` row, records its spans and appends the NDJSON line the
+    /// request's streams deliver. No client sits on the batch's
+    /// thread, so a call never blocks on a socket.
     /// A malformed body should come back as an `Ok` result with a
     /// non-zero `exit_code` and the parse error as `output`; `Err` is
     /// reserved for refusing to run at all.
@@ -251,13 +255,13 @@ pub trait Handler: Send + Sync {
     /// [`HandlerError::Saturated`] when admission control refuses the
     /// batch, [`HandlerError::Unavailable`] while the backend is
     /// degraded — both guaranteed to happen before any progress is
-    /// emitted.
+    /// reported.
     fn run(
         &self,
         kind: RequestKind,
         body: &Value,
         token: &str,
-        progress: &mut dyn FnMut(&Value),
+        progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError>;
 
     /// A live snapshot of the execution backend for `/status` and
@@ -294,8 +298,8 @@ struct EntryState {
     /// Set, before the terminal `error` line, when the handler refused
     /// the batch; the admitting `POST` answers it with a `503`.
     refusal: Option<HandlerError>,
-    /// Progress watermark parsed off the batch's progress events, for
-    /// the `/status` request table (`0/0` until the first event).
+    /// Progress watermark for the `/status` request table: the total
+    /// from `batch_start`, the count from each finished cell.
     cells_done: u64,
     cells_total: u64,
 }
@@ -737,14 +741,16 @@ fn execute_entry(
         ],
     );
     inner.record_span(token, started_us, 0, SpanKind::Admit { kind });
-    let mut first_event_us: Option<u64> = None;
+    let mut sink = RequestSink {
+        inner,
+        token,
+        entry,
+        total: 0,
+        submitted_us: started_us,
+        first_cell_us: None,
+    };
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        inner.handler.run(kind, body, token, &mut |event| {
-            let now_us = inner.now_us();
-            first_event_us.get_or_insert(now_us);
-            observe_progress_event(inner, token, entry, event, now_us);
-            entry.push(event_line(event));
-        })
+        inner.handler.run(kind, body, token, &mut sink)
     }));
     let result = match outcome {
         Ok(Ok(result)) => result,
@@ -790,21 +796,24 @@ fn execute_entry(
     let ms = started.elapsed().as_millis() as u64;
     inner.metrics.observe_latency(ms);
     relock(&inner.series).record_request(inner.now_sec(), ms);
-    // The wait between admission and the first progress event is the
-    // best queue-time proxy the wire has: the handler emits nothing
-    // until a first cell completes.
-    if let Some(first) = first_event_us {
-        let waited = first.saturating_sub(started_us);
-        inner.record_span(token, started_us, waited, SpanKind::Queued);
+    // Queue time: from the batch's submission to the start of its
+    // first simulated cell. A worker may pick a cell up before
+    // `batch_start` is reported, so the span never ends past it.
+    if let Some(first) = sink.first_cell_us {
+        let from = sink.submitted_us.min(first);
+        inner.record_span(token, from, first - from, SpanKind::Queued);
     }
-    let ran = inner.now_us().saturating_sub(started_us);
+    // `run` follows `queued` on the service lane: from the first cell's
+    // start, or from admission when no cell was simulated.
+    let run_from = sink.first_cell_us.unwrap_or(started_us);
+    let ran = inner.now_us().saturating_sub(run_from);
     let run = SpanKind::Run {
         kind,
         exit_code: result.exit_code.unsigned_abs(),
         cache_hits: result.cache_hits,
         simulated: result.simulated,
     };
-    inner.record_span(token, started_us, ran, run);
+    inner.record_span(token, run_from, ran, run);
     log::info(
         "serve",
         "request finished",
@@ -839,79 +848,114 @@ fn execute_entry(
     requests.retire(token, entry);
 }
 
-/// Observes one handler progress event before it is recorded: updates
-/// the entry's progress watermark for the `/status` request table,
-/// records a per-worker cell span, and — for an event that carries the
-/// cell's `took_s` — feeds the series ring and logs a structured record
-/// when the cell exceeded the slow-cell threshold. Analyze's
-/// per-strategy events carry no time; counting them as 0 ms cells
-/// would drag the rolling cell percentiles and the threshold down.
-/// Non-`progress` events pass through untouched.
-fn observe_progress_event(
-    inner: &Inner,
-    token: &str,
-    entry: &RequestEntry,
-    event: &Value,
-    now_us: u64,
-) {
-    if event.get("event").and_then(Value::as_str) != Some("progress") {
-        return;
+/// The service's [`ProgressSink`] for one running request, and the
+/// one place its `batch_start` and `progress` lines are rendered. Each
+/// call updates the entry's `/status` row and appends the line its
+/// streams deliver; each cell also records its span, feeds the series
+/// ring and may trip the slow-cell log.
+struct RequestSink<'a> {
+    inner: &'a Inner,
+    token: &'a str,
+    entry: &'a RequestEntry,
+    /// The batch's cell count, from `batch_start`.
+    total: usize,
+    /// When the batch's cells were submitted: its `batch_start`, else
+    /// its admission.
+    submitted_us: u64,
+    /// When the earliest simulated cell started: a cell's completion
+    /// instant minus its wall time. Cells on other workers can finish
+    /// out of start order.
+    first_cell_us: Option<u64>,
+}
+
+impl RequestSink<'_> {
+    /// One finished cell; `worker` names its pool worker's lane, and
+    /// its `progress` line carries a `worker` field only when it does.
+    fn cell(&mut self, done: usize, workload: &str, took: Duration, worker: Option<usize>) {
+        let (inner, token) = (self.inner, self.token);
+        let now_us = inner.now_us();
+        let took_us = took.as_micros() as u64;
+        let started_us = now_us.saturating_sub(took_us);
+        self.first_cell_us = Some(self.first_cell_us.map_or(started_us, |f| f.min(started_us)));
+        let (done, total) = (done as u64, self.total as u64);
+        self.entry.note_progress(done, total);
+        let lane = worker.unwrap_or(0) as u64;
+        let cell = SpanKind::Cell {
+            worker: lane,
+            label: workload,
+            done,
+            total,
+        };
+        inner.record_span(token, started_us, took_us, cell);
+        let took_ms = took.as_millis() as u64;
+        let now_sec = inner.now_sec();
+        relock(&inner.series).record_cell(now_sec, took_ms);
+        let threshold = inner.slow_cell_threshold_ms(now_sec);
+        if took_ms > threshold {
+            // PipelineDiagnostic-style context: what ran, where, for
+            // whom, and what the pool looked like while it was slow.
+            let hs = inner.handler.stats();
+            log::warn(
+                "serve",
+                "slow cell",
+                &[
+                    ("token", Value::str(token)),
+                    ("workload", Value::str(workload)),
+                    ("took_ms", Value::u64(took_ms)),
+                    ("threshold_ms", Value::u64(threshold)),
+                    ("worker", Value::u64(lane)),
+                    ("cell", Value::u64(done)),
+                    ("of", Value::u64(total)),
+                    ("queued_cells", Value::u64(hs.queued_cells as u64)),
+                    ("running_cells", Value::u64(hs.running_cells as u64)),
+                ],
+            );
+        } else if log::enabled(log::Level::Debug) {
+            log::debug(
+                "serve",
+                "cell finished",
+                &[
+                    ("token", Value::str(token)),
+                    ("workload", Value::str(workload)),
+                    ("took_ms", Value::u64(took_ms)),
+                    ("worker", Value::u64(lane)),
+                ],
+            );
+        }
+        let mut fields = vec![
+            ("event".into(), Value::str("progress")),
+            ("done".into(), Value::u64(done)),
+            ("total".into(), Value::u64(total)),
+            ("workload".into(), Value::str(workload)),
+            ("took_s".into(), Value::f64(took.as_secs_f64())),
+        ];
+        if let Some(w) = worker {
+            fields.push(("worker".into(), Value::u64(w as u64)));
+        }
+        self.entry.push(event_line(&Value::Obj(fields)));
     }
-    let done = event.get("done").and_then(Value::as_u64).unwrap_or(0);
-    let total = event.get("total").and_then(Value::as_u64).unwrap_or(0);
-    entry.note_progress(done, total);
-    let workload = event
-        .get("workload")
-        .and_then(Value::as_str)
-        .unwrap_or("cell");
-    let took_s = event.get("took_s").and_then(Value::as_f64);
-    let worker = event.get("worker").and_then(Value::as_u64).unwrap_or(0);
-    let took_us = (took_s.unwrap_or(0.0) * 1e6) as u64;
-    let cell = SpanKind::Cell {
-        worker,
-        label: workload,
-        done,
-        total,
-    };
-    inner.record_span(token, now_us.saturating_sub(took_us), took_us, cell);
-    let Some(took_s) = took_s else {
-        return;
-    };
-    let took_ms = (took_s * 1e3) as u64;
-    let now_sec = inner.now_sec();
-    relock(&inner.series).record_cell(now_sec, took_ms);
-    let threshold = inner.slow_cell_threshold_ms(now_sec);
-    if took_ms > threshold {
-        // PipelineDiagnostic-style context: what ran, where, for whom,
-        // and what the pool looked like while it was slow.
-        let hs = inner.handler.stats();
-        log::warn(
-            "serve",
-            "slow cell",
-            &[
-                ("token", Value::str(token)),
-                ("workload", Value::str(workload)),
-                ("took_ms", Value::u64(took_ms)),
-                ("threshold_ms", Value::u64(threshold)),
-                ("worker", Value::u64(worker)),
-                ("cell", Value::u64(done)),
-                ("of", Value::u64(total)),
-                ("queued_cells", Value::u64(hs.queued_cells as u64)),
-                ("running_cells", Value::u64(hs.running_cells as u64)),
-            ],
-        );
-    } else if log::enabled(log::Level::Debug) {
-        log::debug(
-            "serve",
-            "cell finished",
-            &[
-                ("token", Value::str(token)),
-                ("workload", Value::str(workload)),
-                ("took_ms", Value::u64(took_ms)),
-                ("worker", Value::u64(worker)),
-            ],
-        );
+}
+
+impl ProgressSink for RequestSink<'_> {
+    fn batch_start(&mut self, total: usize) {
+        self.total = total;
+        self.submitted_us = self.inner.now_us();
+        self.entry.note_progress(0, total as u64);
+        self.entry.push(event_line(&Value::Obj(vec![
+            ("event".into(), Value::str("batch_start")),
+            ("total".into(), Value::u64(total as u64)),
+        ])));
     }
+
+    fn cell_done(&mut self, done: usize, workload: &str, took: Duration) {
+        self.cell(done, workload, took, None);
+    }
+
+    fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
+        self.cell(done, workload, took, Some(worker));
+    }
+
+    fn batch_end(&mut self) {}
 }
 
 fn run_batch(
@@ -1165,7 +1209,7 @@ mod tests {
             kind: RequestKind,
             body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value),
+            progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let rendered = body.render();
             let hits = {
@@ -1174,12 +1218,8 @@ mod tests {
                 seen.push(rendered.clone());
                 hits
             };
-            for done in 1..=2u64 {
-                progress(&Value::Obj(vec![
-                    ("event".into(), Value::str("progress")),
-                    ("done".into(), Value::u64(done)),
-                    ("total".into(), Value::u64(2)),
-                ]));
+            for done in 1..=2 {
+                progress.cell_done(done, "cell", Duration::ZERO);
             }
             Ok(RunResult {
                 output: format!("{kind:?}: {rendered}"),
@@ -1365,8 +1405,9 @@ mod tests {
         drop(silent);
     }
 
-    /// 256 progress events of 64 KiB each: far more than a loopback
-    /// peer that never reads can absorb (a few MB).
+    /// 256 progress events of 64 KiB each (the workload label is the
+    /// padding): far more than a loopback peer that never reads can
+    /// absorb (a few MB).
     struct FloodHandler;
 
     impl Handler for FloodHandler {
@@ -1375,16 +1416,11 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value),
+            progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let pad = "x".repeat(64 << 10);
-            for done in 1..=256u64 {
-                progress(&Value::Obj(vec![
-                    ("event".into(), Value::str("progress")),
-                    ("done".into(), Value::u64(done)),
-                    ("total".into(), Value::u64(256)),
-                    ("pad".into(), Value::str(&pad)),
-                ]));
+            for done in 1..=256 {
+                progress.cell_done(done, &pad, Duration::ZERO);
             }
             Ok(RunResult {
                 output: "flooded".into(),
@@ -1468,7 +1504,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            _progress: &mut dyn FnMut(&Value),
+            _progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let mut inside = self.inside.lock().unwrap();
             *inside += 1;
@@ -1550,7 +1586,7 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            _progress: &mut dyn FnMut(&Value),
+            _progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             Err(self.0)
         }
@@ -1634,14 +1670,10 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value),
+            progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             for done in 1..=self.total {
-                progress(&Value::Obj(vec![
-                    ("event".into(), Value::str("progress")),
-                    ("done".into(), Value::u64(done)),
-                    ("total".into(), Value::u64(self.total)),
-                ]));
+                progress.cell_done(done as usize, "cell", Duration::ZERO);
                 std::thread::sleep(Duration::from_millis(5));
             }
             Ok(RunResult {
@@ -2176,16 +2208,10 @@ mod tests {
             _kind: RequestKind,
             _body: &Value,
             _token: &str,
-            progress: &mut dyn FnMut(&Value),
+            progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
-            progress(&Value::Obj(vec![
-                ("event".into(), Value::str("progress")),
-                ("done".into(), Value::u64(1)),
-                ("total".into(), Value::u64(1)),
-                ("workload".into(), Value::str("slowpoke-gzip")),
-                ("took_s".into(), Value::f64(0.25)),
-                ("worker".into(), Value::u64(1)),
-            ]));
+            progress.batch_start(1);
+            progress.cell_done_on(1, "slowpoke-gzip", Duration::from_millis(250), 1);
             Ok(RunResult {
                 output: "done".into(),
                 exit_code: 0,
@@ -2231,31 +2257,168 @@ mod tests {
     }
 
     #[test]
-    fn untimed_progress_events_advance_requests_but_not_the_cell_window() {
+    fn the_sink_renders_progress_lines_byte_for_byte() {
         let _g = crate::testutil::fail_points_held();
         let (handler, _q) = MockHandler::new();
         let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
-        // An untimed event still moves its request's progress.
-        let entry = RequestEntry::new(RequestKind::Analyze);
-        let event = Value::Obj(vec![
-            ("event".into(), Value::str("progress")),
-            ("done".into(), Value::u64(1)),
-            ("total".into(), Value::u64(3)),
-        ]);
-        observe_progress_event(&svc.inner, "t", &entry, &event, 0);
-        let st = relock(&entry.state);
-        assert_eq!((st.cells_done, st.cells_total), (1, 3));
-        drop(st);
-        // A batch of them — MockHandler's two events carry no `took_s` —
-        // adds no cells to the rolling window.
+        let entry = RequestEntry::new(RequestKind::Sweep);
+        let mut sink = RequestSink {
+            inner: &svc.inner,
+            token: "0c0ffee123456789",
+            entry: &entry,
+            total: 0,
+            submitted_us: 0,
+            first_cell_us: None,
+        };
+        sink.batch_start(3);
+        sink.cell_done(1, "gzip", Duration::from_millis(250));
+        sink.cell_done_on(2, "twolf", Duration::from_nanos(1_234_567_891), 1);
+        sink.cell_done_on(3, "mcf", Duration::from_micros(20), 0);
+        // Sweep streams are a contract: these are the lines a daemon
+        // streamed for these calls, field order and number spelling
+        // included, with and without a `worker`.
+        let golden = [
+            "{\"event\":\"batch_start\",\"total\":3}\n",
+            "{\"event\":\"progress\",\"done\":1,\"total\":3,\"workload\":\"gzip\",\"took_s\":0.25}\n",
+            "{\"event\":\"progress\",\"done\":2,\"total\":3,\"workload\":\"twolf\",\"took_s\":1.234567891,\"worker\":1}\n",
+            "{\"event\":\"progress\",\"done\":3,\"total\":3,\"workload\":\"mcf\",\"took_s\":2e-5,\"worker\":0}\n",
+        ];
+        assert_eq!(relock(&entry.state).events, golden);
+    }
+
+    /// Submits the body's `cells` cells, waits 60 ms for a worker,
+    /// then reports cell `n` as having run for `20 * n` ms on worker
+    /// `n - 1`, so a later cell started earlier.
+    struct QueuedCellHandler;
+
+    impl Handler for QueuedCellHandler {
+        fn run(
+            &self,
+            _kind: RequestKind,
+            body: &Value,
+            _token: &str,
+            progress: &mut dyn ProgressSink,
+        ) -> Result<RunResult, HandlerError> {
+            let cells = body.get("cells").and_then(Value::as_u64).unwrap_or(0) as usize;
+            progress.batch_start(cells);
+            std::thread::sleep(Duration::from_millis(60));
+            for n in 1..=cells {
+                let took = Duration::from_millis(20 * n as u64);
+                progress.cell_done_on(n, "gzip", took, n - 1);
+            }
+            progress.batch_end();
+            Ok(RunResult {
+                output: "done".into(),
+                exit_code: 0,
+                cache_hits: 0,
+                simulated: cells as u64,
+            })
+        }
+    }
+
+    #[test]
+    fn queued_runs_from_batch_start_to_the_first_cell_start() {
+        let _g = crate::testutil::fail_points_held();
+        let svc = Service::bind("127.0.0.1:0", Box::new(QueuedCellHandler)).unwrap();
         let addr = svc.local_addr().to_string();
         let worker = std::thread::spawn(move || svc.run().expect("service run"));
-        http::request(&addr, "POST", "/analyze", b"{}", &mut |_| {}).unwrap();
-        let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
-        let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let rolling = v.get("rolling").unwrap();
-        assert_eq!(rolling.get("cells").unwrap().as_u64(), Some(0));
-        assert_eq!(rolling.get("requests").unwrap().as_u64(), Some(1));
+        // The `queued` span and the earliest cell start, as `/trace`
+        // renders them.
+        let trace_of = |body: &str| {
+            http::request(&addr, "POST", "/sweep", body.as_bytes(), &mut |_| {}).unwrap();
+            let token = resume_token(RequestKind::Sweep, body);
+            let path = format!("/trace/{token}");
+            let resp = http::request(&addr, "GET", &path, b"", &mut |_| {}).unwrap();
+            let trace = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let spans: Vec<Value> = lanes_of(&trace).into_iter().flat_map(|l| l.1).collect();
+            let at = |e: &Value, k: &str| e.get(k).unwrap().as_u64().unwrap();
+            let name = |e: &&Value| e.get("name").and_then(Value::as_str).unwrap().to_string();
+            let queued = spans.iter().find(|e| name(e) == "queued");
+            let cells = spans.iter().filter(|e| name(e).starts_with("cell "));
+            let queued = queued.map(|e| (at(e, "ts"), at(e, "dur")));
+            (queued, cells.map(|e| at(e, "ts")).min())
+        };
+        let (Some((ts, dur)), Some(first_cell)) = trace_of("{\"cells\":1}") else {
+            panic!("no queued or cell span");
+        };
+        // The 60 ms wait, less scheduling slack.
+        assert!(dur >= 35_000, "queued {dur} us");
+        assert!(ts + dur <= first_cell);
+        // It ends at the earliest start, not the first completion.
+        let (Some((ts, dur)), Some(first_cell)) = trace_of("{\"cells\":2}") else {
+            panic!("no queued or cell span");
+        };
+        assert!(ts + dur <= first_cell, "{ts} + {dur} > {first_cell}");
+        // A request that simulated no cell has no queue time.
+        assert_eq!(trace_of("{\"cells\":0}"), (None, None));
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        worker.join().unwrap();
+    }
+
+    /// Announces a five-cell batch, then reports one cell per release
+    /// and finishes on the next.
+    struct HeldBatch(Mutex<std::sync::mpsc::Receiver<()>>);
+
+    impl Handler for HeldBatch {
+        fn run(
+            &self,
+            _kind: RequestKind,
+            _body: &Value,
+            _token: &str,
+            progress: &mut dyn ProgressSink,
+        ) -> Result<RunResult, HandlerError> {
+            let held = self.0.lock().unwrap();
+            progress.batch_start(5);
+            let _ = held.recv();
+            progress.cell_done_on(1, "gzip", Duration::from_millis(1), 0);
+            let _ = held.recv();
+            Ok(RunResult {
+                output: "held".into(),
+                exit_code: 0,
+                cache_hits: 0,
+                simulated: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn status_learns_a_request_size_from_batch_start() {
+        let _g = crate::testutil::fail_points_held();
+        let (release, held) = std::sync::mpsc::channel();
+        let svc = Service::bind("127.0.0.1:0", Box::new(HeldBatch(Mutex::new(held)))).unwrap();
+        let addr = svc.local_addr().to_string();
+        let worker = std::thread::spawn(move || svc.run().expect("service run"));
+        let client = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                http::request(&addr, "POST", "/sweep", b"{}", &mut |_| {}).unwrap()
+            })
+        };
+        let wait_for = |want: (u64, u64)| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let resp = http::request(&addr, "GET", "/status", b"", &mut |_| {}).unwrap();
+                let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+                let rows = v.get("requests").unwrap().as_arr().unwrap().to_vec();
+                let got = rows.first().map(|row| {
+                    let field = |k: &str| row.get(k).unwrap().as_u64().unwrap();
+                    (field("cells_done"), field("cells_total"))
+                });
+                if got == Some(want) {
+                    return;
+                }
+                assert!(Instant::now() < deadline, "want {want:?}, read {got:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // Before its first cell finishes the request shows its size.
+        wait_for((0, 5));
+        // And each finished cell advances it.
+        release.send(()).unwrap();
+        wait_for((1, 5));
+        release.send(()).unwrap();
+        let events = parse_events(&client.join().unwrap().body);
+        assert_eq!(events.len(), 4, "handshake, batch_start, progress, result");
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
         worker.join().unwrap();
     }

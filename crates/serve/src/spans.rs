@@ -2,16 +2,17 @@
 //! numbers until `GET /trace/<token>` asks for them.
 //!
 //! Batch and connection threads record five kinds of span per request
-//! ([`SpanKind`]): `admit`, `queued` (admission to the first event) and
-//! `run <kind>` on the service lane, one `cell <workload>` span per
-//! finished cell on its pool worker's lane, and one `stream` span per
-//! delivery attempt on the streams lane. Each is kept as a [`Span`], a
-//! `Copy` record of 56 bytes: the resume token as the 64-bit hash it
-//! spells, the start and duration, and the kind's numbers. The one
-//! string a span names, a cell's workload label, is interned in a
-//! bounded table the ring owns. Recording therefore builds no `String`
-//! or `Value`; [`SpanRing::spans_for`] rebuilds one token's names,
-//! lanes and args as [`ReqSpan`]s when `/trace` renders them.
+//! ([`SpanKind`]): `admit`, `queued` (the batch's submission to its
+//! first cell's start) and `run <kind>` on the service lane, one
+//! `cell <workload>` span per finished cell on its pool worker's lane,
+//! and one `stream` span per delivery attempt on the streams lane.
+//! Each is kept as a [`Span`], a `Copy` record of 56 bytes: the resume
+//! token as the 64-bit hash it spells, the start and duration, and the
+//! kind's numbers. The one string a span names, a cell's workload
+//! label, is interned in a bounded table the ring owns. Recording
+//! therefore builds no `String` or `Value`; [`SpanRing::spans_for`]
+//! rebuilds one token's names, lanes and args as [`ReqSpan`]s when
+//! `/trace` renders them.
 
 use crate::service::RequestKind;
 use ctcp_telemetry::json::Value;
@@ -44,9 +45,10 @@ pub(crate) const LANE_WORKERS: u64 = 2;
 pub(crate) enum SpanKind<L> {
     /// The batch was admitted.
     Admit { kind: RequestKind },
-    /// Admission to the batch's first event.
+    /// The batch's `batch_start` to its first simulated cell's start.
     Queued,
-    /// The whole batch, with its result's numbers.
+    /// The batch from its first cell's start (its admission when it
+    /// simulated none) to its result, with the result's numbers.
     Run {
         kind: RequestKind,
         exit_code: u32,

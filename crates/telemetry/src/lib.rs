@@ -26,15 +26,19 @@
 //!   fully offline; there is no serde).
 //! - [`failpoint`]: named fault-injection sites (`CTCP_FAIL_POINT`)
 //!   used by the crash-injection tests and the verify smoke.
-//! - [`log`]: structured leveled JSON logging (`CTCP_LOG`), one
-//!   record per line on stderr or a chosen file, with a small
-//!   in-memory ring of recent warnings for the service's log tail.
+//! - [`log`]: structured leveled JSON logging (`ctcp serve
+//!   --log-level`), one record per line on stderr or a chosen file,
+//!   with a small in-memory ring of recent warnings for the service's
+//!   log tail.
 //! - [`series`]: the service's fixed-size ring time-series — one
 //!   slot per second for the last two minutes, so `/status` and
 //!   `/metrics` can report true rolling rates and percentiles.
 //! - [`ReqSpan`] / [`request_trace`]: request-scoped service spans
 //!   (admit → queued → cell runs → stream) exported per request as a
 //!   Chrome trace via `GET /trace/<token>`.
+//! - [`ProgressSink`]: the one progress path from a batch's cells to
+//!   whoever watches them — the harness's stderr line, or the sweep
+//!   service's request entry, spans and NDJSON stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +50,7 @@ pub mod failpoint;
 pub mod json;
 pub mod log;
 pub mod metrics;
+mod progress;
 pub mod recorder;
 pub mod series;
 
@@ -59,5 +64,6 @@ pub use chrome::{
 };
 pub use event::{EventRing, FlowEvent, PipeStage, SpanEvent, FETCH_LANE};
 pub use metrics::{metrics_line, Counter, Hist, Histogram, Metrics, HIST_BUCKETS};
+pub use progress::ProgressSink;
 pub use recorder::{Recorder, RecorderConfig};
 pub use series::{SeriesRing, SeriesWindow, SERIES_SECONDS};

@@ -5,9 +5,8 @@
 //! process-global atomic read before any formatting happens, so a
 //! disabled level costs one relaxed load and nothing else — the
 //! no-observer-effect guarantee the serve tests pin down. The filter
-//! is seeded from the `CTCP_LOG` environment variable
-//! (`off|error|warn|info|debug`, default `warn`) and can be
-//! overridden programmatically with [`set_level`].
+//! starts at `warn`; [`set_level`] changes it (`ctcp serve
+//! --log-level off|error|warn|info|debug`).
 //!
 //! Records look like:
 //!
@@ -44,7 +43,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// The lowercase wire name used in records and in `CTCP_LOG`.
+    /// The lowercase name used in records and by `--log-level`.
     pub fn name(self) -> &'static str {
         match self {
             Level::Off => "off",
@@ -55,12 +54,12 @@ impl Level {
         }
     }
 
-    /// Parses a `CTCP_LOG` / `--log-level` word, case-insensitively.
+    /// Parses a `--log-level` word, case-insensitively.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
-            "off" | "none" => Some(Level::Off),
+            "off" => Some(Level::Off),
             "error" => Some(Level::Error),
-            "warn" | "warning" => Some(Level::Warn),
+            "warn" => Some(Level::Warn),
             "info" => Some(Level::Info),
             "debug" => Some(Level::Debug),
             _ => None,
@@ -68,8 +67,8 @@ impl Level {
     }
 }
 
-/// 255 means "not initialised yet"; first use reads `CTCP_LOG`.
-static LEVEL: AtomicU8 = AtomicU8::new(u8::MAX);
+/// The filter, a [`Level`] as its discriminant.
+static LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
 
 /// `None` sinks to stderr; `Some(file)` appends to the chosen file.
 static SINK: OnceLock<Mutex<Option<std::fs::File>>> = OnceLock::new();
@@ -90,28 +89,9 @@ fn recent_ring() -> MutexGuard<'static, Vec<Value>> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The current filter level, initialising from `CTCP_LOG` on first use.
+/// The current filter level.
 pub fn level() -> Level {
-    let raw = LEVEL.load(Ordering::Relaxed);
-    if raw != u8::MAX {
-        return decode(raw);
-    }
-    let from_env = std::env::var("CTCP_LOG")
-        .ok()
-        .and_then(|s| Level::parse(&s))
-        .unwrap_or(Level::Warn);
-    // A racing set_level wins: only replace the sentinel.
-    let _ = LEVEL.compare_exchange(
-        u8::MAX,
-        from_env as u8,
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    decode(LEVEL.load(Ordering::Relaxed))
-}
-
-fn decode(raw: u8) -> Level {
-    match raw {
+    match LEVEL.load(Ordering::Relaxed) {
         1 => Level::Error,
         2 => Level::Warn,
         3 => Level::Info,
@@ -227,6 +207,7 @@ mod tests {
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
         assert_eq!(Level::parse("off"), Some(Level::Off));
         assert_eq!(Level::parse("verbose"), None);
+        assert_eq!(Level::parse("warning"), None);
         assert_eq!(Level::Debug.name(), "debug");
     }
 

@@ -53,7 +53,10 @@
 #      named in the log must hold its admit, queued, run <kind> and
 #      stream spans and one cell span per progress event the client
 #      printed, each on its lane (thread_name service, streams,
-#      worker N), and `ctcp top --once` must render a dashboard frame
+#      worker N), its queued span must end no later than its earliest
+#      cell span starts (1 us of rounding allowed), every cell span of
+#      the analyze must last more than 1 us, and `ctcp top --once`
+#      must render a dashboard frame
 #  14. benchmark self-check: ctcp-benchmark's own tests, then a one-second
 #      run of each in-process workload (detailed, warmup_grid, attrib);
 #      each run completes at least one full pass and exits 0 only if
@@ -613,6 +616,15 @@ assert named("stream") >= 1, f"{kind}: no stream span"
 cells = [e for e in spans if e["name"].startswith("cell ")]
 assert progress > 0 and len(cells) == progress, \
     f"{kind}: {len(cells)} cell spans for {progress} progress events"
+# queued runs from batch_start to the first cell's start (1 us of
+# rounding allowed), and every analyze strategy is a timed cell.
+queued = next(e for e in spans if e["name"] == "queued")
+first_cell = min(e["ts"] for e in cells)
+assert queued["ts"] + queued["dur"] <= first_cell + 1, \
+    f"{kind}: queued ends at {queued['ts'] + queued['dur']}, after the first cell starts at {first_cell}"
+if kind == "analyze":
+    untimed = [e["name"] for e in cells if e["dur"] <= 1]
+    assert not untimed, f"analyze: cell spans of at most 1 us: {untimed}"
 home = {"admit": "service", "queued": "service", f"run {kind}": "service", "stream": "streams"}
 for e in spans:
     want = home.get(e["name"], f"worker {e['tid'] - 2}")

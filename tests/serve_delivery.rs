@@ -7,8 +7,8 @@
 //! holds one test.
 
 use ctcp::serve::{http, resume_token, Handler, HandlerError, RequestKind, RunResult, Service};
-use ctcp::telemetry::failpoint;
 use ctcp::telemetry::json::Value;
+use ctcp::telemetry::{failpoint, ProgressSink};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,19 +29,11 @@ impl Handler for InstantSweep {
         _kind: RequestKind,
         _body: &Value,
         _token: &str,
-        progress: &mut dyn FnMut(&Value),
+        progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError> {
-        progress(&Value::Obj(vec![
-            ("event".into(), Value::str("batch_start")),
-            ("total".into(), Value::u64(CELLS)),
-        ]));
-        for done in 1..=CELLS {
-            progress(&Value::Obj(vec![
-                ("event".into(), Value::str("progress")),
-                ("done".into(), Value::u64(done)),
-                ("total".into(), Value::u64(CELLS)),
-                ("workload".into(), Value::str("gzip")),
-            ]));
+        progress.batch_start(CELLS as usize);
+        for done in 1..=CELLS as usize {
+            progress.cell_done(done, "gzip", Duration::ZERO);
         }
         *self.finished.lock().unwrap() = Some(Instant::now());
         Ok(RunResult {
