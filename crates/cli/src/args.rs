@@ -220,9 +220,6 @@ pub enum ClientAction {
     Sweep(SweepArgs),
     /// Run a cycle-attribution analysis remotely.
     Analyze(AnalyzeArgs),
-    /// Re-attach to an admitted batch by its resume token and stream
-    /// it from the beginning.
-    Resume(String),
     /// Print the daemon's status document (queue depth, counters).
     Status,
     /// Ask the daemon to drain and exit.
@@ -234,8 +231,8 @@ pub enum ClientAction {
 pub struct ClientArgs {
     /// Daemon address, as printed by `ctcp serve` (always required).
     pub addr: String,
-    /// Reconnect attempts for batch actions after a connection failure
-    /// or a `503` (the daemon's `Retry-After` hint is honored).
+    /// Re-POSTs of a batch after a connection failure, a cut stream or
+    /// a `503` (the daemon's `Retry-After` hint is honored).
     pub retries: u32,
     /// Base reconnect delay in milliseconds, doubled per attempt with
     /// jitter.
@@ -616,7 +613,7 @@ fn parse_top_args(rest: &[String]) -> Result<TopArgs, CliError> {
 fn parse_client_args(rest: &[String]) -> Result<ClientArgs, CliError> {
     let Some(action) = rest.first() else {
         return Err(CliError(
-            "client needs an action (sweep|analyze|resume|status|shutdown)".to_string(),
+            "client needs an action (sweep|analyze|status|shutdown)".to_string(),
         ));
     };
     // `--addr`, `--retries` and `--backoff-ms` belong to the client
@@ -663,14 +660,6 @@ fn parse_client_args(rest: &[String]) -> Result<ClientArgs, CliError> {
     let action = match action.as_str() {
         "sweep" => ClientAction::Sweep(parse_sweep_args(&remote)?),
         "analyze" => ClientAction::Analyze(parse_analyze_args(&remote)?),
-        "resume" => match remote.as_slice() {
-            [token] if !token.starts_with("--") => ClientAction::Resume(token.clone()),
-            _ => {
-                return Err(CliError(
-                    "resume needs exactly one TOKEN (from the batch's accepted event)".to_string(),
-                ))
-            }
-        },
         "status" | "shutdown" => {
             if let Some(extra) = remote.first() {
                 return Err(CliError(format!("unexpected argument {extra:?}")));
@@ -683,7 +672,7 @@ fn parse_client_args(rest: &[String]) -> Result<ClientArgs, CliError> {
         }
         other => {
             return Err(CliError(format!(
-                "unknown client action {other:?} (sweep|analyze|resume|status|shutdown)"
+                "unknown client action {other:?} (sweep|analyze|status|shutdown)"
             )))
         }
     };
@@ -877,13 +866,13 @@ CLIENT ACTIONS (all need --addr HOST:PORT, as printed by `ctcp serve`):
                              (--jobs/--cache/--metrics-out are daemon-side
                              and ignored here)
   analyze [ANALYZE OPTIONS]  run a cycle attribution remotely (--bench only)
-  resume TOKEN               re-attach to an admitted batch by its resume
-                             token and stream it from the beginning
   status                     print the daemon's status JSON
   shutdown                   drain in-flight batches and exit
-  --retries N                reconnect attempts for batch actions: broken
-                             streams re-attach via the resume token, 503s
-                             honor the daemon's Retry-After (default: 0)
+  --retries N                reconnect attempts for batch actions: a broken
+                             stream re-posts the same request (a running
+                             batch is re-joined, a finished one answered
+                             from the store), 503s honor the daemon's
+                             Retry-After (default: 0)
   --backoff-ms M             base reconnect delay, doubled per attempt
                              with jitter (default: 200)
 
@@ -1301,16 +1290,18 @@ mod tests {
         assert!(Cli::parse(["client", "sweep", "--addr", "h:1", "--clusters", "9"]).is_err());
         assert!(Cli::parse(["client", "sweep", "--addr", "h:1", "--retries", "many"]).is_err());
         assert!(Cli::parse(["client", "sweep", "--addr", "h:1", "--backoff-ms", "0"]).is_err());
-        assert!(Cli::parse(["client", "resume", "--addr", "h:1"]).is_err());
-        assert!(Cli::parse(["client", "resume", "a", "b", "--addr", "h:1"]).is_err());
     }
 
     #[test]
     fn client_resume_and_retry_flags_parse() {
+        // `client resume TOKEN` is gone: a client re-joins a batch by
+        // re-posting its body.
+        let err =
+            Cli::parse(["client", "resume", "00ff00ff00ff00ff", "--addr", "h:1"]).unwrap_err();
+        assert!(err.0.contains("unknown client action \"resume\""), "{err}");
         let cli = Cli::parse([
             "client",
-            "resume",
-            "00ff00ff00ff00ff",
+            "status",
             "--addr",
             "h:1",
             "--retries",
@@ -1325,7 +1316,7 @@ mod tests {
                 addr: "h:1".into(),
                 retries: 3,
                 backoff_ms: 50,
-                action: ClientAction::Resume("00ff00ff00ff00ff".into()),
+                action: ClientAction::Status,
             })
         );
         // The retry knobs ride along with any action, anywhere in argv.

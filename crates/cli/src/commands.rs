@@ -7,13 +7,11 @@ use crate::args::{
 };
 use crate::wire;
 use ctcp_harness::{
-    failure_table, CellScheduler, Harness, Job, Journal, ProgressSink, ResultStore, Saturated,
+    failure_table, CellScheduler, Harness, Job, ProgressSink, ResultStore, Saturated,
     StderrProgress, SweepCell, SweepSpec,
 };
 use ctcp_isa::{asm, Program};
-use ctcp_serve::{
-    http, resume_token, Handler, HandlerError, HandlerStats, RequestKind, RunResult, Service,
-};
+use ctcp_serve::{http, Handler, HandlerError, HandlerStats, RequestKind, RunResult, Service};
 use ctcp_sim::{SimBuilder, SimConfig, SimReport, Simulation, Strategy};
 use ctcp_telemetry::json::Value;
 use ctcp_telemetry::{
@@ -717,26 +715,30 @@ fn error_result(e: CliError) -> RunResult {
 
 /// The execution backend behind `ctcp serve`: one shared
 /// [`CellScheduler`] (the resident worker pool every client's cells
-/// interleave on, fairly), one shared [`ResultStore`] (the warm
-/// cache), and one shared [`Journal`] (the crash-recovery WAL).
-/// All are cheap `Clone` handles, so each request builds a throwaway
-/// [`Harness`] around them on its own batch thread — `run` takes
-/// `&self` and requests execute concurrently.
+/// interleave on, fairly) and one shared [`ResultStore`] (the warm
+/// cache). Both are cheap `Clone` handles, so each request builds a
+/// throwaway [`Harness`] around them on its own batch thread — `run`
+/// takes `&self` and requests execute concurrently.
 struct CliHandler {
     store: ResultStore,
     sched: CellScheduler,
-    journal: Journal,
 }
 
-impl CliHandler {
-    /// The batch body itself, after journaling and degradation checks.
-    fn dispatch(
+impl Handler for CliHandler {
+    fn run(
         &self,
         kind: RequestKind,
         body: &Value,
-        token: &str,
         progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError> {
+        // Degraded store: new batches would run without memoizing, so
+        // refuse them with a retry hint. The store re-probes the disk
+        // on its own schedule.
+        if self.store.read_only() {
+            return Err(HandlerError::Unavailable {
+                retry_after_secs: 1,
+            });
+        }
         match kind {
             RequestKind::Sweep => {
                 let args = match wire::sweep_from_json(body) {
@@ -747,14 +749,13 @@ impl CliHandler {
                 // phase 1 answers warm cells straight from the store
                 // (never touching the queue), the rest are submitted to
                 // the shared pool and stream back as they finish. Each
-                // memoized cell is also marked in the journal under
-                // this request's token, so a crash mid-batch resumes
-                // with the finished cells answered from the store.
+                // finished cell is memoized as it lands, so a batch
+                // re-POSTed after a cut or a crash answers those cells
+                // from the store.
                 let mut harness = Harness::new()
                     .attrib(args.attrib)
                     .with_store(self.store.clone())
-                    .with_scheduler(self.sched.clone())
-                    .with_journal(self.journal.clone(), token);
+                    .with_scheduler(self.sched.clone());
                 match run_sweep(&args, &mut harness, progress) {
                     Ok(outcome) => {
                         let stats = harness.last_batch();
@@ -794,42 +795,6 @@ impl CliHandler {
             }
         }
     }
-}
-
-impl Handler for CliHandler {
-    fn run(
-        &self,
-        kind: RequestKind,
-        body: &Value,
-        token: &str,
-        progress: &mut dyn ProgressSink,
-    ) -> Result<RunResult, HandlerError> {
-        // Degraded store: new batches would run without memoizing (and
-        // without durable cell marks), so refuse them with a retry
-        // hint. The store re-probes the disk on its own schedule.
-        if self.store.read_only() {
-            return Err(HandlerError::Unavailable {
-                retry_after_secs: 1,
-            });
-        }
-        // WAL first: once admitted is journaled, a crash anywhere below
-        // replays this batch on the next start. Append failures are
-        // tolerated — the in-memory record still feeds compaction, and
-        // losing durability must not fail a runnable batch.
-        let _ = self.journal.admit(token, kind.as_str(), &body.render());
-        let result = self.dispatch(kind, body, token, progress);
-        match &result {
-            // Terminal either way: completed batches are pruned, and a
-            // refusal admitted no cells, so there is nothing to replay.
-            Ok(r) => {
-                let _ = self.journal.finish(token, r.exit_code);
-            }
-            Err(_) => {
-                let _ = self.journal.finish(token, 75);
-            }
-        }
-        result
-    }
 
     fn stats(&self) -> HandlerStats {
         let s = self.sched.stats();
@@ -843,9 +808,6 @@ impl Handler for CliHandler {
             checkpoint_hits: s.checkpoint_hits,
             checkpoint_bytes: s.checkpoint_bytes,
             read_only: self.store.read_only(),
-            journal_bytes: self.journal.size_bytes(),
-            journal_compactions: self.journal.compactions(),
-            journal_live_requests: self.journal.live_requests() as u64,
             store_entries: self.store.stats().entries as u64,
         }
     }
@@ -879,48 +841,12 @@ fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
         .unwrap_or_else(ResultStore::default_dir);
     let store = ResultStore::open(&dir)
         .map_err(|e| CliError(format!("cannot open result store {}: {e}", dir.display())))?;
-    // The request WAL lives next to the store file: opening it
-    // replays any journal left by a crashed predecessor and hands back
-    // the admitted-but-unfinished requests.
-    let journal = Journal::open(&dir)
-        .map_err(|e| CliError(format!("cannot open journal {}: {e}", dir.display())))?;
-    let pending = journal.take_pending();
     // One resident worker pool for the daemon's lifetime; every
     // client's cells interleave on it round-robin, and `--max-queue`
     // bounds how much work admission control will accept at once.
     let sched = CellScheduler::start(args.jobs, args.max_queue);
-    let service = Service::bind(
-        &args.addr,
-        Box::new(CliHandler {
-            store,
-            sched,
-            journal: journal.clone(),
-        }),
-    )
-    .map_err(|e| CliError(format!("cannot bind {}: {e}", args.addr)))?;
-    // Re-enqueue the crashed daemon's unfinished batches headless,
-    // before accepting connections: their tokens resolve for resuming
-    // clients, and cells memoized before the crash come back as store
-    // hits — zero recomputation.
-    if !pending.is_empty() {
-        eprintln!(
-            "ctcp serve: replaying {} journaled request(s) from {}",
-            pending.len(),
-            dir.display()
-        );
-    }
-    for p in pending {
-        let replayed = match RequestKind::parse(&p.kind) {
-            Some(kind) if resume_token(kind, &p.body) == p.token => service.replay(kind, &p.body),
-            _ => false,
-        };
-        if !replayed {
-            // Unknown kind, a body that no longer hashes to its token,
-            // or an unparseable body: retire the record rather than
-            // replaying it forever on every restart.
-            let _ = journal.finish(&p.token, 75);
-        }
-    }
+    let service = Service::bind(&args.addr, Box::new(CliHandler { store, sched }))
+        .map_err(|e| CliError(format!("cannot bind {}: {e}", args.addr)))?;
     // Printed and flushed before blocking, not returned with the
     // command's output: clients need the address while the daemon runs.
     println!("ctcp serve: listening on {}", service.local_addr());
@@ -934,13 +860,11 @@ fn serve_cmd(args: &ServeArgs) -> Result<CliOutcome, CliError> {
     let n = |name: &str| last.count(&format!("counters.serve_{name}"));
     Ok(CliOutcome::ok(format!(
         "ctcp serve: drained after {} requests ({} concurrent, {} cache hits, \
-         {} rejected, {} journal-replayed, {} streams resumed, \
-         {} worker respawns, {} cells poisoned)\n",
+         {} rejected, {} streams resumed, {} worker respawns, {} cells poisoned)\n",
         n("requests"),
         n("queued"),
         n("cache_hits"),
         n("rejected"),
-        n("journal_replayed"),
         n("resumed_streams"),
         n("worker_respawns"),
         n("cells_poisoned")
@@ -959,22 +883,11 @@ fn client_cmd(args: &ClientArgs) -> Result<CliOutcome, CliError> {
     match &args.action {
         ClientAction::Status => client_document(addr, "GET", "/status"),
         ClientAction::Shutdown => client_document(addr, "POST", "/shutdown"),
-        ClientAction::Sweep(sweep) => client_batch(
-            addr,
-            "/sweep",
-            Some(&wire::sweep_to_json(sweep)),
-            None,
-            retry,
-        ),
-        ClientAction::Analyze(analyze) => client_batch(
-            addr,
-            "/analyze",
-            Some(&wire::analyze_to_json(analyze)?),
-            None,
-            retry,
-        ),
-        ClientAction::Resume(token) => {
-            client_batch(addr, "/resume", None, Some(token.clone()), retry)
+        ClientAction::Sweep(sweep) => {
+            client_batch(addr, "/sweep", &wire::sweep_to_json(sweep), retry)
+        }
+        ClientAction::Analyze(analyze) => {
+            client_batch(addr, "/analyze", &wire::analyze_to_json(analyze)?, retry)
         }
     }
 }
@@ -1117,11 +1030,8 @@ fn render_top_frame(addr: &str, status: &Value) -> String {
     ));
     if let Some(gauges) = status.get("gauges") {
         out.push_str(&format!(
-            "store   {} entries   journal {} B, {} compaction(s), {} live\n",
-            g_u64(gauges, "store_entries"),
-            g_u64(gauges, "journal_bytes"),
-            g_u64(gauges, "journal_compactions"),
-            g_u64(gauges, "journal_live_requests"),
+            "store   {} entries\n",
+            g_u64(gauges, "store_entries")
         ));
     }
     match status.get("requests") {
@@ -1158,53 +1068,63 @@ fn render_top_frame(addr: &str, status: &Value) -> String {
     out
 }
 
-/// One batch stream's client-side state, carried across reconnects:
-/// the resume token and run id from the daemon's `accepted` handshake,
-/// the count of delivered events (the `have` cursor a `/resume` request
-/// continues from), and the terminal `result`/`error` once seen.
+/// One batch stream's client-side state, carried across re-POSTs: the
+/// run id from the daemon's `accepted` handshake, how many events that
+/// run has already delivered and the client handled, and the terminal
+/// `result`/`error` once seen.
 #[derive(Default)]
 struct ClientStream {
     pending: String,
-    token: Option<String>,
     run: u64,
+    /// Events handled under `run`: the most any one connection to it
+    /// delivered after its handshake.
     have: u64,
+    /// Events the current connection delivered after its handshake.
+    seen: u64,
     result: Option<(String, i32)>,
     error: Option<String>,
 }
 
 impl ClientStream {
-    /// Buffers one chunk and dispatches every complete NDJSON line —
-    /// chunk boundaries are not guaranteed to align with events, and a
-    /// torn final line (a mid-event disconnect) is deliberately left
-    /// unbuffered so `have` never counts a half-delivered event.
-    fn chunk(&mut self, chunk: &[u8]) {
+    /// Buffers one chunk and handles every complete NDJSON line, and
+    /// returns the progress lines to print. Chunk boundaries are not
+    /// guaranteed to align with events, and a torn final line (a
+    /// mid-event disconnect) is left unhandled, so `have` never counts
+    /// a half-delivered event.
+    fn chunk(&mut self, chunk: &[u8]) -> Vec<String> {
         self.pending.push_str(&String::from_utf8_lossy(chunk));
+        let mut print = Vec::new();
         while let Some(nl) = self.pending.find('\n') {
             let line: String = self.pending.drain(..=nl).collect();
-            self.event(line.trim());
+            print.extend(self.event(line.trim()));
         }
+        print
     }
 
-    fn event(&mut self, line: &str) {
+    /// Handles one event line; returns the line to print for a
+    /// `progress` event this run has not delivered before.
+    fn event(&mut self, line: &str) -> Option<String> {
         let Ok(v) = Value::parse(line) else {
-            return; // tolerate unknown framing rather than aborting the stream
+            return None; // tolerate unknown framing rather than aborting the stream
         };
-        match v.get("event").and_then(Value::as_str) {
-            // The handshake is per-connection, not part of the event
-            // log, so it never advances the `have` cursor.
-            Some("accepted") => {
-                let run = v.get("run").and_then(Value::as_u64).unwrap_or(0);
-                if self.run != 0 && run != self.run {
-                    // The daemon restarted between connections: its
-                    // replayed stream starts from the top, so the
-                    // cursor does too.
-                    self.have = 0;
-                }
+        if v.get("event").and_then(Value::as_str) == Some("accepted") {
+            // Each connection's handshake starts its count anew; a new
+            // run (a restarted daemon) has delivered nothing yet.
+            let run = v.get("run").and_then(Value::as_u64).unwrap_or(0);
+            if run != self.run {
                 self.run = run;
-                if let Some(t) = v.get("token").and_then(Value::as_str) {
-                    self.token = Some(t.to_string());
-                }
+                self.have = 0;
             }
+            self.seen = 0;
+            return None;
+        }
+        // A re-POST under the same run delivers the events an earlier
+        // connection already handled first; those are skipped, except
+        // a terminal event, which a re-run may deliver at any count.
+        self.seen += 1;
+        let fresh = self.seen > self.have;
+        self.have = self.have.max(self.seen);
+        match v.get("event").and_then(Value::as_str) {
             Some("result") => {
                 let output = v
                     .get("output")
@@ -1213,15 +1133,7 @@ impl ClientStream {
                     .to_string();
                 let code = v.get("exit_code").and_then(Value::as_u64).unwrap_or(1);
                 self.result = Some((output, i32::try_from(code).unwrap_or(1)));
-                self.have += 1;
-            }
-            Some("progress") => {
-                let done = v.get("done").and_then(Value::as_u64).unwrap_or(0);
-                let total = v.get("total").and_then(Value::as_u64).unwrap_or(0);
-                let workload = v.get("workload").and_then(Value::as_str).unwrap_or("?");
-                let took = v.get("took_s").and_then(Value::as_f64).unwrap_or(0.0);
-                eprintln!("[{done}/{total}] {workload} {took:.2}s");
-                self.have += 1;
+                None
             }
             Some("error") => {
                 let msg = v
@@ -1231,70 +1143,50 @@ impl ClientStream {
                     .unwrap_or("unspecified")
                     .to_string();
                 self.error = Some(msg);
-                self.have += 1;
+                None
             }
-            // batch_start and future event kinds are informational but
-            // still occupy a slot in the daemon's replayable log.
-            _ => self.have += 1,
+            Some("progress") if fresh => {
+                let done = v.get("done").and_then(Value::as_u64).unwrap_or(0);
+                let total = v.get("total").and_then(Value::as_u64).unwrap_or(0);
+                let workload = v.get("workload").and_then(Value::as_str).unwrap_or("?");
+                let took = v.get("took_s").and_then(Value::as_f64).unwrap_or(0.0);
+                Some(format!("[{done}/{total}] {workload} {took:.2}s"))
+            }
+            // batch_start, progress already printed, and future event
+            // kinds print nothing.
+            _ => None,
         }
-    }
-
-    /// The `/resume` body that picks this stream up where it broke.
-    fn resume_body(&self) -> Option<String> {
-        let token = self.token.as_deref()?;
-        Some(
-            Value::Obj(vec![
-                ("token".into(), Value::str(token)),
-                ("have".into(), Value::u64(self.have)),
-                ("run".into(), Value::u64(self.run)),
-            ])
-            .render(),
-        )
     }
 }
 
-/// A streaming batch request (`sweep`, `analyze`, `resume`): progress
-/// events are printed to stderr as chunks arrive; the final `result`
-/// event's rendered output and exit code become the command's.
+/// A streaming batch request (`sweep`, `analyze`): progress events are
+/// printed to stderr as chunks arrive; the final `result` event's
+/// rendered output and exit code become the command's.
 ///
 /// With a non-zero retry budget the client is self-healing: a broken
-/// connection re-attaches through `POST /resume` using the token from
-/// the daemon's `accepted` handshake (receiving only the events it has
-/// not yet seen), a `/resume` the daemon answers `404 unknown-token`
-/// (it restarted after the batch finished, or has forgotten it)
-/// re-POSTs the original body from a reset cursor, and a `503` sleeps
-/// out the daemon's `Retry-After` hint before asking again — under
-/// jittered exponential backoff every time.
+/// connection or a cut stream re-POSTs the same body, and a `503`
+/// sleeps out the daemon's `Retry-After` hint before asking again —
+/// under jittered exponential backoff every time. An identical body
+/// attaches to the batch if it still runs, and is answered from the
+/// result store if it finished, the restarted daemon's store
+/// included; either way [`ClientStream`] prints each progress line
+/// once per daemon run.
 fn client_batch(
     addr: &str,
     path: &str,
-    body: Option<&Value>,
-    token: Option<String>,
+    body: &Value,
     retry: Reconnect,
 ) -> Result<CliOutcome, CliError> {
-    let payload = body.map(Value::render);
-    let mut st = ClientStream {
-        token,
-        ..ClientStream::default()
-    };
+    let payload = body.render();
+    let mut st = ClientStream::default();
     let mut rng = jitter_seed();
     let mut attempt: u32 = 0;
     loop {
-        // An explicit `resume` action starts on `/resume`; a retried
-        // batch switches to it once the handshake supplied a token.
-        let (p, bytes) = match (&payload, st.resume_body()) {
-            (Some(b), None) => (path, b.clone()),
-            (Some(b), Some(_)) if attempt == 0 => (path, b.clone()),
-            (_, Some(r)) => ("/resume", r),
-            (None, None) => {
-                return Err(CliError(
-                    "resume needs a token before it can reconnect".into(),
-                ))
-            }
-        };
         st.pending.clear();
-        let outcome = http::request(addr, "POST", p, bytes.as_bytes(), &mut |chunk| {
-            st.chunk(chunk);
+        let outcome = http::request(addr, "POST", path, payload.as_bytes(), &mut |chunk| {
+            for line in st.chunk(chunk) {
+                eprintln!("{line}");
+            }
         });
         let retriable = match outcome {
             Ok(resp) if resp.status == 200 => {
@@ -1307,23 +1199,12 @@ fn client_batch(
                     )));
                 }
                 // A clean close without a result: the stream was
-                // severed between events. Resumable if we have a token.
-                if attempt >= retry.retries || st.token.is_none() {
+                // severed between events.
+                if attempt >= retry.retries {
                     return Err(CliError(format!(
                         "daemon at {addr} closed the stream without a result"
                     )));
                 }
-                None
-            }
-            Ok(resp)
-                if p == "/resume"
-                    && payload.is_some()
-                    && attempt < retry.retries
-                    && is_unknown_token(&resp) =>
-            {
-                // The memoized answer is one re-POST away; its stream
-                // starts from the top.
-                st = ClientStream::default();
                 None
             }
             Ok(resp) if resp.status == 503 => {
@@ -1356,7 +1237,7 @@ fn client_batch(
             .delay(attempt, &mut rng)
             .max(retriable.unwrap_or_default());
         eprintln!(
-            "ctcp client: retrying {p} at {addr} in {:.1}s ({} of {} retries)",
+            "ctcp client: retrying {path} at {addr} in {:.1}s ({} of {} retries)",
             delay.as_secs_f64(),
             attempt + 1,
             retry.retries
@@ -1364,13 +1245,6 @@ fn client_batch(
         std::thread::sleep(delay);
         attempt += 1;
     }
-}
-
-/// True for the daemon's typed `404 {"error":"unknown-token"}`.
-fn is_unknown_token(resp: &http::Response) -> bool {
-    resp.status == 404
-        && Value::parse(String::from_utf8_lossy(&resp.body).trim())
-            .is_ok_and(|v| v.get("error").and_then(Value::as_str) == Some("unknown-token"))
 }
 
 /// Renders the daemon's typed `503` refusal bodies: a clear "busy, try
@@ -1487,8 +1361,7 @@ mod tests {
                            "cells_per_sec":2.0,"p95_ms":31,"p99_ms":63,"cell_p95_ms":15},
                 "requests":[{"token":"a25bb65a15349da7","kind":"sweep",
                              "age_s":12,"cells_done":34,"cells_total":80}],
-                "gauges":{"journal_bytes":2048,"journal_compactions":2,
-                          "journal_live_requests":1,"store_entries":42},
+                "gauges":{"store_entries":42},
                 "recent_logs":[{"level":"warn","msg":"slow cell","token":"a25bb65a15349da7"}],
                 "counters":{"serve_requests":120,"serve_cache_hits":40,"serve_rejected":0,
                             "serve_worker_respawns":0,"serve_cells_poisoned":0}}"#,
@@ -1501,7 +1374,7 @@ mod tests {
              workers [##########----------] 2/4 busy   queued 6   in-flight 1\n\
              rolling 2.0 cells/s over 60s   req p95 31 ms   cell p95 15 ms   3 request(s)\n\
              totals  120 requests   40 cache hits   0 rejected   0 respawns   0 poisoned\n\
-             store   42 entries   journal 2048 B, 2 compaction(s), 1 live\n\n\
+             store   42 entries\n\n\
              live requests (1)\n  \
              TOKEN             KIND     AGE   PROGRESS\n  \
              a25bb65a15349da7  sweep      12s [#####-----] 34/80\n\n\
@@ -1953,17 +1826,93 @@ mod tests {
         (addr, server)
     }
 
+    fn accepted(run: u64) -> String {
+        format!("{{\"event\":\"accepted\",\"token\":\"0123456789abcdef\",\"run\":{run}}}\n")
+    }
+
+    fn batch_start(total: u64) -> String {
+        format!("{{\"event\":\"batch_start\",\"total\":{total}}}\n")
+    }
+
+    fn progress(done: u64, total: u64) -> String {
+        format!(
+            "{{\"event\":\"progress\",\"done\":{done},\"total\":{total},\
+             \"workload\":\"gzip\",\"took_s\":0.5}}\n"
+        )
+    }
+
+    const RESULT: &str = "{\"event\":\"result\",\"exit_code\":0,\"cache_hits\":2,\
+                          \"simulated\":0,\"output\":\"the full result\\n\"}\n";
+
+    /// Feeds each connection's lines to one stream, the way
+    /// `client_batch` does across re-POSTs, and returns what it printed.
+    fn printed(connections: &[Vec<String>]) -> (Vec<String>, ClientStream) {
+        let mut st = ClientStream::default();
+        let mut out = Vec::new();
+        for lines in connections {
+            st.pending.clear();
+            for line in lines {
+                out.extend(st.chunk(line.as_bytes()));
+            }
+        }
+        (out, st)
+    }
+
     #[test]
-    fn an_unknown_resume_token_falls_back_to_re_posting_the_request() {
-        let token = "0123456789abcdef";
-        let accepted = format!("{{\"event\":\"accepted\",\"token\":\"{token}\",\"run\":7}}\n");
-        let progress = |done: u64| {
-            format!(
-                "{{\"event\":\"progress\",\"done\":{done},\"total\":2,\"workload\":\"gzip\"}}\n"
-            )
-        };
-        let result = "{\"event\":\"result\",\"exit_code\":0,\"cache_hits\":2,\
-                      \"simulated\":0,\"output\":\"the full result\\n\"}\n";
+    fn a_re_post_under_the_same_run_prints_each_progress_line_once() {
+        let (out, st) = printed(&[
+            vec![accepted(7), batch_start(5), progress(1, 5), progress(2, 5)],
+            [accepted(7), batch_start(5)]
+                .into_iter()
+                .chain((1..=5).map(|d| progress(d, 5)))
+                .chain([RESULT.to_string()])
+                .collect(),
+        ]);
+        let want: Vec<String> = (1..=5).map(|d| format!("[{d}/5] gzip 0.50s")).collect();
+        assert_eq!(out, want);
+        assert_eq!(st.result, Some(("the full result\n".into(), 0)));
+    }
+
+    #[test]
+    fn a_shorter_re_run_under_the_same_run_still_delivers_its_result() {
+        // The batch finished between the cut and the re-POST, so the
+        // re-POST ran it again from the store: nothing left to simulate.
+        let (out, st) = printed(&[
+            vec![accepted(7), batch_start(5), progress(1, 5), progress(2, 5)],
+            vec![accepted(7), batch_start(0), RESULT.to_string()],
+        ]);
+        assert_eq!(out, ["[1/5] gzip 0.50s", "[2/5] gzip 0.50s"]);
+        assert_eq!(st.result, Some(("the full result\n".into(), 0)));
+    }
+
+    #[test]
+    fn a_new_run_prints_from_the_top() {
+        let (out, st) = printed(&[
+            vec![accepted(7), batch_start(3), progress(1, 3), progress(2, 3)],
+            vec![
+                accepted(8),
+                batch_start(3),
+                progress(1, 3),
+                progress(2, 3),
+                progress(3, 3),
+                RESULT.to_string(),
+            ],
+        ]);
+        assert_eq!(
+            out,
+            [
+                "[1/3] gzip 0.50s",
+                "[2/3] gzip 0.50s",
+                "[1/3] gzip 0.50s",
+                "[2/3] gzip 0.50s",
+                "[3/3] gzip 0.50s"
+            ]
+        );
+        assert!(st.result.is_some());
+    }
+
+    #[test]
+    fn a_cut_stream_re_posts_its_body() {
         let stream = move |events: Vec<String>, finish: bool| {
             Box::new(move |out: std::net::TcpStream| {
                 let mut w = http::ChunkedWriter::start(out, 200, "application/x-ndjson").unwrap();
@@ -1975,19 +1924,18 @@ mod tests {
                 }
             }) as Box<dyn FnOnce(std::net::TcpStream) + Send>
         };
-        let unknown = format!("{{\"error\":\"unknown-token\",\"token\":\"{token}\"}}");
         let (addr, server) = fake_daemon(vec![
             // The first stream is cut short after one event ...
-            stream(vec![accepted.clone(), progress(1)], false),
-            // ... the daemon restarted after the batch finished, so it
-            // no longer knows the token ...
-            Box::new(move |mut out: std::net::TcpStream| {
-                http::write_response(&mut out, 404, "application/json", unknown.as_bytes())
-                    .unwrap();
-            }),
-            // ... and answers the re-POST in full, from its store.
+            stream(vec![accepted(7), batch_start(2), progress(1, 2)], false),
+            // ... and the re-POST streams in full.
             stream(
-                vec![accepted, progress(1), progress(2), result.to_string()],
+                vec![
+                    accepted(7),
+                    batch_start(2),
+                    progress(1, 2),
+                    progress(2, 2),
+                    RESULT.to_string(),
+                ],
                 true,
             ),
         ]);
@@ -1996,25 +1944,16 @@ mod tests {
             retries: 3,
             backoff_ms: 1,
         };
-        let outcome = client_batch(&addr, "/sweep", Some(&body), None, retry).unwrap();
+        let outcome = client_batch(&addr, "/sweep", &body, retry).unwrap();
         assert_eq!(outcome.output, "the full result\n");
         assert_eq!(outcome.exit_code, 0);
         let seen = server.join().unwrap();
         let paths: Vec<&str> = seen.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(paths, ["/sweep", "/resume", "/sweep"]);
-        assert_eq!(seen[2].1, body.render(), "the original body, re-POSTed");
-
-        // `client resume TOKEN` holds no body to fall back to.
-        let unknown = format!("{{\"error\":\"unknown-token\",\"token\":\"{token}\"}}");
-        let (addr, server) = fake_daemon(vec![Box::new(move |mut out: std::net::TcpStream| {
-            http::write_response(&mut out, 404, "application/json", unknown.as_bytes()).unwrap();
-        })]);
-        let err = client_batch(&addr, "/resume", None, Some(token.into()), retry).unwrap_err();
+        assert_eq!(paths, ["/sweep", "/sweep"]);
         assert!(
-            err.0.contains("404") && err.0.contains("unknown-token"),
-            "{err}"
+            seen.iter().all(|(_, b)| *b == body.render()),
+            "the original body, re-POSTed"
         );
-        server.join().unwrap();
     }
 
     #[test]

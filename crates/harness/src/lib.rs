@@ -92,6 +92,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// No product code opens the request journal any more; it stays until
+// the benchmark's `harness.journal_us` row, which times it, is retired.
 mod journal;
 mod progress;
 mod sched;
@@ -456,7 +458,6 @@ pub struct Harness {
     jobs: usize,
     store: Option<ResultStore>,
     pool: Option<Pool>,
-    journal: Option<(Journal, String)>,
     progress: Option<bool>,
     metrics_out: Option<PathBuf>,
     metrics_file: Option<std::fs::File>,
@@ -494,7 +495,6 @@ impl Harness {
             jobs: 0,
             store: None,
             pool: None,
-            journal: None,
             progress: None,
             metrics_out: None,
             metrics_file: None,
@@ -530,16 +530,6 @@ impl Harness {
     /// [`Saturated`] instead of failed outcomes.
     pub fn with_scheduler(mut self, sched: CellScheduler) -> Harness {
         self.pool = Some(Pool::Shared(sched));
-        self
-    }
-
-    /// Attaches a request [`Journal`]: every cell this harness memoizes
-    /// into the store is also marked in the journal under `token`, so
-    /// a daemon restart knows which cells of the journaled request were
-    /// already finished. Mark failures are best-effort (the store line
-    /// is the authority; a lost mark only costs a redundant store hit).
-    pub fn with_journal(mut self, journal: Journal, token: impl Into<String>) -> Harness {
-        self.journal = Some((journal, token.into()));
         self
     }
 
@@ -907,10 +897,6 @@ impl Harness {
                 // A broken store must not fail the batch; warn once per
                 // failure and continue unmemoized.
                 eprintln!("warning: result store write failed: {e}");
-            } else if let Some((journal, token)) = &self.journal {
-                if let Err(e) = journal.mark_cell(token, key) {
-                    eprintln!("warning: journal cell mark failed: {e}");
-                }
             }
         }
     }

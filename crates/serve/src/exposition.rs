@@ -27,7 +27,6 @@ pub(crate) enum Slot {
     Queued,
     CacheHits,
     Rejected,
-    JournalReplayed,
     ResumedStreams,
 }
 
@@ -65,7 +64,7 @@ pub(crate) struct Row {
 }
 
 /// Every number the service reports about itself, in document order.
-pub(crate) static ROWS: [Row; 28] = [
+pub(crate) static ROWS: [Row; 24] = [
     Row {
         kind: GAUGE,
         family: Some("ctcp_in_flight_requests"),
@@ -200,13 +199,6 @@ pub(crate) static ROWS: [Row; 28] = [
     },
     Row {
         kind: COUNTER,
-        family: Some("ctcp_serve_journal_replayed_total"),
-        key: "counters.serve_journal_replayed",
-        help: "Journaled requests replayed headless after a restart.",
-        source: Source::Slot(Slot::JournalReplayed),
-    },
-    Row {
-        kind: COUNTER,
         family: Some("ctcp_serve_resumed_streams_total"),
         key: "counters.serve_resumed_streams",
         help: "Streams re-attached to an admitted batch.",
@@ -239,27 +231,6 @@ pub(crate) static ROWS: [Row; 28] = [
         key: "counters.serve_checkpoint_hits",
         help: "Warmed cells that reused a captured checkpoint.",
         source: Source::Handler(|h| Value::u64(h.checkpoint_hits)),
-    },
-    Row {
-        kind: GAUGE,
-        family: Some("ctcp_journal_bytes"),
-        key: "gauges.journal_bytes",
-        help: "Bytes in the request journal.",
-        source: Source::Handler(|h| Value::u64(h.journal_bytes)),
-    },
-    Row {
-        kind: GAUGE,
-        family: Some("ctcp_journal_compactions"),
-        key: "gauges.journal_compactions",
-        help: "Journal compactions since the daemon started.",
-        source: Source::Handler(|h| Value::u64(h.journal_compactions)),
-    },
-    Row {
-        kind: GAUGE,
-        family: Some("ctcp_journal_live_requests"),
-        key: "gauges.journal_live_requests",
-        help: "Journaled requests admitted and not yet finished.",
-        source: Source::Handler(|h| Value::u64(h.journal_live_requests)),
     },
     Row {
         kind: GAUGE,

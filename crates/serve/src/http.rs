@@ -518,7 +518,7 @@ mod tests {
         let err = w.chunk(b"hello world\n").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         // Half the frame reached the wire; a later chunk (e.g. after a
-        // client resume on a fresh writer) goes through untorn.
+        // client's re-POST, on a fresh writer) goes through untorn.
         w.chunk(b"again\n").unwrap();
         failpoint::set(None);
         let text = String::from_utf8(out).unwrap();

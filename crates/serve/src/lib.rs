@@ -35,8 +35,8 @@
 //! See [`http`] for the wire protocol and [`service`] for routing,
 //! admission, disconnect and graceful-drain contracts; DESIGN.md §7f
 //! and §7h in the repository root document both, and §7i documents
-//! the crash-recovery layer (request journal, worker supervision,
-//! read-only degradation, and the reconnect/resume protocol).
+//! crash recovery (worker supervision, read-only degradation, and the
+//! client's re-`POST` after a cut stream or a restarted daemon).
 //! `spans.rs` keeps the request spans `GET /trace/<token>` renders
 //! (§7j).
 

@@ -1,5 +1,5 @@
 //! The resident sweep service: accept loop, request routing, admission
-//! control, crash-safe request registry, and graceful drain. The
+//! control, the live-request registry, and graceful drain. The
 //! numbers it reports about itself are declared in `exposition.rs`.
 //!
 //! The service itself knows nothing about simulators. It owns a
@@ -11,7 +11,6 @@
 //! |-------------------|----------------------------------------------------|
 //! | `POST /sweep`     | runs a sweep, streaming NDJSON progress chunks     |
 //! | `POST /analyze`   | same, for an attribution analysis                  |
-//! | `POST /resume`    | re-attaches to a live or finished batch by token   |
 //! | `GET /status`     | in-flight work, pool utilization, latency, counters|
 //! | `POST /shutdown`  | begins a graceful drain                            |
 //!
@@ -20,7 +19,7 @@
 //! `Send + Sync`) rather than serialised behind a mutex. Interleaving
 //! is the handler's business — the CLI handler feeds all requests into
 //! one fair cell scheduler — while the service handles the wire side
-//! of concurrency and of *crash safety*:
+//! of concurrency and of reconnects:
 //!
 //! * **admission**: a handler may refuse a batch before streaming
 //!   anything ([`HandlerError::Saturated`] when the queue is over its
@@ -28,23 +27,20 @@
 //!   degraded to read-only); the service answers with a clean `503`, a
 //!   typed JSON body, and a `Retry-After` header so clients can tell
 //!   "try later" from a failed run.
-//! * **one delivery path**: every batch is keyed by a *resume token* —
-//!   a hash of the raw wire body ([`resume_token`]) — and records its
-//!   full event stream into an in-memory registry entry. Every stream
-//!   reads that entry: the admitting `POST`, an identical `POST` that
-//!   attaches while the batch runs (it is never run twice), and
-//!   `POST /resume {"token","have","run"}`, which skips the events the
-//!   client already has (none when the run id changed — i.e. the
-//!   daemon restarted). The first chunk of every stream is an
-//!   `accepted` handshake carrying the token and the daemon's run id.
+//! * **one delivery path**: every running batch is keyed by a *resume
+//!   token* — a hash of the raw wire body ([`resume_token`]) — and
+//!   records its full event stream into an in-memory registry entry.
+//!   Every stream reads that entry from its first event: the admitting
+//!   `POST`, and an identical `POST` that attaches while the batch runs
+//!   (it is never run twice at once). The entry leaves the registry
+//!   when its batch finishes, so an identical `POST` after that runs
+//!   the batch again, answered from the result store. The first chunk
+//!   of every stream is an `accepted` handshake carrying the token and
+//!   the daemon's run id.
 //! * **disconnects detach**: no client sits on the batch's thread, so a
 //!   reader that stalls or leaves paces only its own stream — the
-//!   batch finishes, every cell memoizes, and the entry keeps the
-//!   stream for the client's reconnect.
-//! * **replay**: after a crash, the CLI re-submits journaled
-//!   unfinished requests through [`Service::replay`], which starts them
-//!   before any client connects — by the time clients reconnect, their
-//!   tokens resolve.
+//!   batch finishes and every cell memoizes, so the client's re-`POST`
+//!   finds the batch still running or its cells in the store.
 //! * **drain**: `/shutdown` stops the accept loop, every connection
 //!   thread and then every batch thread is joined, and then the
 //!   handler is [quiesced](Handler::quiesce) so its worker pool runs
@@ -55,7 +51,7 @@ use crate::http;
 use crate::spans::{SpanKind, SpanRing};
 use ctcp_telemetry::json::Value;
 use ctcp_telemetry::{failpoint, log, request_trace, ProgressSink, SeriesRing, SERIES_SECONDS};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -73,31 +69,20 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// The wire/journal name of this kind.
+    /// The wire name of this kind.
     pub fn as_str(self) -> &'static str {
         match self {
             RequestKind::Sweep => "sweep",
             RequestKind::Analyze => "analyze",
         }
     }
-
-    /// The inverse of [`as_str`](RequestKind::as_str) — used when
-    /// replaying journaled requests.
-    pub fn parse(s: &str) -> Option<RequestKind> {
-        match s {
-            "sweep" => Some(RequestKind::Sweep),
-            "analyze" => Some(RequestKind::Analyze),
-            _ => None,
-        }
-    }
 }
 
 /// The resume token of a batch: FNV-1a 64 over the request kind and
 /// the *raw* wire body. Identical request bytes — from the same client
-/// retrying, or a different client asking the same question — map to
-/// the same token, which is what makes admission idempotent and crash
-/// recovery possible: the journal records the same token the service
-/// derives, so a replayed request answers the original token.
+/// re-posting after a cut, or a different client asking the same
+/// question — map to the same token, which is what lets an identical
+/// `POST` attach to the running batch instead of running it twice.
 pub fn resume_token(kind: RequestKind, raw_body: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in kind.as_str().bytes().chain([b':']).chain(raw_body.bytes()) {
@@ -108,9 +93,9 @@ pub fn resume_token(kind: RequestKind, raw_body: &str) -> String {
 }
 
 /// This daemon incarnation's id, sent in the `accepted` handshake. A
-/// resuming client echoes it back; a mismatch means the daemon
-/// restarted in between, so the client's event count is meaningless
-/// and the stream restarts from the beginning.
+/// re-posting client compares it with the run its earlier stream
+/// named: a mismatch means the daemon restarted in between, so the
+/// client's event count is meaningless and it prints from the top.
 fn run_id() -> u64 {
     u64::from(std::process::id())
 }
@@ -215,13 +200,6 @@ pub struct HandlerStats {
     pub checkpoint_bytes: u64,
     /// True while the result store is degraded to read-only.
     pub read_only: bool,
-    /// Bytes in the request journal now.
-    pub journal_bytes: u64,
-    /// Journal compactions since the journal was opened, the open-time
-    /// rewrite included.
-    pub journal_compactions: u64,
-    /// Journaled requests admitted and not yet finished.
-    pub journal_live_requests: u64,
     /// Reports in the result store's index now.
     pub store_entries: u64,
 }
@@ -238,9 +216,7 @@ pub trait Handler: Send + Sync {
     /// reporting through `progress`: `batch_start` once its cells are
     /// handed to the workers that run them, then one timed
     /// `cell_done_on` per simulated cell (`cell_done` for a cell no
-    /// pool worker ran). `token` is the batch's resume token — a
-    /// journaling handler records it so the request can be replayed
-    /// after a crash.
+    /// pool worker ran).
     ///
     /// The sink is the service's own: each call updates the request's
     /// `/status` row, records its spans and appends the NDJSON line the
@@ -260,7 +236,6 @@ pub trait Handler: Send + Sync {
         &self,
         kind: RequestKind,
         body: &Value,
-        token: &str,
         progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError>;
 
@@ -277,10 +252,10 @@ pub trait Handler: Send + Sync {
     fn quiesce(&self) {}
 }
 
-/// One admitted batch's replayable state: every event line it has
+/// One running batch's replayable state: every event line it has
 /// emitted (progress and the final result), and whether it finished.
-/// Readers — the admitting `POST`, duplicate `POST`s, `/resume`
-/// attachments — stream the log and park on the condvar for more.
+/// Readers — the admitting `POST` and identical `POST`s that attach
+/// while it runs — stream the log and park on the condvar for more.
 struct RequestEntry {
     state: Mutex<EntryState>,
     grew: Condvar,
@@ -341,10 +316,6 @@ impl RequestEntry {
         self.grew.notify_all();
     }
 
-    fn is_done(&self) -> bool {
-        relock(&self.state).done
-    }
-
     /// Blocks until there are events past index `from` (or the entry
     /// is done), then returns the locked state.
     fn settled(&self, from: usize) -> MutexGuard<'_, EntryState> {
@@ -364,50 +335,6 @@ impl RequestEntry {
     }
 }
 
-/// Finished requests the registry keeps for a late reader; beyond
-/// them the oldest finished request is forgotten first.
-const FINISHED_KEPT: usize = 256;
-
-/// The request registry: every live batch and the newest
-/// [`FINISHED_KEPT`] finished ones, keyed by resume token.
-#[derive(Default)]
-struct Requests {
-    by_token: HashMap<String, Arc<RequestEntry>>,
-    /// Finished entries, oldest first.
-    finished: VecDeque<(String, Arc<RequestEntry>)>,
-}
-
-impl Requests {
-    /// Registers a new run of `token`, replacing its finished one.
-    fn admit(&mut self, token: String, entry: Arc<RequestEntry>) {
-        if let Some(old) = self.by_token.insert(token, entry) {
-            self.finished.retain(|(_, e)| !Arc::ptr_eq(e, &old));
-        }
-    }
-
-    /// Forgets `token` if it still names `entry`, not a newer run's.
-    fn forget(&mut self, token: &str, entry: &Arc<RequestEntry>) {
-        if self
-            .by_token
-            .get(token)
-            .is_some_and(|e| Arc::ptr_eq(e, entry))
-        {
-            self.by_token.remove(token);
-        }
-    }
-
-    /// Files a finished entry, forgetting the oldest beyond the bound.
-    fn retire(&mut self, token: &str, entry: &Arc<RequestEntry>) {
-        self.finished
-            .push_back((token.to_string(), Arc::clone(entry)));
-        while self.finished.len() > FINISHED_KEPT {
-            if let Some((token, entry)) = self.finished.pop_front() {
-                self.forget(&token, &entry);
-            }
-        }
-    }
-}
-
 struct Inner {
     handler: Box<dyn Handler>,
     metrics: Registry,
@@ -422,15 +349,15 @@ struct Inner {
     /// A fixed slow-cell log threshold; `None` = rolling p99 × 3. Unit
     /// tests set it.
     slow_cell_ms: Option<u64>,
-    /// Every live batch this incarnation has admitted and the newest
-    /// [`FINISHED_KEPT`] finished ones. Finished entries are kept so a
-    /// client that reconnects after its batch completed still gets the
-    /// full stream; one that comes back later gets `404 unknown-token`
-    /// and re-POSTs, and `/status` scans a bounded map.
-    registry: Mutex<Requests>,
-    /// Unjoined batch threads, live `POST`s and journal replays alike;
-    /// finished ones are reaped as batches start, and the drain joins
-    /// the rest so no admitted batch is abandoned.
+    /// Every running batch, keyed by resume token. A batch's entry
+    /// leaves under this lock as the batch settles (its terminal line
+    /// recorded), so every entry here is live: an identical `POST`
+    /// attaches to it, and one that comes later runs the batch again,
+    /// answered from the store.
+    registry: Mutex<HashMap<String, Arc<RequestEntry>>>,
+    /// Unjoined batch threads; finished ones are reaped as batches
+    /// start, and the drain joins the rest so no admitted batch is
+    /// abandoned.
     batches: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Set by `/shutdown`; the accept loop stops taking connections.
     draining: AtomicBool,
@@ -516,7 +443,7 @@ impl Service {
                 spans: Mutex::new(SpanRing::new()),
                 epoch: Instant::now(),
                 slow_cell_ms: None,
-                registry: Mutex::new(Requests::default()),
+                registry: Mutex::new(HashMap::new()),
                 batches: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
                 addr,
@@ -528,30 +455,6 @@ impl Service {
     /// The bound address — the actual port when bound to port 0.
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.addr
-    }
-
-    /// Re-runs a journaled request before any client asks for it, so a
-    /// client that reconnects after a daemon crash finds its token live
-    /// (or finished) instead of unknown. Called by the CLI before
-    /// [`run`](Service::run) for every unfinished request the journal
-    /// replays. Returns `false` (and does nothing) when the body no
-    /// longer parses or the token is already registered.
-    pub fn replay(&self, kind: RequestKind, raw_body: &str) -> bool {
-        let Ok(body) = Value::parse(raw_body) else {
-            return false;
-        };
-        let token = resume_token(kind, raw_body);
-        let entry = Arc::new(RequestEntry::new(kind));
-        {
-            let mut reg = relock(&self.inner.registry);
-            if reg.by_token.contains_key(&token) {
-                return false;
-            }
-            reg.admit(token.clone(), Arc::clone(&entry));
-        }
-        self.inner.metrics.add(Slot::JournalReplayed, 1);
-        start_entry(&self.inner, kind, body, token, entry);
-        true
     }
 
     /// Serves until a `/shutdown` request, then drains: the accept
@@ -601,9 +504,9 @@ impl Service {
         }
         // Graceful drain: in-flight batches finish (and memoize) even
         // though no new connections are accepted — then the handler's
-        // own pool is quiesced, so no admitted cell is ever lost. Once
-        // `run` is serving, only connection threads start batches, so
-        // after they are joined the batch list is final.
+        // own pool is quiesced, so no admitted cell is ever lost. Only
+        // connection threads start batches, so after they are joined
+        // the batch list is final.
         for w in workers {
             let _ = w.join();
         }
@@ -638,7 +541,6 @@ fn handle_connection(
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/sweep") => run_batch(RequestKind::Sweep, &req, &mut out, inner),
         ("POST", "/analyze") => run_batch(RequestKind::Analyze, &req, &mut out, inner),
-        ("POST", "/resume") => resume(&req, &mut out, inner),
         ("GET", "/status") => status(&mut out, inner),
         ("GET", "/metrics") => metrics_export(&mut out, inner),
         ("GET", path) if path.strip_prefix("/trace/").is_some_and(|t| !t.is_empty()) => {
@@ -667,9 +569,9 @@ fn event_line(event: &Value) -> String {
     line
 }
 
-/// The first chunk of every batch stream: the resume handshake. Not
-/// recorded in the entry log — each attachment gets its own, and
-/// clients count delivered events from the line after it.
+/// The first chunk of every batch stream: the handshake. Not recorded
+/// in the entry log — each stream gets its own, and clients count
+/// delivered events from the line after it.
 fn accepted_line(token: &str) -> String {
     event_line(&Value::Obj(vec![
         ("event".into(), Value::str("accepted")),
@@ -711,18 +613,18 @@ fn start_entry(
 /// Runs the batch through the handler, recording every event line (and
 /// the final `result` line) in `entry`. The in-flight gauge covers the
 /// run and drops before the terminal line, so a client that has read
-/// its result never sees the batch still in flight. A refusal removes
-/// the entry from the registry (a later retry runs fresh) and ends it
-/// with the refusal and a terminal `error` line, so the admitting
+/// its result never sees the batch still in flight. A refusal ends the
+/// entry with the refusal and a terminal `error` line, so the admitting
 /// `POST` can answer `503` and attached streams end instead of
 /// hanging; a panicking handler yields a terminal `result` line with
-/// exit code 70 and the daemon survives.
+/// exit code 70 and the daemon survives. Either way the entry leaves
+/// the registry as it settles.
 fn execute_entry(
     inner: &Inner,
     kind: RequestKind,
     body: &Value,
     token: &str,
-    entry: &Arc<RequestEntry>,
+    entry: &RequestEntry,
 ) {
     if inner.metrics.add(Slot::InFlight, 1) > 0 {
         // Another batch is already running: this one rides the shared
@@ -750,13 +652,12 @@ fn execute_entry(
         first_cell_us: None,
     };
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        inner.handler.run(kind, body, token, &mut sink)
+        inner.handler.run(kind, body, &mut sink)
     }));
     let result = match outcome {
         Ok(Ok(result)) => result,
         Ok(Err(refusal)) => {
             inner.metrics.add(Slot::Rejected, 1);
-            relock(&inner.registry).forget(token, entry);
             log::warn(
                 "serve",
                 "request refused",
@@ -768,11 +669,12 @@ fn execute_entry(
             );
             drop(gauge);
             relock(&entry.state).refusal = Some(refusal);
-            entry.finish(event_line(&Value::Obj(vec![
+            let line = event_line(&Value::Obj(vec![
                 ("event".into(), Value::str("error")),
                 ("error".into(), Value::str(refusal.name())),
                 ("message".into(), Value::str(&refusal.to_string())),
-            ])));
+            ]));
+            settle(inner, token, entry, line);
             return;
         }
         Err(_) => {
@@ -841,11 +743,16 @@ fn execute_entry(
         ("simulated".into(), Value::u64(result.simulated)),
         ("output".into(), Value::str(&result.output)),
     ]));
-    // Finished and filed under one registry lock, so a client that has
-    // read the result finds the registry already bounded.
-    let mut requests = relock(&inner.registry);
+    settle(inner, token, entry, line);
+}
+
+/// Records `entry`'s terminal line and removes it from the registry
+/// under one registry lock, so a client that has read that line finds
+/// the batch gone, and its next identical `POST` runs the batch again.
+fn settle(inner: &Inner, token: &str, entry: &RequestEntry, line: String) {
+    let mut registry = relock(&inner.registry);
+    registry.remove(token);
     entry.finish(line);
-    requests.retire(token, entry);
 }
 
 /// The service's [`ProgressSink`] for one running request, and the
@@ -974,23 +881,18 @@ fn run_batch(
 
     // Idempotent admission: an identical request already running (same
     // kind, same raw body, so same token) is attached to, not re-run.
-    // Finished entries do not capture duplicates — re-asking a settled
-    // question runs fresh (and answers warm from the store anyway).
+    // A settled batch has left the registry, so re-asking it runs
+    // fresh, and answers warm from the store.
     let entry = {
         let mut reg = relock(&inner.registry);
-        match reg.by_token.get(&token) {
-            Some(live) if !live.is_done() => {
-                let live = Arc::clone(live);
-                drop(reg);
-                inner.metrics.add(Slot::ResumedStreams, 1);
-                return stream_entry(out, &live, &token, 0, inner);
-            }
-            _ => {
-                let entry = Arc::new(RequestEntry::new(kind));
-                reg.admit(token.clone(), Arc::clone(&entry));
-                entry
-            }
+        if let Some(live) = reg.get(&token).map(Arc::clone) {
+            drop(reg);
+            inner.metrics.add(Slot::ResumedStreams, 1);
+            return stream_entry(out, &live, &token, inner);
         }
+        let entry = Arc::new(RequestEntry::new(kind));
+        reg.insert(token.clone(), Arc::clone(&entry));
+        entry
     };
     start_entry(inner, kind, body, token.clone(), Arc::clone(&entry));
 
@@ -1022,23 +924,21 @@ fn run_batch(
             body.as_bytes(),
         );
     }
-    stream_entry(out, &entry, &token, 0, inner)
+    stream_entry(out, &entry, &token, inner)
 }
 
-/// Streams `entry` to `out` from event index `from`: the `accepted`
-/// handshake, every already-recorded event past `from`, then live
-/// events as the batch records them, until the entry is done. Every
-/// attempt records a `stream` span on the streams lane, one the client
-/// cut short included.
+/// Streams `entry` to `out`: the `accepted` handshake, every event
+/// already recorded, then live events as the batch records them, until
+/// the entry is done. Every attempt records a `stream` span on the
+/// streams lane, one the client cut short included.
 fn stream_entry(
     out: &mut TcpStream,
     entry: &RequestEntry,
     token: &str,
-    from: usize,
     inner: &Inner,
 ) -> io::Result<()> {
     let stream_start_us = inner.now_us();
-    let mut at = from;
+    let mut at = 0;
     let delivered = (|| -> io::Result<()> {
         let mut w = http::ChunkedWriter::start(out.try_clone()?, 200, "application/x-ndjson")?;
         w.chunk(accepted_line(token).as_bytes())?;
@@ -1055,49 +955,11 @@ fn stream_entry(
     })();
     let streamed = inner.now_us().saturating_sub(stream_start_us);
     let sent = SpanKind::Stream {
-        from: from as u64,
-        events: (at - from) as u64,
+        from: 0,
+        events: at as u64,
     };
     inner.record_span(token, stream_start_us, streamed, sent);
     delivered
-}
-
-/// `POST /resume {"token": "...", "have": N, "run": R}` — re-attaches
-/// to a batch by resume token, skipping the `N` events the client
-/// already received from daemon incarnation `R` (all events are
-/// re-sent when `R` is not this incarnation). Unknown tokens get a
-/// typed `404` — the client falls back to re-POSTing the original
-/// request.
-fn resume(req: &http::Request, out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
-    let body = match req.body_str().map(Value::parse) {
-        Some(Ok(v)) => v,
-        _ => return http::write_response(out, 400, "text/plain", b"body is not valid JSON"),
-    };
-    let Some(token) = body.get("token").and_then(Value::as_str).map(String::from) else {
-        return http::write_response(out, 400, "text/plain", b"resume body needs a token");
-    };
-    let have = body.get("have").and_then(Value::as_u64).unwrap_or(0) as usize;
-    let run = body.get("run").and_then(Value::as_u64).unwrap_or(0);
-    let entry = relock(&inner.registry).by_token.get(&token).map(Arc::clone);
-    let Some(entry) = entry else {
-        let body = Value::Obj(vec![
-            ("error".into(), Value::str("unknown-token")),
-            ("token".into(), Value::str(&token)),
-        ])
-        .render();
-        return http::write_response(out, 404, "application/json", body.as_bytes());
-    };
-    let from = if run == run_id() { have } else { 0 };
-    inner.metrics.add(Slot::ResumedStreams, 1);
-    log::info(
-        "serve",
-        "stream resumed",
-        &[
-            ("token", Value::str(&token)),
-            ("from", Value::u64(from as u64)),
-        ],
-    );
-    stream_entry(out, &entry, &token, from, inner)
 }
 
 /// `GET /status`: the registry's rows, the lifetime latency
@@ -1116,13 +978,11 @@ fn status(out: &mut TcpStream, inner: &Inner) -> io::Result<()> {
     http::write_response(out, 200, "application/json", body.as_bytes())
 }
 
-/// Live (unfinished) requests, oldest first and at most 64, for
+/// The registry's requests, all live, oldest first and at most 64, for
 /// `ctcp top`'s table.
 fn live_requests(inner: &Inner) -> Vec<Value> {
     let mut requests: Vec<(u64, Value)> = relock(&inner.registry)
-        .by_token
         .iter()
-        .filter(|(_, e)| !e.is_done())
         .map(|(token, e)| {
             let st = relock(&e.state);
             let age_s = e.created.elapsed().as_secs();
@@ -1208,7 +1068,6 @@ mod tests {
             &self,
             kind: RequestKind,
             body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let rendered = body.render();
@@ -1232,7 +1091,6 @@ mod tests {
         fn stats(&self) -> HandlerStats {
             HandlerStats {
                 workers: 2,
-                journal_bytes: 2048,
                 store_entries: 7,
                 ..HandlerStats::default()
             }
@@ -1329,10 +1187,6 @@ mod tests {
         );
         assert_eq!(counters.get("serve_rejected").unwrap().as_u64(), Some(0));
         assert_eq!(
-            counters.get("serve_journal_replayed").unwrap().as_u64(),
-            Some(0)
-        );
-        assert_eq!(
             counters.get("serve_resumed_streams").unwrap().as_u64(),
             Some(0)
         );
@@ -1346,6 +1200,7 @@ mod tests {
         );
         let resp = http::request(&addr, "GET", "/nope", b"", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 404);
+        assert_eq!(resp.body, b"unknown route");
         let resp = http::request(&addr, "POST", "/sweep", b"not json", &mut |_| {}).unwrap();
         assert_eq!(resp.status, 400);
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
@@ -1359,7 +1214,7 @@ mod tests {
         // 64 KiB of `[` would overflow a connection thread's stack and
         // abort the process without the parser's depth cap.
         let bomb = vec![b'['; 64 << 10];
-        for path in ["/sweep", "/resume"] {
+        for path in ["/sweep", "/analyze"] {
             let resp = http::request(&addr, "POST", path, &bomb, &mut |_| {}).unwrap();
             assert_eq!(resp.status, 400, "{path}");
         }
@@ -1415,7 +1270,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let pad = "x".repeat(64 << 10);
@@ -1503,7 +1357,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             _progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let mut inside = self.inside.lock().unwrap();
@@ -1585,7 +1438,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             _progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             Err(self.0)
@@ -1659,7 +1511,7 @@ mod tests {
     }
 
     /// A handler that emits `total` events with a small delay — long
-    /// enough for a client to vanish mid-stream and resume.
+    /// enough for an identical `POST` to arrive while it runs.
     struct TalkativeHandler {
         total: u64,
     }
@@ -1669,7 +1521,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             for done in 1..=self.total {
@@ -1685,32 +1536,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disconnect_detaches_and_resume_replays_the_full_stream() {
-        let _g = crate::testutil::fail_points_held();
-        use std::io::Write;
-        let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 10 })).unwrap();
+    /// Reports `total` cells, the rest only after a release once `held`
+    /// are reported: a client can vanish and re-POST while it runs.
+    struct GatedHandler {
+        total: usize,
+        held: usize,
+        gate: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Handler for GatedHandler {
+        fn run(
+            &self,
+            _kind: RequestKind,
+            _body: &Value,
+            progress: &mut dyn ProgressSink,
+        ) -> Result<RunResult, HandlerError> {
+            let gate = self.gate.lock().unwrap();
+            for done in 1..=self.total {
+                if done == self.held + 1 {
+                    let _ = gate.recv();
+                }
+                progress.cell_done(done, "cell", Duration::ZERO);
+            }
+            Ok(RunResult {
+                output: "complete".into(),
+                exit_code: 0,
+                cache_hits: 0,
+                simulated: self.total as u64,
+            })
+        }
+    }
+
+    /// Posts `body` to `/sweep` on a raw socket, reads until the
+    /// `accepted` handshake arrives, then vanishes. Returns the
+    /// handshake line.
+    fn post_and_vanish(addr: &str, body: &[u8]) -> String {
+        use std::io::{Read, Write};
+        let mut s = TcpStream::connect(addr).unwrap();
+        let head = format!(
+            "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        s.write_all(head.as_bytes()).unwrap();
+        s.write_all(body).unwrap();
+        let mut got = Vec::new();
+        let mut buf = [0u8; 256];
+        loop {
+            let text = String::from_utf8_lossy(&got);
+            if let Some(line) = text.lines().find(|l| l.contains("\"accepted\"")) {
+                return line.to_string();
+            }
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "the stream ended before its handshake");
+            got.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    /// Polls `/status` until `done` holds of it, for at most 10 s.
+    fn await_status(addr: &str, what: &str, done: impl Fn(&Value) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let resp = http::request(addr, "GET", "/status", b"", &mut |_| {}).unwrap();
+            let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            if done(&v) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "waited 10 s for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Starts a [`GatedHandler`] service, cuts a `POST` of `{}` after
+    /// its handshake, and re-POSTs the same body while the batch is
+    /// held: the re-POST's response, the batch's `/trace`, and the
+    /// service's summary.
+    fn re_post_while_held(total: usize, held: usize) -> (http::Response, Value, Snapshot) {
+        let (release, gate) = std::sync::mpsc::channel();
+        let handler = GatedHandler {
+            total,
+            held,
+            gate: Mutex::new(gate),
+        };
+        let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
         let addr = svc.local_addr().to_string();
         let worker = std::thread::spawn(move || svc.run().expect("service run"));
-        {
-            // Raw client: send the request, then vanish mid-stream.
-            let mut s = TcpStream::connect(&addr).unwrap();
-            write!(
-                s,
-                "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{{}}"
-            )
-            .unwrap();
-            s.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(15));
-        } // drop = RST/FIN while the handler is still emitting
+        post_and_vanish(&addr, b"{}");
+        let twin = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                http::request(&addr, "POST", "/sweep", b"{}", &mut |_| {}).unwrap()
+            })
+        };
+        await_status(&addr, "the re-POST to attach", |v| {
+            let resumed = v
+                .get("counters")
+                .and_then(|c| c.get("serve_resumed_streams"));
+            resumed.and_then(Value::as_u64) == Some(1)
+        });
+        release.send(()).unwrap();
+        let resp = twin.join().unwrap();
+        let path = format!("/trace/{}", resume_token(RequestKind::Sweep, "{}"));
+        let trace = http::request(&addr, "GET", &path, b"", &mut |_| {}).unwrap();
+        assert_eq!(trace.status, 200);
+        let trace = Value::parse(std::str::from_utf8(&trace.body).unwrap()).unwrap();
+        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
+        (resp, trace, worker.join().unwrap())
+    }
 
-        // The batch keeps running server-side (detach, not cancel); a
-        // resume with the right token replays everything — including
-        // the result the disconnected client never saw. `run: 0` can
-        // never match a live incarnation, so `have` is ignored.
-        let token = resume_token(RequestKind::Sweep, "{}");
-        let resume = format!("{{\"token\":\"{token}\",\"have\":3,\"run\":0}}");
-        let resp = http::request(&addr, "POST", "/resume", resume.as_bytes(), &mut |_| {}).unwrap();
+    #[test]
+    fn disconnect_detaches_and_a_re_post_replays_the_full_stream() {
+        let _g = crate::testutil::fail_points_held();
+        // The batch keeps running server-side (detach, not cancel); the
+        // same body, posted while it runs, attaches and gets everything
+        // from the top, including the result the vanished client never
+        // saw.
+        let (resp, _, summary) = re_post_while_held(10, 3);
         assert_eq!(resp.status, 200);
         let events = parse_events(&resp.body);
         assert_eq!(events[0].get("event").unwrap().as_str(), Some("accepted"));
@@ -1723,88 +1663,50 @@ mod tests {
             12,
             "handshake + all 10 progress + result, nothing skipped"
         );
-
-        // A matching run id honours `have`: only the tail is re-sent.
-        let resume = format!("{{\"token\":\"{token}\",\"have\":8,\"run\":{}}}", run_id());
-        let resp = http::request(&addr, "POST", "/resume", resume.as_bytes(), &mut |_| {}).unwrap();
-        let events = parse_events(&resp.body);
-        assert_eq!(events.len(), 4, "handshake + progress 9, 10 + result");
-
-        // Unknown tokens are a typed 404.
-        let resp = http::request(
-            &addr,
-            "POST",
-            "/resume",
-            b"{\"token\":\"ffffffffffffffff\",\"have\":0,\"run\":0}",
-            &mut |_| {},
-        )
-        .unwrap();
-        assert_eq!(resp.status, 404);
-        let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        assert_eq!(v.get("error").unwrap().as_str(), Some("unknown-token"));
-
-        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
-        let summary = worker.join().unwrap();
-        assert_eq!(summary.count("counters.serve_resumed_streams"), 2);
+        assert_eq!(summary.count("counters.serve_resumed_streams"), 1);
+        assert_eq!(summary.count("rolling.requests"), 1, "the batch ran once");
     }
 
     #[test]
-    fn the_registry_forgets_the_oldest_finished_requests_first() {
+    fn a_settled_batch_leaves_the_registry_and_a_re_post_runs_it_again() {
         let _g = crate::testutil::fail_points_held();
         let (handler, _q) = MockHandler::new();
         let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
         let inner = Arc::clone(&svc.inner);
         let addr = svc.local_addr().to_string();
         let worker = std::thread::spawn(move || svc.run().expect("service run"));
-        let bodies: Vec<String> = (0..FINISHED_KEPT + 8)
-            .map(|i| format!("{{\"grid\":{i}}}"))
-            .collect();
-        for body in &bodies {
-            let resp =
-                http::request(&addr, "POST", "/sweep", body.as_bytes(), &mut |_| {}).unwrap();
-            assert_eq!(resp.status, 200);
-        }
-        {
-            let reg = relock(&inner.registry);
-            assert_eq!(reg.by_token.len(), FINISHED_KEPT);
-            assert_eq!(reg.finished.len(), FINISHED_KEPT);
-        }
-        let resume = |body: &str| {
-            let token = resume_token(RequestKind::Sweep, body);
-            let req = format!("{{\"token\":\"{token}\",\"have\":0,\"run\":0}}");
-            http::request(&addr, "POST", "/resume", req.as_bytes(), &mut |_| {}).unwrap()
-        };
-        let oldest = resume(&bodies[0]);
-        assert_eq!(oldest.status, 404);
-        let v = Value::parse(std::str::from_utf8(&oldest.body).unwrap()).unwrap();
-        assert_eq!(v.get("error").unwrap().as_str(), Some("unknown-token"));
-        let newest = resume(bodies.last().unwrap());
-        assert_eq!(newest.status, 200);
-        let events = parse_events(&newest.body);
-        assert_eq!(events.len(), 4, "handshake + 2 progress + result");
+        let body = b"{\"grid\":4}";
+        // The first client leaves after the handshake; its batch runs on
+        // headless, settles and leaves the registry.
+        let handshake = post_and_vanish(&addr, body);
+        await_status(&addr, "no live request", |v| {
+            v.get("requests")
+                .and_then(Value::as_arr)
+                .is_some_and(|r| r.is_empty())
+        });
+        assert!(relock(&inner.registry).is_empty());
+        // The re-POST has nothing to attach to: the batch runs again,
+        // and the mock answers both cells from its "store".
+        let resp = http::request(&addr, "POST", "/sweep", body, &mut |_| {}).unwrap();
+        assert!(relock(&inner.registry).is_empty());
+        let text = String::from_utf8(resp.body).unwrap();
+        assert_eq!(text.lines().next(), Some(handshake.as_str()));
+        let events = parse_events(text.as_bytes());
+        let result = events.last().unwrap();
         assert_eq!(
-            events[3].get("output").unwrap().as_str(),
-            Some(format!("Sweep: {}", bodies.last().unwrap()).as_str())
+            result.get("output").unwrap().as_str(),
+            Some("Sweep: {\"grid\":4}")
         );
-
-        // Re-running a finished request replaces its entry: the kept
-        // entries are still the newest distinct ones, and forgetting
-        // the replaced run leaves the token to the newer one.
-        let newest = bodies.last().unwrap();
-        let token = resume_token(RequestKind::Sweep, newest);
-        let replaced = Arc::clone(&relock(&inner.registry).by_token[&token]);
-        http::request(&addr, "POST", "/sweep", newest.as_bytes(), &mut |_| {}).unwrap();
+        assert_eq!(result.get("cache_hits").unwrap().as_u64(), Some(2));
         http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
-        worker.join().unwrap();
-        let mut reg = relock(&inner.registry);
-        reg.forget(&token, &replaced);
-        assert!(!Arc::ptr_eq(&reg.by_token[&token], &replaced));
-        assert_eq!(reg.by_token.len(), FINISHED_KEPT);
-        assert_eq!(reg.finished.len(), FINISHED_KEPT);
-        assert!(reg
-            .finished
-            .iter()
-            .all(|(t, e)| Arc::ptr_eq(e, &reg.by_token[t])));
+        let summary = worker.join().unwrap();
+        assert_eq!(
+            summary.count("rolling.requests"),
+            2,
+            "the handler ran twice"
+        );
+        assert_eq!(summary.count("counters.serve_resumed_streams"), 0);
+        assert_eq!(summary.count("counters.serve_cache_hits"), 2);
     }
 
     #[test]
@@ -1842,36 +1744,6 @@ mod tests {
             0,
             "only one batch actually ran"
         );
-    }
-
-    #[test]
-    fn replay_runs_headless_and_resolves_the_token() {
-        let _g = crate::testutil::fail_points_held();
-        let (handler, _q) = MockHandler::new();
-        let svc = Service::bind("127.0.0.1:0", Box::new(handler)).unwrap();
-        assert!(svc.replay(RequestKind::Sweep, "{\"grid\":7}"));
-        assert!(
-            !svc.replay(RequestKind::Sweep, "{\"grid\":7}"),
-            "a token replays once"
-        );
-        assert!(!svc.replay(RequestKind::Sweep, "not json"));
-        let addr = svc.local_addr().to_string();
-        let worker = std::thread::spawn(move || svc.run().expect("service run"));
-        let token = resume_token(RequestKind::Sweep, "{\"grid\":7}");
-        let resume = format!("{{\"token\":\"{token}\",\"have\":0,\"run\":0}}");
-        let resp = http::request(&addr, "POST", "/resume", resume.as_bytes(), &mut |_| {}).unwrap();
-        assert_eq!(resp.status, 200);
-        let events = parse_events(&resp.body);
-        let result = events.last().unwrap();
-        assert_eq!(result.get("event").unwrap().as_str(), Some("result"));
-        assert_eq!(
-            result.get("output").unwrap().as_str(),
-            Some("Sweep: {\"grid\":7}")
-        );
-        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
-        let summary = worker.join().unwrap();
-        assert_eq!(summary.count("counters.serve_journal_replayed"), 1);
-        assert_eq!(summary.count("counters.serve_resumed_streams"), 1);
     }
 
     /// Minimal Prometheus text-exposition parser for the round-trip
@@ -1973,10 +1845,9 @@ mod tests {
                 counters += 1;
             }
         }
-        assert_eq!(counters, 10, "the ten serve_* counters");
+        assert_eq!(counters, 9, "the nine serve_* counters");
         assert_eq!(prom_get(&samples, "ctcp_workers"), 2.0);
         assert_eq!(prom_get(&samples, "ctcp_store_read_only"), 0.0);
-        assert_eq!(prom_get(&samples, "ctcp_journal_bytes"), 2048.0);
         assert_eq!(prom_get(&samples, "ctcp_store_entries"), 7.0);
         // Nothing else is exported: every family is a registry row or
         // the latency histogram.
@@ -2151,30 +2022,7 @@ mod tests {
     #[test]
     fn trace_survives_disconnect_and_counts_both_streams() {
         let _g = crate::testutil::fail_points_held();
-        use std::io::Write;
-        let svc = Service::bind("127.0.0.1:0", Box::new(TalkativeHandler { total: 6 })).unwrap();
-        let addr = svc.local_addr().to_string();
-        let worker = std::thread::spawn(move || svc.run().expect("service run"));
-        {
-            let mut s = TcpStream::connect(&addr).unwrap();
-            write!(
-                s,
-                "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{{}}"
-            )
-            .unwrap();
-            s.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(12));
-        } // client vanishes mid-stream; the batch keeps running
-
-        let token = resume_token(RequestKind::Sweep, "{}");
-        let resume = format!("{{\"token\":\"{token}\",\"have\":0,\"run\":0}}");
-        let resp = http::request(&addr, "POST", "/resume", resume.as_bytes(), &mut |_| {}).unwrap();
-        assert_eq!(resp.status, 200);
-
-        let resp =
-            http::request(&addr, "GET", &format!("/trace/{token}"), b"", &mut |_| {}).unwrap();
-        assert_eq!(resp.status, 200);
-        let trace = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let (_, trace, _) = re_post_while_held(6, 3);
         let lanes = lanes_of(&trace);
         let all: Vec<&Value> = lanes.iter().flat_map(|(_, v)| v).collect();
         let named = |n: &str| {
@@ -2182,20 +2030,21 @@ mod tests {
                 .filter(|e| e.get("name").and_then(Value::as_str) == Some(n))
                 .count()
         };
-        assert_eq!(named("admit"), 1, "disconnect does not re-admit");
+        assert_eq!(
+            named("admit"),
+            1,
+            "the re-POST attached, it did not re-admit"
+        );
         assert_eq!(named("cell cell"), 6, "every cell kept its span");
         assert_eq!(
             named("stream"),
             2,
-            "both delivery attempts traced: the aborted partial and the resumed replay"
+            "both delivery attempts traced: the aborted partial and the re-POST's"
         );
         assert!(
             lanes.iter().any(|(tid, _)| *tid == LANE_STREAM),
             "stream spans live on their own lane"
         );
-
-        http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
-        worker.join().unwrap();
     }
 
     /// One cell, reported as having taken 250ms — far over the 1ms
@@ -2207,7 +2056,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             progress.batch_start(1);
@@ -2296,7 +2144,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let cells = body.get("cells").and_then(Value::as_u64).unwrap_or(0) as usize;
@@ -2364,7 +2211,6 @@ mod tests {
             &self,
             _kind: RequestKind,
             _body: &Value,
-            _token: &str,
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             let held = self.0.lock().unwrap();

@@ -25,7 +25,7 @@
 //! | `job-panic`      | `ctcp_harness::Job::simulate` | panics the worker running the matching `workload[:strategy]` cell (no arg = every cell) |
 //! | `stall-retire`   | `ctcp_sim` cycle loop        | drops all retirements, stalling the pipeline until the watchdog trips |
 //! | `store-truncate` | `ctcp_harness` result store  | writes only half of each appended envelope, simulating a crash mid-write |
-//! | `journal-truncate` | `ctcp_harness` request journal | writes only half of one appended journal record (then disarms itself), simulating a crash mid-append |
+//! | `journal-truncate` | `ctcp_harness` request journal, which no command opens | writes only half of one appended journal record (then disarms itself), simulating a crash mid-append |
 //! | `disk-full`      | `ctcp_harness` result store  | every store append fails with a synthetic `ENOSPC`, driving the daemon into read-only degradation |
 //! | `serve-partial-write` | `ctcp_serve` chunked writer | writes only half of one stream chunk, then fails the write (then disarms itself) |
 //! | `serve-disconnect` | `ctcp_serve` chunked writer | fails the stream after `N` chunks (`serve-disconnect=N`; then disarms itself), simulating a mid-stream peer loss |

@@ -34,18 +34,20 @@
 #  10. serve smoke: a real daemon on an ephemeral port serves a client
 #      sweep byte-identical to the one-shot CLI, answers /status,
 #      drains on shutdown, and leaves a populated results.jsonl with
-#      no leftover socket or lock token
+#      no leftover socket, lock token or journal.jsonl
 #  11. serve concurrency gate: four overlapping clients (one big sweep
 #      + three memoized grids) against one daemon (BENCH_serve.json);
 #      the aggregate must be <= half the serialized
 #      one-shot reference, no cached client may wait more than 100 ms
 #      behind the running sweep, and the concurrent time must stay
 #      within 125% of the committed reference
-#  12. serve chaos gate: SIGKILL a daemon mid-sweep, restart it over
-#      the same store, and re-ask the identical grid — the journaled
-#      request must replay, the output must be byte-identical to the
-#      one-shot CLI, and no finished cell may be recomputed (each of
-#      the grid's cells has exactly one valid store line)
+#  12. serve chaos gate: SIGKILL a daemon mid-sweep and start a new
+#      one over the same store on the same address; the victim client,
+#      retrying, re-POSTs its body to it and must exit 0 with output
+#      byte-identical to the one-shot CLI, every cell the store held at
+#      the kill must come back as a cache hit, and no finished cell may
+#      be recomputed (each of the grid's cells has exactly one valid
+#      store line)
 #  13. serve observability gate: a daemon with debug logging to a file
 #      serves a mixed workload while /metrics is scraped twice (the
 #      exposition must parse and its counters must be monotone), every
@@ -72,6 +74,10 @@
 #      capture per distinct (preset, warmup) pair, two, with every other
 #      warmed cell a hit, however the fair ring interleaved them. It
 #      checks counts, not timings
+#
+# Gates 10-13 and 16 start their daemons through start_daemon, which
+# records each PID; the EXIT trap stops every daemon still running, so
+# a failed check leaves none behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,9 +114,49 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> ctcp trace smoke (exporter validity + counter reconciliation)"
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
+# The PIDs of every daemon start_daemon started, one a line; gate 11
+# starts its daemons inside a command substitution, so a file, not an
+# array, carries them back to the EXIT trap.
+daemon_pids="$smoke_dir/daemon.pids"
+: > "$daemon_pids"
+stop_daemons() {
+    local pid
+    while read -r pid; do
+        # A daemon reaped earlier may have handed its PID on: stop only
+        # a process that still runs `ctcp serve`.
+        if tr '\0' ' ' 2>/dev/null < "/proc/$pid/cmdline" \
+                | grep -q '^\./target/release/ctcp serve '; then
+            kill "$pid" 2>/dev/null || true
+        fi
+    done < "$daemon_pids"
+    rm -rf "$smoke_dir"
+}
+trap stop_daemons EXIT
+
+# Starts `ctcp serve` in the background with its stdout in $1 and the
+# remaining arguments as its flags, records its PID, and waits up to
+# 5 s for its address; sets daemon_pid and daemon_addr. The output file
+# exists before the daemon's first write, so the poll never reads a
+# missing file.
+start_daemon() {
+    local out="$1"
+    shift
+    : > "$out"
+    ./target/release/ctcp serve "$@" > "$out" 2>/dev/null &
+    daemon_pid=$!
+    echo "$daemon_pid" >> "$daemon_pids"
+    daemon_addr=""
+    for _ in $(seq 1 50); do
+        daemon_addr=$(sed -n 's/.*listening on //p' "$out" | head -n1)
+        [ -n "$daemon_addr" ] && return 0
+        sleep 0.1
+    done
+    echo "FAIL: daemon never printed its listening address ($out)" >&2
+    return 1
+}
+
+echo "==> ctcp trace smoke (exporter validity + counter reconciliation)"
 ./target/release/ctcp trace gzip --strategy fdrt --insts 50000 \
     --out "$smoke_dir/trace.json" --metrics-out "$smoke_dir/metrics.jsonl" --check
 test -s "$smoke_dir/trace.json"
@@ -290,21 +336,9 @@ echo "batch throughput gate: ${batched_ms} ms (${cells_per_sec} cells/s," \
 
 echo "==> serve smoke (daemon round-trip, status, drain)"
 serve_store="$smoke_dir/serve-store"
-: > "$smoke_dir/serve.out"    # exists before the daemon's first write
-./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 --dir "$serve_store" \
-    > "$smoke_dir/serve.out" 2>/dev/null &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 50); do
-    serve_addr=$(sed -n 's/.*listening on //p' "$smoke_dir/serve.out" | head -n1)
-    [ -n "$serve_addr" ] && break
-    sleep 0.1
-done
-if [ -z "$serve_addr" ]; then
-    echo "FAIL: daemon never printed its listening address" >&2
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_daemon "$smoke_dir/serve.out" --addr 127.0.0.1:0 --jobs 2 --dir "$serve_store"
+serve_pid=$daemon_pid
+serve_addr=$daemon_addr
 ./target/release/ctcp client sweep --addr "$serve_addr" \
     --benches gzip --strategies fdrt --insts 20000 --csv \
     > "$smoke_dir/serve-sweep.csv" 2>/dev/null
@@ -321,10 +355,15 @@ if ! wait "$serve_pid"; then
 fi
 grep -q "drained after" "$smoke_dir/serve.out"
 # The drained store must hold the sweep's cells, with no leftover
-# lock token; the socket must be closed.
+# lock token and no request journal (the daemon keeps none); the socket
+# must be closed.
 grep -q . "$serve_store/results.jsonl"
 if ls "$serve_store"/*.lock >/dev/null 2>&1; then
     echo "FAIL: orphaned lock tokens left in the serve store" >&2
+    exit 1
+fi
+if [ -e "$serve_store/journal.jsonl" ]; then
+    echo "FAIL: the daemon wrote a request journal" >&2
     exit 1
 fi
 if ./target/release/ctcp client status --addr "$serve_addr" >/dev/null 2>&1; then
@@ -361,20 +400,9 @@ concurrent_load() {    # echoes "<total_ms> <worst_cached_client_ms>"
     local dir="$1" pid addr="" req i s e
     rm -rf "$dir"
     mkdir -p "$dir"
-    : > "$dir/serve.out"
-    ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 \
-        --dir "$dir/store" > "$dir/serve.out" 2>/dev/null &
-    pid=$!
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's/.*listening on //p' "$dir/serve.out" | head -n1)
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "FAIL: concurrency-gate daemon never printed its address" >&2
-        kill "$pid" 2>/dev/null || true
-        return 1
-    fi
+    start_daemon "$dir/serve.out" --addr 127.0.0.1:0 --jobs 2 --dir "$dir/store" || return 1
+    pid=$daemon_pid
+    addr=$daemon_addr
     # Memoize the three small grids (untimed: a resident store that
     # stays warm across clients is the point of the service).
     for req in "$serve_gate_small1" "$serve_gate_small2" \
@@ -460,42 +488,28 @@ echo "serve concurrency gate: concurrent ${concurrent_ms} ms, serialized" \
      "${serialized_ms} ms (speedup ${serve_speedup_x100}%, cached client" \
      "${cached_under_load_ms} ms under load)"
 
-echo "==> serve chaos gate (SIGKILL mid-sweep, restart, resume)"
-# Crash-recovery end to end against release binaries: a daemon is
-# SIGKILLed while a six-cell sweep is mid-flight, restarted over the
-# same store directory, and asked the identical grid again. The
-# journal must replay the crashed request, cells memoized before the
-# kill must come back as store hits (zero recomputation — exactly one
-# valid store line per cell; the kill itself may leave one quarantined
-# torn line), and the resumed output must be byte-identical to the
-# one-shot CLI.
+echo "==> serve chaos gate (SIGKILL mid-sweep, restart, re-POST)"
+# Crash recovery end to end against release binaries: a daemon is
+# SIGKILLed while a six-cell sweep is mid-flight, and a new daemon
+# starts over the same store directory on the killed one's address.
+# The victim client, retrying, re-POSTs its body to the new daemon: it
+# must exit 0 with output byte-identical to the one-shot CLI, the k
+# cells `ctcp store verify` reads between the kill and the restart must
+# come back as k cache hits, and every cell must end with exactly one
+# valid store line (zero recomputation; the kill itself may leave one
+# quarantined torn line).
 chaos_dir="$smoke_dir/serve-chaos"
 mkdir -p "$chaos_dir"
 chaos_grid="--benches gzip,twolf --strategies fdrt,friendly --insts 1000000"
-chaos_daemon() {    # $1: log file; sets chaos_pid and chaos_addr
-    : > "$1"
-    ./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 1 \
-        --dir "$chaos_dir/store" > "$1" 2>/dev/null &
-    chaos_pid=$!
-    chaos_addr=""
-    for _ in $(seq 1 50); do
-        chaos_addr=$(sed -n 's/.*listening on //p' "$1" | head -n1)
-        [ -n "$chaos_addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$chaos_addr" ]; then
-        echo "FAIL: chaos-gate daemon never printed its address" >&2
-        kill "$chaos_pid" 2>/dev/null || true
-        return 1
-    fi
-}
-chaos_daemon "$chaos_dir/serve1.out"
+start_daemon "$chaos_dir/serve1.out" --addr 127.0.0.1:0 --jobs 1 --dir "$chaos_dir/store"
+chaos_pid=$daemon_pid
+chaos_addr=$daemon_addr
 # shellcheck disable=SC2086
-./target/release/ctcp client sweep --addr "$chaos_addr" $chaos_grid --csv \
-    > /dev/null 2> "$chaos_dir/victim.err" &
+./target/release/ctcp client sweep --addr "$chaos_addr" --retries 20 --backoff-ms 50 \
+    $chaos_grid --csv > "$chaos_dir/victim.csv" 2> "$chaos_dir/victim.err" &
 victim_pid=$!
 # Two per-cell progress lines = mid-flight, with at least one finished
-# cell durably memoized and journal-marked before the crash.
+# cell durably memoized before the crash.
 progressed=""
 for _ in $(seq 1 400); do
     if [ "$(grep -c '^\[' "$chaos_dir/victim.err" 2>/dev/null)" -ge 2 ]; then
@@ -506,24 +520,35 @@ for _ in $(seq 1 400); do
 done
 if [ -z "$progressed" ]; then
     echo "FAIL: chaos sweep never got mid-flight before the kill" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 fi
 kill -9 "$chaos_pid"
 wait "$chaos_pid" 2>/dev/null || true
-if wait "$victim_pid" 2>/dev/null; then
-    echo "FAIL: the victim client must fail when its daemon is killed" >&2
+./target/release/ctcp store verify --dir "$chaos_dir/store" \
+    > "$chaos_dir/at-kill.out" || true
+chaos_kept=$(sed -n 's/.* \([0-9]*\) valid (.*/\1/p' "$chaos_dir/at-kill.out")
+if [ -z "$chaos_kept" ] || [ "$chaos_kept" -lt 1 ]; then
+    echo "FAIL: no finished cell was memoized before the kill:" >&2
+    cat "$chaos_dir/at-kill.out" >&2
     exit 1
 fi
-chaos_daemon "$chaos_dir/serve2.out"
-# shellcheck disable=SC2086
-./target/release/ctcp client sweep --addr "$chaos_addr" $chaos_grid --csv \
-    > "$chaos_dir/resumed.csv" 2>/dev/null
+start_daemon "$chaos_dir/serve2.out" --addr "$chaos_addr" --jobs 1 --dir "$chaos_dir/store"
+chaos_pid=$daemon_pid
+if ! wait "$victim_pid"; then
+    echo "FAIL: the victim client did not heal through the restart:" >&2
+    cat "$chaos_dir/victim.err" >&2
+    exit 1
+fi
 # shellcheck disable=SC2086
 ./target/release/ctcp sweep $chaos_grid --csv > "$chaos_dir/oneshot.csv"
-cmp "$chaos_dir/resumed.csv" "$chaos_dir/oneshot.csv"
+cmp "$chaos_dir/victim.csv" "$chaos_dir/oneshot.csv"
 ./target/release/ctcp client status --addr "$chaos_addr" > "$chaos_dir/status.json"
-grep -q '"serve_journal_replayed":1' "$chaos_dir/status.json"
+if ! grep -qE "\"serve_cache_hits\":$chaos_kept[,}]" "$chaos_dir/status.json"; then
+    echo "FAIL: the restarted daemon must answer the $chaos_kept cells" \
+         "memoized before the kill from the store:" >&2
+    cat "$chaos_dir/status.json" >&2
+    exit 1
+fi
 ./target/release/ctcp client shutdown --addr "$chaos_addr" >/dev/null
 if ! wait "$chaos_pid"; then
     echo "FAIL: restarted chaos daemon did not exit cleanly" >&2
@@ -536,26 +561,16 @@ if ! grep -q "6 valid (6 entries)" "$chaos_dir/store-verify.out"; then
     cat "$chaos_dir/store-verify.out" >&2
     exit 1
 fi
+echo "serve chaos gate: $chaos_kept of 6 cells memoized at the kill," \
+     "all answered from the store after the restart"
 
 echo "==> serve observability gate (/metrics, /trace, logs, ctcp top)"
 obs_dir="$smoke_dir/serve-obs"
 mkdir -p "$obs_dir"
-: > "$obs_dir/serve.out"
-./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 2 \
-    --dir "$obs_dir/store" --log-level debug --log-file "$obs_dir/serve.log" \
-    > "$obs_dir/serve.out" 2>/dev/null &
-obs_pid=$!
-obs_addr=""
-for _ in $(seq 1 50); do
-    obs_addr=$(sed -n 's/.*listening on //p' "$obs_dir/serve.out" | head -n1)
-    [ -n "$obs_addr" ] && break
-    sleep 0.1
-done
-if [ -z "$obs_addr" ]; then
-    echo "FAIL: observability-gate daemon never printed its address" >&2
-    kill "$obs_pid" 2>/dev/null || true
-    exit 1
-fi
+start_daemon "$obs_dir/serve.out" --addr 127.0.0.1:0 --jobs 2 \
+    --dir "$obs_dir/store" --log-level debug --log-file "$obs_dir/serve.log"
+obs_pid=$daemon_pid
+obs_addr=$daemon_addr
 curl -sf "http://$obs_addr/metrics" > "$obs_dir/metrics1.txt"
 # Mixed workload: a sweep and an analyze, like real clients. Each
 # client prints one `[done/total]` line per progress event to stderr.
@@ -670,21 +685,9 @@ echo "==> checkpoint sharing gate (one capture per (preset, warmup) per pool)"
 # and must reuse the first request's checkpoint, not capture again.
 ck_dir="$smoke_dir/serve-checkpoints"
 mkdir -p "$ck_dir"
-: > "$ck_dir/serve.out"    # exists before the daemon's first write
-./target/release/ctcp serve --addr 127.0.0.1:0 --jobs 1 --dir "$ck_dir/store" \
-    > "$ck_dir/serve.out" 2>/dev/null &
-ck_pid=$!
-ck_addr=""
-for _ in $(seq 1 50); do
-    ck_addr=$(sed -n 's/.*listening on //p' "$ck_dir/serve.out" | head -n1)
-    [ -n "$ck_addr" ] && break
-    sleep 0.1
-done
-if [ -z "$ck_addr" ]; then
-    echo "FAIL: checkpoint-gate daemon never printed its address" >&2
-    kill "$ck_pid" 2>/dev/null || true
-    exit 1
-fi
+start_daemon "$ck_dir/serve.out" --addr 127.0.0.1:0 --jobs 1 --dir "$ck_dir/store"
+ck_pid=$daemon_pid
+ck_addr=$daemon_addr
 ck_grids=(
     "--benches gzip --strategies friendly,fdrt --clusters 2,4 --warmup 200000 --insts 20000"
     "--benches twolf --strategies friendly,fdrt --clusters 2,4 --warmup 200000 --insts 20000"

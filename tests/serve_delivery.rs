@@ -1,12 +1,12 @@
 //! The sweep service's delivery contract, through the public
 //! `ctcp::serve` API with a mock handler: a batch runs to the end on its
-//! own thread however slowly its client reads, and the admitting `POST`
-//! streams the same recorded event log a `/resume` from zero replays.
+//! own thread however slowly its client reads, and a re-POST of the
+//! settled batch streams the same bytes the admitting `POST` did.
 //!
 //! The `serve-slow-reader` fail point is process-global, so this file
 //! holds one test.
 
-use ctcp::serve::{http, resume_token, Handler, HandlerError, RequestKind, RunResult, Service};
+use ctcp::serve::{http, Handler, HandlerError, RequestKind, RunResult, Service};
 use ctcp::telemetry::json::Value;
 use ctcp::telemetry::{failpoint, ProgressSink};
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,6 @@ impl Handler for InstantSweep {
         &self,
         _kind: RequestKind,
         _body: &Value,
-        _token: &str,
         progress: &mut dyn ProgressSink,
     ) -> Result<RunResult, HandlerError> {
         progress.batch_start(CELLS as usize);
@@ -83,15 +82,13 @@ fn a_slow_reader_paces_its_stream_not_its_batch() {
         "the batch ended at {batch_end:?}, paced by its {stream_end:?} stream"
     );
 
-    // The admitting POST read the registry's log: a resume from zero
-    // replays the same bytes.
-    let token = resume_token(RequestKind::Sweep, "{\"grid\":9}");
-    let resume = format!("{{\"token\":\"{token}\",\"have\":0,\"run\":0}}");
-    let replayed = http::request(&addr, "POST", "/resume", resume.as_bytes(), &mut |_| {}).unwrap();
-    assert_eq!(replayed.status, 200);
+    // The batch has settled and left the registry: the same body again
+    // runs it again, and streams the same bytes.
+    let again = http::request(&addr, "POST", "/sweep", b"{\"grid\":9}", &mut |_| {}).unwrap();
+    assert_eq!(again.status, 200);
     assert_eq!(
         String::from_utf8(live.body).unwrap(),
-        String::from_utf8(replayed.body).unwrap()
+        String::from_utf8(again.body).unwrap()
     );
 
     http::request(&addr, "POST", "/shutdown", b"", &mut |_| {}).unwrap();
