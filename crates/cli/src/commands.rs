@@ -7,12 +7,12 @@ use crate::args::{
 };
 use crate::wire;
 use ctcp_harness::{
-    failure_table, CellScheduler, Harness, Job, ProgressSink, ResultStore, Saturated,
+    failure_table, CellScheduler, Harness, Job, JobOutcome, ProgressSink, ResultStore, Saturated,
     StderrProgress, SweepCell, SweepSpec,
 };
 use ctcp_isa::{asm, Program};
 use ctcp_serve::{http, Handler, HandlerError, HandlerStats, RequestKind, RunResult, Service};
-use ctcp_sim::{SimBuilder, SimConfig, SimReport, Simulation, Strategy};
+use ctcp_sim::{SimConfig, SimReport, Simulation, Strategy};
 use ctcp_telemetry::json::Value;
 use ctcp_telemetry::{
     chrome_trace_with_flows, metrics_line, validate_chrome_trace, PipeStage, Recorder,
@@ -24,7 +24,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn load_program(source: &ProgramSource) -> Result<Program, CliError> {
     match source {
@@ -52,19 +52,6 @@ fn config(args: &RunArgs, strategy: Strategy) -> SimConfig {
     c
 }
 
-/// Validates `builder` and runs the simulation to its report.
-fn run_sim(builder: SimBuilder<'_>) -> Result<SimReport, CliError> {
-    builder
-        .build()
-        .map_err(|e| CliError(format!("invalid configuration: {e}")))?
-        .try_run()
-        .map_err(|e| CliError(e.to_string()))
-}
-
-fn simulate(program: &Program, args: &RunArgs, strategy: Strategy) -> Result<SimReport, CliError> {
-    run_sim(Simulation::builder(program).config(config(args, strategy)))
-}
-
 fn describe(source: &ProgramSource) -> String {
     match source {
         ProgramSource::Bench(n) => n.clone(),
@@ -83,8 +70,8 @@ fn describe(source: &ProgramSource) -> String {
 pub struct CliOutcome {
     /// Text to print to stdout.
     pub output: String,
-    /// Process exit code: `0` on full success, `1` when any sweep job
-    /// failed or `store verify` found corruption.
+    /// Process exit code: `0` on full success, `1` when any job of a
+    /// batch failed or `store verify` found corruption.
     pub exit_code: i32,
 }
 
@@ -103,12 +90,27 @@ impl CliOutcome {
 /// # Errors
 ///
 /// Returns a [`CliError`] for unknown benchmarks, unreadable or invalid
-/// assembly files. Partial failures (crashed sweep cells, store
-/// corruption) are *not* errors: their output still renders, and the
-/// failure surfaces through [`CliOutcome::exit_code`].
+/// assembly files. Partial failures (crashed cells, store corruption)
+/// are *not* errors: their output still renders, and the failure
+/// surfaces through [`CliOutcome::exit_code`].
 pub fn execute_outcome(cli: &Cli) -> Result<CliOutcome, CliError> {
     match &cli.command {
         Command::Sweep(args) => sweep(args),
+        Command::Run(args) => {
+            let report = if args.csv { csv_report } else { prose_report };
+            one_shot(Harness::new(), args, &[args.strategy], |name, reports| {
+                report(name, &reports[0])
+            })
+        }
+        Command::Compare(args) => one_shot(Harness::new(), args, &COMPARED, |name, reports| {
+            compare_table(name, args, reports)
+        }),
+        Command::Analyze(args) => {
+            let harness = Harness::new().attrib_top(args.top);
+            one_shot(harness, &args.run, &args.strategies, |name, reports| {
+                analysis(name, args, reports)
+            })
+        }
         Command::Store(args) => store_cmd(args),
         Command::Serve(args) => serve_cmd(args),
         Command::Client(args) => client_cmd(args),
@@ -130,77 +132,97 @@ pub fn execute_outcome(cli: &Cli) -> Result<CliOutcome, CliError> {
             let program = load_program(source)?;
             Ok(CliOutcome::ok(asm::disassemble(&program)))
         }
-        Command::Run(args) => {
-            let program = load_program(&args.source)?;
-            let r = simulate(&program, args, args.strategy)?;
-            let report = if args.csv { csv_report } else { prose_report };
-            Ok(CliOutcome::ok(report(&describe(&args.source), &r)))
-        }
-        Command::Compare(args) => {
-            let program = load_program(&args.source)?;
-            let base = simulate(&program, args, Strategy::Baseline)?;
-            let strategies = [
-                Strategy::IssueTime { latency: 0 },
-                Strategy::IssueTime { latency: 4 },
-                Strategy::Friendly { middle_bias: false },
-                Strategy::Fdrt { pinning: true },
-            ];
-            let mut out = String::new();
-            if args.csv {
-                out.push_str("strategy,ipc,speedup,intra_cluster,distance\n");
-                out.push_str(&format!(
-                    "base,{:.4},1.0000,{:.4},{:.4}\n",
-                    base.ipc,
-                    base.metrics.fwd.intra_cluster_fraction(),
-                    base.metrics.fwd.mean_distance()
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{} — {} instructions, {} clusters\n",
-                    describe(&args.source),
-                    base.instructions,
-                    args.clusters
-                ));
-                out.push_str(&format!(
-                    "{:<16}{:>8}{:>10}{:>14}{:>10}\n",
-                    "strategy", "ipc", "speedup", "intra-fwd", "distance"
-                ));
-                out.push_str(&format!(
-                    "{:<16}{:>8.3}{:>10.3}{:>13.1}%{:>10.2}\n",
-                    "base",
-                    base.ipc,
-                    1.0,
-                    100.0 * base.metrics.fwd.intra_cluster_fraction(),
-                    base.metrics.fwd.mean_distance()
-                ));
-            }
-            for s in strategies {
-                let r = simulate(&program, args, s)?;
-                if args.csv {
-                    out.push_str(&format!(
-                        "{},{:.4},{:.4},{:.4},{:.4}\n",
-                        r.strategy,
-                        r.ipc,
-                        r.speedup_over(&base),
-                        r.metrics.fwd.intra_cluster_fraction(),
-                        r.metrics.fwd.mean_distance()
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "{:<16}{:>8.3}{:>10.3}{:>13.1}%{:>10.2}\n",
-                        r.strategy,
-                        r.ipc,
-                        r.speedup_over(&base),
-                        100.0 * r.metrics.fwd.intra_cluster_fraction(),
-                        r.metrics.fwd.mean_distance()
-                    ));
-                }
-            }
-            Ok(CliOutcome::ok(out))
-        }
         Command::Trace(args) => trace(args).map(CliOutcome::ok),
-        Command::Analyze(args) => analyze(args, &mut StderrProgress::new(None)).map(CliOutcome::ok),
     }
+}
+
+/// The strategies `ctcp compare` runs, baseline first: every speedup
+/// is taken over the first report.
+const COMPARED: [Strategy; 5] = [
+    Strategy::Baseline,
+    Strategy::IssueTime { latency: 0 },
+    Strategy::IssueTime { latency: 4 },
+    Strategy::Friendly { middle_bias: false },
+    Strategy::Fdrt { pinning: true },
+];
+
+/// Runs one cell per strategy through `harness` and renders the
+/// reports, in strategy order, with `render(name, reports)`. Every job
+/// is the source's program, shared, under `config(args, strategy)`,
+/// named after the source. As in a sweep, a cell that fails does not
+/// abort the batch: when any did, the output is the harness's failure
+/// table and the exit code 1.
+fn run_cells(
+    args: &RunArgs,
+    strategies: &[Strategy],
+    harness: &mut Harness,
+    progress: &mut dyn ProgressSink,
+    render: impl FnOnce(&str, &[SimReport]) -> String,
+) -> Result<CliOutcome, BatchError> {
+    let program = Arc::new(load_program(&args.source)?);
+    let name = describe(&args.source);
+    let jobs: Vec<Job> = strategies
+        .iter()
+        .map(|&s| Job::new(name.as_str(), Arc::clone(&program), config(args, s)))
+        .collect();
+    let outcomes = harness
+        .try_run_admitted(&jobs, progress)
+        .map_err(BatchError::Saturated)?;
+    if let Some(table) = failure_table(&outcomes) {
+        return Ok(CliOutcome {
+            output: table,
+            exit_code: 1,
+        });
+    }
+    let reports: Vec<SimReport> = outcomes
+        .iter()
+        .flat_map(JobOutcome::report)
+        .cloned()
+        .collect();
+    Ok(CliOutcome::ok(render(&name, &reports)))
+}
+
+/// [`run_cells`] for a one-shot command: the batch runs on `harness`'s
+/// own pool and draws its stderr status line on a terminal.
+fn one_shot(
+    mut harness: Harness,
+    args: &RunArgs,
+    strategies: &[Strategy],
+    render: impl FnOnce(&str, &[SimReport]) -> String,
+) -> Result<CliOutcome, CliError> {
+    let mut progress = StderrProgress::new(None);
+    let outcome = run_cells(args, strategies, &mut harness, &mut progress, render);
+    Ok(outcome?)
+}
+
+/// `ctcp compare`'s table: one row per report, each speedup over the
+/// first (the baseline, whose own speedup is therefore 1).
+fn compare_table(name: &str, args: &RunArgs, reports: &[SimReport]) -> String {
+    let base = &reports[0];
+    let mut out = String::new();
+    if args.csv {
+        out.push_str("strategy,ipc,speedup,intra_cluster,distance\n");
+    } else {
+        out.push_str(&format!(
+            "{name} — {} instructions, {} clusters\n",
+            base.instructions, args.clusters
+        ));
+        out.push_str(&format!(
+            "{:<16}{:>8}{:>10}{:>14}{:>10}\n",
+            "strategy", "ipc", "speedup", "intra-fwd", "distance"
+        ));
+    }
+    for r in reports {
+        let (s, ipc, speedup, fwd) = (&r.strategy, r.ipc, r.speedup_over(base), &r.metrics.fwd);
+        let (intra, hops) = (fwd.intra_cluster_fraction(), fwd.mean_distance());
+        let pct = 100.0 * intra;
+        out.push_str(&if args.csv {
+            format!("{s},{ipc:.4},{speedup:.4},{intra:.4},{hops:.4}\n")
+        } else {
+            format!("{s:<16}{ipc:>8.3}{speedup:>10.3}{pct:>13.1}%{hops:>10.2}\n")
+        });
+    }
+    out
 }
 
 /// Runs one strategy with a live [`Recorder`] attached, exports the
@@ -215,11 +237,13 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
         event_capacity: args.events,
         sample_every: args.sample,
     }));
-    let r = run_sim(
-        Simulation::builder(&program)
-            .config(config(&args.run, args.run.strategy))
-            .recorder(Rc::clone(&recorder)),
-    )?;
+    let r = Simulation::builder(&program)
+        .config(config(&args.run, args.run.strategy))
+        .recorder(Rc::clone(&recorder))
+        .build()
+        .map_err(|e| CliError(format!("invalid configuration: {e}")))?
+        .try_run()
+        .map_err(|e| CliError(e.to_string()))?;
 
     let events = recorder.events();
     // A flow arrow needs its consumer's retire span to anchor to; drop
@@ -279,40 +303,18 @@ fn trace(args: &TraceArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs each requested strategy with cycle attribution on
-/// ([`SimBuilder::attrib`]) and renders, per strategy: the
-/// retirement-driven CPI stack, per-cluster utilization, and the top
-/// critical-path edges with the fraction of critical edges that cross
-/// clusters. Each strategy is one cell of a batch reported to
-/// `progress`, timed like a sweep cell; the sweep service streams them
-/// to the requesting client.
-fn analyze(args: &AnalyzeArgs, progress: &mut dyn ProgressSink) -> Result<String, CliError> {
-    let program = load_program(&args.run.source)?;
-    let name = describe(&args.run.source);
-    progress.batch_start(args.strategies.len());
-    let results: Result<Vec<SimReport>, CliError> = args
-        .strategies
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let started = Instant::now();
-            let r = run_sim(
-                Simulation::builder(&program)
-                    .config(config(&args.run, s))
-                    .attrib(args.top),
-            )?;
-            progress.cell_done(i + 1, &r.strategy, started.elapsed());
-            Ok(r)
-        })
-        .collect();
-    progress.batch_end();
-    let results = results?;
+/// `ctcp analyze`'s rendering of one attributed report per strategy
+/// (from a harness that attributes with `--top`'s edge count): per
+/// strategy, the retirement-driven CPI stack, per-cluster utilization,
+/// and the top critical-path edges with the fraction of critical edges
+/// that cross clusters.
+fn analysis(name: &str, args: &AnalyzeArgs, reports: &[SimReport]) -> String {
     if args.json {
-        Ok(analyze_json(&name, args, &results))
+        analyze_json(name, args, reports)
     } else if args.run.csv {
-        Ok(analyze_csv(&name, &results))
+        analyze_csv(name, reports)
     } else {
-        Ok(analyze_prose(&name, args, &results))
+        analyze_prose(name, args, reports)
     }
 }
 
@@ -454,26 +456,32 @@ fn sweep(args: &SweepArgs) -> Result<CliOutcome, CliError> {
     // The default sink reproduces the historical stderr status line
     // byte for byte (auto-enabled only when stderr is a terminal).
     let mut sink = StderrProgress::new(None);
-    run_sweep(args, &mut harness, &mut sink).map_err(|e| match e {
-        SweepError::Cli(e) => e,
-        // One-shot sweeps run on the harness's own unbounded pool, so
-        // admission can never refuse them; keep the arm total anyway.
-        SweepError::Saturated(s) => CliError(format!("rejected: {s}")),
-    })
+    Ok(run_sweep(args, &mut harness, &mut sink)?)
 }
 
-/// Why [`run_sweep`] stopped: an ordinary CLI error (bad benchmark,
-/// bad grid) rendered in-band, or a typed admission refusal from the
-/// shared scheduler that the daemon must turn into a `503` *before*
-/// anything has been streamed.
-enum SweepError {
+/// Why a batch ([`run_sweep`], [`run_cells`]) stopped: an ordinary CLI
+/// error (bad benchmark, bad grid) rendered in-band, or a typed
+/// admission refusal from the shared scheduler that the daemon must
+/// turn into a `503` *before* anything has been streamed.
+enum BatchError {
     Cli(CliError),
     Saturated(Saturated),
 }
 
-impl From<CliError> for SweepError {
-    fn from(e: CliError) -> SweepError {
-        SweepError::Cli(e)
+impl From<CliError> for BatchError {
+    fn from(e: CliError) -> BatchError {
+        BatchError::Cli(e)
+    }
+}
+
+impl From<BatchError> for CliError {
+    fn from(e: BatchError) -> CliError {
+        match e {
+            BatchError::Cli(e) => e,
+            // One-shot batches run on the harness's own unbounded pool,
+            // so admission can never refuse them; keep the arm total.
+            BatchError::Saturated(s) => CliError(format!("rejected: {s}")),
+        }
     }
 }
 
@@ -487,7 +495,7 @@ fn run_sweep(
     args: &SweepArgs,
     harness: &mut Harness,
     sink: &mut dyn ProgressSink,
-) -> Result<CliOutcome, SweepError> {
+) -> Result<CliOutcome, BatchError> {
     let benches = resolve_benches(&args.spec.benches)?;
 
     // Resolve suite keywords into explicit names, then let the spec
@@ -511,7 +519,7 @@ fn run_sweep(
 
     let outcomes = harness
         .try_run_admitted(&jobs, sink)
-        .map_err(SweepError::Saturated)?;
+        .map_err(BatchError::Saturated)?;
 
     let mut out = String::new();
     if args.csv {
@@ -739,60 +747,49 @@ impl Handler for CliHandler {
                 retry_after_secs: 1,
             });
         }
-        match kind {
-            RequestKind::Sweep => {
-                let args = match wire::sweep_from_json(body) {
-                    Ok(a) => a,
-                    Err(e) => return Ok(error_result(e)),
-                };
-                // A fresh per-request harness over the shared handles:
-                // phase 1 answers warm cells straight from the store
-                // (never touching the queue), the rest are submitted to
-                // the shared pool and stream back as they finish. Each
-                // finished cell is memoized as it lands, so a batch
-                // re-POSTed after a cut or a crash answers those cells
-                // from the store.
-                let mut harness = Harness::new()
-                    .attrib(args.attrib)
-                    .with_store(self.store.clone())
-                    .with_scheduler(self.sched.clone());
-                match run_sweep(&args, &mut harness, progress) {
-                    Ok(outcome) => {
-                        let stats = harness.last_batch();
-                        Ok(RunResult {
-                            output: outcome.output,
-                            exit_code: outcome.exit_code,
-                            cache_hits: stats.store_hits as u64,
-                            simulated: stats.simulated as u64,
-                        })
-                    }
-                    Err(SweepError::Saturated(s)) => Err(HandlerError::Saturated {
-                        queued: s.queued,
-                        wanted: s.wanted,
-                        limit: s.limit,
-                    }),
-                    Err(SweepError::Cli(e)) => Ok(error_result(e)),
+        // A fresh per-request harness over the shared pool, whose cells
+        // interleave fairly with every other request's and count against
+        // `--max-queue`. A sweep's also memoizes through the shared
+        // store, so warm cells never queue and a re-POSTed batch finds
+        // the cells that finished before a cut or a crash. An analysis
+        // keeps no store: a store line does not say how many edges it kept.
+        let harness = Harness::new().with_scheduler(self.sched.clone());
+        let (harness, outcome) = match kind {
+            RequestKind::Sweep => match wire::sweep_from_json(body) {
+                Ok(args) => {
+                    let mut harness = harness.attrib(args.attrib).with_store(self.store.clone());
+                    let outcome = run_sweep(&args, &mut harness, progress);
+                    (harness, outcome)
                 }
-            }
-            RequestKind::Analyze => {
-                let args = match wire::analyze_from_json(body) {
-                    Ok(a) => a,
-                    Err(e) => return Ok(error_result(e)),
-                };
-                // Analyses run on the batch's own thread, outside the
-                // cell scheduler — they never queue behind sweep cells,
-                // which is the fairness guarantee for small interactive
-                // requests.
-                match analyze(&args, progress) {
-                    Ok(output) => Ok(RunResult {
-                        output,
-                        exit_code: 0,
-                        cache_hits: 0,
-                        simulated: args.strategies.len() as u64,
-                    }),
-                    Err(e) => Ok(error_result(e)),
+                Err(e) => return Ok(error_result(e)),
+            },
+            RequestKind::Analyze => match wire::analyze_from_json(body) {
+                Ok(args) => {
+                    let mut harness = harness.attrib_top(args.top);
+                    let render = |name: &str, reports: &[SimReport]| analysis(name, &args, reports);
+                    let outcome =
+                        run_cells(&args.run, &args.strategies, &mut harness, progress, render);
+                    (harness, outcome)
                 }
+                Err(e) => return Ok(error_result(e)),
+            },
+        };
+        match outcome {
+            Ok(outcome) => {
+                let stats = harness.last_batch();
+                Ok(RunResult {
+                    output: outcome.output,
+                    exit_code: outcome.exit_code,
+                    cache_hits: stats.store_hits as u64,
+                    simulated: stats.simulated as u64,
+                })
             }
+            Err(BatchError::Saturated(s)) => Err(HandlerError::Saturated {
+                queued: s.queued,
+                wanted: s.wanted,
+                limit: s.limit,
+            }),
+            Err(BatchError::Cli(e)) => Ok(error_result(e)),
         }
     }
 
@@ -1779,6 +1776,76 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("gzip,base,"));
         assert!(lines[2].starts_with("gzip,fdrt,"));
+    }
+
+    #[test]
+    fn harness_batches_render_the_bytes_of_direct_simulations() {
+        // The reference is what `analyze` and `compare` once ran: one
+        // direct `Simulation` per strategy, in order, on one thread.
+        let direct = |args: &RunArgs, strategies: &[Strategy], top: Option<usize>| {
+            let program = load_program(&args.source).unwrap();
+            strategies
+                .iter()
+                .map(|&s| {
+                    let mut builder = Simulation::builder(&program).config(config(args, s));
+                    if let Some(top) = top {
+                        builder = builder.attrib(top);
+                    }
+                    builder.build().unwrap().run()
+                })
+                .collect::<Vec<SimReport>>()
+        };
+        let analyze_argv = [
+            "analyze",
+            "gzip",
+            "--strategies",
+            "base,friendly,fdrt",
+            "--insts",
+            "4000",
+            "--top",
+            "12",
+            "--json",
+        ];
+        let Command::Analyze(a) = Cli::parse(analyze_argv).unwrap().command else {
+            unreachable!("an analyze command line");
+        };
+        let reports = direct(&a.run, &a.strategies, Some(12));
+        assert_eq!(run(&analyze_argv).unwrap(), analysis("gzip", &a, &reports));
+        let compare_argv = ["compare", "--bench", "gzip", "--insts", "4000", "--csv"];
+        let Command::Compare(c) = Cli::parse(compare_argv).unwrap().command else {
+            unreachable!("a compare command line");
+        };
+        let reports = direct(&c, &COMPARED, None);
+        assert_eq!(
+            run(&compare_argv).unwrap(),
+            compare_table("gzip", &c, &reports)
+        );
+    }
+
+    #[test]
+    fn a_strategy_listed_twice_is_simulated_once_and_rendered_twice() {
+        let argv = [
+            "analyze",
+            "gzip",
+            "--strategies",
+            "fdrt,base,fdrt",
+            "--insts",
+            "2000",
+            "--csv",
+        ];
+        let Command::Analyze(a) = Cli::parse(argv).unwrap().command else {
+            unreachable!("an analyze command line");
+        };
+        let mut harness = Harness::new().jobs(1).attrib_top(a.top);
+        let mut quiet = StderrProgress::new(Some(false));
+        let render = |name: &str, reports: &[SimReport]| analysis(name, &a, reports);
+        let Ok(out) = run_cells(&a.run, &a.strategies, &mut harness, &mut quiet, render) else {
+            panic!("the batch runs");
+        };
+        assert_eq!(harness.last_batch().simulated, 2);
+        let rows: Vec<&str> = out.output.lines().skip(1).collect();
+        assert_eq!(rows.len(), 3, "{}", out.output);
+        assert_eq!(rows[0], rows[2]);
     }
 
     #[test]

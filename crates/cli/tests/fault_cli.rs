@@ -1,6 +1,8 @@
 //! End-to-end crash injection through the CLI: a fail point panics one
 //! sweep cell, and the command must still render every surviving cell,
-//! append the failure table, and report a non-zero exit code.
+//! append the failure table, and report a non-zero exit code. `run`,
+//! `compare` and `analyze` run their cells through the same harness, so
+//! the point reaches them too, and they answer with the failure table.
 //!
 //! Fail-point state is process-global; this file holds a single test so
 //! nothing else in the binary can race the armed point. (The library
@@ -42,7 +44,59 @@ fn sweep_with_a_crashed_cell_renders_survivors_and_exits_nonzero() {
 
     let prose = execute_outcome(&Cli::parse(sweep_argv(false)).unwrap()).unwrap();
     let csv = execute_outcome(&Cli::parse(sweep_argv(true)).unwrap()).unwrap();
+
+    // The cell commands fail the same way, with no panic escaping.
+    failpoint::set(Some("job-panic=gzip:fdrt"));
+    let cell_commands = [
+        (
+            vec![
+                "analyze",
+                "gzip",
+                "--strategies",
+                "base,fdrt",
+                "--insts",
+                "2000",
+            ],
+            "1 of 2 jobs failed:",
+        ),
+        (
+            vec!["compare", "--bench", "gzip", "--insts", "2000"],
+            "1 of 5 jobs failed:",
+        ),
+        (
+            vec![
+                "run",
+                "--bench",
+                "gzip",
+                "--strategy",
+                "fdrt",
+                "--insts",
+                "2000",
+            ],
+            "1 of 1 jobs failed:",
+        ),
+    ];
+    let failed: Vec<_> = cell_commands
+        .iter()
+        .map(|(argv, _)| {
+            let cli = Cli::parse(argv.iter().copied()).unwrap();
+            std::panic::catch_unwind(|| execute_outcome(&cli))
+                .expect("no panic escapes execute_outcome")
+                .unwrap()
+        })
+        .collect();
     std::panic::set_hook(hook);
+    for ((argv, heading), out) in cell_commands.iter().zip(&failed) {
+        // The output is the failure table alone.
+        assert_eq!(out.exit_code, 1, "{argv:?}: {}", out.output);
+        assert!(out.output.starts_with(heading), "{argv:?}: {}", out.output);
+        assert!(
+            out.output
+                .contains("gzip/fdrt: panic: fail point job-panic"),
+            "{argv:?}: {}",
+            out.output
+        );
+    }
 
     for out in [&prose, &csv] {
         assert_eq!(out.exit_code, 1, "{}", out.output);

@@ -9,12 +9,14 @@
 //! 2. overlapping grids from different clients share the daemon's warm
 //!    cache (visible in the `serve_cache_hits` counter);
 //! 3. the shared cell scheduler interleaves fairly: a tiny request is
-//!    never starved behind a long warmup-heavy sweep;
+//!    never starved behind a long warmup-heavy sweep, and an analyze's
+//!    cells queue there like a sweep's, bounded by `--max-queue`;
 //! 4. shutdown drains cleanly — even racing in-flight clients, no
 //!    admitted cell is lost, the daemon exits zero, prints its
 //!    summary, leaves a populated store file with no lock token,
 //!    and stops listening.
 
+use ctcp_telemetry::json::Value;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -342,6 +344,44 @@ fn small_request_is_not_starved_by_a_running_sweep() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An analyze's cells queue on the shared pool like a sweep's, so they
+/// count against `--max-queue`: a one-cell bound refuses a
+/// four-strategy analyze with the typed saturated message, and still
+/// runs a one-strategy one.
+#[test]
+fn analyze_cells_count_against_max_queue() {
+    let dir = std::env::temp_dir().join(format!("ctcp-serve-admit-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut daemon, addr, _out) =
+        spawn_daemon_with(&dir.join("store"), "1", &["--max-queue", "1"]);
+
+    let analyze = ["--bench", "gzip", "--insts", "2000"];
+    let mut four = vec!["client", "analyze", "--addr", addr.as_str()];
+    four.extend_from_slice(&analyze);
+    let refused = run(&four);
+    assert!(
+        !refused.status.success(),
+        "four cells exceed a bound of one"
+    );
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("is saturated (0 cells queued + 4 requested > limit 1)"),
+        "{stderr}"
+    );
+
+    let mut one = four.clone();
+    one.extend_from_slice(&["--strategies", "fdrt"]);
+    let mut oneshot = vec!["analyze"];
+    oneshot.extend_from_slice(&analyze);
+    oneshot.extend_from_slice(&["--strategies", "fdrt"]);
+    assert_eq!(stdout_of(&run(&one)), stdout_of(&run(&oneshot)));
+
+    stdout_of(&run(&["client", "shutdown", "--addr", &addr]));
+    assert!(daemon.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A shutdown racing two in-flight sweeps must lose nothing: both
 /// clients stream to completion, and every cell of both grids is
 /// memoized in the store by the time the daemon exits.
@@ -563,6 +603,83 @@ fn observability_never_perturbs_output_and_exports_metrics_logs_traces() {
         summary.spans >= 4 && summary.lanes >= 3,
         "admit + run + cells + stream over service/stream/worker lanes: {summary:?}"
     );
+
+    // An analyze's cells run on the pool's workers: each streamed
+    // `progress` line names the benchmark and a worker below `--jobs`,
+    // and its `/trace` holds one `cell gzip` span per line, on the
+    // lanes of the workers that ran them.
+    let body = "{\"bench\":\"gzip\",\"strategies\":[\"base\",\"friendly\",\"fdrt\"],\
+                \"insts\":2000,\"clusters\":4,\"topology\":\"linear\",\"hop\":2,\
+                \"top\":8,\"json\":false,\"csv\":false}";
+    let resp = ctcp_serve::http::request(&addr, "POST", "/analyze", body.as_bytes(), &mut |_| {})
+        .expect("POST /analyze");
+    assert_eq!(resp.status, 200);
+    let events: Vec<Value> = String::from_utf8_lossy(&resp.body)
+        .lines()
+        .map(|l| Value::parse(l).expect("NDJSON event"))
+        .collect();
+    let field = |e: &Value, k: &str| e.get(k).cloned().unwrap_or(Value::Null);
+    let token = events
+        .iter()
+        .find_map(|e| field(e, "token").as_str().map(str::to_string))
+        .expect("the accepted handshake names the token");
+    let mut workers: Vec<u64> = Vec::new();
+    for e in events
+        .iter()
+        .filter(|e| field(e, "event").as_str() == Some("progress"))
+    {
+        assert_eq!(
+            field(e, "workload").as_str(),
+            Some("gzip"),
+            "{}",
+            e.render()
+        );
+        let worker = field(e, "worker")
+            .as_u64()
+            .expect("progress names its worker");
+        assert!(worker < 2, "worker {worker} of --jobs 2");
+        workers.push(worker);
+    }
+    assert_eq!(workers.len(), 3, "one progress line per strategy");
+    let (code, trace) = get(&addr, &format!("/trace/{token}"));
+    assert_eq!(code, 200);
+    let trace = Value::parse(&trace).expect("trace is JSON");
+    let Value::Arr(trace_events) = trace else {
+        panic!("a trace is an event array");
+    };
+    let lane_names: Vec<(u64, String)> = trace_events
+        .iter()
+        .filter(|e| field(e, "ph").as_str() == Some("M"))
+        .map(|e| {
+            let name = field(&field(e, "args"), "name");
+            (
+                field(e, "tid").as_u64().unwrap(),
+                name.as_str().unwrap().to_string(),
+            )
+        })
+        .collect();
+    let mut cell_lanes: Vec<String> = trace_events
+        .iter()
+        .filter(|e| {
+            field(e, "name")
+                .as_str()
+                .is_some_and(|n| n.starts_with("cell "))
+        })
+        .map(|e| {
+            assert_eq!(field(e, "name").as_str(), Some("cell gzip"));
+            let tid = field(e, "tid").as_u64().unwrap();
+            lane_names
+                .iter()
+                .find(|(t, _)| *t == tid)
+                .unwrap()
+                .1
+                .clone()
+        })
+        .collect();
+    let mut worker_lanes: Vec<String> = workers.iter().map(|w| format!("worker {w}")).collect();
+    cell_lanes.sort();
+    worker_lanes.sort();
+    assert_eq!(cell_lanes, worker_lanes);
 
     // `ctcp top --once`: one frame, no ANSI, dashboard sections present.
     let top = stdout_of(&run(&["top", "--addr", &addr, "--once"]));

@@ -175,23 +175,23 @@ impl Job {
     /// defect, never grounds to panic a shared worker thread. With
     /// `with_metrics` set, a metrics-only [`Recorder`] rides along and
     /// the second element is the rendered JSONL metrics line for this
-    /// run. With `with_attrib` set, the
-    /// simulation attributes its cycles itself
-    /// ([`SimBuilder::attrib`](ctcp_sim::SimBuilder::attrib)) and the
+    /// run. With `attrib` set to `Some(top)`, the simulation
+    /// attributes its cycles itself, keeping `top` critical-path edges
+    /// ([`SimBuilder::attrib`](ctcp_sim::SimBuilder::attrib)), and the
     /// report comes back with `attrib` attached.
     fn try_simulate_with(
         &self,
         runner: &mut BatchRunner,
         checkpoints: &CheckpointCache,
         with_metrics: bool,
-        with_attrib: bool,
+        attrib: Option<usize>,
     ) -> Result<(SimReport, Option<String>), JobError> {
         // Fault injection: the `job-panic` fail point panics inside the
         // job body — exactly where a simulator bug would — so the
         // isolation layer can be exercised end-to-end. The optional
         // argument `workload[:strategy]` confines the blast radius to
-        // one cell of a sweep.
-        if failpoint::is_active("job-panic") && self.matches_fail_point() {
+        // one cell of a batch.
+        if self.matches_fail_point() {
             panic!(
                 "fail point job-panic: injected failure in {}/{}",
                 self.workload,
@@ -203,8 +203,8 @@ impl Job {
             let checkpoint = checkpoints.get_or_capture(&self.program, self.config.warmup_insts);
             builder = builder.resume_from(&checkpoint);
         }
-        if with_attrib {
-            builder = builder.attrib(DEFAULT_TOP_EDGES);
+        if let Some(top) = attrib {
+            builder = builder.attrib(top);
         }
         let recorder = with_metrics.then(|| Rc::new(Recorder::new(RecorderConfig::metrics_only())));
         if let Some(recorder) = &recorder {
@@ -219,21 +219,20 @@ impl Job {
         Ok((report, line))
     }
 
-    /// Whether the `job-panic` fail point's argument selects this job.
-    /// No argument selects every job; `workload` or `workload:strategy`
+    /// Whether the armed `job-panic` fail point selects this job: a bare
+    /// one selects every job; `workload` or `workload:strategy`
     /// (strategy as rendered by `Strategy::name`) narrows it.
     fn matches_fail_point(&self) -> bool {
-        match failpoint::arg("job-panic") {
-            None => true,
-            Some(arg) => {
-                let (workload, strategy) = match arg.split_once(':') {
-                    Some((w, s)) => (w, Some(s)),
-                    None => (arg.as_str(), None),
-                };
-                workload == self.workload
-                    && strategy.is_none_or(|s| s == self.config.strategy.name())
-            }
-        }
+        let Some(arg) = failpoint::arg("job-panic") else {
+            return false;
+        };
+        let (workload, strategy) = match arg.split_once(':') {
+            Some((w, s)) => (w, Some(s)),
+            None => (arg.as_str(), None),
+        };
+        arg.is_empty()
+            || workload == self.workload
+                && strategy.is_none_or(|s| s == self.config.strategy.name())
     }
 }
 
@@ -395,14 +394,14 @@ fn run_cell(
     checkpoints: &CheckpointCache,
     job: &Job,
     with_metrics: bool,
-    with_attrib: bool,
+    attrib: Option<usize>,
     max_retries: u32,
 ) -> (Result<(SimReport, Option<String>), JobError>, u32) {
     let mut retries = 0;
     loop {
         let reborrow = &mut *runner;
         let result = match std::panic::catch_unwind(AssertUnwindSafe(move || {
-            job.try_simulate_with(reborrow, checkpoints, with_metrics, with_attrib)
+            job.try_simulate_with(reborrow, checkpoints, with_metrics, attrib)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -461,7 +460,8 @@ pub struct Harness {
     progress: Option<bool>,
     metrics_out: Option<PathBuf>,
     metrics_file: Option<std::fs::File>,
-    attrib: bool,
+    /// Critical-path edges each attributed cell keeps; `None` is off.
+    attrib: Option<usize>,
     telemetry: Metrics,
     last: BatchStats,
 }
@@ -498,7 +498,7 @@ impl Harness {
             progress: None,
             metrics_out: None,
             metrics_file: None,
-            attrib: false,
+            attrib: None,
             telemetry: Metrics::new(),
             last: BatchStats::default(),
         }
@@ -544,18 +544,27 @@ impl Harness {
     }
 
     /// Turns on cycle attribution: every simulated job attributes its
-    /// cycles as it runs and its report comes back
-    /// with [`SimReport::attrib`](ctcp_sim::SimReport) populated (a CPI
-    /// stack plus critical-path summary). Store lines written before
-    /// attribution existed — or by non-attrib runs — do not satisfy an
-    /// attrib batch: such hits are rejected, the cell is re-simulated,
-    /// and the refreshed line (a superset) overwrites the old one, so
-    /// later batches of either kind hit. Off by default: attribution
-    /// costs about 5% of a cell's time. Its memory does not grow with
-    /// the cell's length, because the critical-path walk streams and
-    /// holds only the links a later walk can still need.
+    /// cycles as it runs and its report comes back with
+    /// [`SimReport::attrib`](ctcp_sim::SimReport) populated (a CPI stack
+    /// and the [`DEFAULT_TOP_EDGES`] heaviest critical-path edges).
+    /// Store lines written before attribution existed — or by
+    /// non-attrib runs — do not satisfy an attrib batch: such hits are
+    /// rejected, the cell is re-simulated, and the refreshed line (a
+    /// superset) overwrites the old one, so later batches of either
+    /// kind hit. Off by default: attribution costs about 5% of a
+    /// cell's time. Its memory does not grow with the cell's length,
+    /// because the critical-path walk streams and holds only the links
+    /// a later walk can still need.
     pub fn attrib(mut self, on: bool) -> Harness {
-        self.attrib = on;
+        self.attrib = on.then_some(DEFAULT_TOP_EDGES);
+        self
+    }
+
+    /// [`Harness::attrib`] keeping the `top` heaviest critical-path
+    /// edges per report (`ctcp analyze --top`; `0` keeps none). A store
+    /// line does not record its edge count, so keep this off stores.
+    pub fn attrib_top(mut self, top: usize) -> Harness {
+        self.attrib = Some(top);
         self
     }
 
@@ -657,8 +666,8 @@ impl Harness {
     /// concurrently — once per *simulated* cell in completion order
     /// (store hits and coalesced duplicates produce no call), bracketed
     /// by [`ProgressSink::batch_start`] and [`ProgressSink::batch_end`].
-    /// The sweep service uses this to forward a batch's progress to the
-    /// requesting client rather than the daemon's own stderr.
+    /// The sweep service forwards each request's progress to its client
+    /// this way, through [`Harness::try_run_admitted`].
     ///
     /// With a shared scheduler attached (see
     /// [`Harness::with_scheduler`]) an admission rejection is folded
@@ -705,7 +714,7 @@ impl Harness {
     ) -> Result<Vec<JobOutcome>, Saturated> {
         let batch_start = Instant::now();
         let with_metrics = self.open_metrics_sink();
-        let with_attrib = self.attrib;
+        let attrib = self.attrib;
         let keys: Vec<u64> = jobs.iter().map(Job::key).collect();
         let mut results: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
 
@@ -716,7 +725,7 @@ impl Harness {
         if let Some(store) = &mut self.store {
             for (slot, &key) in results.iter_mut().zip(&keys) {
                 if let Some(report) = store.get(key) {
-                    if !with_attrib || report.attrib.is_some() {
+                    if attrib.is_none() || report.attrib.is_some() {
                         *slot = Some(JobOutcome::Ok(Box::new(report)));
                         store_hits += 1;
                     }
@@ -757,7 +766,7 @@ impl Harness {
                     job: jobs[i].clone(),
                     key: keys[i],
                     with_metrics,
-                    with_attrib,
+                    attrib,
                     retries: DEFAULT_RETRIES,
                 })
                 .collect();

@@ -61,8 +61,9 @@ pub(crate) struct Cell {
     pub key: u64,
     /// Whether a metrics recorder rides along.
     pub with_metrics: bool,
-    /// Whether attribution is collected.
-    pub with_attrib: bool,
+    /// Critical-path edges an attributed cell keeps; `None` collects
+    /// no attribution.
+    pub attrib: Option<usize>,
     /// Transient-failure retry budget.
     pub retries: u32,
 }
@@ -394,7 +395,7 @@ fn run_picked(
             &inner.checkpoints,
             &cell.job,
             cell.with_metrics,
-            cell.with_attrib,
+            cell.attrib,
             cell.retries,
         );
         inner.running.fetch_sub(1, Ordering::Relaxed);
@@ -455,7 +456,7 @@ mod tests {
             key: job.key(),
             job,
             with_metrics: false,
-            with_attrib: false,
+            attrib: None,
             retries: 0,
         }
     }
@@ -542,7 +543,7 @@ mod tests {
                 key: job.key(),
                 job,
                 with_metrics: false,
-                with_attrib: false,
+                attrib: None,
                 retries: 1, // two panics total: exactly the poison budget
             }
         };

@@ -5,7 +5,8 @@
 //!
 //! * `job-panic` — a panic inside one job's body, proving the
 //!   isolation boundary contains it, retries it, and lets the rest of
-//!   the batch (and its store writes) finish;
+//!   the batch (and its store writes) finish; armed bare, it panics
+//!   every cell;
 //! * `store-truncate` — a torn store append, proving the next open
 //!   quarantines the damage instead of choking on it.
 //!
@@ -117,6 +118,35 @@ fn injected_panic_is_contained_retried_and_reported() {
         "disarmed, the whole grid completes"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_bare_job_panic_fails_every_cell() {
+    // A bare point arms every cell of every batch in the process, so it
+    // lives here, where every test holds the lock, and not among the
+    // unit tests that run batches without it.
+    let _x = exclusive();
+    failpoint::set(Some("job-panic"));
+    let program = spin_program();
+    let jobs = [
+        job("steady", Strategy::Baseline, &program),
+        job("crashy", Strategy::Fdrt { pinning: true }, &program),
+    ];
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // silence the injected panics
+    let outcomes = Harness::new().jobs(2).progress(false).try_run(&jobs);
+    std::panic::set_hook(hook);
+    failpoint::set(None);
+    for o in &outcomes {
+        let failure = o.failure().expect("a bare job-panic fails every cell");
+        assert!(
+            matches!(&failure.error, JobError::Panic(msg)
+                if msg.contains("fail point job-panic")),
+            "{failure:?}"
+        );
+    }
+    let table = failure_table(&outcomes).unwrap();
+    assert!(table.starts_with("2 of 2 jobs failed:"), "{table}");
 }
 
 #[test]

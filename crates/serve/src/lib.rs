@@ -23,14 +23,15 @@
 //! about itself is one row of the metrics registry in `exposition.rs`,
 //! which renders `/status`, `/metrics` and the drained [`Snapshot`].
 //! The simulator side plugs in through the [`Handler`] trait — the CLI
-//! implements it around a persistent `Harness`, and tests implement it
-//! with mocks — so the wire layer, queueing, counters and drain logic
-//! are all testable without running a single simulation. A handler
-//! reports its batch through the same `ProgressSink` the harness
-//! reports into, and the service implements that sink once: each call
-//! updates the request's `/status` row and spans and renders the
-//! request's `batch_start` and `progress` lines, so progress takes one
-//! typed path from the worker pool to the wire.
+//! implements it by building a per-request `Harness` over its shared
+//! worker pool and result store, and tests implement it with mocks — so
+//! the wire layer, queueing, counters and drain logic are all testable
+//! without running a single simulation. A handler reports its batch
+//! through the same `ProgressSink` the harness reports into, and the
+//! service implements that sink once: each `cell_done_on` updates the
+//! request's `/status` row and spans and renders the request's
+//! `progress` line, so progress takes one typed path from the worker
+//! pool to the wire.
 //!
 //! See [`http`] for the wire protocol and [`service`] for routing,
 //! admission, disconnect and graceful-drain contracts; DESIGN.md §7f

@@ -215,8 +215,8 @@ pub trait Handler: Send + Sync {
     /// Runs the batch described by `body` (a parsed JSON object),
     /// reporting through `progress`: `batch_start` once its cells are
     /// handed to the workers that run them, then one timed
-    /// `cell_done_on` per simulated cell (`cell_done` for a cell no
-    /// pool worker ran).
+    /// `cell_done_on` per simulated cell, naming the pool worker that
+    /// ran it.
     ///
     /// The sink is the service's own: each call updates the request's
     /// `/status` row, records its spans and appends the NDJSON line the
@@ -775,10 +775,19 @@ struct RequestSink<'a> {
     first_cell_us: Option<u64>,
 }
 
-impl RequestSink<'_> {
-    /// One finished cell; `worker` names its pool worker's lane, and
-    /// its `progress` line carries a `worker` field only when it does.
-    fn cell(&mut self, done: usize, workload: &str, took: Duration, worker: Option<usize>) {
+impl ProgressSink for RequestSink<'_> {
+    fn batch_start(&mut self, total: usize) {
+        self.total = total;
+        self.submitted_us = self.inner.now_us();
+        self.entry.note_progress(0, total as u64);
+        self.entry.push(event_line(&Value::Obj(vec![
+            ("event".into(), Value::str("batch_start")),
+            ("total".into(), Value::u64(total as u64)),
+        ])));
+    }
+
+    /// One finished cell, on pool worker `worker`'s lane.
+    fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
         let (inner, token) = (self.inner, self.token);
         let now_us = inner.now_us();
         let took_us = took.as_micros() as u64;
@@ -786,9 +795,9 @@ impl RequestSink<'_> {
         self.first_cell_us = Some(self.first_cell_us.map_or(started_us, |f| f.min(started_us)));
         let (done, total) = (done as u64, self.total as u64);
         self.entry.note_progress(done, total);
-        let lane = worker.unwrap_or(0) as u64;
+        let worker = worker as u64;
         let cell = SpanKind::Cell {
-            worker: lane,
+            worker,
             label: workload,
             done,
             total,
@@ -810,7 +819,7 @@ impl RequestSink<'_> {
                     ("workload", Value::str(workload)),
                     ("took_ms", Value::u64(took_ms)),
                     ("threshold_ms", Value::u64(threshold)),
-                    ("worker", Value::u64(lane)),
+                    ("worker", Value::u64(worker)),
                     ("cell", Value::u64(done)),
                     ("of", Value::u64(total)),
                     ("queued_cells", Value::u64(hs.queued_cells as u64)),
@@ -825,41 +834,18 @@ impl RequestSink<'_> {
                     ("token", Value::str(token)),
                     ("workload", Value::str(workload)),
                     ("took_ms", Value::u64(took_ms)),
-                    ("worker", Value::u64(lane)),
+                    ("worker", Value::u64(worker)),
                 ],
             );
         }
-        let mut fields = vec![
+        self.entry.push(event_line(&Value::Obj(vec![
             ("event".into(), Value::str("progress")),
             ("done".into(), Value::u64(done)),
             ("total".into(), Value::u64(total)),
             ("workload".into(), Value::str(workload)),
             ("took_s".into(), Value::f64(took.as_secs_f64())),
-        ];
-        if let Some(w) = worker {
-            fields.push(("worker".into(), Value::u64(w as u64)));
-        }
-        self.entry.push(event_line(&Value::Obj(fields)));
-    }
-}
-
-impl ProgressSink for RequestSink<'_> {
-    fn batch_start(&mut self, total: usize) {
-        self.total = total;
-        self.submitted_us = self.inner.now_us();
-        self.entry.note_progress(0, total as u64);
-        self.entry.push(event_line(&Value::Obj(vec![
-            ("event".into(), Value::str("batch_start")),
-            ("total".into(), Value::u64(total as u64)),
+            ("worker".into(), Value::u64(worker)),
         ])));
-    }
-
-    fn cell_done(&mut self, done: usize, workload: &str, took: Duration) {
-        self.cell(done, workload, took, None);
-    }
-
-    fn cell_done_on(&mut self, done: usize, workload: &str, took: Duration, worker: usize) {
-        self.cell(done, workload, took, Some(worker));
     }
 
     fn batch_end(&mut self) {}
@@ -954,10 +940,7 @@ fn stream_entry(
         }
     })();
     let streamed = inner.now_us().saturating_sub(stream_start_us);
-    let sent = SpanKind::Stream {
-        from: 0,
-        events: at as u64,
-    };
+    let sent = SpanKind::Stream { events: at as u64 };
     inner.record_span(token, stream_start_us, streamed, sent);
     delivered
 }
@@ -1078,7 +1061,7 @@ mod tests {
                 hits
             };
             for done in 1..=2 {
-                progress.cell_done(done, "cell", Duration::ZERO);
+                progress.cell_done_on(done, "cell", Duration::ZERO, 0);
             }
             Ok(RunResult {
                 output: format!("{kind:?}: {rendered}"),
@@ -1274,7 +1257,7 @@ mod tests {
         ) -> Result<RunResult, HandlerError> {
             let pad = "x".repeat(64 << 10);
             for done in 1..=256 {
-                progress.cell_done(done, &pad, Duration::ZERO);
+                progress.cell_done_on(done, &pad, Duration::ZERO, 0);
             }
             Ok(RunResult {
                 output: "flooded".into(),
@@ -1524,7 +1507,7 @@ mod tests {
             progress: &mut dyn ProgressSink,
         ) -> Result<RunResult, HandlerError> {
             for done in 1..=self.total {
-                progress.cell_done(done as usize, "cell", Duration::ZERO);
+                progress.cell_done_on(done as usize, "cell", Duration::ZERO, 0);
                 std::thread::sleep(Duration::from_millis(5));
             }
             Ok(RunResult {
@@ -1556,7 +1539,7 @@ mod tests {
                 if done == self.held + 1 {
                     let _ = gate.recv();
                 }
-                progress.cell_done(done, "cell", Duration::ZERO);
+                progress.cell_done_on(done, "cell", Duration::ZERO, 0);
             }
             Ok(RunResult {
                 output: "complete".into(),
@@ -2119,15 +2102,15 @@ mod tests {
             first_cell_us: None,
         };
         sink.batch_start(3);
-        sink.cell_done(1, "gzip", Duration::from_millis(250));
+        sink.cell_done_on(1, "gzip", Duration::from_millis(250), 0);
         sink.cell_done_on(2, "twolf", Duration::from_nanos(1_234_567_891), 1);
         sink.cell_done_on(3, "mcf", Duration::from_micros(20), 0);
-        // Sweep streams are a contract: these are the lines a daemon
-        // streamed for these calls, field order and number spelling
-        // included, with and without a `worker`.
+        // Sweep and analyze streams are a contract: these are the lines
+        // a daemon streamed for these calls, field order and number
+        // spelling included.
         let golden = [
             "{\"event\":\"batch_start\",\"total\":3}\n",
-            "{\"event\":\"progress\",\"done\":1,\"total\":3,\"workload\":\"gzip\",\"took_s\":0.25}\n",
+            "{\"event\":\"progress\",\"done\":1,\"total\":3,\"workload\":\"gzip\",\"took_s\":0.25,\"worker\":0}\n",
             "{\"event\":\"progress\",\"done\":2,\"total\":3,\"workload\":\"twolf\",\"took_s\":1.234567891,\"worker\":1}\n",
             "{\"event\":\"progress\",\"done\":3,\"total\":3,\"workload\":\"mcf\",\"took_s\":2e-5,\"worker\":0}\n",
         ];

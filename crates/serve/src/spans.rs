@@ -62,8 +62,8 @@ pub(crate) enum SpanKind<L> {
         done: u64,
         total: u64,
     },
-    /// One delivery attempt: `events` events sent from index `from`.
-    Stream { from: u64, events: u64 },
+    /// One delivery attempt that sent `events` events.
+    Stream { events: u64 },
 }
 
 /// One retained span.
@@ -196,7 +196,7 @@ impl SpanRing {
                 done,
                 total,
             },
-            SpanKind::Stream { from, events } => SpanKind::Stream { from, events },
+            SpanKind::Stream { events } => SpanKind::Stream { events },
         };
         let span = Span {
             token,
@@ -265,8 +265,7 @@ impl SpanRing {
                     format!("worker {worker}"),
                 )
             }
-            SpanKind::Stream { from, events } => {
-                arg("from", Value::u64(from));
+            SpanKind::Stream { events } => {
                 arg("events", Value::u64(events));
                 ("stream".to_string(), LANE_STREAM, "streams".to_string())
             }
@@ -303,9 +302,10 @@ mod tests {
     fn every_kind_renders_the_golden_trace() {
         // One span of every kind at fixed times, as the service records
         // them for one sweep (cells on two workers, a stream cut short
-        // and its resume) and one analyze, with another request's
+        // and its re-POST) and one analyze, with another request's
         // spans interleaved. The golden was rendered from the
-        // `ReqSpan`s the service built before spans became records.
+        // `ReqSpan`s the service built before spans became records,
+        // less the `from` arg stream spans no longer carry.
         let mut ring = SpanRing::new();
         let sweep = RequestKind::Sweep;
         let analyze = RequestKind::Analyze;
@@ -314,7 +314,7 @@ mod tests {
         ring.push(TOKEN, 1200, 4000, cell(0, "gzip", 1, 3));
         ring.push(OTHER, 1250, 10, cell(0, "mcf", 1, 1));
         ring.push(TOKEN, 1300, 4100, cell(1, "twolf", 2, 3));
-        ring.push(TOKEN, 1100, 4500, SpanKind::Stream { from: 0, events: 3 });
+        ring.push(TOKEN, 1100, 4500, SpanKind::Stream { events: 3 });
         ring.push(TOKEN, 5000, 800, cell(0, "gzip", 3, 3));
         ring.push(TOKEN, 1000, 1200, SpanKind::Queued);
         let run = |kind, exit_code, cache_hits, simulated| SpanKind::Run {
@@ -324,13 +324,13 @@ mod tests {
             simulated,
         };
         ring.push(TOKEN, 1000, 6000, run(sweep, 0, 1, 2));
-        ring.push(TOKEN, 7100, 300, SpanKind::Stream { from: 3, events: 2 });
+        ring.push(TOKEN, 7100, 300, SpanKind::Stream { events: 2 });
         ring.push(TOKEN, 9000, 0, SpanKind::Admit { kind: analyze });
         ring.push(TOKEN, 9300, 0, cell(0, "fdrt", 1, 2));
         ring.push(TOKEN, 9400, 0, cell(0, "cell", 2, 2));
         ring.push(TOKEN, 9000, 300, SpanKind::Queued);
         ring.push(TOKEN, 9000, 500, run(analyze, 2, 0, 2));
-        ring.push(TOKEN, 9050, 550, SpanKind::Stream { from: 0, events: 3 });
+        ring.push(TOKEN, 9050, 550, SpanKind::Stream { events: 3 });
         let golden = include_str!("../tests/golden/request-trace.json");
         assert_eq!(request_trace(&ring.spans_for(TOKEN)) + "\n", golden);
         assert_eq!(ring.spans_for(OTHER).len(), 2);

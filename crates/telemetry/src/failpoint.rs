@@ -22,7 +22,7 @@
 //!
 //! | name             | site                         | effect                         |
 //! |------------------|------------------------------|--------------------------------|
-//! | `job-panic`      | `ctcp_harness::Job::simulate` | panics the worker running the matching `workload[:strategy]` cell (no arg = every cell) |
+//! | `job-panic`      | `ctcp_harness::Job::try_simulate_with` | panics the worker running the matching `workload[:strategy]` cell (no arg = every cell) |
 //! | `stall-retire`   | `ctcp_sim` cycle loop        | drops all retirements, stalling the pipeline until the watchdog trips |
 //! | `store-truncate` | `ctcp_harness` result store  | writes only half of each appended envelope, simulating a crash mid-write |
 //! | `journal-truncate` | `ctcp_harness` request journal, which no command opens | writes only half of one appended journal record (then disarms itself), simulating a crash mid-append |

@@ -25,7 +25,9 @@
 #      BENCH_baseline.json under --record)
 #   7. crash-injection smoke: a fail point panics one sweep cell; the
 #      batch must finish, render the survivors and exit non-zero; then
-#      `ctcp store verify` must pass the store it left clean
+#      `ctcp store verify` must pass the store it left clean; a bare
+#      job-panic must fail every cell of an analyze, which must exit
+#      non-zero with a failure table naming each of them
 #   8. engine perf gate: a scheduler-bound sweep (gzip,twolf x
 #      baseline,friendly, 200k instructions, --jobs 1, best of 3) must
 #      stay within 125% of the committed reference (BENCH_engine.json)
@@ -57,8 +59,9 @@
 #      printed, each on its lane (thread_name service, streams,
 #      worker N), its queued span must end no later than its earliest
 #      cell span starts (1 us of rounding allowed), every cell span of
-#      the analyze must last more than 1 us, and `ctcp top --once`
-#      must render a dashboard frame
+#      the analyze must be `cell gzip`, last more than 1 us and sit on a
+#      `worker N` lane with N below the daemon's --jobs 2, and
+#      `ctcp top --once` must render a dashboard frame
 #  14. benchmark self-check: ctcp-benchmark's own tests, then a one-second
 #      run of each in-process workload (detailed, warmup_grid, attrib);
 #      each run completes at least one full pass and exits 0 only if
@@ -245,6 +248,15 @@ if (cd "$smoke_dir" && CTCP_FAIL_POINT=job-panic=twolf:fdrt \
 fi
 grep -q "^gzip" "$smoke_dir/sweep-crash.out"
 grep -q "twolf/fdrt: panic:" "$smoke_dir/sweep-crash.out"
+# A bare job-panic arms every cell, and analyze's cells run through the
+# same harness: each fails, and the output is the failure table.
+if CTCP_FAIL_POINT=job-panic ./target/release/ctcp analyze gzip \
+        --strategies base,fdrt --insts 5000 > "$smoke_dir/analyze-crash.out" 2>/dev/null; then
+    echo "FAIL: analyze under a bare job-panic must exit non-zero" >&2
+    exit 1
+fi
+grep -q "gzip/base: panic:" "$smoke_dir/analyze-crash.out"
+grep -q "gzip/fdrt: panic:" "$smoke_dir/analyze-crash.out"
 
 echo "==> result store verify (post-crash store must be clean)"
 ./target/release/ctcp store verify --dir "$smoke_dir/target/ctcp-results"
@@ -632,7 +644,8 @@ cells = [e for e in spans if e["name"].startswith("cell ")]
 assert progress > 0 and len(cells) == progress, \
     f"{kind}: {len(cells)} cell spans for {progress} progress events"
 # queued runs from batch_start to the first cell's start (1 us of
-# rounding allowed), and every analyze strategy is a timed cell.
+# rounding allowed), and every analyze strategy is a timed cell of the
+# benchmark on one of the daemon's two pool workers.
 queued = next(e for e in spans if e["name"] == "queued")
 first_cell = min(e["ts"] for e in cells)
 assert queued["ts"] + queued["dur"] <= first_cell + 1, \
@@ -640,6 +653,10 @@ assert queued["ts"] + queued["dur"] <= first_cell + 1, \
 if kind == "analyze":
     untimed = [e["name"] for e in cells if e["dur"] <= 1]
     assert not untimed, f"analyze: cell spans of at most 1 us: {untimed}"
+    for e in cells:
+        lane = lanes.get(e["tid"], "")
+        assert e["name"] == "cell gzip", f"analyze: cell span {e['name']!r}"
+        assert lane in ("worker 0", "worker 1"), f"analyze: cell on lane {lane!r}, want a worker below --jobs 2"
 home = {"admit": "service", "queued": "service", f"run {kind}": "service", "stream": "streams"}
 for e in spans:
     want = home.get(e["name"], f"worker {e['tid'] - 2}")
