@@ -1,7 +1,7 @@
 //! One function per table/figure of the paper.
 //!
 //! Every experiment is two-phase: it first *describes* its grid of
-//! simulation cells as [`Job`]s in a [`Batch`], hands the batch to a
+//! simulation cells as [`Job`]s in a `Batch`, hands the batch to a
 //! [`Harness`] (worker pool + optional memoizing result store), and
 //! then *renders* its table from the returned reports. Rendering only
 //! reads reports by job index, so the output is byte-identical at any
@@ -742,65 +742,50 @@ fn table10(opts: RunOptions, h: &mut Harness) -> String {
 }
 
 fn fig8(opts: RunOptions, h: &mut Harness) -> String {
-    struct Variant {
-        name: &'static str,
-        issue_latency: u64,
-        apply: fn(&mut SimConfig),
-    }
+    // (name, issue-time steer latency, clusters, topology, hop latency)
+    let hop = SimConfig::default().engine.hop_latency;
     let variants = [
-        Variant {
-            name: "mesh network",
-            issue_latency: 4,
-            apply: |c| c.engine.geometry.topology = Topology::Ring,
-        },
-        Variant {
-            name: "one-cycle fwd",
-            issue_latency: 4,
-            apply: |c| c.engine.hop_latency = 1,
-        },
-        Variant {
-            name: "point-to-point (1 hop everywhere)",
-            issue_latency: 4,
-            apply: |c| c.engine.geometry.topology = Topology::FullyConnected,
-        },
-        Variant {
-            name: "8-wide 2-cluster",
-            issue_latency: 2,
-            apply: |c| {
-                c.engine.geometry.clusters = 2;
-                c.engine.rename_width = 8;
-                c.engine.retire_width = 8;
-                c.engine.rob_entries = 64;
-            },
-        },
+        ("mesh network", 4, 4, Topology::Ring, hop),
+        ("one-cycle fwd", 4, 4, Topology::Linear, 1),
+        (
+            "point-to-point (1 hop everywhere)",
+            4,
+            4,
+            Topology::FullyConnected,
+            hop,
+        ),
+        ("8-wide 2-cluster", 2, 2, Topology::Linear, hop),
     ];
     let mut out = String::from(
         "Figure 8: robustness across cluster configurations\n\
          (speedups relative to each configuration's own baseline)\n",
     );
-    for v in variants {
+    for (variant, issue_latency, clusters, topology, hop_latency) in variants {
+        let config = |strategy| {
+            let mut c = SimConfig {
+                max_insts: opts.max_insts,
+                ..SimConfig::machine(strategy, clusters, topology)
+            };
+            c.engine.hop_latency = hop_latency;
+            c
+        };
         let strategies = [
             ("fdrt", Strategy::Fdrt { pinning: true }),
             ("friendly", Strategy::Friendly { middle_bias: false }),
             (
                 "issue-time",
                 Strategy::IssueTime {
-                    latency: v.issue_latency,
+                    latency: issue_latency,
                 },
             ),
         ];
         let columns: Vec<(String, SimConfig)> = strategies
             .iter()
-            .map(|(name, s)| {
-                let mut c = base_config(opts.max_insts, *s);
-                (v.apply)(&mut c);
-                (name.to_string(), c)
-            })
+            .map(|(name, s)| (name.to_string(), config(*s)))
             .collect();
-        let mut bc = base_config(opts.max_insts, Strategy::Baseline);
-        (v.apply)(&mut bc);
-        let t = speedup_grid(h, &Benchmark::spec_focus(), &columns, bc);
-        out.push_str(&format!("\n[{}]\n{}", v.name, t.render()));
+        let base = config(Strategy::Baseline);
+        let t = speedup_grid(h, &Benchmark::spec_focus(), &columns, base);
+        out.push_str(&format!("\n[{variant}]\n{}", t.render()));
     }
     out
 }

@@ -3,7 +3,7 @@
 
 use ctcp_core::Topology;
 use ctcp_harness::SweepSpec;
-use ctcp_sim::Strategy;
+use ctcp_sim::{SimConfig, Strategy, MAX_CLUSTERS};
 use std::fmt;
 
 /// Source of the program to simulate.
@@ -38,15 +38,17 @@ pub struct RunArgs {
 }
 
 impl Default for RunArgs {
+    /// Table 7's machine under the baseline strategy.
     fn default() -> Self {
+        let machine = SimConfig::default().engine;
         RunArgs {
             source: ProgramSource::Bench("gzip".into()),
             strategy: Strategy::Baseline,
             insts: 100_000,
             warmup: 0,
-            clusters: 4,
-            topology: Topology::Linear,
-            hop_latency: 2,
+            clusters: machine.geometry.clusters,
+            topology: machine.geometry.topology,
+            hop_latency: machine.hop_latency,
             csv: false,
         }
     }
@@ -388,11 +390,9 @@ fn parse_run_args(rest: &[String]) -> Result<RunArgs, CliError> {
             }
             "--clusters" => {
                 let v = value(&mut i)?;
-                out.clusters = v
-                    .parse()
-                    .ok()
-                    .filter(|&c: &u8| (1..=8).contains(&c))
-                    .ok_or_else(|| CliError(format!("bad --clusters value {v:?} (1..=8)")))?;
+                out.clusters = v.parse().ok().and_then(cluster_count).ok_or_else(|| {
+                    CliError(format!("bad --clusters value {v:?} (1..={MAX_CLUSTERS})"))
+                })?;
             }
             "--topology" => out.topology = parse_topology(&value(&mut i)?)?,
             "--hop" => {
@@ -696,6 +696,14 @@ pub(crate) fn parse_topology(s: &str) -> Result<Topology, CliError> {
     }
 }
 
+/// `n` as a cluster count the engine supports, 1..=[`MAX_CLUSTERS`]:
+/// the one range check of every command-line and wire parser.
+pub(crate) fn cluster_count(n: u64) -> Option<u8> {
+    u8::try_from(n)
+        .ok()
+        .filter(|c| (1..=MAX_CLUSTERS).contains(c))
+}
+
 /// Splits a comma-separated list, rejecting empty elements.
 fn comma_list(flag: &str, v: &str) -> Result<Vec<String>, CliError> {
     let parts: Vec<String> = v.split(',').map(str::to_string).collect();
@@ -738,10 +746,9 @@ fn parse_sweep_args(rest: &[String]) -> Result<SweepArgs, CliError> {
                 out.spec.clusters = comma_list("--clusters", &v)?
                     .iter()
                     .map(|c| {
-                        c.parse()
-                            .ok()
-                            .filter(|&c: &u8| (1..=8).contains(&c))
-                            .ok_or_else(|| CliError(format!("bad --clusters value {c:?} (1..=8)")))
+                        c.parse().ok().and_then(cluster_count).ok_or_else(|| {
+                            CliError(format!("bad --clusters value {c:?} (1..={MAX_CLUSTERS})"))
+                        })
                     })
                     .collect::<Result<_, _>>()?;
             }
@@ -810,7 +817,8 @@ OPTIONS:
   --insts N           timed instruction budget (default: 100000)
   --warmup N          fast-forward N instructions (functional warmup, no
                       timing) before the timed phase (default: 0)
-  --clusters N        cluster count, 1..=8 (default: 4)
+  --clusters N        cluster count, 1..=8 (default: 4): the sweep's machine,
+                      4N wide with a 32N-entry ROB
   --topology T        linear | ring | full (default: linear)
   --hop N             forwarding latency per hop (default: 2)
   --csv               machine-readable output
@@ -984,7 +992,8 @@ mod tests {
     fn bad_values_are_errors() {
         assert!(Cli::parse(["run", "--insts", "many"]).is_err());
         assert!(Cli::parse(["run", "--clusters", "0"]).is_err());
-        assert!(Cli::parse(["run", "--clusters", "9"]).is_err());
+        let err = Cli::parse(["run", "--clusters", "9"]).unwrap_err();
+        assert_eq!(err.0, "bad --clusters value \"9\" (1..=8)");
         assert!(Cli::parse(["run", "--topology", "torus"]).is_err());
     }
 
@@ -1069,7 +1078,8 @@ mod tests {
     fn sweep_rejects_bad_lists() {
         assert!(Cli::parse(["sweep", "--strategies", "fdrt,,base"]).is_err());
         assert!(Cli::parse(["sweep", "--strategies", "warp"]).is_err());
-        assert!(Cli::parse(["sweep", "--clusters", "2,9"]).is_err());
+        let err = Cli::parse(["sweep", "--clusters", "2,9"]).unwrap_err();
+        assert_eq!(err.0, "bad --clusters value \"9\" (1..=8)");
         assert!(Cli::parse(["sweep", "--topology", "torus"]).is_err());
         assert!(Cli::parse(["sweep", "--frobnicate"]).is_err());
         assert!(Cli::parse(["sweep", "--jobs"]).is_err());

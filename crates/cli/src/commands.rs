@@ -39,15 +39,14 @@ fn load_program(source: &ProgramSource) -> Result<Program, CliError> {
     }
 }
 
+/// The machine a sweep builds for the geometry of `args`
+/// ([`SimConfig::machine`]), under the run's budgets and hop latency.
 fn config(args: &RunArgs, strategy: Strategy) -> SimConfig {
     let mut c = SimConfig {
-        strategy,
         max_insts: args.insts,
         warmup_insts: args.warmup,
-        ..SimConfig::default()
+        ..SimConfig::machine(strategy, args.clusters, args.topology)
     };
-    c.engine.geometry.clusters = args.clusters;
-    c.engine.geometry.topology = args.topology;
     c.engine.hop_latency = args.hop_latency;
     c
 }
@@ -2040,5 +2039,119 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("IPC"));
+        // `compare` builds the machine a sweep builds, so the two report
+        // the same IPCs and speedups.
+        let geometry = ["--insts", "4000", "--clusters", "2", "--topology", "ring"];
+        let compare =
+            run(&[&["compare", "--bench", "twolf", "--csv"], &geometry[..]].concat()).unwrap();
+        let sweep = run(&[
+            &[
+                "sweep",
+                "--benches",
+                "twolf",
+                "--strategies",
+                "issue0,issue4,friendly,fdrt",
+            ],
+            &geometry[..],
+            &["--csv"],
+        ]
+        .concat())
+        .unwrap();
+        // strategy,ipc,speedup,... after the header and the base row.
+        let compared: Vec<Vec<&str>> = compare
+            .lines()
+            .skip(2)
+            .map(|l| l.split(',').take(3).collect())
+            .collect();
+        // bench,clusters,topology,strategy,ipc,speedup after the header.
+        let swept: Vec<Vec<&str>> = sweep
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').skip(3).collect())
+            .collect();
+        assert_eq!(compared.len(), 4, "{compare}");
+        assert_eq!(compared, swept, "{compare}\n{sweep}");
+        // The widest machine the parser accepts runs too.
+        let wide = run_outcome(&[
+            "run",
+            "--bench",
+            "twolf",
+            "--insts",
+            "4000",
+            "--clusters",
+            "8",
+        ]);
+        assert_eq!(wide.exit_code, 0, "{}", wide.output);
+    }
+
+    /// Every strategy the command line can name.
+    const STRATEGIES: [Strategy; 8] = [
+        Strategy::Baseline,
+        Strategy::IssueTime { latency: 0 },
+        Strategy::IssueTime { latency: 4 },
+        Strategy::Friendly { middle_bias: false },
+        Strategy::Friendly { middle_bias: true },
+        Strategy::Fdrt { pinning: true },
+        Strategy::Fdrt { pinning: false },
+        Strategy::FdrtIntraOnly,
+    ];
+
+    #[test]
+    fn every_accepted_geometry_builds_the_machine_a_sweep_builds() {
+        use ctcp_sim::{Topology, MAX_CLUSTERS};
+        let program = Benchmark::by_name("gzip").unwrap().program();
+        for clusters in 0..=u8::MAX {
+            let accepted = (1..=MAX_CLUSTERS).contains(&clusters);
+            for topology in [Topology::Linear, Topology::Ring, Topology::FullyConnected] {
+                let (n, t) = (clusters.to_string(), wire::topology_cli_name(topology));
+                let parsed = Cli::parse([
+                    "run",
+                    "--clusters",
+                    &n,
+                    "--topology",
+                    t,
+                    "--insts",
+                    "3000",
+                    "--warmup",
+                    "500",
+                ]);
+                assert_eq!(parsed.is_ok(), accepted, "run --clusters {n}");
+                let spec = SweepSpec {
+                    clusters: vec![clusters],
+                    topologies: vec![topology],
+                    insts: 3000,
+                    warmup: 500,
+                    ..SweepSpec::default()
+                };
+                assert_eq!(spec.validate().is_ok(), accepted, "spec {n}");
+                let body = wire::sweep_to_json(&SweepArgs {
+                    spec: spec.clone(),
+                    ..SweepArgs::default()
+                });
+                assert_eq!(wire::sweep_from_json(&body).is_ok(), accepted, "sweep {n}");
+                let mut analyze = AnalyzeArgs::default();
+                analyze.run.clusters = clusters;
+                analyze.run.topology = topology;
+                let body = wire::analyze_to_json(&analyze).unwrap();
+                assert_eq!(
+                    wire::analyze_from_json(&body).is_ok(),
+                    accepted,
+                    "analyze {n}"
+                );
+                let Ok(Cli {
+                    command: Command::Run(args),
+                }) = parsed
+                else {
+                    continue;
+                };
+                for s in STRATEGIES {
+                    let c = config(&args, s);
+                    let cell = spec.cell_config(s, clusters, topology);
+                    assert_eq!(format!("{c:?}"), format!("{cell:?}"), "{n} {t} {s:?}");
+                    let built = Simulation::builder(&program).config(c).build();
+                    assert!(built.is_ok(), "{n} {t} {s:?}: {:?}", built.err());
+                }
+            }
+        }
     }
 }

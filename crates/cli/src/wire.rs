@@ -15,11 +15,11 @@
 //! daemon-side values (`jobs: 0`, `cache: false`, `metrics_out: None`).
 
 use crate::args::{
-    parse_strategy, parse_topology, AnalyzeArgs, CliError, ProgramSource, SweepArgs,
+    cluster_count, parse_strategy, parse_topology, AnalyzeArgs, CliError, ProgramSource, SweepArgs,
 };
 use ctcp_core::Topology;
 use ctcp_harness::SweepSpec;
-use ctcp_sim::Strategy;
+use ctcp_sim::{Strategy, MAX_CLUSTERS};
 use ctcp_telemetry::json::Value;
 
 /// The CLI spelling of a strategy, the inverse of
@@ -143,10 +143,12 @@ pub fn sweep_from_json(v: &Value) -> Result<SweepArgs, CliError> {
         .ok_or_else(|| CliError("\"clusters\" must be an array".into()))?
         .iter()
         .map(|c| {
-            c.as_u64()
-                .and_then(|n| u8::try_from(n).ok())
-                .filter(|c| (1..=8).contains(c))
-                .ok_or_else(|| CliError(format!("bad cluster count {} (1..=8)", c.render())))
+            c.as_u64().and_then(cluster_count).ok_or_else(|| {
+                CliError(format!(
+                    "bad cluster count {} (1..={MAX_CLUSTERS})",
+                    c.render()
+                ))
+            })
         })
         .collect::<Result<_, _>>()?;
     let warmup = warmup_field(v)?;
@@ -215,10 +217,8 @@ pub fn analyze_from_json(v: &Value) -> Result<AnalyzeArgs, CliError> {
         .map(|s| parse_strategy(s))
         .collect::<Result<_, _>>()?;
     out.run.insts = u64_field(v, "insts")?;
-    out.run.clusters = u8::try_from(u64_field(v, "clusters")?)
-        .ok()
-        .filter(|c| (1..=8).contains(c))
-        .ok_or_else(|| CliError("bad \"clusters\" value (1..=8)".into()))?;
+    out.run.clusters = cluster_count(u64_field(v, "clusters")?)
+        .ok_or_else(|| CliError(format!("bad \"clusters\" value (1..={MAX_CLUSTERS})")))?;
     out.run.topology = parse_topology(
         field(v, "topology")?
             .as_str()
@@ -352,5 +352,17 @@ mod tests {
             let v = Value::parse(body).unwrap();
             assert!(sweep_from_json(&v).is_err(), "{body}");
         }
+    }
+
+    #[test]
+    fn out_of_range_cluster_counts_name_the_range() {
+        let mut sweep = SweepArgs::default();
+        sweep.spec.clusters = vec![4, 9];
+        let err = sweep_from_json(&sweep_to_json(&sweep)).unwrap_err();
+        assert_eq!(err.0, "bad cluster count 9 (1..=8)");
+        let mut analyze = AnalyzeArgs::default();
+        analyze.run.clusters = 0;
+        let err = analyze_from_json(&analyze_to_json(&analyze).unwrap()).unwrap_err();
+        assert_eq!(err.0, "bad \"clusters\" value (1..=8)");
     }
 }

@@ -3,18 +3,17 @@
 //! Historically the CLI's argument parser, the sweep service's wire
 //! codec, and the sweep command each held their own copy of the grid
 //! vocabulary — which benchmarks, strategies, geometries, and budgets a
-//! sweep covers, and how a cell's geometry scales the front end. This
-//! module is the single owner: every surface parses into (or renders
-//! from) a [`SweepSpec`], and [`SweepSpec::expand`] is the only place
-//! the grid is unrolled into concrete jobs, so the cell order and the
-//! per-cell [`SimConfig`] can never drift between the one-shot CLI, the
-//! daemon, and the harness.
+//! sweep covers. This module is the single owner: every surface parses
+//! into (or renders from) a [`SweepSpec`], and [`SweepSpec::expand`] is
+//! the only place the grid is unrolled into concrete jobs, so the cell
+//! order and the per-cell [`SimConfig`] can never drift between the
+//! one-shot CLI, the daemon, and the harness.
 //!
 //! Validation is typed ([`SpecError`]), mirroring the simulator
 //! builder's `ConfigError`: callers render the variant they got, tests
 //! match on it.
 
-use ctcp_sim::{SimConfig, Strategy, Topology};
+use ctcp_sim::{SimConfig, Strategy, Topology, MAX_CLUSTERS};
 
 /// Why a [`SweepSpec`] cannot be expanded into a grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub enum SpecError {
     NoClusters,
     /// The topology list is empty.
     NoTopologies,
-    /// A cluster count outside the supported 1..=8 range.
+    /// A cluster count outside the supported 1..=[`MAX_CLUSTERS`] range.
     BadClusterCount {
         /// The offending count.
         clusters: u8,
@@ -49,7 +48,7 @@ impl std::fmt::Display for SpecError {
             SpecError::NoClusters => write!(f, "sweep has no cluster counts"),
             SpecError::NoTopologies => write!(f, "sweep has no topologies"),
             SpecError::BadClusterCount { clusters } => {
-                write!(f, "bad cluster count {clusters} (1..=8)")
+                write!(f, "bad cluster count {clusters} (1..={MAX_CLUSTERS})")
             }
             SpecError::DuplicateBench { bench } => {
                 write!(f, "benchmark {bench:?} appears twice in the sweep")
@@ -74,7 +73,7 @@ pub struct SweepSpec {
     /// Strategies to sweep; a baseline cell is always added per
     /// benchmark × geometry for the speedup column.
     pub strategies: Vec<Strategy>,
-    /// Cluster counts to sweep (1..=8).
+    /// Cluster counts to sweep (1..=[`MAX_CLUSTERS`]).
     pub clusters: Vec<u8>,
     /// Interconnect topologies to sweep.
     pub topologies: Vec<Topology>,
@@ -162,7 +161,11 @@ impl SweepSpec {
         if self.topologies.is_empty() {
             return Err(SpecError::NoTopologies);
         }
-        if let Some(&clusters) = self.clusters.iter().find(|c| !(1..=8).contains(*c)) {
+        if let Some(&clusters) = self
+            .clusters
+            .iter()
+            .find(|c| !(1..=MAX_CLUSTERS).contains(*c))
+        {
             return Err(SpecError::BadClusterCount { clusters });
         }
         for (i, b) in self.benches.iter().enumerate() {
@@ -173,25 +176,14 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// The full configuration of one cell. Geometry scales the front
-    /// end with the execution core, as the paper does for its
-    /// 8-wide/2-cluster machine: machine width = total issue slots,
-    /// rename and retire width match it, and the ROB holds 8 entries
-    /// per slot.
+    /// The full configuration of one cell: [`SimConfig::machine`]
+    /// under the spec's budgets.
     pub fn cell_config(&self, strategy: Strategy, clusters: u8, topology: Topology) -> SimConfig {
-        let mut c = SimConfig {
-            strategy,
+        SimConfig {
             max_insts: self.insts,
             warmup_insts: self.warmup,
-            ..SimConfig::default()
-        };
-        c.engine.geometry.clusters = clusters;
-        c.engine.geometry.topology = topology;
-        let width = c.engine.geometry.total_slots();
-        c.engine.rename_width = width;
-        c.engine.retire_width = width;
-        c.engine.rob_entries = 8 * width;
-        c
+            ..SimConfig::machine(strategy, clusters, topology)
+        }
     }
 
     /// Unrolls the grid: benchmarks outermost, then cluster counts,

@@ -68,7 +68,7 @@ const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 /// v4 added the warmup/measure split (`SimConfig::warmup_insts`) — a
 /// v3 line records a run whose whole budget was timed, which is not
 /// the same cell as a warmed-up run, so v3 lines are classified
-/// [`Line::Stale`] and simply miss.
+/// stale and simply miss.
 pub const STORE_FORMAT_VERSION: u32 = 4;
 
 /// The store's report file, its quarantine and its lock token, each
@@ -341,9 +341,9 @@ impl ResultStore {
     /// Propagates write failures; the in-memory copy is kept either
     /// way, so the current process still benefits. A failure also
     /// trips the read-only circuit breaker: until a later append
-    /// re-probes the disk successfully (at most one probe per
-    /// [`PROBE_INTERVAL`]), further puts fail fast without touching
-    /// the disk — degraded, not crashed.
+    /// re-probes the disk successfully (at most one probe per 500 ms),
+    /// further puts fail fast without touching the disk — degraded, not
+    /// crashed.
     pub fn put(&self, key: u64, workload: &str, report: &SimReport) -> std::io::Result<()> {
         self.inner.puts.fetch_add(1, Ordering::Relaxed);
         self.inner

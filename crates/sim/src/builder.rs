@@ -1,16 +1,18 @@
 //! Fluent, validating construction of a [`Simulation`].
 //!
 //! [`SimBuilder`] is the front door of the simulator API — the *only*
-//! construction path: it owns a [`SimConfig`], exposes fluent setters
-//! for the commonly swept knobs, and *validates* the cluster geometry
-//! before any state is allocated, returning a typed [`ConfigError`]
-//! instead of letting a nonsensical configuration livelock the cycle
-//! loop or index out of bounds deep in the engine.
+//! construction path: it owns a [`SimConfig`], takes the machine whole
+//! through [`SimBuilder::config`] (a non-default geometry comes from
+//! [`SimConfig::machine`]), adds the strategy, budgets and the
+//! result-neutral knobs, and *validates* the cluster geometry before
+//! any state is allocated, returning a typed [`ConfigError`] instead of
+//! letting a nonsensical configuration livelock the cycle loop or index
+//! out of bounds deep in the engine.
 
 use crate::checkpoint::Checkpoint;
 use crate::processor::Simulation;
 use crate::{SimConfig, Strategy};
-use ctcp_core::{EngineArena, Topology};
+use ctcp_core::EngineArena;
 use ctcp_isa::Program;
 use ctcp_telemetry::Recorder;
 use std::rc::Rc;
@@ -184,30 +186,6 @@ impl<'p> SimBuilder<'p> {
         self
     }
 
-    /// Sets the number of execution clusters.
-    pub fn clusters(mut self, clusters: u8) -> Self {
-        self.cfg.engine.geometry.clusters = clusters;
-        self
-    }
-
-    /// Sets the issue slots per cluster.
-    pub fn slots_per_cluster(mut self, slots: u8) -> Self {
-        self.cfg.engine.geometry.slots_per_cluster = slots;
-        self
-    }
-
-    /// Sets the inter-cluster interconnect topology.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.cfg.engine.geometry.topology = topology;
-        self
-    }
-
-    /// Sets the inter-cluster forwarding latency per hop.
-    pub fn hop_latency(mut self, cycles: u64) -> Self {
-        self.cfg.engine.hop_latency = cycles;
-        self
-    }
-
     /// Attaches a telemetry [`Recorder`], shared by the front end and
     /// the engine, to capture counters, histograms and the pipeline
     /// event trace. Without one every hook site is a single `None`
@@ -319,10 +297,23 @@ mod tests {
         assert!(Simulation::builder(&p).build().is_ok());
     }
 
+    /// The default machine with `clusters` clusters of `slots` slots,
+    /// its front end left at Table 7's 16/16/128.
+    fn geometry(clusters: u8, slots: u8) -> SimConfig {
+        let mut cfg = SimConfig::default();
+        cfg.engine.geometry.clusters = clusters;
+        cfg.engine.geometry.slots_per_cluster = slots;
+        cfg
+    }
+
     #[test]
     fn zero_clusters_rejected() {
         let p = tiny();
-        let err = Simulation::builder(&p).clusters(0).build().err().unwrap();
+        let err = Simulation::builder(&p)
+            .config(geometry(0, 4))
+            .build()
+            .err()
+            .unwrap();
         assert_eq!(err, ConfigError::ZeroClusters);
     }
 
@@ -332,8 +323,7 @@ mod tests {
         // 9 clusters x 1 slot stays within the rename width, isolating
         // the cluster-count check.
         let err = Simulation::builder(&p)
-            .clusters(9)
-            .slots_per_cluster(1)
+            .config(geometry(9, 1))
             .build()
             .err()
             .unwrap();
@@ -344,7 +334,7 @@ mod tests {
     fn zero_slots_rejected() {
         let p = tiny();
         let err = Simulation::builder(&p)
-            .slots_per_cluster(0)
+            .config(geometry(4, 0))
             .build()
             .err()
             .unwrap();
@@ -419,16 +409,23 @@ mod tests {
     #[test]
     fn setters_refine_a_replaced_config() {
         let p = tiny();
-        let sim = Simulation::builder(&p)
-            .config(SimConfig::default())
-            .clusters(2)
-            .slots_per_cluster(4)
-            .topology(Topology::FullyConnected)
-            .hop_latency(3)
-            .max_insts(100)
-            .build()
-            .unwrap();
-        let r = sim.run();
+        let mut machine =
+            SimConfig::machine(Strategy::Baseline, 2, crate::Topology::FullyConnected);
+        machine.engine.hop_latency = 3;
+        let b = Simulation::builder(&p)
+            .max_insts(7)
+            .config(machine)
+            .strategy(Strategy::Friendly { middle_bias: false });
+        assert_eq!(
+            b.cfg.max_insts, machine.max_insts,
+            "earlier setters are discarded"
+        );
+        assert_eq!(b.cfg.strategy, Strategy::Friendly { middle_bias: false });
+        assert_eq!(
+            format!("{:?}", b.cfg.engine),
+            format!("{:?}", machine.engine)
+        );
+        let r = b.build().unwrap().run();
         assert_eq!(r.instructions, 2);
     }
 }

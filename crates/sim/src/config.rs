@@ -1,7 +1,7 @@
 //! Whole-simulator configuration.
 
 use ctcp_core::assign::{FdrtAssigner, FdrtConfig, RetireTimeStrategy, SlotFillOrder};
-use ctcp_core::{EngineConfig, SteeringMode};
+use ctcp_core::{EngineConfig, SteeringMode, Topology};
 use ctcp_frontend::{BtbConfig, HybridConfig, ICacheConfig};
 use ctcp_tracecache::{FillUnitConfig, TraceCacheConfig};
 
@@ -128,6 +128,27 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The paper's machine with `clusters` clusters of Table 7's 4 issue
+    /// slots on `topology`, under `strategy`. The front end scales with
+    /// the execution core, as in the paper's 8-wide, 2-cluster machine
+    /// (§5.6): rename width = retire width = issue slots, and the ROB
+    /// holds 8 entries per slot. Four linear clusters are Table 7's
+    /// 16/16/128 machine, i.e. [`SimConfig::default`]. Every other field
+    /// keeps its default.
+    pub fn machine(strategy: Strategy, clusters: u8, topology: Topology) -> SimConfig {
+        let mut c = SimConfig {
+            strategy,
+            ..SimConfig::default()
+        };
+        c.engine.geometry.clusters = clusters;
+        c.engine.geometry.topology = topology;
+        let width = c.engine.geometry.total_slots();
+        c.engine.rename_width = width;
+        c.engine.retire_width = width;
+        c.engine.rob_entries = 8 * width;
+        c
+    }
+
     /// Applies the issue-time steer latency implied by the strategy to
     /// the engine configuration, and aligns trace-line capacity with the
     /// cluster geometry. Called by the simulation constructor.
@@ -157,13 +178,33 @@ mod tests {
     }
 
     #[test]
+    fn table7_is_the_machine_rules_fixed_point() {
+        assert_eq!(
+            format!(
+                "{:?}",
+                SimConfig::machine(Strategy::Baseline, 4, Topology::Linear)
+            ),
+            format!("{:?}", SimConfig::default())
+        );
+    }
+
+    #[test]
+    fn the_machine_scales_the_front_end_with_the_clusters() {
+        let c = SimConfig::machine(Strategy::Friendly { middle_bias: true }, 2, Topology::Ring);
+        assert_eq!(c.strategy, Strategy::Friendly { middle_bias: true });
+        assert_eq!(c.engine.geometry.clusters, 2);
+        assert_eq!(c.engine.geometry.topology, Topology::Ring);
+        assert_eq!(c.engine.rename_width, 8);
+        assert_eq!(c.engine.retire_width, 8);
+        assert_eq!(c.engine.rob_entries, 64);
+        let wide = SimConfig::machine(Strategy::Baseline, 8, Topology::Linear);
+        assert_eq!(wide.engine.rename_width, 32);
+        assert_eq!(wide.engine.rob_entries, 256);
+    }
+
+    #[test]
     fn normalization_aligns_capacity_and_latency() {
-        let mut c = SimConfig {
-            strategy: Strategy::IssueTime { latency: 4 },
-            ..SimConfig::default()
-        };
-        c.engine.geometry.clusters = 2;
-        c.engine.geometry.slots_per_cluster = 4;
+        let c = SimConfig::machine(Strategy::IssueTime { latency: 4 }, 2, Topology::Linear);
         let n = c.normalized();
         assert_eq!(n.engine.steer_latency, 4);
         assert_eq!(n.trace_cache.line_capacity, 8);

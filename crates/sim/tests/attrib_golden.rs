@@ -5,7 +5,7 @@
 //! tie-break among its top edges cannot drift. The digests date from
 //! the probe-based attribution that preceded the in-simulation one.
 
-use ctcp_sim::{BatchRunner, SimBuilder, SimReport, Simulation, Strategy, Topology};
+use ctcp_sim::{BatchRunner, SimBuilder, SimConfig, SimReport, Simulation, Strategy, Topology};
 use ctcp_telemetry::DEFAULT_TOP_EDGES;
 use ctcp_workload::Benchmark;
 
@@ -46,16 +46,21 @@ fn strategy(name: &str) -> Strategy {
     }
 }
 
+/// Table 7's machine with its geometry swapped for `clusters` clusters
+/// on `topology`, front end left at 16/16/128: deliberately unscaled
+/// (not `SimConfig::machine`), as the goldens were recorded.
 fn builder<'p>(
     program: &'p ctcp_isa::Program,
     name: &str,
     clusters: u8,
     topology: Topology,
 ) -> SimBuilder<'p> {
+    let mut config = SimConfig::default();
+    config.engine.geometry.clusters = clusters;
+    config.engine.geometry.topology = topology;
     Simulation::builder(program)
+        .config(config)
         .strategy(strategy(name))
-        .clusters(clusters)
-        .topology(topology)
         .max_insts(30_000)
         .attrib(DEFAULT_TOP_EDGES)
 }

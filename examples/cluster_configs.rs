@@ -1,7 +1,9 @@
 //! The paper's §5.6 robustness study in miniature: run FDRT against the
 //! baseline on alternative cluster organisations — a ring ("mesh")
 //! interconnect, a one-cycle forwarding hop, and an eight-wide
-//! two-cluster machine.
+//! two-cluster machine. Each machine is `SimConfig::machine`, the one a
+//! `ctcp sweep` cell builds: the front end scales with the cluster
+//! count (rename and retire width = issue slots, ROB = 8 per slot).
 //!
 //! Run with: `cargo run --release --example cluster_configs`
 
@@ -9,51 +11,40 @@ use ctcp_core::Topology;
 use ctcp_sim::{harmonic_mean, SimConfig, Simulation, Strategy};
 use ctcp_workload::Benchmark;
 
-fn config(strategy: Strategy, variant: &str) -> SimConfig {
-    let mut c = SimConfig {
-        strategy,
-        max_insts: 100_000,
-        ..SimConfig::default()
-    };
-    match variant {
-        "baseline 4x4 linear" => {}
-        "ring interconnect" => c.engine.geometry.topology = Topology::Ring,
-        "one-cycle hop" => c.engine.hop_latency = 1,
-        "8-wide, 2 clusters" => {
-            c.engine.geometry.clusters = 2;
-            c.engine.rename_width = 8;
-            c.engine.retire_width = 8;
-            c.engine.rob_entries = 64;
-        }
-        other => unreachable!("unknown variant {other}"),
-    }
-    c
-}
+/// `(name, clusters, topology, forwarding latency per hop)`.
+const VARIANTS: [(&str, u8, Topology, u64); 4] = [
+    ("baseline 4x4 linear", 4, Topology::Linear, 2),
+    ("ring interconnect", 4, Topology::Ring, 2),
+    ("one-cycle hop", 4, Topology::Linear, 1),
+    ("8-wide, 2 clusters", 2, Topology::Linear, 2),
+];
 
 fn main() {
-    let variants = [
-        "baseline 4x4 linear",
-        "ring interconnect",
-        "one-cycle hop",
-        "8-wide, 2 clusters",
-    ];
     println!("FDRT speedup over each configuration's own slot-steered base:");
-    for v in variants {
+    for (name, clusters, topology, hop) in VARIANTS {
+        let config = |strategy| {
+            let mut c = SimConfig {
+                max_insts: 100_000,
+                ..SimConfig::machine(strategy, clusters, topology)
+            };
+            c.engine.hop_latency = hop;
+            c
+        };
         let mut speedups = Vec::new();
         for b in Benchmark::spec_focus() {
             let program = b.program();
             let base = Simulation::builder(&program)
-                .config(config(Strategy::Baseline, v))
+                .config(config(Strategy::Baseline))
                 .build()
                 .expect("valid geometry")
                 .run();
             let fdrt = Simulation::builder(&program)
-                .config(config(Strategy::Fdrt { pinning: true }, v))
+                .config(config(Strategy::Fdrt { pinning: true }))
                 .build()
                 .expect("valid geometry")
                 .run();
             speedups.push(fdrt.speedup_over(&base));
         }
-        println!("  {v:<22} HM speedup {:.3}", harmonic_mean(&speedups));
+        println!("  {name:<22} HM speedup {:.3}", harmonic_mean(&speedups));
     }
 }

@@ -10,7 +10,9 @@
 # Runs, in order:
 #   1. tier-1: release build + full test suite
 #   2. formatting check (cargo fmt --check)
-#   3. lint gate (cargo clippy --workspace, warnings are errors)
+#   3. lint gate (cargo clippy --workspace, warnings are errors) and
+#      doc gate (cargo doc --workspace --no-deps, warnings are errors:
+#      no doc link may point at a private or deleted item)
 #   4. telemetry smoke: `ctcp trace --check` validates the Chrome trace
 #      and reconciles its counters against the report
 #   5. attribution smoke: `ctcp analyze --json` must emit non-empty CPI
@@ -69,7 +71,9 @@
 #  15. wide-machine smoke: an 8-cluster fdrt sweep (rasta,mcf x
 #      linear,ring at 30k instructions, plus the baseline cells its
 #      speedups need) must finish every cell, i.e. no full store buffer
-#      or load queue may wedge the pipeline
+#      or load queue may wedge the pipeline; `ctcp compare` and
+#      `ctcp analyze` with --clusters 8 must exit 0 too, since every
+#      command builds the machine a sweep builds (SimConfig::machine)
 #  16. checkpoint sharing gate: three overlapping client sweeps on a
 #      one-worker daemon (gzip and twolf warmed 200k instructions, and
 #      gzip again at another timed budget) must each match the one-shot
@@ -116,6 +120,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 smoke_dir=$(mktemp -d)
 # The PIDs of every daemon start_daemon started, one a line; gate 11
@@ -685,7 +692,7 @@ for workload in detailed warmup_grid attrib; do
         "$smoke_dir/bench-$workload.out")"
 done
 
-echo "==> wide-machine smoke (8-cluster sweep finishes every cell)"
+echo "==> wide-machine smoke (8-cluster sweep, compare and analyze finish every cell)"
 # Sweep-scaled 8-cluster machines have a 256-entry window in front of
 # the 32-entry store buffer and load queue, which fill out of program
 # order; the engine must admit the oldest store or load past a full
@@ -693,6 +700,12 @@ echo "==> wide-machine smoke (8-cluster sweep finishes every cell)"
 ./target/release/ctcp sweep --benches rasta,mcf --clusters 8 --topology linear,ring \
     --strategies fdrt --insts 30000 > "$smoke_dir/wide.out"
 echo "wide-machine smoke: $(grep -c '^ *\(rasta\|mcf\) ' "$smoke_dir/wide.out" || true) rows"
+# The cell commands build the sweep's machine for --clusters N
+# (SimConfig::machine), so its 8-cluster machine runs under them too:
+# a 16-wide front end in front of 32 issue slots fails every cell.
+./target/release/ctcp compare --bench rasta --clusters 8 --insts 30000 > /dev/null
+./target/release/ctcp analyze mcf --clusters 8 --topology ring --insts 30000 > /dev/null
+echo "wide-machine smoke: compare and analyze on 8 clusters exit 0"
 
 echo "==> checkpoint sharing gate (one capture per (preset, warmup) per pool)"
 # The fair ring hands the one worker a cell of each request in turn,

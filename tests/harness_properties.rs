@@ -2,8 +2,8 @@
 //! benchmarks: parallel execution must be invisible in the output, and
 //! the memoizing result store must make a second identical run free.
 
-use ctcp::harness::{Harness, Job, ResultStore};
-use ctcp::sim::{SimConfig, SimReport, Strategy};
+use ctcp::harness::{job_key, Harness, Job, ResultStore, SweepSpec};
+use ctcp::sim::{SimConfig, SimReport, Strategy, Topology};
 use ctcp::workload::Benchmark;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -125,4 +125,40 @@ fn partial_store_resumes_only_whats_missing() {
     let scratch = Harness::new().jobs(1).progress(false).run(&jobs);
     assert_eq!(table(&jobs, &reports), table(&jobs, &scratch));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Store keys hash the config's `Debug` text, and the frozen benchmark
+/// (`ctcp-benchmark`) combines its per-cell report digests in key
+/// order. A change that moves these values gives every store entry a
+/// new key and fails the benchmark's digest check, so it must be
+/// deliberate: a new, renamed or reordered `SimConfig` or
+/// `EngineConfig` field moves them, and so does a sweep cell built off
+/// the width rule of `SimConfig::machine`.
+#[test]
+fn store_keys_are_pinned() {
+    assert_eq!(
+        job_key("gzip", &SimConfig::default()),
+        0x4936_b03a_cae2_508f
+    );
+    let fdrt = Strategy::Fdrt { pinning: true };
+    let spec = SweepSpec {
+        benches: vec!["twolf".into()],
+        strategies: vec![fdrt],
+        clusters: vec![2],
+        topologies: vec![Topology::Ring],
+        insts: 2_000,
+        warmup: 2_000_000,
+    };
+    let keys: Vec<u64> = spec
+        .expand()
+        .unwrap()
+        .jobs
+        .iter()
+        .map(|(bench, config)| job_key(bench, config))
+        .collect();
+    assert_eq!(keys, [0xb588_6bb4_b248_c5b8, 0xff2f_00a6_3eb0_d86e]);
+    assert_eq!(
+        job_key("twolf", &spec.cell_config(fdrt, 8, Topology::Linear)),
+        0xc100_2b0f_feac_2b34
+    );
 }

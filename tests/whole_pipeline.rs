@@ -2,7 +2,7 @@
 //! the fetch → execute → retire → fill loop, for every strategy.
 
 use ctcp::isa::{Executor, ProgramBuilder, Reg};
-use ctcp::sim::{SimConfig, SimReport, Simulation, Strategy};
+use ctcp::sim::{SimConfig, SimReport, Simulation, Strategy, Topology};
 use ctcp::workload::Benchmark;
 
 const ALL_STRATEGIES: [Strategy; 7] = [
@@ -204,15 +204,10 @@ fn ideal_wide_machine_beats_narrow_machine() {
         .unwrap()
         .run();
 
-    let mut narrow_cfg = SimConfig {
-        strategy: Strategy::Baseline,
+    let narrow_cfg = SimConfig {
         max_insts: 40_000,
-        ..SimConfig::default()
+        ..SimConfig::machine(Strategy::Baseline, 2, Topology::Linear)
     };
-    narrow_cfg.engine.geometry.clusters = 2;
-    narrow_cfg.engine.rename_width = 8;
-    narrow_cfg.engine.retire_width = 8;
-    narrow_cfg.engine.rob_entries = 64;
     let narrow = Simulation::builder(&p)
         .config(narrow_cfg)
         .build()
